@@ -27,16 +27,22 @@ def _require(cond: bool, msg: str):
         raise InputError(msg)
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
     _require(isinstance(doc, dict), "document must be a JSON object")
     for field in ("m", "n", "terms", "truncation"):
         _require(field in doc, f"missing field {field!r}")
     m, n = doc["m"], doc["n"]
-    _require(isinstance(m, int) and m >= 1, "m must be a positive integer")
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
+    _require(_is_int(m) and m >= 1, "m must be a positive integer")
+    _require(_is_int(n) and n >= 1, "n must be a positive integer")
     tr = doc["truncation"]
+    _require(isinstance(tr, dict), "truncation must be an object")
     for field in ("K_t", "K_x", "K_z"):
-        _require(isinstance(tr.get(field), int) and tr[field] >= 0,
+        _require(_is_int(tr.get(field)) and tr[field] >= 0,
                  f"truncation.{field} must be a nonnegative integer")
     terms = {}
     _require(isinstance(doc["terms"], list), "terms must be a list")
@@ -45,17 +51,17 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
         _require(isinstance(term, dict), f"{where} must be an object")
         co = term.get("coeff")
         _require(isinstance(co, list) and len(co) == 4
-                 and all(isinstance(v, int) for v in co),
+                 and all(_is_int(v) for v in co),
                  f"{where}.coeff must be four integers")
         _require(co[1] != 0 and co[3] != 0,
                  f"{where}.coeff has a zero denominator")
         coeff = CRat(Frac(co[0], co[1]), Frac(co[2], co[3]))
         tp = term.get("t_pow", 0)
-        _require(isinstance(tp, int) and tp >= 0,
+        _require(_is_int(tp) and tp >= 0,
                  f"{where}.t_pow must be a nonnegative integer")
         xp = term.get("x_pows", [0] * n)
         _require(isinstance(xp, list) and len(xp) == n
-                 and all(isinstance(v, int) and v >= 0 for v in xp),
+                 and all(_is_int(v) and v >= 0 for v in xp),
                  f"{where}.x_pows must be {n} nonnegative integers")
         nu = []
         for jpos, zp in enumerate(term.get("z_pows", [])):
@@ -64,12 +70,12 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
             i = zp.get("i")
             al = zp.get("alpha")
             p = zp.get("pow", 1)
-            _require(isinstance(i, int) and i >= 0,
+            _require(_is_int(i) and i >= 0,
                      f"{zwhere}.i must be a nonnegative integer")
             _require(isinstance(al, list) and len(al) == n
-                     and all(isinstance(v, int) and v >= 0 for v in al),
+                     and all(_is_int(v) and v >= 0 for v in al),
                      f"{zwhere}.alpha must be {n} nonnegative integers")
-            _require(isinstance(p, int) and p >= 1,
+            _require(_is_int(p) and p >= 1,
                      f"{zwhere}.pow must be a positive integer")
             nu.append((ZKey(i, tuple(al)), p))
         key = (tp, tuple(xp), tuple(nu))
@@ -79,23 +85,34 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
     return FuchsianEquation(m, n, F, name=name or doc.get("name", ""))
 
 
-def load_equation(source) -> FuchsianEquation:
-    """Load an equation from a builtin name or a JSON file path."""
+def read_equation_source(source) -> tuple[bytes, str]:
+    """Raw bytes of a builtin name or a JSON file path, and the name the
+    equation parsed from them gets."""
     if isinstance(source, str) and source in BUILTIN_NAMES:
-        text = (resources.files("fuchsian.data") / f"{source}.json").read_text()
-        label = source
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise InputError(f"no such equation file or builtin: {source!r} "
-                             f"(builtins: {', '.join(BUILTIN_NAMES)})")
-        text = path.read_text()
-        label = path.stem
+        return (resources.files("fuchsian.data")
+                / f"{source}.json").read_bytes(), source
+    path = Path(source)
+    if not path.exists():
+        raise InputError(f"no such equation file or builtin: {source!r} "
+                         f"(builtins: {', '.join(BUILTIN_NAMES)})")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return path.read_bytes(), path.stem
+    except OSError as exc:
+        raise InputError(f"cannot read {source!r}: {exc.strerror}") from None
+
+
+def parse_equation_bytes(data: bytes, label: str) -> FuchsianEquation:
+    """Equation from the bytes of a JSON document."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"invalid JSON in {label}: {exc}") from None
     return parse_equation(doc, name=label)
+
+
+def load_equation(source) -> FuchsianEquation:
+    """Load an equation from a builtin name or a JSON file path."""
+    return parse_equation_bytes(*read_equation_source(source))
 
 
 # -- closed forms ------------------------------------------------------

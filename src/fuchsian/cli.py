@@ -27,7 +27,8 @@ from .builtin import (
     BUILTIN_NAMES,
     closed_form_eval,
     closed_form_series,
-    load_equation,
+    parse_equation_bytes,
+    read_equation_source,
     remark2_residual_grid,
 )
 from .certificate import (
@@ -58,19 +59,14 @@ def canonical_json(obj) -> str:
                       allow_nan=False)
 
 
-def _input_digest(source) -> dict:
-    if isinstance(source, str) and source in BUILTIN_NAMES:
-        from importlib import resources
-        data = (resources.files("fuchsian.data") / f"{source}.json").read_bytes()
-        label = f"builtin:{source}"
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise InputError(f"no such equation file or builtin: {source!r} "
-                             f"(builtins: {', '.join(BUILTIN_NAMES)})")
-        data = path.read_bytes()
-        label = str(source)
-    return {"path": label, "sha256": hashlib.sha256(data).hexdigest()}
+def _read_input(source) -> tuple[dict, bytes, str]:
+    """Read the input once: its digest for the report, then the bytes that
+    were hashed and the equation name, for parse_equation_bytes."""
+    data, label = read_equation_source(source)
+    builtin = isinstance(source, str) and source in BUILTIN_NAMES
+    path = f"builtin:{source}" if builtin else str(source)
+    return ({"path": path, "sha256": hashlib.sha256(data).hexdigest()},
+            data, label)
 
 
 def _emit(report: dict, out: str | None):
@@ -169,10 +165,10 @@ def _applicability_results(eq: FuchsianEquation, K: int) -> dict:
 
 
 def cmd_check(args) -> int:
-    report = {"command": "check", "version": __version__,
-              "input": _input_digest(args.equation)}
+    digest, data, label = _read_input(args.equation)
+    report = {"command": "check", "version": __version__, "input": digest}
     try:
-        eq = load_equation(args.equation)
+        eq = parse_equation_bytes(data, label)
         report["results"] = _applicability_results(eq, args.order)
     except ToolkitError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -183,10 +179,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    report = {"command": "solve", "version": __version__,
-              "input": _input_digest(args.equation)}
+    digest, data, label = _read_input(args.equation)
+    report = {"command": "solve", "version": __version__, "input": digest}
     try:
-        eq = load_equation(args.equation)
+        eq = parse_equation_bytes(data, label)
         sol = solve_formal(eq, args.order, x_order=args.x_order)
         report["results"] = {
             "order": sol.order, "x_order": sol.x_order,
@@ -202,10 +198,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    report = {"command": "certify", "version": __version__,
-              "input": _input_digest(args.equation)}
+    digest, data, label = _read_input(args.equation)
+    report = {"command": "certify", "version": __version__, "input": digest}
     try:
-        eq = load_equation(args.equation)
+        eq = parse_equation_bytes(data, label)
         cd = eq.char_exponents()
         report["results"] = {"applicability": _applicability_results(eq, 10)}
         if cd.h is None:
@@ -284,10 +280,11 @@ def cmd_certify(args) -> int:
 
 def cmd_verify_example(args) -> int:
     name = args.name
+    digest, data, label = _read_input(name)
     report = {"command": "verify-example", "version": __version__,
-              "input": _input_digest(name)}
+              "input": digest}
     try:
-        eq = load_equation(name)
+        eq = parse_equation_bytes(data, label)
         results: dict = {"applicability": _applicability_results(eq, 10)}
         if name == "remark2":
             grid = remark2_residual_grid(eq)

@@ -52,6 +52,13 @@ def test_load_equation_bad_json(tmp_path):
         load_equation(p)
 
 
+def test_load_equation_bad_utf8(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(InputError):
+        load_equation(p)
+
+
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda d: d.pop("terms"), "terms"),
     (lambda d: d.update(m="two"), "m"),
@@ -59,6 +66,29 @@ def test_load_equation_bad_json(tmp_path):
     (lambda d: d["terms"][0].update(x_pows=[0, 0]), "x_pows"),
     (lambda d: d["terms"][0]["z_pows"][0].update(alpha=[0, 0]), "alpha"),
     (lambda d: d.update(truncation={"K_t": 6}), "truncation"),
+    pytest.param(lambda d: d.update(truncation=[1, 2]), "truncation",
+                 id="truncation-list"),
+    # JSON true/false load as bool, a subclass of int: never an integer here
+    pytest.param(lambda d: d.update(m=True), "m", id="m-bool"),
+    pytest.param(lambda d: d.update(n=True), "n", id="n-bool"),
+    pytest.param(lambda d: d["truncation"].update(K_t=True), "K_t",
+                 id="K_t-bool"),
+    pytest.param(lambda d: d["truncation"].update(K_x=True), "K_x",
+                 id="K_x-bool"),
+    pytest.param(lambda d: d["truncation"].update(K_z=False), "K_z",
+                 id="K_z-bool"),
+    pytest.param(lambda d: d["terms"][0].update(t_pow=False), "t_pow",
+                 id="t_pow-bool"),
+    pytest.param(lambda d: d["terms"][0]["z_pows"][0].update(pow=True),
+                 "pow", id="pow-bool"),
+    pytest.param(lambda d: d["terms"][0]["z_pows"][0].update(i=True),
+                 ".i ", id="i-bool"),
+    pytest.param(lambda d: d["terms"][0].update(x_pows=[False]), "x_pows",
+                 id="x_pows-bool"),
+    pytest.param(lambda d: d["terms"][0]["z_pows"][0].update(alpha=[False]),
+                 "alpha", id="alpha-bool"),
+    pytest.param(lambda d: d["terms"][0].update(coeff=[-3, True, 0, 1]),
+                 "coeff", id="coeff-bool"),
 ])
 def test_parse_equation_rejects_malformed(mutate, fragment):
     doc = valid_doc()

@@ -63,6 +63,43 @@ def test_check_file_input(tmp_path, capsys):
     assert rep["input"]["sha256"]
 
 
+def test_check_non_object_truncation_is_input_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"m": 2, "n": 1, "terms": [],
+                             "truncation": [1, 2]}))
+    rc, rep, _ = run_json(capsys, "check", str(p))
+    assert rc == 2
+    assert rep["error"] == {"type": "InputError",
+                            "message": "truncation must be an object"}
+
+
+def test_check_bool_order_is_input_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"m": True, "n": 1, "terms": [],
+                             "truncation": {"K_t": 4, "K_x": 4, "K_z": 2}}))
+    rc, rep, _ = run_json(capsys, "check", str(p))
+    assert rc == 2
+    assert rep["error"]["type"] == "InputError"
+
+
+def test_check_directory_input_fails_cleanly(tmp_path, capsys):
+    rc, out, err = run(capsys, "check", str(tmp_path))
+    assert rc == 2
+    assert "cannot read" in err
+
+
+def test_input_digest_is_of_the_parsed_bytes(tmp_path, capsys):
+    import hashlib
+    p = tmp_path / "toy.json"
+    data = json.dumps({"m": 2, "n": 1, "terms": [],
+                       "truncation": {"K_t": 4, "K_x": 4, "K_z": 2}}).encode()
+    p.write_bytes(data)
+    rc, rep, _ = run_json(capsys, "check", str(p))
+    assert rc == 0
+    assert rep["input"] == {"path": str(p),
+                            "sha256": hashlib.sha256(data).hexdigest()}
+
+
 # -- solve ---------------------------------------------------------------
 
 

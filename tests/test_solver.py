@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuchsian.builtin import closed_form_series, load_equation
+from fuchsian.builtin import closed_form_series, load_equation, parse_equation
 from fuchsian.equation import FuchsianEquation
-from fuchsian.errors import IndicialZero, TruncationExhausted
+from fuchsian.errors import IndicialZero, ToolkitError, TruncationExhausted
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
-from fuchsian.solver import derivative_tuple, manufactured, residual, solve_formal
+from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, alphas_of_degree,
+                             lambda_keys)
+from fuchsian.solver import (FormalSolution, derivative_tuple, manufactured,
+                             residual, solve_formal)
 
 
 def test_residual_frozen_oracle():
@@ -152,3 +156,196 @@ def test_manufactured_rejects_t0_targets():
     bad = SeriesTX.one(1, eq.F.k_t, eq.F.k_x)
     with pytest.raises(A2Violation):
         manufactured(eq, bad)
+
+
+# -- relaxed construction against full re-substitution ----------------
+
+
+def solve_by_resubstitution(eq, order):
+    """Reference construction: at every step, substitute the whole jet of
+    the partial sum into F and read off the t^k coefficient."""
+    F = eq.F
+    if F.k_t < order:
+        raise TruncationExhausted(
+            f"right-hand side tracks t-order {F.k_t} < requested {order}")
+    x_order = F.k_x - eq.m * order
+    if x_order < 0:
+        raise TruncationExhausted(
+            f"need k_x >= {eq.m * order} on the right-hand side for "
+            f"x-degree {x_order} at t-order {order} (have {F.k_x})")
+    u = SeriesTX.zero(eq.n, order, F.k_x)
+    indicial = {}
+    for k in range(1, order + 1):
+        rhs = F.substitute_z(derivative_tuple(u, eq.keys))
+        if rhs.k_t < k:
+            raise TruncationExhausted(
+                f"substitution reliable only to t-order {rhs.k_t} < {k}")
+        section = rhs.x_section(k)
+        indicial[k] = eq.indicial_value(k)
+        if indicial[k].is_zero():
+            raise IndicialZero(
+                f"indicial polynomial vanishes at s = {k}; the recursion "
+                f"cannot be solved at this order")
+        Pk = eq.indicial_series(k).truncate(k_x=section.k_x)
+        uk_x = Pk.invert_unit() * section
+        u = u + SeriesTX(eq.n, u.k_t, uk_x.k_x,
+                         {(k, a): c for (_, a), c in uk_x.terms.items()})
+    verified = u.k_x >= eq.m
+    if verified:
+        assert residual(eq, u, order).is_zero()
+    return FormalSolution(u=u.truncate(k_x=x_order), order=order,
+                          x_order=x_order, indicial=indicial,
+                          verified=verified)
+
+
+_small = st.builds(Frac, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+_alphas = {n: [a for d in range(3) for a in alphas_of_degree(n, d)]
+           for n in (1, 2)}
+
+
+@st.composite
+def random_equations(draw):
+    """Order-2 equations with negative exponents (so no resonance), a
+    forcing, x-dependent indicial coefficients, linear jet terms carrying
+    t^a x^beta with a >= 1, and quadratic and cubic jet monomials."""
+    n = draw(st.sampled_from((1, 2)))
+    K = draw(st.integers(2, 6) if n == 1 else st.integers(1, 4))
+    x_order = draw(st.integers(0, 2))
+    k_z = draw(st.sampled_from((2, 3, 3, 3)))
+    keys = lambda_keys(2, n)
+    zero = (0,) * n
+    lam1 = -Frac(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    lam2 = lam1 - Frac(draw(st.integers(0, 4)), 2)
+    terms = [(0, zero, ((ZKey(1, zero), 1),), lam1 + lam2),
+             (0, zero, ((ZKey(0, zero), 1),), -lam1 * lam2)]
+
+    def term(t_min, z_deg):
+        a = draw(st.integers(t_min, 2))
+        beta = draw(st.sampled_from(_alphas[n]))
+        zks = draw(st.lists(st.sampled_from(keys),
+                            min_size=z_deg, max_size=z_deg))
+        c = CRat(draw(_small), draw(st.sampled_from((Frac(0), Frac(1, 2)))))
+        terms.append((a, beta, tuple((zk, 1) for zk in zks), c))
+
+    terms.append((1, zero, (), draw(_small)))    # forcing, vanishes at t = 0
+    for _ in range(draw(st.integers(0, 1))):
+        term(1, 0)
+    for _ in range(draw(st.integers(0, 2))):     # x-dependent indicial part
+        i = draw(st.integers(0, 1))
+        beta = draw(st.sampled_from(_alphas[n][1:]))
+        terms.append((0, beta, ((ZKey(i, zero), 1),), draw(_small)))
+    for _ in range(draw(st.integers(0, 2))):
+        term(1, 1)
+    for _ in range(draw(st.integers(1, 3))):
+        term(0, 2)
+    for _ in range(draw(st.integers(0, 2))):
+        term(0, 3)
+    data = {}
+    for a, beta, nu, c in terms:
+        acc = data.get((a, beta, nu))
+        data[(a, beta, nu)] = c if acc is None else acc + c
+    F = SeriesTXZ(n, 2, K + draw(st.integers(0, 1)), x_order + 2 * K, k_z,
+                  data)
+    return FuchsianEquation(2, n, F), K
+
+
+def _outcome(fn, eq, K):
+    try:
+        return fn(eq, K)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_equations())
+def test_relaxed_solver_equals_resubstitution(case):
+    eq, K = case
+    got = _outcome(solve_formal, eq, K)
+    want = _outcome(solve_by_resubstitution, eq, K)
+    assert got == want
+
+
+def _clipped_cubic_equation():
+    # remark3's linear part, forcing t and z[0,0]^3, which K_z = 2 drops
+    zero = ZKey(0, (0,))
+    F = SeriesTXZ(1, 2, 10, 12, 2, {
+        (0, (0,), ((ZKey(1, (0,)), 1),)): -3,
+        (0, (0,), ((zero, 1),)): -2,
+        (1, (0,), ()): 1,
+        (0, (0,), ((zero, 3),)): 1,
+    })
+    assert F.z_clipped
+    return FuchsianEquation(2, 1, F)
+
+
+def test_z_clipped_reliable_order():
+    # u_1 = 1/6 gives the jets t-order 1, so the dropped cubic can reach
+    # t^3: the substitution is reliable only through t^2
+    eq = _clipped_cubic_equation()
+    for order in (1, 2):
+        sol = solve_formal(eq, order)
+        assert sol.u == SeriesTX.monomial(1, order, sol.u.k_x,
+                                          Frac(1, 6), 1, (0,))
+    with pytest.raises(TruncationExhausted) as exc:
+        solve_formal(eq, 3)
+    assert str(exc.value) == "substitution reliable only to t-order 2 < 3"
+
+
+def test_z_clipped_order_ignores_jets_truncation_emptied():
+    # u_1 = x^4/6 sits at the top x-degree of step 1; from step 3 on the
+    # partial sum carries x-cap 2, where u_1 and its jets are zero, so the
+    # least live jet t-order is 2 (from u_2 = x^2/6) and t^3 stays reliable
+    z00, z10, z02 = ZKey(0, (0,)), ZKey(1, (0,)), ZKey(0, (2,))
+    F = SeriesTXZ(1, 2, 3, 6, 2, {
+        (0, (0,), ((z10, 1),)): -3, (0, (0,), ((z00, 1),)): -2,
+        (1, (4,), ()): 1, (1, (0,), ((z02, 1),)): 1,
+        (0, (0,), ((z00, 2),)): 1, (0, (0,), ((z00, 3),)): 1})
+    assert F.z_clipped
+    eq = FuchsianEquation(2, 1, F)
+    sol = solve_formal(eq, 3)
+    assert sol == solve_by_resubstitution(eq, 3)
+    assert sol.u == SeriesTX.monomial(1, 3, 0, Frac(1, 60), 3, (0,))
+
+
+# CRat multiplications of solve_formal(verify=True) on the equation below
+# with full re-substitution at every step (measured with the counting
+# wrapper of test_relaxed_solver_multiplication_count)
+RESUBSTITUTION_MULS_N1_K12 = 52384
+
+
+def test_relaxed_solver_multiplication_count(monkeypatch):
+    # n = 1, K = 12: t - 13/6 z10 - 5/6 z00 - x z00 + z01 z02 / 4
+    # + 2 z02 z11, solved to x-degree 2
+    def coeff(p, q):
+        return [p, q, 0, 1]
+
+    def z(i, a):
+        return {"i": i, "alpha": [a], "pow": 1}
+
+    doc = {"m": 2, "n": 1, "truncation": {"K_t": 12, "K_x": 26, "K_z": 2},
+           "terms": [
+               {"coeff": coeff(1, 1), "t_pow": 1, "x_pows": [0],
+                "z_pows": []},
+               {"coeff": coeff(-13, 6), "t_pow": 0, "x_pows": [0],
+                "z_pows": [z(1, 0)]},
+               {"coeff": coeff(-5, 6), "t_pow": 0, "x_pows": [0],
+                "z_pows": [z(0, 0)]},
+               {"coeff": coeff(-1, 1), "t_pow": 0, "x_pows": [1],
+                "z_pows": [z(0, 0)]},
+               {"coeff": coeff(1, 4), "t_pow": 0, "x_pows": [0],
+                "z_pows": [z(0, 1), z(0, 2)]},
+               {"coeff": coeff(2, 1), "t_pow": 0, "x_pows": [0],
+                "z_pows": [z(0, 2), z(1, 1)]}]}
+    eq = parse_equation(doc)
+    calls = [0]
+    mul = CRat.__mul__
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CRat, "__mul__", counting)
+    monkeypatch.setattr(CRat, "__rmul__", counting)
+    sol = solve_formal(eq, 12)
+    assert sol.verified and not sol.u.is_zero()
+    assert 3 * calls[0] <= RESUBSTITUTION_MULS_N1_K12, calls[0]
