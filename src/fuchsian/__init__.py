@@ -17,9 +17,6 @@ from .certificate import (
     barrier_grid,
     build_shifted_rhs,
     choose_params,
-    eval_barrier,
-    eval_growth_bound,
-    eval_transport_rate,
     normal_form,
     profile_family,
     reconstruct,
@@ -64,9 +61,6 @@ from .majorant import (
     NormProfileZ,
     RhoPoly,
     SectorMajorant,
-    d_rho,
-    eval_majorant,
-    integral_transform,
     norm_x,
     norm_xz,
     weight,

@@ -63,8 +63,10 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
         _require(isinstance(xp, list) and len(xp) == n
                  and all(_is_int(v) and v >= 0 for v in xp),
                  f"{where}.x_pows must be {n} nonnegative integers")
+        zps = term.get("z_pows", [])
+        _require(isinstance(zps, list), f"{where}.z_pows must be a list")
         nu = []
-        for jpos, zp in enumerate(term.get("z_pows", [])):
+        for jpos, zp in enumerate(zps):
             zwhere = f"{where}.z_pows[{jpos}]"
             _require(isinstance(zp, dict), f"{zwhere} must be an object")
             i = zp.get("i")

@@ -426,6 +426,11 @@ class BarrierSystem:
         self.keys = lambda_keys(2, n)
         self.low_keys = tuple(zk for zk in self.keys if sum(zk.alpha) <= 1)
         self.high_keys = tuple(zk for zk in self.keys if sum(zk.alpha) == 2)
+        # float weights for the grid, converted once
+        self.e00, self.e01 = float(params.eps00), float(params.eps01)
+        self.e11, self.kf = float(params.eps11), float(params.kappa)
+        self.eps_key = {zk: float(params.eps_slot(zk.i, sum(zk.alpha)))
+                        for zk in self.low_keys}
 
         sl = profiles.slots
         self.p = dict(sl)
@@ -449,12 +454,12 @@ class BarrierSystem:
             out = {}
             for key, s in series_map.items():
                 prof = norm_xz(s)
-                dz = {}
-                for zk in self.keys:
+                dz = []
+                for zk in sorted(self.keys, key=_zkey_sort):
                     g = prof.dz(zk)
                     if not g.is_zero():
-                        dz[zk] = g
-                out[key] = (prof, prof.d_rho(), dz)
+                        dz.append((zk, g))
+                out[key] = (prof, prof.d_rho(), tuple(dz))
             return out
 
         self.na = pack(dec.a)
@@ -485,8 +490,8 @@ class BarrierSystem:
         self.work["coefficient_evals"] += 1
         _, dr, dz = pack
         v = dr.eval(t, rho, phiv)
-        for zk in sorted(dz, key=_zkey_sort):
-            v += dz[zk].eval(t, rho, phiv) * dphiv[zk]
+        for zk, g in dz:
+            v += g.eval(t, rho, phiv) * dphiv[zk]
         return v
 
     # -- barrier -----------------------------------------------------
@@ -495,32 +500,29 @@ class BarrierSystem:
         return {ij: self.p[ij].eval(t, rho) for ij in _SLOTS}
 
     def barrier(self, t: float, rho: float) -> float:
-        P = self.params
         v = self._slot_vals(t, rho)
-        tk = t ** float(P.kappa)
-        return (float(P.eps00) * v[(0, 0)] + v[(1, 0)] + tk * v[(0, 2)]
-                + float(P.eps01) * v[(0, 1)] + float(P.eps11) * v[(1, 1)]
+        tk = t ** self.kf
+        return (self.e00 * v[(0, 0)] + v[(1, 0)] + tk * v[(0, 2)]
+                + self.e01 * v[(0, 1)] + self.e11 * v[(1, 1)]
                 + v[(0, 2)] ** 1.5)
 
     def barrier_drho(self, t: float, rho: float) -> float:
-        P = self.params
         v = self._slot_vals(t, rho)
-        tk = t ** float(P.kappa)
+        tk = t ** self.kf
         dv11 = self.d11.eval(t, rho)
         dv02 = self.d02.eval(t, rho)
-        return (float(P.eps00) * v[(0, 1)] + v[(1, 1)] + tk * dv02
-                + float(P.eps01) * v[(0, 2)] + float(P.eps11) * dv11
+        return (self.e00 * v[(0, 1)] + v[(1, 1)] + tk * dv02
+                + self.e01 * v[(0, 2)] + self.e11 * dv11
                 + 1.5 * math.sqrt(v[(0, 2)]) * dv02)
 
     def barrier_teuler(self, t: float, rho: float) -> float:
         """t d/dt of the barrier, by exact term calculus on each part."""
-        P = self.params
         v02 = self.p[(0, 2)].eval(t, rho)
         e = {ij: self.e[ij].eval(t, rho) for ij in _SLOTS}
-        tk = t ** float(P.kappa)
-        return (float(P.eps00) * e[(0, 0)] + e[(1, 0)]
-                + tk * (float(P.kappa) * v02 + e[(0, 2)])
-                + float(P.eps01) * e[(0, 1)] + float(P.eps11) * e[(1, 1)]
+        tk = t ** self.kf
+        return (self.e00 * e[(0, 0)] + e[(1, 0)]
+                + tk * (self.kf * v02 + e[(0, 2)])
+                + self.e01 * e[(0, 1)] + self.e11 * e[(1, 1)]
                 + 1.5 * math.sqrt(v02) * e[(0, 2)])
 
     # -- the two majorant coefficients ---------------------------------
@@ -528,34 +530,31 @@ class BarrierSystem:
     def growth_bound(self, t: float, rho: float) -> float:
         """Multiplier of q in the differential inequality.  Reads the
         weights only; the box enters through where it gets evaluated."""
-        P = self.params
-        e00, e01, e11 = float(P.eps00), float(P.eps01), float(P.eps11)
+        e00, e01, e11, eps = self.e00, self.e01, self.e11, self.eps_key
         phiv = self.phi_values(t, rho)
         dphiv = self.dphi_values(t, rho)
         sq02 = math.sqrt(self.p[(0, 2)].eval(t, rho))
-        t1k = t ** (1.0 - float(P.kappa))
+        t1k = t ** (1.0 - self.kf)
 
         acc = e00
         acc += self.nbeta0.eval(rho) / e00 + self.nbeta1.eval(rho)
         for zk in self.low_keys:
             if zk in self.na:
-                acc += (t / float(P.eps_slot(zk.i, sum(zk.alpha)))
-                        * self._comp(self.na[zk], t, rho, phiv))
+                acc += t / eps[zk] * self._comp(self.na[zk], t, rho, phiv)
         for zk in self.high_keys:
             if zk in self.na:
                 acc += t1k * self._comp(self.na[zk], t, rho, phiv)
         for zk in self.low_keys:
             if zk in self.nb:
-                acc += (self._comp(self.nb[zk], t, rho, phiv)
-                        / float(P.eps_slot(zk.i, sum(zk.alpha))))
+                acc += self._comp(self.nb[zk], t, rho, phiv) / eps[zk]
         for pr in self.nc:
             acc += self._comp(self.nc[pr], t, rho, phiv) * sq02
-        acc += float(P.kappa) + e01 / e11
+        acc += self.kf + e01 / e11
         acc += e11 * (self.dbeta0.eval(rho) / e00 + self.dbeta1.eval(rho))
         acc += e11 * (self.nbeta0.eval(rho) / e01 + self.nbeta1.eval(rho) / e11)
         for zk in self.low_keys:
             if zk in self.na:
-                acc += (e11 / float(P.eps_slot(zk.i, sum(zk.alpha))) * t
+                acc += (e11 / eps[zk] * t
                         * self._comp_drho(self.na[zk], t, rho, phiv, dphiv))
         for zk in self.high_keys:
             if zk in self.na:
@@ -563,7 +562,7 @@ class BarrierSystem:
                                                    phiv, dphiv)
         for zk in self.low_keys:
             if zk in self.nb:
-                acc += (e11 / float(P.eps_slot(zk.i, sum(zk.alpha)))
+                acc += (e11 / eps[zk]
                         * self._comp_drho(self.nb[zk], t, rho, phiv, dphiv))
         for pr in self.nc:
             acc += e11 * self._comp_drho(self.nc[pr], t, rho, phiv, dphiv) * sq02
@@ -572,25 +571,23 @@ class BarrierSystem:
     def transport_rate(self, t: float, rho: float) -> float:
         """Multiplier of the rho-derivative of q; also the speed of the
         domain-shrinking flow."""
-        P = self.params
-        e11 = float(P.eps11)
+        e11, eps = self.e11, self.eps_key
         phiv = self.phi_values(t, rho)
         sq02 = math.sqrt(self.p[(0, 2)].eval(t, rho))
-        tk = t ** float(P.kappa)
-        t1k = t ** (1.0 - float(P.kappa))
+        tk = t ** self.kf
+        t1k = t ** (1.0 - self.kf)
 
         acc = tk / e11
         for zk in self.low_keys:
             if zk in self.na:
-                acc += (e11 / float(P.eps_slot(zk.i, sum(zk.alpha))) * t
+                acc += (e11 / eps[zk] * t
                         * self._comp(self.na[zk], t, rho, phiv))
         for zk in self.high_keys:
             if zk in self.na:
                 acc += e11 * t1k * self._comp(self.na[zk], t, rho, phiv)
         for zk in self.low_keys:
             if zk in self.nb:
-                acc += (e11 / float(P.eps_slot(zk.i, sum(zk.alpha)))
-                        * self._comp(self.nb[zk], t, rho, phiv))
+                acc += e11 / eps[zk] * self._comp(self.nb[zk], t, rho, phiv)
         for pr in self.nc:
             acc += (4.0 * e11 / 3.0) * self._comp(self.nc[pr], t, rho, phiv) * sq02
         acc += 1.5 / e11 * sq02
@@ -605,7 +602,7 @@ class BarrierSystem:
         four constants of the t^kappa / q / q^(2/3) / q^(1/3) envelope."""
         P = self.params
         sig, R = float(P.sigma0), float(P.R0)
-        e11 = float(P.eps11)
+        e11, kf, eps = self.e11, self.kf, self.eps_key
         phiv = self.phi_values(sig, R)
         L = 2.0 * max(phiv.values(), default=0.0)
 
@@ -620,21 +617,19 @@ class BarrierSystem:
         K1 = 1.0 / e11
         for zk in self.low_keys:
             if zk in sup_a:
-                K1 += (e11 / float(P.eps_slot(zk.i, sum(zk.alpha)))
-                       * sig ** (1.0 - float(P.kappa)) * sup_a[zk])
+                K1 += e11 / eps[zk] * sig ** (1.0 - kf) * sup_a[zk]
         for zk in self.high_keys:
             if zk in sup_a:
-                K1 += e11 * sig ** (1.0 - 2.0 * float(P.kappa)) * sup_a[zk]
+                K1 += e11 * sig ** (1.0 - 2.0 * kf) * sup_a[zk]
         K2 = 0.0
         for zk in self.low_keys:
             if zk in b_lin:
-                K2 += e11 / float(P.eps_slot(zk.i, sum(zk.alpha))) * float(b_lin[zk])
+                K2 += e11 / eps[zk] * float(b_lin[zk])
         K3 = 1.5 / e11
         for pr in self.nc:
             K3 += (4.0 * e11 / 3.0) * sup_c[pr]
 
-        inv_eps = sum(1.0 / float(P.eps_slot(zk.i, sum(zk.alpha)))
-                      for zk in self.low_keys)
+        inv_eps = sum(1.0 / eps[zk] for zk in self.low_keys)
         return {
             "H0": float(H0), "H1": float(H1), "L": L,
             "b_linear": {f"{zk.i},{','.join(map(str, zk.alpha))}": float(v)
@@ -644,18 +639,6 @@ class BarrierSystem:
             "C1": K1, "C2": K2 * inv_eps, "C3": K2 * len(self.high_keys),
             "C4": K3,
         }
-
-
-def eval_barrier(params, profiles, dec, t: float, rho: float) -> float:
-    return BarrierSystem(dec, profiles, params).barrier(t, rho)
-
-
-def eval_growth_bound(params, profiles, dec, t: float, rho: float) -> float:
-    return BarrierSystem(dec, profiles, params).growth_bound(t, rho)
-
-
-def eval_transport_rate(params, profiles, dec, t: float, rho: float) -> float:
-    return BarrierSystem(dec, profiles, params).transport_rate(t, rho)
 
 
 def verify_barrier(params: BarrierParams, profiles: ProfileFamily,

@@ -143,6 +143,11 @@ def _parse_grid(spec: str) -> tuple:
         raise InputError(f"grid must look like '50x50', got {spec!r}") from None
 
 
+def _require_order(order: int) -> None:
+    if order < 1:
+        raise InputError(f"--order must be at least 1, got {order}")
+
+
 def _applicability_results(eq: FuchsianEquation, K: int) -> dict:
     cd = eq.char_exponents()
     app = eq.applicability(K)
@@ -182,6 +187,7 @@ def cmd_solve(args) -> int:
     digest, data, label = _read_input(args.equation)
     report = {"command": "solve", "version": __version__, "input": digest}
     try:
+        _require_order(args.order)
         eq = parse_equation_bytes(data, label)
         sol = solve_formal(eq, args.order, x_order=args.x_order)
         report["results"] = {
@@ -201,6 +207,7 @@ def cmd_certify(args) -> int:
     digest, data, label = _read_input(args.equation)
     report = {"command": "certify", "version": __version__, "input": digest}
     try:
+        _require_order(args.order)
         eq = parse_equation_bytes(data, label)
         cd = eq.char_exponents()
         report["results"] = {"applicability": _applicability_results(eq, 10)}

@@ -6,13 +6,19 @@ The weighted norm of a spatial series f(x) = sum_alpha f_alpha x^alpha is
     sum_alpha |f_alpha| (alpha! / |alpha|!) rho^|alpha|,
 
 a polynomial in rho >= 0 with nonnegative coefficients (RhoPoly).  Applied
-slice by slice in t this produces a SectorMajorant, sum_k P_k(rho) t^k,
-optionally carrying a fractional global power t^t_shift.  Right-hand sides
-with jet variables map to NormProfileZ, which keeps the jet monomials
-symbolic so they can later be filled with norm bounds of actual profiles.
+slice by slice in t this produces a SectorMajorant, sum_k P_k(rho) t^k.
+Right-hand sides with jet variables map to NormProfileZ, which keeps the
+jet monomials symbolic so they can later be filled with norm bounds of
+actual profiles.
 
 |f_alpha| is the directed bound CRat.abs_upper, so every coefficient here
 is an exact rational upper bound and all comparisons are certificates.
+
+These objects are never changed after construction.  The first float
+evaluation of each one converts its coefficients to floats once, in Horner
+order (empty t-slices as ()), and later evaluations reuse them; the float
+operations and their order are those of a direct Horner loop over the
+Fractions, so results are bit-identical to converting at every call.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ def weight(alpha) -> Frac:
 class RhoPoly:
     """Polynomial in rho with nonnegative Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_horner")
 
     def __init__(self, coeffs=()):
         cs = [Frac(c) for c in coeffs]
@@ -46,6 +52,7 @@ class RhoPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._horner = None
 
     @classmethod
     def zero(cls) -> "RhoPoly":
@@ -106,10 +113,16 @@ class RhoPoly:
     def d_rho(self) -> "RhoPoly":
         return RhoPoly(tuple(c * d for d, c in enumerate(self.coeffs))[1:])
 
+    def horner(self) -> tuple:
+        """Float coefficients, highest degree first; computed once."""
+        if self._horner is None:
+            self._horner = tuple(float(c) for c in reversed(self.coeffs))
+        return self._horner
+
     def eval(self, rho: float) -> float:
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * rho + float(c)
+        for c in self._horner or self.horner():
+            acc = acc * rho + c
         return acc
 
     def eval_frac(self, rho: Frac) -> Frac:
@@ -125,14 +138,11 @@ class RhoPoly:
 
 
 class SectorMajorant:
-    """t^t_shift * sum_k P_k(rho) t^k with nonnegative coefficients."""
+    """sum_k P_k(rho) t^k with nonnegative coefficients."""
 
-    __slots__ = ("coeffs", "t_shift")
+    __slots__ = ("coeffs", "_horner")
 
-    def __init__(self, coeffs=None, t_shift=0):
-        shift = Frac(t_shift)
-        if shift < 0:
-            raise ValueError("t_shift must be nonnegative")
+    def __init__(self, coeffs=None):
         store: dict[int, RhoPoly] = {}
         for k, p in (coeffs or {}).items():
             k = int(k)
@@ -143,7 +153,7 @@ class SectorMajorant:
             if not p.is_zero():
                 store[k] = p
         self.coeffs = store
-        self.t_shift = shift
+        self._horner = None
 
     @classmethod
     def zero(cls) -> "SectorMajorant":
@@ -161,14 +171,13 @@ class SectorMajorant:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SectorMajorant):
             return NotImplemented
-        return self.t_shift == other.t_shift and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         body = ", ".join(f"t^{k}: {list(p.coeffs)}" for k, p in self.sorted_items())
-        sh = f", shift={self.t_shift}" if self.t_shift else ""
-        return f"SectorMajorant({{{body}}}{sh})"
+        return f"SectorMajorant({{{body}}})"
 
     def __add__(self, other: "SectorMajorant") -> "SectorMajorant":
         if not isinstance(other, SectorMajorant):
@@ -177,12 +186,10 @@ class SectorMajorant:
             return other
         if other.is_zero():
             return self
-        if self.t_shift != other.t_shift:
-            raise ValueError("cannot add majorants with different t shifts")
         out = dict(self.coeffs)
         for k, p in other.coeffs.items():
             out[k] = out[k] + p if k in out else p
-        return SectorMajorant(out, self.t_shift)
+        return SectorMajorant(out)
 
     def __mul__(self, other):
         if isinstance(other, SectorMajorant):
@@ -192,67 +199,62 @@ class SectorMajorant:
                     k = k1 + k2
                     p = p1 * p2
                     out[k] = out[k] + p if k in out else p
-            return SectorMajorant(out, self.t_shift + other.t_shift)
+            return SectorMajorant(out)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "SectorMajorant":
-        return SectorMajorant({k: p.scale(c) for k, p in self.coeffs.items()},
-                              self.t_shift)
-
-    def shifted(self, extra) -> "SectorMajorant":
-        """Multiply by t**extra (extra >= 0, possibly fractional)."""
-        return SectorMajorant(self.coeffs, self.t_shift + Frac(extra))
+        return SectorMajorant({k: p.scale(c) for k, p in self.coeffs.items()})
 
     def euler(self) -> "SectorMajorant":
-        """Apply t d/dt: each power picks up its exponent k + t_shift."""
-        return SectorMajorant(
-            {k: p.scale(Frac(k) + self.t_shift) for k, p in self.coeffs.items()},
-            self.t_shift)
+        """Apply t d/dt: each power picks up its exponent k."""
+        return SectorMajorant({k: p.scale(k) for k, p in self.coeffs.items()})
 
     def d_rho(self) -> "SectorMajorant":
-        return SectorMajorant({k: p.d_rho() for k, p in self.coeffs.items()},
-                              self.t_shift)
+        return SectorMajorant({k: p.d_rho() for k, p in self.coeffs.items()})
 
     def integral_transform(self, a) -> "SectorMajorant":
-        """Divide the t^k coefficient by k + a; needs a > 0 and no t shift.
+        """Divide the t^k coefficient by k + a; needs a > 0.
 
         This is the comparison-series image of the weighted time integral
         t^-a int_0^t s^(a-1) (.) ds used to undo one Euler factor."""
         a = Frac(a)
         if a <= 0:
             raise NonpositiveExponent(f"transform exponent {a} <= 0")
-        if self.t_shift != 0:
-            raise ValueError("transform defined for unshifted majorants")
         return SectorMajorant({k: p.scale(Frac(1, 1) / (k + a))
                                for k, p in self.coeffs.items()})
 
     def leq(self, other: "SectorMajorant") -> bool:
-        if self.t_shift != other.t_shift and not self.is_zero():
-            return False
         for k in set(self.coeffs) | set(other.coeffs):
             if not self.slice(k).leq(other.slice(k)):
                 return False
         return True
 
+    def horner(self) -> tuple:
+        """Float Horner tuples of the t-slices, highest power first, () for
+        an empty slice; computed once."""
+        if self._horner is None:
+            top = max(self.coeffs, default=-1)
+            self._horner = tuple(
+                self.coeffs[k].horner() if k in self.coeffs else ()
+                for k in range(top, -1, -1))
+        return self._horner
+
     def eval(self, t: float, rho: float) -> float:
-        if not self.coeffs:
-            return 0.0
         acc = 0.0
-        for k in range(max(self.coeffs), -1, -1):
-            acc = acc * t + self.slice(k).eval(rho)
-        if self.t_shift:
-            acc *= t ** float(self.t_shift)
+        for cs in self._horner or self.horner():
+            inner = 0.0
+            for c in cs:
+                inner = inner * rho + c
+            acc = acc * t + inner
         return acc
 
     def eval_frac(self, t: Frac, rho: Frac) -> Frac:
-        if self.t_shift.denominator != 1:
-            raise ValueError("exact evaluation needs an integer t shift")
         acc = Frac(0)
         for k in range(max(self.coeffs, default=0), -1, -1):
             acc = acc * t + self.slice(k).eval_frac(rho)
-        return acc * t ** int(self.t_shift) if self.t_shift else acc
+        return acc
 
 
 def norm_x(f: SeriesTX) -> SectorMajorant:
@@ -275,7 +277,7 @@ class NormProfileZ:
     slots are later filled with nonnegative numbers (norms of profiles).
     """
 
-    __slots__ = ("profiles",)
+    __slots__ = ("profiles", "_terms")
 
     def __init__(self, profiles=None):
         store: dict[tuple, RhoPoly] = {}
@@ -290,6 +292,7 @@ class NormProfileZ:
                 continue
             store[(k, nu)] = store[(k, nu)] + p if (k, nu) in store else p
         self.profiles = store
+        self._terms = None
 
     def is_zero(self) -> bool:
         return not self.profiles
@@ -338,13 +341,19 @@ class NormProfileZ:
         return NormProfileZ(out)
 
     def eval(self, t: float, rho: float, z: dict) -> float:
-        zc = {ZKey(int(k[0]), tuple(int(a) for a in k[1])): float(v)
-              for k, v in z.items()}
+        """Value with jet slot zk set to z[zk]; z may be keyed by ZKey or
+        by plain (i, alpha) pairs."""
+        if self._terms is None:
+            self._terms = tuple((k, p.horner(), nu)
+                                for (k, nu), p in self.sorted_items())
         acc = 0.0
-        for (k, nu), p in self.sorted_items():
-            v = p.eval(rho) * t ** k
+        for k, cs, nu in self._terms:
+            v = 0.0
+            for c in cs:
+                v = v * rho + c
+            v *= t ** k
             for zk, power in nu:
-                v *= zc[zk] ** power
+                v *= float(z[zk]) ** power
             acc += v
         return acc
 
@@ -388,17 +397,3 @@ def norm_xz(F: SeriesTXZ) -> NormProfileZ:
             slices[key].append(Frac(0))
         slices[key][d] += c.abs_upper() * weight(alpha)
     return NormProfileZ({key: RhoPoly(cs) for key, cs in slices.items()})
-
-
-# thin functional aliases, handy in scripts and tests
-
-def integral_transform(M: SectorMajorant, a) -> SectorMajorant:
-    return M.integral_transform(a)
-
-
-def d_rho(M):
-    return M.d_rho()
-
-
-def eval_majorant(M: SectorMajorant, t: float, rho: float) -> float:
-    return M.eval(t, rho)

@@ -89,6 +89,8 @@ def test_load_equation_bad_utf8(tmp_path):
                  "alpha", id="alpha-bool"),
     pytest.param(lambda d: d["terms"][0].update(coeff=[-3, True, 0, 1]),
                  "coeff", id="coeff-bool"),
+    pytest.param(lambda d: d["terms"][0].update(z_pows=5), "z_pows",
+                 id="z_pows-int"),
 ])
 def test_parse_equation_rejects_malformed(mutate, fragment):
     doc = valid_doc()

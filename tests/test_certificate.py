@@ -14,12 +14,12 @@ import pytest
 from fuchsian.builtin import load_equation
 from fuchsian.certificate import (BarrierParams, BarrierSystem, barrier_grid,
                                   build_shifted_rhs, choose_params,
-                                  eval_barrier, eval_growth_bound,
-                                  eval_transport_rate, normal_form,
-                                  profile_family, reconstruct, verify_barrier)
+                                  normal_form, profile_family, reconstruct,
+                                  verify_barrier)
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import (HypothesisViolated, InexactRoots,
                              NonpositiveExponent, UnsplittableTerm)
+from fuchsian.majorant import RhoPoly
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey
 from fuchsian.solver import manufactured, solve_formal
@@ -247,8 +247,9 @@ def hand_barrier(t, rho, kappa):
 def test_barrier_matches_hand_formula(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
     kappa = float(params.kappa)
+    system = BarrierSystem(dec, prof, params)
     for t, rho in [(1 / 64, 1.0), (1e-4, 0.5), (1e-8, 0.125)]:
-        ours = eval_barrier(params, prof, dec, t, rho)
+        ours = system.barrier(t, rho)
         assert ours == pytest.approx(hand_barrier(t, rho, kappa), rel=1e-12)
 
 
@@ -298,13 +299,19 @@ def test_transport_rate_zero_profiles_is_t_to_kappa(remark3_setup):
             == pytest.approx(math.pow(t, float(params.kappa)), rel=1e-13)
 
 
-def test_free_wrappers_match_system(remark3_setup):
+def test_reused_system_matches_fresh_system(remark3_setup):
+    # the float caches that earlier evaluations fill must not move a value
     _, cd, dec, w, prof, params, _ = remark3_setup
-    system = BarrierSystem(dec, prof, params)
+    warm = BarrierSystem(dec, prof, params)
+    for t, rho in [(1 / 64, 1.0), (1e-5, 0.0), (0.0, 0.5)]:
+        warm.barrier(t, rho)
+        warm.growth_bound(t, rho)
+        warm.transport_rate(t, rho)
+    fresh = BarrierSystem(dec, profile_family(w, cd, dec), params)
     t, rho = 1e-3, 0.6
-    assert eval_barrier(params, prof, dec, t, rho) == system.barrier(t, rho)
-    assert eval_growth_bound(params, prof, dec, t, rho) == system.growth_bound(t, rho)
-    assert eval_transport_rate(params, prof, dec, t, rho) == system.transport_rate(t, rho)
+    assert fresh.barrier(t, rho) == warm.barrier(t, rho)
+    assert fresh.growth_bound(t, rho) == warm.growth_bound(t, rho)
+    assert fresh.transport_rate(t, rho) == warm.transport_rate(t, rho)
 
 
 def test_constants_frozen(remark3_setup):
@@ -361,6 +368,26 @@ def test_verify_barrier_work_counters(remark3_setup):
     assert rep["work"]["grid_points"] == 100
     assert rep["work"]["phi_evals"] >= 100
     assert rep["work"]["coefficient_evals"] >= 100
+
+
+def test_verify_barrier_builds_no_majorant_per_grid_point(remark3_setup,
+                                                         monkeypatch):
+    _, cd, dec, w, prof, params, _ = remark3_setup
+    built = [0]
+    init = RhoPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RhoPoly, "__init__", counting)
+    counts = []
+    for side in (10, 20):
+        built[0] = 0
+        verify_barrier(params, prof, dec, nt=side, nrho=side)
+        counts.append(built[0])
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
 
 
 def test_corrupted_eps00_breaks_growth_bound(remark3_setup):

@@ -118,7 +118,23 @@ def test_solve_homogeneous_is_zero(capsys):
     assert rep["results"]["terms"] == []
 
 
+def test_solve_order_zero_is_input_error(capsys):
+    rc, rep, _ = run_json(capsys, "solve", "remark3_forced", "--order", "0")
+    assert rc == 2
+    assert rep["error"] == {"type": "InputError",
+                            "message": "--order must be at least 1, got 0"}
+    assert "results" not in rep
+
+
 # -- certify -------------------------------------------------------------
+
+
+def test_certify_order_zero_is_input_error(capsys):
+    rc, rep, _ = run_json(capsys, "certify", "remark3", "--order", "0")
+    assert rc == 2
+    assert rep["error"] == {"type": "InputError",
+                            "message": "--order must be at least 1, got 0"}
+    assert "results" not in rep
 
 
 def test_certify_reports_honest_violations(capsys):

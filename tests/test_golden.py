@@ -1,0 +1,31 @@
+"""Behaviour lock: canonical reports of the built-in CLI invocations.
+
+Each file under tests/golden/ is the report one invocation wrote with
+`--out`.  A rerun must reproduce it byte for byte; a change that moves a
+float in a report must regenerate the file and say which float and why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fuchsian.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("check_remark3.json", ["check", "remark3"], 0),
+    ("solve_remark3_forced.json", ["solve", "remark3_forced"], 0),
+    ("certify_remark3.json", ["certify", "remark3"], 1),
+    ("certify_remark3_forced.json", ["certify", "remark3_forced"], 1),
+    ("certify_remark3_seed7.json", ["certify", "remark3", "--seed", "7"], 1),
+    ("verify-example_remark3.json", ["verify-example", "remark3"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES,
+                         ids=[name[:-5] for name, _, _ in CASES])
+def test_golden_report(tmp_path, name, argv, code):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -11,6 +11,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fuchsian.errors import NonpositiveExponent
@@ -259,3 +261,83 @@ def test_z_total_bound_dominates_full_value():
         z = {zk: rng.uniform(0, float(L)) for zk in lambda_keys(2, 1)}
         val = P.eval(0.0, rng.uniform(0, float(R)), z)
         assert val <= float(T) * (1 + 1e-12) + 1e-15
+
+
+# -- cached float evaluation against the per-call conversion loops -----
+
+
+def _old_rho_eval(p, rho):
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * rho + float(c)
+    return acc
+
+
+def _old_sector_eval(M, t, rho):
+    if not M.coeffs:
+        return 0.0
+    acc = 0.0
+    for k in range(max(M.coeffs), -1, -1):
+        acc = acc * t + _old_rho_eval(M.slice(k), rho)
+    return acc
+
+
+def _old_profile_eval(P, t, rho, z):
+    zc = {ZKey(int(k[0]), tuple(int(a) for a in k[1])): float(v)
+          for k, v in z.items()}
+    acc = 0.0
+    for (k, nu), p in P.sorted_items():
+        v = _old_rho_eval(p, rho) * t ** k
+        for zk, power in nu:
+            v *= zc[zk] ** power
+        acc += v
+    return acc
+
+
+# zero coefficients inside a polynomial, and zero polynomials that leave a
+# gap in the t-powers, are both drawn on purpose
+_coeff = st.builds(Frac, st.integers(0, 9), st.integers(1, 7))
+_rho_poly = st.lists(_coeff, max_size=5).map(RhoPoly)
+_point = st.one_of(st.just(0.0), st.floats(0.0, 2.0),
+                   st.floats(1e-9, 1e-3))
+_jet_keys = lambda_keys(2, 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_rho_poly, _point)
+def test_rho_poly_cached_eval_is_exact(p, rho):
+    want = _old_rho_eval(p, rho)
+    assert p.eval(rho) == want
+    assert p.eval(rho) == want            # second call reads the cache
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.integers(0, 6), _rho_poly, max_size=4),
+       _point, _point)
+def test_sector_cached_eval_is_exact(coeffs, t, rho):
+    M = SectorMajorant(coeffs)
+    want = _old_sector_eval(M, t, rho)
+    assert M.eval(t, rho) == want
+    assert M.eval(t, rho) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(
+           st.tuples(st.integers(0, 3),
+                     st.lists(st.tuples(st.sampled_from(_jet_keys),
+                                        st.integers(1, 3)), max_size=3)
+                     .map(tuple)),
+           _rho_poly, min_size=2, max_size=6),
+       _point, _point,
+       st.lists(st.one_of(st.floats(0.0, 1.0), _coeff),
+                min_size=len(_jet_keys), max_size=len(_jet_keys)),
+       st.booleans())
+def test_profile_cached_eval_is_exact(profiles, t, rho, zvals, plain_keys):
+    # at least two terms, so that a change in summation order shows; z is
+    # keyed by ZKey or by plain (i, alpha) pairs, with float or Fraction values
+    P = NormProfileZ(profiles)
+    z = {(tuple(zk) if plain_keys else zk): v
+         for zk, v in zip(_jet_keys, zvals)}
+    want = _old_profile_eval(P, t, rho, z)
+    assert P.eval(t, rho, z) == want
+    assert P.eval(t, rho, z) == want
