@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .equation import CharData
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     SearchExhausted,
     UnsplittableTerm,
 )
-from .majorant import NormProfileZ, SectorMajorant, norm_x, norm_xz
+from .majorant import SectorMajorant, norm_x, norm_xz
 from .rational import CRat, Frac
 from .series import SeriesTX, SeriesTXZ, ZKey, _nu_degree, _zkey_sort, lambda_keys
 from .solver import FormalSolution, derivative_tuple
@@ -232,8 +231,7 @@ class ProfileFamily:
         return self.slots[(i, j)]
 
 
-def profile_family(w: SeriesTX, cd: CharData, dec: Decomposition | None = None
-                   ) -> ProfileFamily:
+def profile_family(w: SeriesTX, cd: CharData) -> ProfileFamily:
     """Build the five comparison profiles for a test function w.
 
     w must vanish at t = 0.  Every exponent needs strictly negative real
@@ -241,7 +239,6 @@ def profile_family(w: SeriesTX, cd: CharData, dec: Decomposition | None = None
     be exact so the factored derivatives stay in exact arithmetic.  The
     jet-domination property is asserted coefficientwise before returning.
     """
-    del dec  # profiles depend only on w and the spectral data
     if cd.roots_exact is None:
         raise InexactRoots("profiles need exact exponents")
     a1, a2 = cd.neg_re_lower
@@ -496,34 +493,31 @@ class BarrierSystem:
 
     # -- barrier -----------------------------------------------------
 
-    def _slot_vals(self, t, rho):
-        return {ij: self.p[ij].eval(t, rho) for ij in _SLOTS}
-
-    def barrier(self, t: float, rho: float) -> float:
-        v = self._slot_vals(t, rho)
-        tk = t ** self.kf
-        return (self.e00 * v[(0, 0)] + v[(1, 0)] + tk * v[(0, 2)]
-                + self.e01 * v[(0, 1)] + self.e11 * v[(1, 1)]
-                + v[(0, 2)] ** 1.5)
-
-    def barrier_drho(self, t: float, rho: float) -> float:
-        v = self._slot_vals(t, rho)
-        tk = t ** self.kf
+    def barrier_jet(self, t: float, rho: float) -> tuple:
+        """The barrier q, its rho-derivative, and t d/dt of it (by exact
+        term calculus on each part), with the slot values v and the two
+        second rho-derivatives they were built from:
+        (q, dq, tdq, v, dv11, dv02)."""
+        v = {ij: self.p[ij].eval(t, rho) for ij in _SLOTS}
         dv11 = self.d11.eval(t, rho)
         dv02 = self.d02.eval(t, rho)
-        return (self.e00 * v[(0, 1)] + v[(1, 1)] + tk * dv02
-                + self.e01 * v[(0, 2)] + self.e11 * dv11
-                + 1.5 * math.sqrt(v[(0, 2)]) * dv02)
-
-    def barrier_teuler(self, t: float, rho: float) -> float:
-        """t d/dt of the barrier, by exact term calculus on each part."""
-        v02 = self.p[(0, 2)].eval(t, rho)
         e = {ij: self.e[ij].eval(t, rho) for ij in _SLOTS}
         tk = t ** self.kf
-        return (self.e00 * e[(0, 0)] + e[(1, 0)]
-                + tk * (self.kf * v02 + e[(0, 2)])
-                + self.e01 * e[(0, 1)] + self.e11 * e[(1, 1)]
-                + 1.5 * math.sqrt(v02) * e[(0, 2)])
+        sq02 = math.sqrt(v[(0, 2)])
+        q = (self.e00 * v[(0, 0)] + v[(1, 0)] + tk * v[(0, 2)]
+             + self.e01 * v[(0, 1)] + self.e11 * v[(1, 1)]
+             + v[(0, 2)] ** 1.5)
+        dq = (self.e00 * v[(0, 1)] + v[(1, 1)] + tk * dv02
+              + self.e01 * v[(0, 2)] + self.e11 * dv11
+              + 1.5 * sq02 * dv02)
+        tdq = (self.e00 * e[(0, 0)] + e[(1, 0)]
+               + tk * (self.kf * v[(0, 2)] + e[(0, 2)])
+               + self.e01 * e[(0, 1)] + self.e11 * e[(1, 1)]
+               + 1.5 * sq02 * e[(0, 2)])
+        return q, dq, tdq, v, dv11, dv02
+
+    def barrier(self, t: float, rho: float) -> float:
+        return self.barrier_jet(t, rho)[0]
 
     # -- the two majorant coefficients ---------------------------------
 
@@ -669,12 +663,7 @@ def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
     for t in ts:
         tk = t ** kf
         for rho in rhos:
-            v = system._slot_vals(t, rho)
-            dv11 = system.d11.eval(t, rho)
-            dv02 = system.d02.eval(t, rho)
-            q = system.barrier(t, rho)
-            dq = system.barrier_drho(t, rho)
-            tdq = system.barrier_teuler(t, rho)
+            q, dq, tdq, v, dv11, dv02 = system.barrier_jet(t, rho)
             A = system.growth_bound(t, rho)
             B = system.transport_rate(t, rho)
             qmax = max(qmax, q)

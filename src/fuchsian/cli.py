@@ -49,7 +49,6 @@ from .characteristics import (
 )
 from .equation import FuchsianEquation
 from .errors import HypothesisViolated, InputError, ToolkitError
-from .rational import Frac
 from .series import SeriesTX, alphas_of_degree
 from .solver import residual, solve_formal
 
@@ -57,16 +56,6 @@ from .solver import residual, solve_formal
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
-
-
-def _read_input(source) -> tuple[dict, bytes, str]:
-    """Read the input once: its digest for the report, then the bytes that
-    were hashed and the equation name, for parse_equation_bytes."""
-    data, label = read_equation_source(source)
-    builtin = isinstance(source, str) and source in BUILTIN_NAMES
-    path = f"builtin:{source}" if builtin else str(source)
-    return ({"path": path, "sha256": hashlib.sha256(data).hexdigest()},
-            data, label)
 
 
 def _emit(report: dict, out: str | None):
@@ -169,186 +158,154 @@ def _applicability_results(eq: FuchsianEquation, K: int) -> dict:
     }
 
 
-def cmd_check(args) -> int:
-    digest, data, label = _read_input(args.equation)
-    report = {"command": "check", "version": __version__, "input": digest}
-    try:
-        eq = parse_equation_bytes(data, label)
-        report["results"] = _applicability_results(eq, args.order)
-    except ToolkitError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, args.out)
-        return 2
-    _emit(report, args.out)
+def cmd_check(args, data: bytes, label: str, report: dict) -> int:
+    eq = parse_equation_bytes(data, label)
+    report["results"] = _applicability_results(eq, args.order)
     return 0
 
 
-def cmd_solve(args) -> int:
-    digest, data, label = _read_input(args.equation)
-    report = {"command": "solve", "version": __version__, "input": digest}
-    try:
-        _require_order(args.order)
-        eq = parse_equation_bytes(data, label)
-        sol = solve_formal(eq, args.order, x_order=args.x_order)
-        report["results"] = {
-            "order": sol.order, "x_order": sol.x_order,
-            "verified": sol.verified,
-            "terms": _series_terms(sol.u),
-        }
-    except ToolkitError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, args.out)
-        return 2
-    _emit(report, args.out)
+def cmd_solve(args, data: bytes, label: str, report: dict) -> int:
+    _require_order(args.order)
+    if args.x_order is not None and args.x_order < 0:
+        raise InputError(f"--x-order must be at least 0, got {args.x_order}")
+    eq = parse_equation_bytes(data, label)
+    sol = solve_formal(eq, args.order, x_order=args.x_order)
+    report["results"] = {
+        "order": sol.order, "x_order": sol.x_order,
+        "verified": sol.verified,
+        "terms": _series_terms(sol.u),
+    }
     return 0
 
 
-def cmd_certify(args) -> int:
-    digest, data, label = _read_input(args.equation)
-    report = {"command": "certify", "version": __version__, "input": digest}
-    try:
-        _require_order(args.order)
-        eq = parse_equation_bytes(data, label)
-        cd = eq.char_exponents()
-        report["results"] = {"applicability": _applicability_results(eq, 10)}
-        if cd.h is None:
-            raise HypothesisViolated(
-                "decay hypothesis fails: no exponent margin h; "
-                "the barrier construction does not apply")
-        u0 = solve_formal(eq, args.order)
-        H = build_shifted_rhs(eq, u0)
-        dec = normal_form(H, cd)
-        w = _make_w(args, eq)
-        profiles = profile_family(w, cd, dec)
-        params, cert = choose_params(cd, dec, profiles)
-        if args.kappa is not None:
-            kap = Fraction(args.kappa)
-            if not 0 < kap < Fraction(1, 2):
-                raise InputError("kappa must lie strictly between 0 and 1/2")
-            params = dataclasses.replace(params, kappa=kap)
-        if args.eps00 is not None:
-            params = dataclasses.replace(params, eps00=Fraction(args.eps00))
-        nt, nrho = _parse_grid(args.grid)
-        barrier_report = verify_barrier(params, profiles, dec, nt, nrho)
-        consts = barrier_report["constants"]
+def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
+    _require_order(args.order)
+    eq = parse_equation_bytes(data, label)
+    cd = eq.char_exponents()
+    report["results"] = {"applicability": _applicability_results(eq, 10)}
+    if cd.h is None:
+        raise HypothesisViolated(
+            "decay hypothesis fails: no exponent margin h; "
+            "the barrier construction does not apply")
+    u0 = solve_formal(eq, args.order)
+    H = build_shifted_rhs(eq, u0)
+    dec = normal_form(H, cd)
+    w = _make_w(args, eq)
+    profiles = profile_family(w, cd)
+    params, cert = choose_params(cd, dec, profiles)
+    if args.kappa is not None:
+        kap = Fraction(args.kappa)
+        if not 0 < kap < Fraction(1, 2):
+            raise InputError("kappa must lie strictly between 0 and 1/2")
+        params = dataclasses.replace(params, kappa=kap)
+    if args.eps00 is not None:
+        params = dataclasses.replace(params, eps00=Fraction(args.eps00))
+    nt, nrho = _parse_grid(args.grid)
+    barrier_report = verify_barrier(params, profiles, dec, nt, nrho)
+    consts = barrier_report["constants"]
 
-        system = BarrierSystem(dec, profiles, params)
-        R = float(params.R0)
-        sigma_c, r_c, small_info = smallness_box(
-            consts, params.h, params.kappa, R,
-            q_corner=lambda s: system.barrier(s, R),
-            sigma_max=float(params.sigma0))
-        xi = R / 4.0
-        path = integrate(system.transport_rate, system.barrier,
-                         t0=sigma_c, xi=xi, r_max=R,
-                         t_floor=args.tfloor * sigma_c, tol=args.tol)
-        decay = check_weighted_decay(path, params.h)
-        radius = check_radius_bounds(path, consts, params.kappa, params.h, r_c)
-        origin = check_reaches_origin(path, R, consts, params.kappa,
-                                      params.h, r_c)
-        report["results"].update({
-            "w_terms": _series_terms(w),
-            "params_certificate": cert,
-            "barrier": barrier_report,
-            "smallness": small_info,
-            "characteristics": {
-                "t0": path.t0, "xi": path.xi,
-                "t_min_reached": path.t_min_reached,
-                "status": path.status,
-                "samples": len(path.ts),
-                "weighted_decay": decay,
-                "radius_bounds": radius,
-                "reaches_origin": origin,
-            },
-        })
-        report["timings"] = {
-            "grid_points": barrier_report["work"]["grid_points"],
-            "phi_evals": barrier_report["work"]["phi_evals"],
-            "coefficient_evals": barrier_report["work"]["coefficient_evals"],
-            "ode_steps_accepted": path.steps_accepted,
-            "ode_steps_rejected": path.steps_rejected,
-        }
-        if args.csv:
-            hf = float(params.h)
-            lines = ["t,rho,q,weighted_q"]
-            for t, rho, q in zip(path.ts, path.rhos, path.qs):
-                lines.append(f"{t:.17g},{rho:.17g},{q:.17g},{t ** hf * q:.17g}")
-            Path(args.csv).write_text("\n".join(lines) + "\n")
-        ok = (cert["ok"] and barrier_report["ok"] and decay["ok"]
-              and radius["ok"] and origin["ok"])
-        report["ok"] = ok
-        _emit(report, args.out)
-        return 0 if ok else 1
-    except ToolkitError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, args.out)
-        return 2
+    system = BarrierSystem(dec, profiles, params)
+    R = float(params.R0)
+    sigma_c, r_c, small_info = smallness_box(
+        consts, params.h, params.kappa, R,
+        q_corner=lambda s: system.barrier(s, R),
+        sigma_max=float(params.sigma0))
+    xi = R / 4.0
+    path = integrate(system.transport_rate, system.barrier,
+                     t0=sigma_c, xi=xi, r_max=R,
+                     t_floor=args.tfloor * sigma_c, tol=args.tol)
+    decay = check_weighted_decay(path, params.h)
+    radius = check_radius_bounds(path, consts, params.kappa, params.h, r_c)
+    origin = check_reaches_origin(path, R, consts, params.kappa,
+                                  params.h, r_c)
+    report["results"].update({
+        "w_terms": _series_terms(w),
+        "params_certificate": cert,
+        "barrier": barrier_report,
+        "smallness": small_info,
+        "characteristics": {
+            "t0": path.t0, "xi": path.xi,
+            "t_min_reached": path.t_min_reached,
+            "status": path.status,
+            "samples": len(path.ts),
+            "weighted_decay": decay,
+            "radius_bounds": radius,
+            "reaches_origin": origin,
+        },
+    })
+    report["timings"] = {
+        "grid_points": barrier_report["work"]["grid_points"],
+        "phi_evals": barrier_report["work"]["phi_evals"],
+        "coefficient_evals": barrier_report["work"]["coefficient_evals"],
+        "ode_steps_accepted": path.steps_accepted,
+        "ode_steps_rejected": path.steps_rejected,
+    }
+    if args.csv:
+        hf = float(params.h)
+        lines = ["t,rho,q,weighted_q"]
+        for t, rho, q in zip(path.ts, path.rhos, path.qs):
+            lines.append(f"{t:.17g},{rho:.17g},{q:.17g},{t ** hf * q:.17g}")
+        Path(args.csv).write_text("\n".join(lines) + "\n")
+    ok = (cert["ok"] and barrier_report["ok"] and decay["ok"]
+          and radius["ok"] and origin["ok"])
+    report["ok"] = ok
+    return 0 if ok else 1
 
 
-def cmd_verify_example(args) -> int:
-    name = args.name
-    digest, data, label = _read_input(name)
-    report = {"command": "verify-example", "version": __version__,
-              "input": digest}
-    try:
-        eq = parse_equation_bytes(data, label)
-        results: dict = {"applicability": _applicability_results(eq, 10)}
-        if name == "remark2":
-            grid = remark2_residual_grid(eq)
-            results["residual_numeric"] = {
-                **grid, "tol": args.tol,
-                "ok": grid["max_abs_residual"] < args.tol}
-            try:
-                choose_params(eq.char_exponents())
-                results["hypothesis_rejection"] = {"ok": False,
-                                                   "raised": None}
-            except HypothesisViolated as exc:
-                results["hypothesis_rejection"] = {
-                    "ok": True, "raised": "HypothesisViolated",
-                    "message": str(exc)}
-            # the closed form lives on 0 < t <= 1/e, so start r there
-            prof = decay_profile(closed_form_eval(name),
-                                 exponent_p=args.exponent_p,
-                                 r_list=[0.36787944117144233,
-                                         0.1, 0.01, 0.001, 0.0001],
-                                 n=eq.n)
-            results["decay_profile"] = prof
-            results["decay_profile"]["ok"] = all(
-                e["monotone_decreasing"] for e in prof["inner_trend"])
-        elif name in ("remark3", "remark3_forced"):
-            u = closed_form_series(name, eq.F.k_t, eq.F.k_x)
-            res = residual(eq, u, K=eq.F.k_t)
-            results["residual_symbolic"] = {"zero": res.is_zero()}
-            prof = decay_profile(closed_form_eval(name),
-                                 exponent_p=args.exponent_p, n=eq.n)
-            results["decay_profile"] = prof
-            if name == "remark3":
-                vals = [row["sup_scaled"] for row in prof["rows"]]
-                target = 1.0 / 72.0
-                worst = max(abs(v - target) for v in vals)
-                results["decay_constant"] = {
-                    "target": target, "max_abs_error": worst,
-                    "ok": worst < 1e-12}
-                results["ok"] = (res.is_zero()
-                                 and results["decay_constant"]["ok"])
-            else:
-                sol = solve_formal(eq, 4)
-                results["solver_match"] = {"ok": sol.u == u.truncate(
-                    k_t=sol.u.k_t, k_x=sol.u.k_x)}
-                results["ok"] = res.is_zero() and results["solver_match"]["ok"]
+def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
+    name = args.equation
+    eq = parse_equation_bytes(data, label)
+    results: dict = {"applicability": _applicability_results(eq, 10)}
+    if name == "remark2":
+        grid = remark2_residual_grid(eq)
+        results["residual_numeric"] = {
+            **grid, "tol": args.tol,
+            "ok": grid["max_abs_residual"] < args.tol}
+        try:
+            choose_params(eq.char_exponents())
+            results["hypothesis_rejection"] = {"ok": False, "raised": None}
+        except HypothesisViolated as exc:
+            results["hypothesis_rejection"] = {
+                "ok": True, "raised": "HypothesisViolated",
+                "message": str(exc)}
+        # the closed form lives on 0 < t <= 1/e, so start r there
+        prof = decay_profile(closed_form_eval(name),
+                             exponent_p=args.exponent_p,
+                             r_list=[0.36787944117144233,
+                                     0.1, 0.01, 0.001, 0.0001],
+                             n=eq.n)
+        results["decay_profile"] = prof
+        results["decay_profile"]["ok"] = all(
+            e["monotone_decreasing"] for e in prof["inner_trend"])
+    elif name in ("remark3", "remark3_forced"):
+        u = closed_form_series(name, eq.F.k_t, eq.F.k_x)
+        res = residual(eq, u, K=eq.F.k_t)
+        results["residual_symbolic"] = {"zero": res.is_zero()}
+        prof = decay_profile(closed_form_eval(name),
+                             exponent_p=args.exponent_p, n=eq.n)
+        results["decay_profile"] = prof
+        if name == "remark3":
+            vals = [row["sup_scaled"] for row in prof["rows"]]
+            target = 1.0 / 72.0
+            worst = max(abs(v - target) for v in vals)
+            results["decay_constant"] = {
+                "target": target, "max_abs_error": worst,
+                "ok": worst < 1e-12}
+            results["ok"] = (res.is_zero()
+                             and results["decay_constant"]["ok"])
         else:
-            raise InputError(f"unknown example {name!r}")
-        if "ok" not in results:
-            results["ok"] = all(v.get("ok", True)
-                                for v in results.values()
-                                if isinstance(v, dict))
-        report["results"] = results
-    except ToolkitError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, args.out)
-        return 2
-    _emit(report, args.out)
-    return 0 if report["results"]["ok"] else 1
+            sol = solve_formal(eq, 4)
+            results["solver_match"] = {"ok": sol.u == u.truncate(
+                k_t=sol.u.k_t, k_x=sol.u.k_x)}
+            results["ok"] = res.is_zero() and results["solver_match"]["ok"]
+    else:
+        raise InputError(f"unknown example {name!r}")
+    if "ok" not in results:
+        results["ok"] = all(v.get("ok", True)
+                            for v in results.values()
+                            if isinstance(v, dict))
+    report["results"] = results
+    return 0 if results["ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify-example",
                         help="closed-form checks of a bundled instance")
-    pv.add_argument("name", choices=list(BUILTIN_NAMES))
+    pv.add_argument("equation", metavar="name", choices=list(BUILTIN_NAMES),
+                    help=f"builtin name: {', '.join(BUILTIN_NAMES)}")
     pv.add_argument("--exponent-p", type=int, default=4, dest="exponent_p")
     pv.add_argument("--tol", type=float, default=1e-10)
     pv.add_argument("--out")
@@ -407,12 +365,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Read the input once, run the command into a report that starts with
+    the command, version and input digest, and emit it.  A ToolkitError
+    becomes the report's error entry with exit 2; input that cannot be read
+    gives no report, only a message on stderr and exit 2."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        data, label = read_equation_source(args.equation)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    source = args.equation
+    path = f"builtin:{source}" if source in BUILTIN_NAMES else str(source)
+    report = {"command": args.command, "version": __version__,
+              "input": {"path": path,
+                        "sha256": hashlib.sha256(data).hexdigest()}}
+    try:
+        code = args.func(args, data, label, report)
+    except ToolkitError as exc:
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        code = 2
+    _emit(report, args.out)
+    return code
 
 
 if __name__ == "__main__":

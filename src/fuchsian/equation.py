@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import A2Violation, A3Violation, DimensionMismatch, IndicialZero
+from .errors import A2Violation, A3Violation, DimensionMismatch
 from .rational import CRat, Frac, crat_sqrt_exact
 from .series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
 
@@ -87,7 +87,6 @@ class FuchsianEquation:
         """Raise unless the right-hand side satisfies the two t = 0
         structure conditions.  Jet-index admissibility was already
         enforced when F was built."""
-        zero_alpha = (0,) * self.n
         bad_a2 = []
         bad_a3 = []
         for (k, alpha, nu), c in self.F.terms.items():
@@ -106,8 +105,6 @@ class FuchsianEquation:
             raise A3Violation(
                 f"t-free term linear in z[{zk.i}, {zk.alpha}] with spatial "
                 f"derivatives; such terms must carry a factor t")
-        # pure-Euler linear t-free terms are the betas; nothing to check
-        del zero_alpha
 
     def beta_star(self, i: int) -> SeriesTX:
         """x-series multiplying z[i, 0] among the t-free terms of F."""
@@ -117,15 +114,6 @@ class FuchsianEquation:
             if k == 0 and nu == ((zk, 1),):
                 out[(0, alpha)] = c
         return SeriesTX(self.n, 0, self.F.k_x, out)
-
-    def indicial_value(self, s: int) -> CRat:
-        """Exact value at x = 0 of the indicial polynomial at integer s."""
-        zero_alpha = (0,) * self.n
-        acc = CRat(Frac(s)) ** self.m
-        for i in range(self.m):
-            b = self.beta_star(i).coeff(0, zero_alpha)
-            acc = acc - b * (CRat(Frac(s)) ** i)
-        return acc
 
     def indicial_series(self, s: int) -> SeriesTX:
         """The x-series s^m - sum_i beta*_i(x) s^i (t-free)."""
@@ -176,13 +164,6 @@ class FuchsianEquation:
     def applicability(self, K: int = 10) -> Applicability:
         """Check the hypotheses on this instance up to formal order K."""
         return applicability(self.char_exponents(), K)
-
-    def require_nonresonant(self, K: int) -> None:
-        for k in range(1, K + 1):
-            if self.indicial_value(k).is_zero():
-                raise IndicialZero(
-                    f"indicial polynomial vanishes at s = {k}; no unique "
-                    f"formal solution of order {K}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = f" {self.name!r}" if self.name else ""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .errors import DimensionMismatch, NegativeCoefficient, NonpositiveExponent
+from .errors import NegativeCoefficient, NonpositiveExponent
 from .rational import Frac
 from .series import SeriesTX, SeriesTXZ, ZKey, _norm_nu, _nu_degree, _zkey_sort
 
@@ -64,10 +64,6 @@ class RhoPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
 
     def coeff(self, d: int) -> Frac:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else Frac(0)
@@ -154,10 +150,6 @@ class SectorMajorant:
                 store[k] = p
         self.coeffs = store
         self._horner = None
-
-    @classmethod
-    def zero(cls) -> "SectorMajorant":
-        return cls({})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -311,17 +303,6 @@ class NormProfileZ:
 
     __hash__ = None
 
-    def __add__(self, other: "NormProfileZ") -> "NormProfileZ":
-        if not isinstance(other, NormProfileZ):
-            return NotImplemented
-        out = dict(self.profiles)
-        for key, p in other.profiles.items():
-            out[key] = out[key] + p if key in out else p
-        return NormProfileZ(out)
-
-    def scale(self, c) -> "NormProfileZ":
-        return NormProfileZ({key: p.scale(c) for key, p in self.profiles.items()})
-
     def d_rho(self) -> "NormProfileZ":
         return NormProfileZ({key: p.d_rho() for key, p in self.profiles.items()})
 
@@ -372,17 +353,6 @@ class NormProfileZ:
             if deg < 1:
                 raise ValueError("z_linear_bound needs jet degree >= 1")
             acc += p.eval_frac(R) * L ** (deg - 1)
-        return acc
-
-    def z_total_bound(self, R, L) -> Frac:
-        """Exact bound for the value itself when rho <= R, t <= 1 ignored
-        (profiles must be t-free) and every jet slot is bounded by L."""
-        R, L = Frac(R), Frac(L)
-        acc = Frac(0)
-        for (k, nu), p in self.profiles.items():
-            if k != 0:
-                raise ValueError("z_total_bound needs a t-free profile")
-            acc += p.eval_frac(R) * L ** _nu_degree(nu)
         return acc
 
 

@@ -123,15 +123,6 @@ class CRat:
             return NotImplemented
         return CRat(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CRat(o.re - self.re, o.im - self.im)
-
-    def __neg__(self):
-        return CRat(-self.re, -self.im)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -174,9 +165,6 @@ class CRat:
         return out
 
     # -- queries ----------------------------------------------------
-
-    def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
 
     def abs2(self) -> Frac:
         return self.re * self.re + self.im * self.im

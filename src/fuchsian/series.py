@@ -159,11 +159,6 @@ class SeriesTX:
     def var_t(cls, n: int, k_t: int, k_x: int) -> "SeriesTX":
         return cls.monomial(n, k_t, k_x, 1, 1, (0,) * n)
 
-    @classmethod
-    def var_x(cls, n: int, k_t: int, k_x: int, j: int) -> "SeriesTX":
-        alpha = tuple(1 if i == j else 0 for i in range(n))
-        return cls.monomial(n, k_t, k_x, 1, 0, alpha)
-
     # -- queries ----------------------------------------------------
 
     def coeff(self, k: int, alpha) -> CRat:
@@ -224,9 +219,6 @@ class SeriesTX:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, c) -> "SeriesTX":
         c = _coeff(c)
         if c.is_zero():
@@ -257,19 +249,6 @@ class SeriesTX:
                 out[key] = c if acc is None else acc + c
         return SeriesTX(self.n, kt, kx, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, p: int) -> "SeriesTX":
-        if not isinstance(p, int) or p < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        out = SeriesTX.one(self.n, self.k_t, self.k_x)
-        for _ in range(p):
-            out = out * self
-        return out
-
     # -- calculus ----------------------------------------------------
 
     def dx(self, j: int) -> "SeriesTX":
@@ -299,13 +278,6 @@ class SeriesTX:
         """Apply t d/dt.  Exact on the tracked terms; caps unchanged."""
         return SeriesTX(self.n, self.k_t, self.k_x,
                         {(k, a): c * k for (k, a), c in self.terms.items() if k})
-
-    def shift_t(self, k: int) -> "SeriesTX":
-        """Multiply by t**k; the t-cap grows by k."""
-        if k < 0:
-            raise ValueError("shift_t needs k >= 0")
-        return SeriesTX(self.n, self.k_t + k, self.k_x,
-                        {(kk + k, a): c for (kk, a), c in self.terms.items()})
 
     def x_section(self, k: int) -> "SeriesTX":
         """Coefficient of t**k as a t-free series."""
@@ -445,21 +417,8 @@ class SeriesTXZ:
 
     # -- queries ----------------------------------------------------
 
-    def coeff(self, k: int, alpha, nu) -> CRat:
-        return self.terms.get((int(k), tuple(alpha), _norm_nu(nu)), CRat())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def jet_keys_used(self) -> set[ZKey]:
         return {zk for (_, _, nu) in self.terms for zk, _ in nu}
-
-    def sorted_terms(self) -> list:
-        def key(kv):
-            (k, alpha, nu), _ = kv
-            return (k + sum(alpha) + _nu_degree(nu), _nu_degree(nu), k, alpha,
-                    tuple((_zkey_sort(zk), p) for zk, p in nu))
-        return sorted(self.terms.items(), key=key)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesTXZ):
@@ -543,15 +502,6 @@ class SeriesTXZ:
                          z_clipped=self.z_clipped or other.z_clipped)
 
     __rmul__ = __mul__
-
-    def __pow__(self, p: int) -> "SeriesTXZ":
-        if not isinstance(p, int) or p < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        out = SeriesTXZ(self.n, self.m, self.k_t, self.k_x, self.k_z,
-                        {(0, (0,) * self.n, ()): 1})
-        for _ in range(p):
-            out = out * self
-        return out
 
     # -- structure access ---------------------------------------------
 

@@ -117,14 +117,16 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     x-degree `x_order`."""
     if order < 1:
         raise ValueError("order must be at least 1")
+    if x_order is not None and x_order < 0:
+        raise ValueError("x_order must be at least 0")
     F = eq.F
     if F.k_t < order:
         raise TruncationExhausted(
             f"right-hand side tracks t-order {F.k_t} < requested {order}")
     budget = eq.m * order
     if x_order is None:
-        x_order = F.k_x - budget
-    if x_order < 0 or F.k_x < x_order + budget:
+        x_order = max(F.k_x - budget, 0)
+    if F.k_x < x_order + budget:
         raise TruncationExhausted(
             f"need k_x >= {x_order + budget} on the right-hand side for "
             f"x-degree {x_order} at t-order {order} (have {F.k_x})")
@@ -175,13 +177,14 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
                 _mul_add(G, {beta: c}, src, kx)
         section = SeriesTX(n, 0, kx, {(0, a): c for a, c in G.items()})
 
-        p0 = eq.indicial_value(k)
+        Pk = eq.indicial_series(k)
+        p0 = Pk.coeff(0, (0,) * n)
         indicial[k] = p0
         if p0.is_zero():
             raise IndicialZero(
                 f"indicial polynomial vanishes at s = {k}; the recursion "
                 f"cannot be solved at this order")
-        Pk = eq.indicial_series(k).truncate(k_x=kx)
+        Pk = Pk.truncate(k_x=kx)
         uk = {a: c for (_, a), c in (Pk.invert_unit() * section).terms.items()}
         u_coeffs.append(uk)
         for zk in used:

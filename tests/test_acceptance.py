@@ -222,7 +222,7 @@ def test_criterion_6_barrier_certificate_grid():
     family_fail = {name: 0 for name in families}
     dineq_points = 0
     for label, w in candidates:
-        prof = profile_family(w, cd, dec)
+        prof = profile_family(w, cd)
         params, cert = choose_params(cd, dec, prof)
         rep = verify_barrier(params, prof, dec, nt=50, nrho=50, slack=1e-9)
         recon_all = recon_all and rep["checks"]["reconstruction"]["ok"]
@@ -264,7 +264,7 @@ def test_criterion_7_characteristics():
     cd = eq.char_exponents()
     dec = normal_form(build_shifted_rhs(eq), cd)
     w = SeriesTX.monomial(1, 10, 12, 1, 1, (2,))
-    prof = profile_family(w, cd, dec)
+    prof = profile_family(w, cd)
     params, _ = choose_params(cd, dec, prof)
     system = BarrierSystem(dec, prof, params)
     consts = system.constants()

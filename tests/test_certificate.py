@@ -19,7 +19,7 @@ from fuchsian.certificate import (BarrierParams, BarrierSystem, barrier_grid,
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import (HypothesisViolated, InexactRoots,
                              NonpositiveExponent, UnsplittableTerm)
-from fuchsian.majorant import RhoPoly
+from fuchsian.majorant import RhoPoly, SectorMajorant
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey
 from fuchsian.solver import manufactured, solve_formal
@@ -31,7 +31,7 @@ def remark3_setup():
     cd = eq.char_exponents()
     dec = normal_form(build_shifted_rhs(eq), cd)
     w = SeriesTX.monomial(1, 10, 12, 1, 1, (2,))     # w = t x^2
-    prof = profile_family(w, cd, dec)
+    prof = profile_family(w, cd)
     params, cert = choose_params(cd, dec, prof)
     return eq, cd, dec, w, prof, params, cert
 
@@ -256,10 +256,10 @@ def test_barrier_matches_hand_formula(remark3_setup):
 def test_barrier_corner_frozen(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
     system = BarrierSystem(dec, prof, params)
-    t, rho = 1 / 64, 1.0
-    assert system.barrier(t, rho) == pytest.approx(0.17439650722798405, rel=1e-12)
-    assert system.barrier_drho(t, rho) == pytest.approx(0.19277343749999998, rel=1e-12)
-    assert system.barrier_teuler(t, rho) == pytest.approx(0.17854979618261702, rel=1e-12)
+    q, dq, tdq, *_ = system.barrier_jet(1 / 64, 1.0)
+    assert q == pytest.approx(0.17439650722798405, rel=1e-12)
+    assert dq == pytest.approx(0.19277343749999998, rel=1e-12)
+    assert tdq == pytest.approx(0.17854979618261702, rel=1e-12)
 
 
 def test_barrier_drho_teuler_hand_formulas(remark3_setup):
@@ -267,16 +267,59 @@ def test_barrier_drho_teuler_hand_formulas(remark3_setup):
     system = BarrierSystem(dec, prof, params)
     kap = float(params.kappa)
     for t, rho in [(1 / 64, 1.0), (1e-5, 0.25)]:
+        _, dq, tdq, *_ = system.barrier_jet(t, rho)
         drho = (9 / 80) * 2 * t * rho + 6 * t * rho \
             + (9 / 160) * 2 * t + 6 * t
-        assert system.barrier_drho(t, rho) == pytest.approx(drho, rel=1e-12)
+        assert dq == pytest.approx(drho, rel=1e-12)
         # every slot is t-degree 1; the power terms pick up the kappa and
         # three-halves factors
         teuler = (9 / 80) * t * rho * rho + 3 * t * rho * rho \
             + math.pow(t, kap) * (kap + 1) * 2 * t \
             + (9 / 160) * 2 * t * rho + 6 * t * rho \
             + 1.5 * math.pow(2 * t, 1.5)
-        assert system.barrier_teuler(t, rho) == pytest.approx(teuler, rel=1e-12)
+        assert tdq == pytest.approx(teuler, rel=1e-12)
+
+
+def _old_barrier_parts(system, t, rho):
+    # the three separate evaluators that barrier_jet replaced, restated
+    slots = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
+    v = {ij: system.p[ij].eval(t, rho) for ij in slots}
+    e = {ij: system.e[ij].eval(t, rho) for ij in slots}
+    dv11, dv02 = system.d11.eval(t, rho), system.d02.eval(t, rho)
+    tk = t ** system.kf
+    q = (system.e00 * v[(0, 0)] + v[(1, 0)] + tk * v[(0, 2)]
+         + system.e01 * v[(0, 1)] + system.e11 * v[(1, 1)]
+         + v[(0, 2)] ** 1.5)
+    dq = (system.e00 * v[(0, 1)] + v[(1, 1)] + tk * dv02
+          + system.e01 * v[(0, 2)] + system.e11 * dv11
+          + 1.5 * math.sqrt(v[(0, 2)]) * dv02)
+    tdq = (system.e00 * e[(0, 0)] + e[(1, 0)]
+           + tk * (system.kf * v[(0, 2)] + e[(0, 2)])
+           + system.e01 * e[(0, 1)] + system.e11 * e[(1, 1)]
+           + 1.5 * math.sqrt(v[(0, 2)]) * e[(0, 2)])
+    return q, dq, tdq, v, dv11, dv02
+
+
+def test_barrier_jet_equals_separate_evaluators(remark3_setup):
+    # bit-identical, not approximately equal: the grid report depends on it
+    _, cd, dec, _, _, params, _ = remark3_setup
+    rng = random.Random(4242)
+    for _ in range(4):
+        # x-degrees up to 4, so the second rho-derivatives are not zero
+        w = SeriesTX.zero(1, 10, 12)
+        for _ in range(3):
+            w = w + SeriesTX.monomial(1, 10, 12,
+                                      Frac(rng.randint(-9, 9), rng.randint(1, 9)),
+                                      rng.randint(1, 2), (rng.randint(0, 4),))
+        if w.is_zero():
+            continue
+        system = BarrierSystem(dec, profile_family(w, cd), params)
+        points = [(1 / 64, 1.0), (0.0, 0.5), (1e-5, 0.0)]
+        points += [(10.0 ** rng.uniform(-6, -1.8), rng.uniform(0, 1))
+                   for _ in range(25)]
+        for t, rho in points:
+            assert system.barrier_jet(t, rho) == _old_barrier_parts(system, t, rho)
+            assert system.barrier(t, rho) == _old_barrier_parts(system, t, rho)[0]
 
 
 def test_growth_bound_corner_and_small_t_limit(remark3_setup):
@@ -292,7 +335,7 @@ def test_growth_bound_corner_and_small_t_limit(remark3_setup):
 
 def test_transport_rate_zero_profiles_is_t_to_kappa(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
-    prof0 = profile_family(SeriesTX.zero(1, 10, 12), cd, dec)
+    prof0 = profile_family(SeriesTX.zero(1, 10, 12), cd)
     system = BarrierSystem(dec, prof0, params)
     for t in (0.01, 1e-6, 1e-3):
         assert system.transport_rate(t, 0.3) \
@@ -307,7 +350,7 @@ def test_reused_system_matches_fresh_system(remark3_setup):
         warm.barrier(t, rho)
         warm.growth_bound(t, rho)
         warm.transport_rate(t, rho)
-    fresh = BarrierSystem(dec, profile_family(w, cd, dec), params)
+    fresh = BarrierSystem(dec, profile_family(w, cd), params)
     t, rho = 1e-3, 0.6
     assert fresh.barrier(t, rho) == warm.barrier(t, rho)
     assert fresh.growth_bound(t, rho) == warm.growth_bound(t, rho)
@@ -388,6 +431,26 @@ def test_verify_barrier_builds_no_majorant_per_grid_point(remark3_setup,
         counts.append(built[0])
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+def test_verify_barrier_sector_evals_per_grid_point(remark3_setup, monkeypatch):
+    # q, dq and t dq/dt share one evaluation of the slot majorants; growth
+    # bound and transport rate re-evaluate theirs (the phi_evals counter)
+    _, cd, dec, w, prof, params, _ = remark3_setup
+    calls = [0]
+    ev = SectorMajorant.eval
+
+    def counting(self, t, rho):
+        calls[0] += 1
+        return ev(self, t, rho)
+
+    monkeypatch.setattr(SectorMajorant, "eval", counting)
+    counts = []
+    for side in (10, 20):
+        calls[0] = 0
+        verify_barrier(params, prof, dec, nt=side, nrho=side)
+        counts.append(calls[0])
+    assert (counts[1] - counts[0]) / 300 <= 29, counts
 
 
 def test_corrupted_eps00_breaks_growth_bound(remark3_setup):

@@ -126,6 +126,25 @@ def test_solve_order_zero_is_input_error(capsys):
     assert "results" not in rep
 
 
+def test_solve_default_x_order_too_small_names_degree_zero(capsys):
+    # K_x = 12 leaves no x-degree at t-order 7: x-degree 0 needs 2 * 7
+    rc, rep, _ = run_json(capsys, "solve", "remark3_forced", "--order", "7")
+    assert rc == 2
+    assert rep["error"] == {
+        "type": "TruncationExhausted",
+        "message": "need k_x >= 14 on the right-hand side for x-degree 0 "
+                   "at t-order 7 (have 12)"}
+
+
+def test_solve_negative_x_order_is_input_error(capsys):
+    rc, rep, _ = run_json(capsys, "solve", "remark3_forced", "--order", "3",
+                          "--x-order", "-1")
+    assert rc == 2
+    assert rep["error"] == {"type": "InputError",
+                            "message": "--x-order must be at least 0, got -1"}
+    assert "results" not in rep
+
+
 # -- certify -------------------------------------------------------------
 
 

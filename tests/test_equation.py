@@ -9,6 +9,7 @@ from fuchsian.equation import FuchsianEquation, applicability
 from fuchsian.errors import A2Violation, A3Violation, IndicialZero
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey
+from fuchsian.solver import solve_formal
 
 
 def linear_equation(beta0, beta1, n=1, k_t=6, k_x=8, k_z=4):
@@ -84,16 +85,17 @@ def test_indicial_value_matches_brute_quadratic():
     eq = load_equation("remark3")
     # P(s) = s^2 + 3 s + 2 once the linear jet terms move to the left side
     for s in range(1, 9):
-        v = eq.indicial_value(s)
+        v = eq.indicial_series(s).coeff(0, (0,))
         assert v == CRat(Frac(s * s + 3 * s + 2))
 
 
-def test_require_nonresonant_flags_positive_integer_root():
+def test_resonance_flagged_at_positive_integer_root():
     # lambda^2 - lambda - 2 = (lambda - 2)(lambda + 1): root at +2
     eq = linear_equation(Frac(2), Frac(1))
-    assert eq.indicial_value(2) == CRat()
+    assert eq.indicial_series(2).coeff(0, (0,)) == CRat()
+    assert eq.applicability(8).resonances == (2,)
     with pytest.raises(IndicialZero):
-        eq.require_nonresonant(8)
+        solve_formal(eq, 2)
 
 
 def test_a2_violation_detected():

@@ -50,7 +50,7 @@ def test_norm_of_constant_and_polynomials():
     assert one.eval(0.3, 0.9) == 1.0
 
     # |x + 2 x^2| -> rho + 2 rho^2
-    f = SeriesTX.var_x(1, 2, 2, 0) + SeriesTX.monomial(1, 2, 2, 2, 0, (2,))
+    f = SeriesTX.monomial(1, 2, 2, 1, 0, (1,)) + SeriesTX.monomial(1, 2, 2, 2, 0, (2,))
     M = norm_x(f)
     assert M.eval_frac(Frac(0), Frac(1, 2)) == Frac(1, 2) + 2 * Frac(1, 4)
 
@@ -67,7 +67,7 @@ def test_norm_uses_modulus_of_complex_coefficients():
 
 
 def test_negative_signs_do_not_cancel_in_norms():
-    f = SeriesTX.var_x(1, 2, 2, 0) - SeriesTX.monomial(1, 2, 2, 1, 1, (1,))
+    f = SeriesTX.monomial(1, 2, 2, 1, 0, (1,)) - SeriesTX.monomial(1, 2, 2, 1, 1, (1,))
     # the two terms sit in different t slices; both contribute positively
     M = norm_x(f)
     assert M.eval(1.0, 1.0) == pytest.approx(2.0)
@@ -216,14 +216,14 @@ def test_norm_xz_eval_matches_direct_substitution():
         assert P.eval(t, rho, z) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
-def build_tfree_profile(rng, min_jet_degree=0):
+def build_tfree_profile(rng):
     keys = lambda_keys(2, 1)
     F = SeriesTXZ.zero(1, 2, 3, 3, 3)
     for _ in range(4):
         c = Frac(rng.randint(1, 6), rng.randint(1, 6))
         term = SeriesTXZ.from_tx(
             SeriesTX.monomial(1, 3, 3, c, 0, (rng.randint(0, 2),)), 2, 3)
-        for _ in range(rng.randint(min_jet_degree, 2)):
+        for _ in range(rng.randint(1, 2)):
             term = term * SeriesTXZ.z_var(1, 2, 3, 3, 3, rng.choice(keys))
         F = F + term
     return F
@@ -233,7 +233,7 @@ def test_z_linear_bound_dominates_on_box():
     # promised: value <= C * max_k |z_k| for rho <= R, |z_k| <= L, t-free
     rng = random.Random(333)
     for _ in range(60):
-        F = build_tfree_profile(rng, min_jet_degree=1)
+        F = build_tfree_profile(rng)
         P = norm_xz(F)
         R, L = Frac(1, 2), Frac(1, 4)
         C = P.z_linear_bound(R, L)
@@ -249,18 +249,6 @@ def test_z_linear_bound_rejects_jet_free_terms():
     F = SeriesTXZ.from_tx(SeriesTX.one(1, 3, 3), 2, 3)
     with pytest.raises(ValueError):
         norm_xz(F).z_linear_bound(Frac(1), Frac(1))
-
-
-def test_z_total_bound_dominates_full_value():
-    rng = random.Random(99)
-    for _ in range(40):
-        F = build_tfree_profile(rng)
-        P = norm_xz(F)
-        R, L = Frac(1, 2), Frac(1, 3)
-        T = P.z_total_bound(R, L)
-        z = {zk: rng.uniform(0, float(L)) for zk in lambda_keys(2, 1)}
-        val = P.eval(0.0, rng.uniform(0, float(R)), z)
-        assert val <= float(T) * (1 + 1e-12) + 1e-15
 
 
 # -- cached float evaluation against the per-call conversion loops -----

@@ -172,7 +172,7 @@ def solve_by_resubstitution(eq, order):
     if x_order < 0:
         raise TruncationExhausted(
             f"need k_x >= {eq.m * order} on the right-hand side for "
-            f"x-degree {x_order} at t-order {order} (have {F.k_x})")
+            f"x-degree 0 at t-order {order} (have {F.k_x})")
     u = SeriesTX.zero(eq.n, order, F.k_x)
     indicial = {}
     for k in range(1, order + 1):
@@ -181,7 +181,7 @@ def solve_by_resubstitution(eq, order):
             raise TruncationExhausted(
                 f"substitution reliable only to t-order {rhs.k_t} < {k}")
         section = rhs.x_section(k)
-        indicial[k] = eq.indicial_value(k)
+        indicial[k] = eq.indicial_series(k).coeff(0, (0,) * eq.n)
         if indicial[k].is_zero():
             raise IndicialZero(
                 f"indicial polynomial vanishes at s = {k}; the recursion "
