@@ -1,6 +1,6 @@
 """Bundled equation instances, their JSON loader, and closed-form checks.
 
-The JSON schema is flat: {"m", "n", "terms": [...], "truncation":
+The JSON schema is flat: {"m" (always 2), "n", "terms": [...], "truncation":
 {"K_t", "K_x", "K_z"}}, each term {"coeff": [num_re, den_re, num_im,
 den_im], "t_pow": int, "x_pows": [n ints], "z_pows": [{"i", "alpha",
 "pow"}, ...]}.  Anything malformed raises InputError with the offending
@@ -37,7 +37,7 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
     for field in ("m", "n", "terms", "truncation"):
         _require(field in doc, f"missing field {field!r}")
     m, n = doc["m"], doc["n"]
-    _require(_is_int(m) and m >= 1, "m must be a positive integer")
+    _require(_is_int(m) and m == 2, "m must be 2: the equation is second order")
     _require(_is_int(n) and n >= 1, "n must be a positive integer")
     tr = doc["truncation"]
     _require(isinstance(tr, dict), "truncation must be an object")

@@ -64,9 +64,6 @@ def build_shifted_rhs(eq, base=None) -> SeriesTXZ:
     the result vanishes identically at z = 0.  base may be a FormalSolution,
     a SeriesTX, or None (no shift).
     """
-    if eq.m != 2:
-        raise HypothesisViolated(
-            "the barrier machinery is implemented for order m = 2 only")
     if isinstance(base, FormalSolution):
         u0 = base.u
     elif isinstance(base, SeriesTX) or base is None:
@@ -436,27 +433,20 @@ class BarrierSystem:
         self.e = {ij: sl[ij].euler() for ij in _SLOTS}
 
         self._slot_maj = {zk: sl[(zk.i, sum(zk.alpha))] for zk in self.keys}
-        dmap = {}
-        for zk in self.keys:
-            j = sum(zk.alpha)
-            if j == 0:
-                dmap[zk] = sl[(zk.i, 1)]
-            elif j == 1:
-                dmap[zk] = sl[(0, 2)] if zk.i == 0 else self.d11
-            else:
-                dmap[zk] = self.d02
-        self._dslot_maj = dmap
+        # the rho-derivative of slot (i, j) is slot (i, j + 1), past the
+        # family's end d11 and d02
+        nxt = {**sl, (1, 2): self.d11, (0, 3): self.d02}
+        self._dslot_maj = {zk: nxt[(zk.i, sum(zk.alpha) + 1)]
+                           for zk in self.keys}
 
         def pack(series_map):
+            # keys are in _zkey_sort order already (lambda_keys sorts them)
             out = {}
             for key, s in series_map.items():
                 prof = norm_xz(s)
-                dz = []
-                for zk in sorted(self.keys, key=_zkey_sort):
-                    g = prof.dz(zk)
-                    if not g.is_zero():
-                        dz.append((zk, g))
-                out[key] = (prof, prof.d_rho(), tuple(dz))
+                dz = ((zk, prof.dz(zk)) for zk in self.keys)
+                out[key] = (prof, prof.d_rho(),
+                            tuple((zk, g) for zk, g in dz if not g.is_zero()))
             return out
 
         self.na = pack(dec.a)

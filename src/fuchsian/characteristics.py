@@ -286,9 +286,7 @@ def decay_profile(u_eval, exponent_p: int = 4, r_list=None, R_list=None,
     angles = [2.0 * math.pi * k / nx for k in range(nx)]
     rows = []
     for R in R_list:
-        if vary == 0:
-            points = [()]
-        elif vary == 1:
+        if vary == 1:
             points = [(R * complex(math.cos(a), math.sin(a)),) for a in angles]
         else:
             ring = [R * complex(math.cos(a), math.sin(a)) for a in angles]

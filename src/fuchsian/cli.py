@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -47,7 +48,7 @@ from .characteristics import (
     integrate,
     smallness_box,
 )
-from .equation import FuchsianEquation
+from .equation import FuchsianEquation, applicability
 from .errors import HypothesisViolated, InputError, ToolkitError
 from .series import SeriesTX, alphas_of_degree
 from .solver import residual, solve_formal
@@ -137,9 +138,23 @@ def _require_order(order: int) -> None:
         raise InputError(f"--order must be at least 1, got {order}")
 
 
+def _rational_flag(name: str, text: str | None, ok, need: str):
+    """--name as a Fraction, or None when not given; an InputError unless
+    it reads as p/q with q != 0 and satisfies ok."""
+    if text is None:
+        return None
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or not ok(value):
+        raise InputError(f"--{name} must be a rational {need}, got {text!r}")
+    return value
+
+
 def _applicability_results(eq: FuchsianEquation, K: int) -> dict:
     cd = eq.char_exponents()
-    app = eq.applicability(K)
+    app = applicability(cd, K)
     exact = None
     if cd.roots_exact is not None:
         exact = [str(z.re) if z.im == 0 else f"{z.re}+({z.im})i"
@@ -180,6 +195,12 @@ def cmd_solve(args, data: bytes, label: str, report: dict) -> int:
 
 def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
     _require_order(args.order)
+    kappa = _rational_flag("kappa", args.kappa,
+                           lambda v: 0 < v < Fraction(1, 2),
+                           "strictly between 0 and 1/2")
+    eps00 = _rational_flag("eps00", args.eps00, lambda v: v > 0, "p/q > 0")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be positive and finite, got {args.tol}")
     eq = parse_equation_bytes(data, label)
     cd = eq.char_exponents()
     report["results"] = {"applicability": _applicability_results(eq, 10)}
@@ -193,13 +214,10 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
     w = _make_w(args, eq)
     profiles = profile_family(w, cd)
     params, cert = choose_params(cd, dec, profiles)
-    if args.kappa is not None:
-        kap = Fraction(args.kappa)
-        if not 0 < kap < Fraction(1, 2):
-            raise InputError("kappa must lie strictly between 0 and 1/2")
-        params = dataclasses.replace(params, kappa=kap)
-    if args.eps00 is not None:
-        params = dataclasses.replace(params, eps00=Fraction(args.eps00))
+    if kappa is not None:
+        params = dataclasses.replace(params, kappa=kappa)
+    if eps00 is not None:
+        params = dataclasses.replace(params, eps00=eps00)
     nt, nrho = _parse_grid(args.grid)
     barrier_report = verify_barrier(params, profiles, dec, nt, nrho)
     consts = barrier_report["constants"]
@@ -277,7 +295,10 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
         results["decay_profile"] = prof
         results["decay_profile"]["ok"] = all(
             e["monotone_decreasing"] for e in prof["inner_trend"])
-    elif name in ("remark3", "remark3_forced"):
+        results["ok"] = all(v.get("ok", True) for v in results.values()
+                            if isinstance(v, dict))
+    else:
+        # remark3 or remark3_forced: argparse admits builtin names only
         u = closed_form_series(name, eq.F.k_t, eq.F.k_x)
         res = residual(eq, u, K=eq.F.k_t)
         results["residual_symbolic"] = {"zero": res.is_zero()}
@@ -298,12 +319,6 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
             results["solver_match"] = {"ok": sol.u == u.truncate(
                 k_t=sol.u.k_t, k_x=sol.u.k_x)}
             results["ok"] = res.is_zero() and results["solver_match"]["ok"]
-    else:
-        raise InputError(f"unknown example {name!r}")
-    if "ok" not in results:
-        results["ok"] = all(v.get("ok", True)
-                            for v in results.values()
-                            if isinstance(v, dict))
     report["results"] = results
     return 0 if results["ok"] else 1
 

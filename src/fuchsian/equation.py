@@ -1,4 +1,4 @@
-"""Equation instances: (t d/dt)^m u = F(t, x, jet of u) and the spectral
+"""Equation instances: (t d/dt)^2 u = F(t, x, jet of u) and the spectral
 data of their linearisation at the origin.
 
 F is a SeriesTXZ over the admissible jet set.  Two structural conditions
@@ -8,22 +8,21 @@ are enforced before anything else runs:
 * at t = 0 the only admissible linear jet terms are the pure Euler ones
   z[i, 0], whose x-series are the indicial coefficients.
 
-The indicial polynomial at x = 0 is s^m - sum_i b_i s^i with exact complex
-rational b_i, so positive-integer non-resonance is decided exactly.  Its
-roots are kept twice: as floats always, and as exact complex rationals
-when the quadratic formula stays inside the Gaussian rationals (order-two
-equations with a square discriminant), which is what the certification
-path requires.
+The indicial polynomial at x = 0 is s^2 - b1 s - b0 with exact complex
+rational b0, b1, so positive-integer non-resonance is decided exactly.  Its
+roots (b1 -+ sqrt(D)) / 2 are kept as floats always, and as exact complex
+rationals when D = b1^2 + 4 b0 has a Gaussian-rational square root, which
+the certification path requires; otherwise a rational enclosure of
+Re sqrt(D) still proves the bounds on -Re of the roots.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import A2Violation, A3Violation, DimensionMismatch
-from .rational import CRat, Frac, crat_sqrt_exact
+from .rational import CRat, Frac, crat_sqrt_exact, sqrt_upper
 from .series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
 
 
@@ -32,11 +31,11 @@ class CharData:
     """Linearisation data at x = 0.
 
     betas[i] is the x-series multiplying z[i, 0] among the t-free terms.
-    roots are the indicial roots sorted by (real, imag); roots_exact is the
-    same tuple as CRat when available, else None.  neg_re_lower[i] is a
-    rational lower bound for -Re(roots[i]), exact in the exact case.
-    h is the stability margin (9/20) * min(neg_re_lower) when every root
-    has negative real part, else None.
+    roots are (b1 -+ sqrt(D)) / 2 with the principal root, so sorted by
+    (real, imag); roots_exact is the same pair as CRat when available, else
+    None.  neg_re_lower[i] is a proved rational lower bound for
+    -Re(roots[i]), exact in the exact case.  h is the stability margin
+    (9/20) * min(neg_re_lower) when both bounds are positive, else None.
     """
 
     betas: tuple
@@ -65,10 +64,12 @@ _NEAR_GUARD = 1e-9
 
 
 class FuchsianEquation:
-    """One instance (t d/dt)^m u = F(t, x, jet)."""
+    """One instance (t d/dt)^2 u = F(t, x, jet); m is always 2."""
 
-    def __init__(self, m: int, n: int, F: SeriesTXZ, name: str = "",
-                 validate: bool = True):
+    def __init__(self, m: int, n: int, F: SeriesTXZ, name: str = ""):
+        if m != 2:
+            raise DimensionMismatch(
+                f"the equation is second order: m must be 2, got {m}")
         if (F.n, F.m) != (n, m):
             raise DimensionMismatch(
                 f"right-hand side built for (n, m) = {(F.n, F.m)}, "
@@ -78,8 +79,7 @@ class FuchsianEquation:
         self.F = F
         self.name = name
         self.keys = lambda_keys(m, n)
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- hypothesis checks --------------------------------------------
 
@@ -116,44 +116,30 @@ class FuchsianEquation:
         return SeriesTX(self.n, 0, self.F.k_x, out)
 
     def indicial_series(self, s: int) -> SeriesTX:
-        """The x-series s^m - sum_i beta*_i(x) s^i (t-free)."""
-        acc = SeriesTX.const(self.n, 0, self.F.k_x, CRat(Frac(s)) ** self.m)
-        for i in range(self.m):
-            acc = acc - self.beta_star(i).scale(CRat(Frac(s)) ** i)
-        return acc
+        """The x-series s^2 - beta*_1(x) s - beta*_0(x) (t-free)."""
+        sc = CRat(Frac(s))
+        return (SeriesTX.const(self.n, 0, self.F.k_x, sc * sc)
+                - self.beta_star(0) - self.beta_star(1).scale(sc))
 
     # -- spectrum -------------------------------------------------------
 
     def char_exponents(self) -> CharData:
-        zero_alpha = (0,) * self.n
-        betas = tuple(self.beta_star(i) for i in range(self.m))
-        b = [beta.coeff(0, zero_alpha) for beta in betas]
-
-        roots_exact = None
-        if self.m == 2:
-            # s^2 - b1 s - b0: exact quadratic formula when the
-            # discriminant has a Gaussian-rational square root
-            disc = b[1] * b[1] + CRat(Frac(4)) * b[0]
-            sq = crat_sqrt_exact(disc)
-            if sq is not None:
-                half = CRat(Frac(1, 2))
-                r1 = (b[1] - sq) * half
-                r2 = (b[1] + sq) * half
-                roots_exact = tuple(sorted((r1, r2), key=lambda z: (z.re, z.im)))
-
-        if roots_exact is not None:
+        betas = (self.beta_star(0), self.beta_star(1))
+        b0, b1 = (beta.coeff(0, (0,) * self.n) for beta in betas)
+        # s^2 - b1 s - b0 has the roots (b1 -+ sqrt(D)) / 2; the principal
+        # root (re > 0, or re == 0 and im >= 0) orders them by (re, im)
+        disc = b1 * b1 + CRat(Frac(4)) * b0
+        sq = crat_sqrt_exact(disc)
+        if sq is not None:
+            roots_exact = ((b1 - sq) / 2, (b1 + sq) / 2)
             roots = tuple(z.as_complex() for z in roots_exact)
             lower = tuple(-z.re for z in roots_exact)
         else:
-            coeffs = [1.0 + 0j]
-            for i in range(self.m - 1, -1, -1):
-                coeffs.append(-b[i].as_complex())
-            rr = sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag))
-            roots = tuple(complex(z) for z in rr)
-            # directed slack: floats carry the root-finder error, so back
-            # off before claiming a lower bound on -Re
-            lower = tuple(Frac(-z.real).limit_denominator(10 ** 12)
-                          - Frac(1, 1 << 20) for z in roots)
+            roots_exact = None
+            bf, sf = b1.as_complex(), cmath.sqrt(disc.as_complex())
+            roots = ((bf - sf) / 2, (bf + sf) / 2)
+            lo, hi = _re_sqrt_bounds(disc)
+            lower = ((lo - b1.re) / 2, (-hi - b1.re) / 2)
 
         h = None
         if all(v > 0 for v in lower):
@@ -170,21 +156,33 @@ class FuchsianEquation:
         return f"FuchsianEquation(m={self.m}, n={self.n}{tag})"
 
 
+def _re_sqrt_bounds(d: CRat) -> tuple[Frac, Frac]:
+    """Rationals lo <= Re sqrt(d) <= hi for the principal root of d != 0.
+
+    Re sqrt(d) is w = sqrt((|d| + |Re d|) / 2) when Re d >= 0, else
+    |Im d| / (2 w): no cancellation either way.  Each root of s is enclosed
+    by s / sqrt_upper(s) below and sqrt_upper(s) above.
+    """
+    a2 = d.abs2()
+    mod_hi = sqrt_upper(a2)
+    s_lo = (a2 / mod_hi + abs(d.re)) / 2
+    w_lo, w_hi = s_lo / sqrt_upper(s_lo), sqrt_upper((mod_hi + abs(d.re)) / 2)
+    if d.re >= 0:
+        return w_lo, w_hi
+    return abs(d.im) / (2 * w_hi), abs(d.im) / (2 * w_lo)
+
+
 def applicability(cd: CharData, K: int = 10) -> Applicability:
     """Hypothesis checks from the spectral data alone.
 
     The indicial values at positive integers come from the origin values
     of the beta series, so this needs no equation object.
     """
-    m = len(cd.betas)
-    zeros = (0,) * cd.betas[0].n
-    b0 = [beta.coeff(0, zeros) for beta in cd.betas]
+    b0, b1 = (beta.coeff(0, (0,) * beta.n) for beta in cd.betas)
 
     def indicial(k: int) -> CRat:
-        acc = CRat(Frac(k)) ** m
-        for i, bi in enumerate(b0):
-            acc = acc - bi * (CRat(Frac(k)) ** i)
-        return acc
+        s = CRat(Frac(k))
+        return s * s - b1 * s - b0
 
     resonances = tuple(k for k in range(1, K + 1) if indicial(k).is_zero())
     near = tuple((z, k) for z in cd.roots for k in range(1, 10 * K + 1)

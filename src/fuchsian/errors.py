@@ -15,7 +15,8 @@ class InputError(ToolkitError):
 
 
 class DimensionMismatch(ToolkitError):
-    """Operands live over different numbers of spatial variables."""
+    """Operands live over different numbers of spatial variables, or an
+    equation is not of order m = 2."""
 
 
 class IndexOutOfLambda(ToolkitError):

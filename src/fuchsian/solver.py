@@ -226,10 +226,8 @@ def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
 
 
 def residual(eq: FuchsianEquation, u: SeriesTX, K: int) -> SeriesTX:
-    """(t d/dt)^m u - F(jet of u), truncated at t-order K."""
-    lhs = u
-    for _ in range(eq.m):
-        lhs = lhs.euler_t()
+    """(t d/dt)^2 u - F(jet of u), truncated at t-order K."""
+    lhs = u.euler_t().euler_t()
     rhs = eq.F.substitute_z(derivative_tuple(u, eq.keys))
     return (lhs - rhs).truncate(k_t=K)
 

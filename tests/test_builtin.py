@@ -70,6 +70,9 @@ def test_load_equation_bad_utf8(tmp_path):
                  id="truncation-list"),
     # JSON true/false load as bool, a subclass of int: never an integer here
     pytest.param(lambda d: d.update(m=True), "m", id="m-bool"),
+    # the equation is second order; no other order is accepted
+    pytest.param(lambda d: d.update(m=1), "m must be 2", id="m-one"),
+    pytest.param(lambda d: d.update(m=3), "m must be 2", id="m-three"),
     pytest.param(lambda d: d.update(n=True), "n", id="n-bool"),
     pytest.param(lambda d: d["truncation"].update(K_t=True), "K_t",
                  id="K_t-bool"),

@@ -211,6 +211,29 @@ def test_certify_corrupted_eps00_flags_growth_bound(capsys):
     assert chk["violations"] == 100
 
 
+@pytest.mark.parametrize("flag,value,fragment", [
+    ("--eps00", "0", "--eps00 must be"),
+    ("--eps00", "-1", "--eps00 must be"),
+    ("--eps00", "1/0", "--eps00 must be"),
+    ("--eps00", "abc", "--eps00 must be"),
+    ("--kappa", "abc", "--kappa must be"),
+    ("--kappa", "0", "--kappa must be"),
+    ("--kappa", "1/2", "--kappa must be"),
+    ("--kappa", "1/0", "--kappa must be"),
+    ("--tol", "-1", "--tol must be"),
+    ("--tol", "0", "--tol must be"),
+    ("--tol", "nan", "--tol must be"),
+    ("--tol", "inf", "--tol must be"),
+])
+def test_certify_bad_flag_is_input_error(capsys, flag, value, fragment):
+    rc, rep, _ = run_json(capsys, "certify", "remark3", flag, value)
+    assert rc == 2
+    assert rep["error"]["type"] == "InputError"
+    assert fragment in rep["error"]["message"]
+    # refused before any work: no results were written
+    assert "results" not in rep
+
+
 def test_certify_explicit_w(capsys):
     rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "8x8",
                           "--w", "1/2,1,2")
@@ -294,3 +317,16 @@ def test_console_script_entry_point():
                           "remark3"], capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["results"]["h_exact"] == "9/20"
+
+
+def test_cli_import_leaves_numpy_out():
+    import os, subprocess, sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fuchsian.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -1,12 +1,14 @@
 """Equation validation, characteristic exponents, indicial values."""
 
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
 from fuchsian.builtin import load_equation
 from fuchsian.equation import FuchsianEquation, applicability
-from fuchsian.errors import A2Violation, A3Violation, IndicialZero
+from fuchsian.errors import (A2Violation, A3Violation, DimensionMismatch,
+                             IndicialZero)
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey
 from fuchsian.solver import solve_formal
@@ -155,3 +157,58 @@ def test_resonant_equation_reported():
     app = eq.applicability(K=10)
     assert not app.unique_formal
     assert 2 in app.resonances
+
+
+def test_order_other_than_two_is_refused():
+    F = SeriesTXZ.z_var(1, 3, 4, 4, 2, ZKey(2, (0,)))
+    with pytest.raises(DimensionMismatch):
+        FuchsianEquation(3, 1, F)
+
+
+def _dec(f: Frac) -> Decimal:
+    return Decimal(f.numerator) / Decimal(f.denominator)
+
+
+def _neg_re_roots_decimal(b0: CRat, b1: CRat) -> tuple:
+    """-Re of the roots (b1 -+ sqrt(D)) / 2 of s^2 - b1 s - b0, D = b1^2 +
+    4 b0, in the current decimal context; Re sqrt(D) in the
+    cancellation-free form."""
+    d = b1 * b1 + CRat(Frac(4)) * b0
+    dre, dim = _dec(d.re), _dec(d.im)
+    w = ((dre.copy_abs() + (dre * dre + dim * dim).sqrt()) / 2).sqrt()
+    re_sqrt = w if dre >= 0 else dim.copy_abs() / (2 * w)
+    return ((re_sqrt - _dec(b1.re)) / 2, (-re_sqrt - _dec(b1.re)) / 2)
+
+
+def test_irrational_neg_re_lower_is_a_tight_proved_bound():
+    rng = random.Random(2024)
+    frac = lambda: Frac(rng.randint(-12, 12), rng.randint(1, 7))
+    cases = [(CRat(frac()), CRat(frac())) for _ in range(150)]
+    cases += [(CRat(frac(), frac()), CRat(frac(), frac())) for _ in range(150)]
+    # D close to the negative real axis, where sqrt((|D| + Re D) / 2)
+    # would subtract nearly equal values
+    cases += [(CRat(Frac(-rng.randint(1, 9)), Frac(1, 10 ** e)), CRat())
+              for e in range(2, 12)]
+    seen = 0
+    for b0, b1 in cases:
+        cd = linear_equation(b0, b1).char_exponents()
+        if cd.roots_exact is not None:
+            continue
+        seen += 1
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = _neg_re_roots_decimal(b0, b1)
+            for lower, value in zip(cd.neg_re_lower, exact):
+                gap = value - _dec(lower)
+                # -1e-45 allows for the decimal rounding only
+                assert Decimal("-1e-45") <= gap <= Decimal("1e-12"), (b0, b1)
+    assert seen >= 250
+
+
+def test_negative_real_discriminant_bound_is_exact():
+    # s^2 + s + 1: D = -3, roots (-1 -+ i sqrt(3)) / 2
+    cd = linear_equation(Frac(-1), Frac(-1)).char_exponents()
+    assert cd.roots_exact is None
+    assert cd.neg_re_lower == (Frac(1, 2), Frac(1, 2))
+    assert cd.h == Frac(9, 40)
+    assert cd.roots[0] == pytest.approx(complex(-0.5, -0.75 ** 0.5))

@@ -1,7 +1,7 @@
 """Behaviour lock: canonical reports of the built-in CLI invocations.
 
-Each file under tests/golden/ is the report one invocation wrote with
-`--out`.  A rerun must reproduce it byte for byte; a change that moves a
+Each report under tests/golden/ is what one invocation wrote with `--out`;
+equation files named in an invocation live in tests/golden/inputs/.  A rerun must reproduce it byte for byte; a change that moves a
 float in a report must regenerate the file and say which float and why.
 """
 
@@ -12,6 +12,7 @@ import pytest
 from fuchsian.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 
 CASES = [
     ("check_remark3.json", ["check", "remark3"], 0),
@@ -20,12 +21,19 @@ CASES = [
     ("certify_remark3_forced.json", ["certify", "remark3_forced"], 1),
     ("certify_remark3_seed7.json", ["certify", "remark3", "--seed", "7"], 1),
     ("verify-example_remark3.json", ["verify-example", "remark3"], 0),
+    # irrational indicial roots, read from tests/golden/inputs/: real ones
+    # (s^2 + 3 s + 1) and a complex pair (s^2 + s + 1)
+    ("check_irrational_real.json", ["check", "irrational_real.json"], 0),
+    ("check_complex_pair.json", ["check", "complex_pair.json"], 0),
 ]
 
 
 @pytest.mark.parametrize("name,argv,code", CASES,
                          ids=[name[:-5] for name, _, _ in CASES])
-def test_golden_report(tmp_path, name, argv, code):
+def test_golden_report(tmp_path, monkeypatch, name, argv, code):
+    # file inputs are named relative to their folder, so input.path is
+    # the same wherever the suite runs
+    monkeypatch.chdir(INPUTS)
     out = tmp_path / name
     assert main([*argv, "--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
