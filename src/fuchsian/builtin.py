@@ -83,8 +83,8 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
         key = (tp, tuple(xp), tuple(nu))
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff
-    F = SeriesTXZ(n, m, tr["K_t"], tr["K_x"], tr["K_z"], terms)
-    return FuchsianEquation(m, n, F, name=name or doc.get("name", ""))
+    F = SeriesTXZ(n, tr["K_t"], tr["K_x"], tr["K_z"], terms)
+    return FuchsianEquation(F, name=name or doc.get("name", ""))
 
 
 def read_equation_source(source) -> tuple[bytes, str]:

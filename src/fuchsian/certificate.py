@@ -37,15 +37,15 @@ _HEADROOM = Frac((1 << 48) + 1, 1 << 48)
 _SLOTS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
 
 
-def _lift_tx(f: SeriesTX, m: int, k_t: int, k_x: int, k_z: int) -> SeriesTXZ:
+def _lift_tx(f: SeriesTX, k_t: int, k_x: int, k_z: int) -> SeriesTXZ:
     """Embed a jet-free series with explicit caps.  SeriesTXZ.from_tx keeps
     the (often tighter) caps of f, which min-join poisons; this does not."""
-    return SeriesTXZ(f.n, m, k_t, k_x, k_z,
+    return SeriesTXZ(f.n, k_t, k_x, k_z,
                      {(k, a, ()): c for (k, a), c in f.terms.items()})
 
 
 def _recap(s: SeriesTXZ, k_t: int, k_x: int, k_z: int) -> SeriesTXZ:
-    return SeriesTXZ(s.n, s.m, k_t, k_x, k_z, s.terms, z_clipped=s.z_clipped)
+    return SeriesTXZ(s.n, k_t, k_x, k_z, s.terms, z_clipped=s.z_clipped)
 
 
 def _nu_drop(nu: tuple, *gone: ZKey) -> tuple:
@@ -77,7 +77,7 @@ def build_shifted_rhs(eq, base=None) -> SeriesTXZ:
             raise HypothesisViolated("base series must vanish at t = 0")
         F = F.shift_z(derivative_tuple(u0, eq.keys))
     zfree = F.z_free_part()
-    H = F - _lift_tx(zfree, F.m, F.k_t, F.k_x, F.k_z)
+    H = F - _lift_tx(zfree, F.k_t, F.k_x, F.k_z)
     assert H.z_free_part().is_zero()
     return H
 
@@ -111,11 +111,11 @@ def reconstruct(dec: Decomposition) -> SeriesTXZ:
     zeros = (0,) * n
 
     def zvar(zk):
-        return SeriesTXZ.z_var(n, 2, kt, kx, kz, zk)
+        return SeriesTXZ.z_var(n, kt, kx, kz, zk)
 
-    acc = _lift_tx(dec.beta0, 2, kt, kx, kz) * zvar(ZKey(0, zeros))
-    acc = acc + _lift_tx(dec.beta1, 2, kt, kx, kz) * zvar(ZKey(1, zeros))
-    tvar = SeriesTXZ(n, 2, kt, kx, kz, {(1, zeros, ()): 1})
+    acc = _lift_tx(dec.beta0, kt, kx, kz) * zvar(ZKey(0, zeros))
+    acc = acc + _lift_tx(dec.beta1, kt, kx, kz) * zvar(ZKey(1, zeros))
+    tvar = SeriesTXZ(n, kt, kx, kz, {(1, zeros, ()): 1})
     for host in sorted(dec.a, key=_zkey_sort):
         acc = acc + tvar * _recap(dec.a[host], kt, kx, kz) * zvar(host)
     for host in sorted(dec.b, key=_zkey_sort):
@@ -137,8 +137,6 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
         factors only feeds the c-coefficient of the smallest pair, the
         leftover factors folded into that coefficient.
     """
-    if H.m != 2:
-        raise HypothesisViolated("normal form requires order m = 2")
     if cd.roots_exact is None:
         raise InexactRoots(
             "exponents are not exact complex rationals; the basis change "
@@ -147,10 +145,10 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
     n = H.n
     kt, kx, kz = H.k_t, H.k_x, H.k_z
     zeros = (0,) * n
-    keys = lambda_keys(2, n)
+    keys = lambda_keys(n)
 
     def zvar(zk):
-        return SeriesTXZ.z_var(n, 2, kt, kx, kz, zk)
+        return SeriesTXZ.z_var(n, kt, kx, kz, zk)
 
     mapping = {zk: [(CRat(Frac(1)), zk), (lam1, ZKey(0, zk.alpha))]
                for zk in keys if zk.i == 1}
@@ -164,8 +162,8 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
     beta0 = (bst0 - bst0.coeff(0, zeros)) + beta1.scale(lam1)
     assert beta0.coeff(0, zeros).is_zero() and beta1.coeff(0, zeros).is_zero()
 
-    R = G - _lift_tx(beta0, 2, kt, kx, kz) * zvar(ZKey(0, zeros)) \
-          - _lift_tx(beta1, 2, kt, kx, kz) * zvar(ZKey(1, zeros))
+    R = G - _lift_tx(beta0, kt, kx, kz) * zvar(ZKey(0, zeros)) \
+          - _lift_tx(beta1, kt, kx, kz) * zvar(ZKey(1, zeros))
 
     a_terms: dict[ZKey, dict] = {}
     b_terms: dict[ZKey, dict] = {}
@@ -201,9 +199,9 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
             za, zb = flat[0], flat[1]
             put(c_terms, (za, zb), (0, alpha, _nu_drop(nu, za, zb)), coeff)
 
-    a = {h: SeriesTXZ(n, 2, kt, kx, kz, tt) for h, tt in a_terms.items()}
-    b = {h: SeriesTXZ(n, 2, 0, kx, kz, tt) for h, tt in b_terms.items()}
-    c = {pr: SeriesTXZ(n, 2, 0, kx, kz, tt) for pr, tt in c_terms.items()}
+    a = {h: SeriesTXZ(n, kt, kx, kz, tt) for h, tt in a_terms.items()}
+    b = {h: SeriesTXZ(n, 0, kx, kz, tt) for h, tt in b_terms.items()}
+    c = {pr: SeriesTXZ(n, 0, kx, kz, tt) for pr, tt in c_terms.items()}
     for s in b.values():
         assert s.z_free_part().is_zero()
 
@@ -256,7 +254,7 @@ def profile_family(w: SeriesTX, cd: CharData) -> ProfileFamily:
     p02 = p01.d_rho()
     slots = {(0, 0): p00, (1, 0): p10, (0, 1): p01, (1, 1): p11, (0, 2): p02}
 
-    jet = derivative_tuple(w, lambda_keys(2, w.n))
+    jet = derivative_tuple(w, lambda_keys(w.n))
     for zk, g in jet.items():
         dom = slots[(zk.i, sum(zk.alpha))].scale(_HEADROOM)
         assert norm_x(g).leq(dom), (
@@ -417,7 +415,7 @@ class BarrierSystem:
         self.profiles = profiles
         self.params = params
         n = dec.n
-        self.keys = lambda_keys(2, n)
+        self.keys = lambda_keys(n)
         self.low_keys = tuple(zk for zk in self.keys if sum(zk.alpha) <= 1)
         self.high_keys = tuple(zk for zk in self.keys if sum(zk.alpha) == 2)
         # float weights for the grid, converted once

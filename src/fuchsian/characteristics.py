@@ -159,7 +159,7 @@ def check_weighted_decay(path: CharacteristicPath, h, slack: float = 1e-9) -> di
     }
 
 
-def _radius_cap(consts: dict, kappa, h, r: float) -> float:
+def _radius_cap(consts: dict, h, r: float) -> float:
     """The t-independent part of the radius growth bound."""
     hf = float(h)
     return (consts["C2"] / hf * r
@@ -175,7 +175,7 @@ def check_radius_bounds(path: CharacteristicPath, consts: dict, kappa, h,
     kf = float(kappa)
     t0 = path.ts[0]
     xi = path.rhos[0]
-    cap_rest = _radius_cap(consts, kappa, h, r)
+    cap_rest = _radius_cap(consts, h, r)
     lower_viol = upper_viol = 0
     worst = 0.0
     for t, rho in zip(path.ts, path.rhos):
@@ -217,7 +217,7 @@ def smallness_box(consts: dict, h, kappa, R: float, q_corner,
     halvings = 0
     while True:
         r = 1.05 * q_corner(sigma)
-        total = C1 / kf * sigma ** kf + _radius_cap(consts, kappa, h, r)
+        total = C1 / kf * sigma ** kf + _radius_cap(consts, h, r)
         if total < R / 2.0:
             return sigma, r, {"value": total, "budget": R / 2.0,
                               "sigma": sigma, "r": r, "halvings": halvings}
@@ -246,7 +246,7 @@ def check_reaches_origin(path: CharacteristicPath, R: float, consts: dict,
                          f"{R / 2.0!r}; the conclusion does not apply")
         return out
     small = C1_term = consts["C1"] / kf * t0 ** kf
-    small += _radius_cap(consts, kappa, h, r)
+    small += _radius_cap(consts, h, r)
     ok_small = small < R / 2.0
     R1 = xi + small
     rho_max = max(path.rhos)

@@ -138,6 +138,11 @@ def _require_order(order: int) -> None:
         raise InputError(f"--order must be at least 1, got {order}")
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"--tol must be positive and finite, got {tol}")
+
+
 def _rational_flag(name: str, text: str | None, ok, need: str):
     """--name as a Fraction, or None when not given; an InputError unless
     it reads as p/q with q != 0 and satisfies ok."""
@@ -199,8 +204,7 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
                            lambda v: 0 < v < Fraction(1, 2),
                            "strictly between 0 and 1/2")
     eps00 = _rational_flag("eps00", args.eps00, lambda v: v > 0, "p/q > 0")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise InputError(f"--tol must be positive and finite, got {args.tol}")
+    _require_tol(args.tol)
     eq = parse_equation_bytes(data, label)
     cd = eq.char_exponents()
     report["results"] = {"applicability": _applicability_results(eq, 10)}
@@ -271,6 +275,9 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
 
 
 def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
+    _require_tol(args.tol)
+    if not 0 <= args.exponent_p <= 64:  # keeps R ** -p finite for R >= 1/16
+        raise InputError(f"--exponent-p must be in 0..64, got {args.exponent_p}")
     name = args.equation
     eq = parse_equation_bytes(data, label)
     results: dict = {"applicability": _applicability_results(eq, 10)}
@@ -372,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="closed-form checks of a bundled instance")
     pv.add_argument("equation", metavar="name", choices=list(BUILTIN_NAMES),
                     help=f"builtin name: {', '.join(BUILTIN_NAMES)}")
-    pv.add_argument("--exponent-p", type=int, default=4, dest="exponent_p")
+    pv.add_argument("--exponent-p", type=int, default=4, dest="exponent_p",
+                    help="suprema are divided by R^p; p in 0..64 (default 4)")
     pv.add_argument("--tol", type=float, default=1e-10)
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify_example)

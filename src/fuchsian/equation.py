@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import A2Violation, A3Violation, DimensionMismatch
+from .errors import A2Violation, A3Violation
 from .rational import CRat, Frac, crat_sqrt_exact, sqrt_upper
 from .series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
 
@@ -64,21 +64,15 @@ _NEAR_GUARD = 1e-9
 
 
 class FuchsianEquation:
-    """One instance (t d/dt)^2 u = F(t, x, jet); m is always 2."""
+    """One instance (t d/dt)^2 u = F(t, x, jet): the order m is 2, n is F.n."""
 
-    def __init__(self, m: int, n: int, F: SeriesTXZ, name: str = ""):
-        if m != 2:
-            raise DimensionMismatch(
-                f"the equation is second order: m must be 2, got {m}")
-        if (F.n, F.m) != (n, m):
-            raise DimensionMismatch(
-                f"right-hand side built for (n, m) = {(F.n, F.m)}, "
-                f"equation says {(n, m)}")
-        self.m = m
-        self.n = n
+    m = 2
+
+    def __init__(self, F: SeriesTXZ, name: str = ""):
+        self.n = F.n
         self.F = F
         self.name = name
-        self.keys = lambda_keys(m, n)
+        self.keys = lambda_keys(F.n)
         self.validate()
 
     # -- hypothesis checks --------------------------------------------
@@ -147,10 +141,6 @@ class FuchsianEquation:
         return CharData(betas=betas, roots=roots, roots_exact=roots_exact,
                         neg_re_lower=lower, h=h)
 
-    def applicability(self, K: int = 10) -> Applicability:
-        """Check the hypotheses on this instance up to formal order K."""
-        return applicability(self.char_exponents(), K)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = f" {self.name!r}" if self.name else ""
         return f"FuchsianEquation(m={self.m}, n={self.n}{tag})"
@@ -176,7 +166,9 @@ def applicability(cd: CharData, K: int = 10) -> Applicability:
     """Hypothesis checks from the spectral data alone.
 
     The indicial values at positive integers come from the origin values
-    of the beta series, so this needs no equation object.
+    of the beta series, so this needs no equation object.  Each root is
+    tested at its nearest integer only (from the exact root if there is
+    one), so the cost does not grow with K.
     """
     b0, b1 = (beta.coeff(0, (0,) * beta.n) for beta in cd.betas)
 
@@ -184,9 +176,13 @@ def applicability(cd: CharData, K: int = 10) -> Applicability:
         s = CRat(Frac(k))
         return s * s - b1 * s - b0
 
-    resonances = tuple(k for k in range(1, K + 1) if indicial(k).is_zero())
-    near = tuple((z, k) for z in cd.roots for k in range(1, 10 * K + 1)
-                 if abs(z - k) < _NEAR_GUARD and not indicial(k).is_zero())
+    cands = [round(z.re) for z in cd.roots_exact] if cd.roots_exact \
+        else [round(z.real) for z in cd.roots]
+    resonances = tuple(sorted({k for k in cands
+                               if 1 <= k <= K and indicial(k).is_zero()}))
+    near = tuple((z, k) for z, k in zip(cd.roots, cands)
+                 if 1 <= k <= 10 * K and abs(z - k) < _NEAR_GUARD
+                 and not indicial(k).is_zero())
     return Applicability(
         unique_formal=not resonances,
         resonances=resonances,

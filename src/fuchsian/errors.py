@@ -15,8 +15,7 @@ class InputError(ToolkitError):
 
 
 class DimensionMismatch(ToolkitError):
-    """Operands live over different numbers of spatial variables, or an
-    equation is not of order m = 2."""
+    """Operands live over different numbers of spatial variables."""
 
 
 class IndexOutOfLambda(ToolkitError):

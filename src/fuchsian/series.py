@@ -4,9 +4,9 @@ Two containers:
 
 * SeriesTX  -- series in the time variable t and spatial variables
   x = (x_1, ..., x_n), truncated at t-order k_t and total x-degree k_x.
-* SeriesTXZ -- the same with additional polynomial dependence on a finite
-  family of jet variables z[i, alpha], used to hold right-hand sides of
-  equations before the jet of an actual series is substituted in.
+* SeriesTXZ -- the same with additional polynomial dependence on the jet
+  variables z[i, alpha], i < 2 and i + |alpha| <= 2, of the second-order
+  equation; it holds right-hand sides before a jet is substituted in.
 
 Truncation caps are part of the value but not of equality: two series are
 equal when they have the same variable count and the same term map.  All
@@ -73,16 +73,11 @@ def _zkey_sort(zk: ZKey) -> tuple:
     return (zk.i + sum(zk.alpha), zk.i, zk.alpha)
 
 
-def lambda_keys(m: int, n: int) -> list[ZKey]:
-    """Admissible jet indices for an order-m equation in n spatial variables:
-    i + |alpha| <= m and i < m, sorted graded-lexicographically."""
-    out = []
-    for i in range(m):
-        for d in range(m - i + 1):
-            for alpha in alphas_of_degree(n, d):
-                out.append(ZKey(i, alpha))
-    out.sort(key=_zkey_sort)
-    return out
+def lambda_keys(n: int) -> list[ZKey]:
+    """Admissible jet indices of the second-order equation in n spatial
+    variables: i + |alpha| <= 2 and i < 2, sorted graded-lexicographically."""
+    return sorted((ZKey(i, alpha) for i in range(2) for d in range(3 - i)
+                   for alpha in alphas_of_degree(n, d)), key=_zkey_sort)
 
 
 def _norm_nu(nu) -> tuple:
@@ -339,28 +334,25 @@ class SeriesTX:
 
 
 class SeriesTXZ:
-    """Series in t, x and the jet variables z[i, alpha], (i, alpha) in the
-    admissible set for an order-m equation.  Jet monomials are truncated at
+    """Series in t, x and the jet variables z[i, alpha] of the second-order
+    equation, (i, alpha) in lambda_keys(n).  Jet monomials are truncated at
     total z-degree k_z; z_clipped records whether that truncation has ever
     dropped a term, because substitution can only be trusted to a finite
     t-order afterwards."""
 
-    __slots__ = ("n", "m", "k_t", "k_x", "k_z", "terms", "z_clipped")
+    __slots__ = ("n", "k_t", "k_x", "k_z", "terms", "z_clipped")
 
-    def __init__(self, n: int, m: int, k_t: int, k_x: int, k_z: int,
+    def __init__(self, n: int, k_t: int, k_x: int, k_z: int,
                  terms=None, z_clipped: bool = False):
         if n < 1:
             raise DimensionMismatch("need at least one spatial variable")
-        if m < 1:
-            raise ValueError("equation order m must be positive")
         if min(k_t, k_x, k_z) < 0:
             raise ValueError("truncation caps must be nonnegative")
         self.n = n
-        self.m = m
         self.k_t = k_t
         self.k_x = k_x
         self.k_z = k_z
-        admissible = set(lambda_keys(m, n))
+        admissible = set(lambda_keys(n))
         clipped = bool(z_clipped)
         store: dict[tuple, CRat] = {}
         for (k, alpha, nu), c in (terms or {}).items():
@@ -378,7 +370,7 @@ class SeriesTXZ:
                         f"jet index {zk} has {len(zk.alpha)} spatial slots, expected {n}")
                 if zk not in admissible:
                     raise IndexOutOfLambda(
-                        f"jet index {zk} not admissible for order {m}")
+                        f"jet index {zk} not admissible for order 2")
             c = _coeff(c)
             if c.is_zero():
                 continue
@@ -400,20 +392,20 @@ class SeriesTXZ:
     # -- constructors -----------------------------------------------
 
     @classmethod
-    def zero(cls, n, m, k_t, k_x, k_z) -> "SeriesTXZ":
-        return cls(n, m, k_t, k_x, k_z, {})
+    def zero(cls, n, k_t, k_x, k_z) -> "SeriesTXZ":
+        return cls(n, k_t, k_x, k_z, {})
 
     @classmethod
-    def from_tx(cls, f: SeriesTX, m: int, k_z: int) -> "SeriesTXZ":
-        return cls(f.n, m, f.k_t, f.k_x, k_z,
+    def from_tx(cls, f: SeriesTX, k_z: int) -> "SeriesTXZ":
+        return cls(f.n, f.k_t, f.k_x, k_z,
                    {(k, a, ()): c for (k, a), c in f.terms.items()})
 
     @classmethod
-    def z_var(cls, n, m, k_t, k_x, k_z, key) -> "SeriesTXZ":
+    def z_var(cls, n, k_t, k_x, k_z, key) -> "SeriesTXZ":
         zk = ZKey(int(key[0]), tuple(int(a) for a in key[1]))
         if k_z < 1:
             raise TruncationExhausted("k_z = 0 cannot hold a jet variable")
-        return cls(n, m, k_t, k_x, k_z, {(0, (0,) * n, ((zk, 1),)): 1})
+        return cls(n, k_t, k_x, k_z, {(0, (0,) * n, ((zk, 1),)): 1})
 
     # -- queries ----------------------------------------------------
 
@@ -423,27 +415,27 @@ class SeriesTXZ:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesTXZ):
             return NotImplemented
-        return (self.n, self.m) == (other.n, other.m) and self.terms == other.terms
+        return self.n == other.n and self.terms == other.terms
 
     __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SeriesTXZ(n={self.n}, m={self.m}, k_t={self.k_t}, "
+        return (f"SeriesTXZ(n={self.n}, k_t={self.k_t}, "
                 f"k_x={self.k_x}, k_z={self.k_z}, {len(self.terms)} terms"
                 + (", z_clipped" if self.z_clipped else "") + ")")
 
     # -- ring operations ---------------------------------------------
 
     def _join(self, other: "SeriesTXZ") -> tuple[int, int, int]:
-        if (self.n, self.m) != (other.n, other.m):
+        if self.n != other.n:
             raise DimensionMismatch(
-                f"operands have (n, m) = {(self.n, self.m)} and {(other.n, other.m)}")
+                f"operands over {self.n} and {other.n} spatial variables")
         return (min(self.k_t, other.k_t), min(self.k_x, other.k_x),
                 min(self.k_z, other.k_z))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CRat)):
-            other = SeriesTXZ(self.n, self.m, self.k_t, self.k_x, self.k_z,
+            other = SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
                               {(0, (0,) * self.n, ()): other})
         if not isinstance(other, SeriesTXZ):
             return NotImplemented
@@ -452,7 +444,7 @@ class SeriesTXZ:
         for key, c in other.terms.items():
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return SeriesTXZ(self.n, self.m, kt, kx, kz, out,
+        return SeriesTXZ(self.n, kt, kx, kz, out,
                          z_clipped=self.z_clipped or other.z_clipped)
 
     __radd__ = __add__
@@ -470,8 +462,8 @@ class SeriesTXZ:
     def scale(self, c) -> "SeriesTXZ":
         c = _coeff(c)
         if c.is_zero():
-            return SeriesTXZ.zero(self.n, self.m, self.k_t, self.k_x, self.k_z)
-        return SeriesTXZ(self.n, self.m, self.k_t, self.k_x, self.k_z,
+            return SeriesTXZ.zero(self.n, self.k_t, self.k_x, self.k_z)
+        return SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
                          {key: v * c for key, v in self.terms.items()},
                          z_clipped=self.z_clipped)
 
@@ -498,7 +490,7 @@ class SeriesTXZ:
                 acc = out.get(key)
                 c = c1 * c2
                 out[key] = c if acc is None else acc + c
-        return SeriesTXZ(self.n, self.m, kt, kx, kz, out,
+        return SeriesTXZ(self.n, kt, kx, kz, out,
                          z_clipped=self.z_clipped or other.z_clipped)
 
     __rmul__ = __mul__
@@ -578,7 +570,8 @@ class SeriesTXZ:
         """
         if self.z_clipped:
             raise TruncationExhausted("cannot shift jet variables after z-clipping")
-        sh: dict[ZKey, SeriesTX] = {}
+        used = self.jet_keys_used()
+        images = {}
         for key, s in shifts.items():
             zk = ZKey(int(key[0]), tuple(int(a) for a in key[1]))
             if not isinstance(s, SeriesTX):
@@ -586,22 +579,9 @@ class SeriesTXZ:
             if s.n != self.n:
                 raise DimensionMismatch(
                     f"shift for {zk} has n = {s.n}, expected {self.n}")
-            sh[zk] = s
-
-        out = SeriesTXZ.zero(self.n, self.m, self.k_t, self.k_x, self.k_z)
-        for (k, alpha, nu), c in self.terms.items():
-            piece = SeriesTXZ(self.n, self.m, self.k_t, self.k_x, self.k_z,
-                              {(k, alpha, ()): c})
-            for zk, p in nu:
-                var = SeriesTXZ.z_var(self.n, self.m, self.k_t, self.k_x,
-                                      self.k_z, zk)
-                s = sh.get(zk)
-                factor = var if s is None or s.is_zero() \
-                    else var + SeriesTXZ.from_tx(s, self.m, self.k_z)
-                for _ in range(p):
-                    piece = piece * factor
-            out = out + piece
-        return out
+            if zk in used and not s.is_zero():
+                images[zk] = self._var(zk) + SeriesTXZ.from_tx(s, self.k_z)
+        return self._expand(images)
 
     def substitute_z_linear(self, mapping: dict) -> "SeriesTXZ":
         """Replace jet variables by linear combinations of jet variables.
@@ -616,27 +596,29 @@ class SeriesTXZ:
             lin[zk] = [(_coeff(c), ZKey(int(k2[0]), tuple(int(a) for a in k2[1])))
                        for c, k2 in combo]
 
-        out = SeriesTXZ.zero(self.n, self.m, self.k_t, self.k_x, self.k_z)
+        used = self.jet_keys_used()
+        zero = SeriesTXZ.zero(self.n, self.k_t, self.k_x, self.k_z)
+        return self._expand({
+            zk: sum((self._var(zk2).scale(cc) for cc, zk2 in combo), zero)
+            for zk, combo in lin.items() if zk in used})
+
+    def _var(self, zk: ZKey) -> "SeriesTXZ":
+        return SeriesTXZ.z_var(self.n, self.k_t, self.k_x, self.k_z, zk)
+
+    def _expand(self, images: dict) -> "SeriesTXZ":
+        """Replace z[zk] by images[zk] (a SeriesTXZ of z-degree <= 1) in
+        every term and sum the products in term order; variables without an
+        image stay.  No z-degree grows, so z_clipped carries over as is."""
+        out = SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
+                        z_clipped=self.z_clipped)
         for (k, alpha, nu), c in self.terms.items():
-            piece = SeriesTXZ(self.n, self.m, self.k_t, self.k_x, self.k_z,
+            piece = SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
                               {(k, alpha, ()): c})
             for zk, p in nu:
-                if zk in lin:
-                    factor = SeriesTXZ.zero(self.n, self.m, self.k_t,
-                                            self.k_x, self.k_z)
-                    for cc, zk2 in lin[zk]:
-                        factor = factor + SeriesTXZ.z_var(
-                            self.n, self.m, self.k_t, self.k_x,
-                            self.k_z, zk2).scale(cc)
-                else:
-                    factor = SeriesTXZ.z_var(self.n, self.m, self.k_t,
-                                             self.k_x, self.k_z, zk)
+                factor = images[zk] if zk in images else self._var(zk)
                 for _ in range(p):
                     piece = piece * factor
             out = out + piece
-        if self.z_clipped:
-            out = SeriesTXZ(out.n, out.m, out.k_t, out.k_x, out.k_z,
-                            out.terms, z_clipped=True)
         return out
 
     # -- evaluation ---------------------------------------------------

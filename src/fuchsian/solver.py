@@ -243,6 +243,6 @@ def manufactured(eq: FuchsianEquation, u_target: SeriesTX) -> FuchsianEquation:
         raise A2Violation(
             "manufactured forcing has terms at t-order 0; pick a target "
             "that vanishes at t = 0")
-    F = eq.F + SeriesTXZ.from_tx(g, eq.m, eq.F.k_z)
-    return FuchsianEquation(eq.m, eq.n, F,
-                            name=(eq.name + "+forcing") if eq.name else "forced")
+    F = eq.F + SeriesTXZ.from_tx(g, eq.F.k_z)
+    return FuchsianEquation(
+        F, name=(eq.name + "+forcing") if eq.name else "forced")

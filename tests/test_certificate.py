@@ -109,20 +109,20 @@ def test_normal_form_random_roundtrip():
             lam2 = Frac(-1)
         b1, b0 = lam1 + lam2, -(lam1 * lam2)
         kt, kx, kz = 7, 14, 3
-        F = SeriesTXZ.z_var(n, 2, kt, kx, kz, ZKey(1, (0,) * n)).scale(b1) \
-            + SeriesTXZ.z_var(n, 2, kt, kx, kz, ZKey(0, (0,) * n)).scale(b0)
-        keys = lambda_keys(2, n)
+        F = SeriesTXZ.z_var(n, kt, kx, kz, ZKey(1, (0,) * n)).scale(b1) \
+            + SeriesTXZ.z_var(n, kt, kx, kz, ZKey(0, (0,) * n)).scale(b0)
+        keys = lambda_keys(n)
         for _ in range(rng.randint(1, 4)):
             zk1, zk2 = rng.choice(keys), rng.choice(keys)
             c = Frac(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 4))
             base = SeriesTX.monomial(n, kt, kx, 1, rng.randint(0, 1),
                                      tuple(rng.randint(0, 1) for _ in range(n)))
-            term = SeriesTXZ.from_tx(base, 2, kz) \
-                * SeriesTXZ.z_var(n, 2, kt, kx, kz, zk1) \
-                * SeriesTXZ.z_var(n, 2, kt, kx, kz, zk2)
+            term = SeriesTXZ.from_tx(base, kz) \
+                * SeriesTXZ.z_var(n, kt, kx, kz, zk1) \
+                * SeriesTXZ.z_var(n, kt, kx, kz, zk2)
             F = F + term.scale(c)
         try:
-            eq = FuchsianEquation(2, n, F)
+            eq = FuchsianEquation(F)
         except Exception:
             continue
         target = SeriesTX.monomial(n, kt, kx,
@@ -147,9 +147,9 @@ def test_normal_form_random_roundtrip():
 
 def test_normal_form_rejects_inexact_roots():
     # golden-ratio exponents: no rational root pair
-    F = SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(1, (0,))) \
-        + SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(0, (0,)))
-    eq = FuchsianEquation(2, 1, F)
+    F = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(1, (0,))) \
+        + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,)))
+    eq = FuchsianEquation(F)
     cd = eq.char_exponents()
     with pytest.raises(InexactRoots):
         normal_form(build_shifted_rhs(eq), cd)
@@ -160,7 +160,7 @@ def test_normal_form_rejects_stranded_derivative_term():
     # three coefficient families
     eq = load_equation("remark3")
     cd = eq.char_exponents()
-    H = SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(0, (2,)))
+    H = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (2,)))
     with pytest.raises(UnsplittableTerm):
         normal_form(H, cd)
 
@@ -191,18 +191,18 @@ def test_profile_step_domination_exact(remark3_setup):
 
 
 def test_profile_family_rejects_inexact_roots():
-    F = SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(1, (0,))) \
-        + SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(0, (0,)))
-    eq = FuchsianEquation(2, 1, F)
+    F = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(1, (0,))) \
+        + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,)))
+    eq = FuchsianEquation(F)
     with pytest.raises(InexactRoots):
         profile_family(SeriesTX.var_t(1, 6, 8), eq.char_exponents())
 
 
 def test_profile_family_rejects_nonnegative_exponent():
     # roots -1 and +2: the positive root gives a transform weight <= 0
-    F = SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(1, (0,))) \
-        + SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(0, (0,))).scale(2)
-    eq = FuchsianEquation(2, 1, F)
+    F = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(1, (0,))) \
+        + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,))).scale(2)
+    eq = FuchsianEquation(F)
     with pytest.raises(NonpositiveExponent):
         profile_family(SeriesTX.var_t(1, 6, 8), eq.char_exponents())
 

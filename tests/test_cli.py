@@ -301,6 +301,34 @@ def test_verify_example_remark3_forced(capsys):
     assert res["solver_match"]["ok"]
 
 
+@pytest.mark.parametrize("name", ["remark2", "remark3"])
+@pytest.mark.parametrize("flag,value,fragment", [
+    ("--tol", "nan", "--tol must be"),
+    ("--tol", "inf", "--tol must be"),
+    ("--tol", "0", "--tol must be"),
+    ("--tol", "-1", "--tol must be"),
+    ("--exponent-p", "65", "--exponent-p must be in 0..64"),
+    ("--exponent-p", "-1", "--exponent-p must be in 0..64"),
+    ("--exponent-p", "260", "--exponent-p must be in 0..64"),
+    ("--exponent-p", "100000", "--exponent-p must be in 0..64"),
+])
+def test_verify_example_bad_flag_is_input_error(capsys, name, flag, value,
+                                                fragment):
+    rc, rep, _ = run_json(capsys, "verify-example", name, flag, value)
+    assert rc == 2
+    assert rep["error"]["type"] == "InputError"
+    assert fragment in rep["error"]["message"]
+    assert "results" not in rep
+
+
+@pytest.mark.parametrize("name", ["remark2", "remark3", "remark3_forced"])
+def test_verify_example_largest_exponent_p_stays_finite(capsys, name):
+    rc, rep, _ = run_json(capsys, "verify-example", name, "--exponent-p", "64")
+    assert rc in (0, 1)
+    rows = rep["results"]["decay_profile"]["rows"]
+    assert all(0.0 < row["sup_scaled"] < float("inf") for row in rows)
+
+
 # -- misc ----------------------------------------------------------------
 
 

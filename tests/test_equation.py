@@ -7,7 +7,7 @@ import pytest
 
 from fuchsian.builtin import load_equation
 from fuchsian.equation import FuchsianEquation, applicability
-from fuchsian.errors import (A2Violation, A3Violation, DimensionMismatch,
+from fuchsian.errors import (A2Violation, A3Violation, IndexOutOfLambda,
                              IndicialZero)
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey
@@ -16,9 +16,9 @@ from fuchsian.solver import solve_formal
 
 def linear_equation(beta0, beta1, n=1, k_t=6, k_x=8, k_z=4):
     """t d/dt-squared u = beta1 * (t d/dt u) + beta0 * u  (constant betas)."""
-    F = SeriesTXZ.z_var(n, 2, k_t, k_x, k_z, ZKey(1, (0,) * n)).scale(beta1) \
-        + SeriesTXZ.z_var(n, 2, k_t, k_x, k_z, ZKey(0, (0,) * n)).scale(beta0)
-    return FuchsianEquation(2, n, F)
+    F = SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(1, (0,) * n)).scale(beta1) \
+        + SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(0, (0,) * n)).scale(beta0)
+    return FuchsianEquation(F)
 
 
 def test_builtin_exponents_first_example():
@@ -95,40 +95,40 @@ def test_resonance_flagged_at_positive_integer_root():
     # lambda^2 - lambda - 2 = (lambda - 2)(lambda + 1): root at +2
     eq = linear_equation(Frac(2), Frac(1))
     assert eq.indicial_series(2).coeff(0, (0,)) == CRat()
-    assert eq.applicability(8).resonances == (2,)
+    assert applicability(eq.char_exponents(), 8).resonances == (2,)
     with pytest.raises(IndicialZero):
         solve_formal(eq, 2)
 
 
 def test_a2_violation_detected():
-    F = SeriesTXZ.from_tx(SeriesTX.one(1, 4, 4), 2, 4)
+    F = SeriesTXZ.from_tx(SeriesTX.one(1, 4, 4), 4)
     with pytest.raises(A2Violation):
-        FuchsianEquation(2, 1, F)
+        FuchsianEquation(F)
 
 
 def test_a3_violation_detected():
     # t-free term linear in a spatial-derivative jet slot
-    F = SeriesTXZ.z_var(1, 2, 4, 4, 4, ZKey(0, (1,)))
+    F = SeriesTXZ.z_var(1, 4, 4, 4, ZKey(0, (1,)))
     with pytest.raises(A3Violation):
-        FuchsianEquation(2, 1, F)
+        FuchsianEquation(F)
 
 
 def test_t_carrying_linear_derivative_term_is_allowed():
-    F = SeriesTXZ.z_var(1, 2, 4, 4, 4, ZKey(0, (1,))) \
-        * SeriesTXZ.from_tx(SeriesTX.var_t(1, 4, 4), 2, 4)
-    eq = FuchsianEquation(2, 1, F)     # must not raise
+    F = SeriesTXZ.z_var(1, 4, 4, 4, ZKey(0, (1,))) \
+        * SeriesTXZ.from_tx(SeriesTX.var_t(1, 4, 4), 4)
+    eq = FuchsianEquation(F)     # must not raise
     assert eq.n == 1
 
 
 def test_quadratic_derivative_terms_are_allowed_at_t0():
-    z = SeriesTXZ.z_var(1, 2, 4, 4, 4, ZKey(0, (2,)))
-    eq = FuchsianEquation(2, 1, z * z)
+    z = SeriesTXZ.z_var(1, 4, 4, 4, ZKey(0, (2,)))
+    eq = FuchsianEquation(z * z)
     assert eq.char_exponents().roots_exact == (CRat(Frac(0)), CRat(Frac(0)))
 
 
 def test_applicability_report_remark3():
     eq = load_equation("remark3")
-    app = eq.applicability(K=10)
+    app = applicability(eq.char_exponents(), K=10)
     assert app.unique_formal
     assert app.resonances == ()
     assert app.decay_applicable
@@ -138,31 +138,71 @@ def test_applicability_report_remark3():
 
 def test_applicability_report_remark2():
     eq = load_equation("remark2")
-    app = eq.applicability(K=10)
+    app = applicability(eq.char_exponents(), K=10)
     assert app.unique_formal          # indicial values nonzero for k >= 1
     assert not app.decay_applicable   # root zero blocks any decay exponent
     assert app.h is None
 
 
-def test_applicability_function_agrees_with_method():
-    for name in ("remark2", "remark3"):
-        eq = load_equation(name)
-        a = eq.applicability(K=7)
-        b = applicability(eq.char_exponents(), K=7)
-        assert a == b
-
-
 def test_resonant_equation_reported():
     eq = linear_equation(Frac(2), Frac(1))   # root +2
-    app = eq.applicability(K=10)
+    app = applicability(eq.char_exponents(), K=10)
     assert not app.unique_formal
     assert 2 in app.resonances
 
 
 def test_order_other_than_two_is_refused():
-    F = SeriesTXZ.z_var(1, 3, 4, 4, 2, ZKey(2, (0,)))
-    with pytest.raises(DimensionMismatch):
-        FuchsianEquation(3, 1, F)
+    # a third-order right-hand side needs the jet variable z[2, 0], which
+    # lies outside the jet set of the second-order equation
+    assert FuchsianEquation.m == 2
+    with pytest.raises(IndexOutOfLambda, match="not admissible for order 2"):
+        SeriesTXZ.z_var(1, 4, 4, 2, ZKey(2, (0,)))
+
+
+def _scan_applicability(cd, K):
+    """Resonances and near resonances by scanning 1..K and 1..10K, as
+    applicability() found them before it tested one integer per root."""
+    b0, b1 = (beta.coeff(0, (0,) * beta.n) for beta in cd.betas)
+
+    def indicial(k):
+        s = CRat(Frac(k))
+        return s * s - b1 * s - b0
+
+    resonances = tuple(k for k in range(1, K + 1) if indicial(k).is_zero())
+    near = tuple((z, k) for z in cd.roots for k in range(1, 10 * K + 1)
+                 if abs(z - k) < 1e-9 and not indicial(k).is_zero())
+    return resonances, near
+
+
+def _with_roots(r1, r2):
+    """linear_equation whose indicial roots are r1 and r2."""
+    return linear_equation(CRat(Frac(-1)) * r1 * r2, r1 + r2)
+
+
+@pytest.mark.parametrize("make,want_res,want_near", [
+    (lambda: _with_roots(Frac(2), Frac(-1)), (2,), 0),
+    (lambda: _with_roots(3 + Frac(1, 10 ** 12), Frac(-1)), (), 1),
+    (lambda: _with_roots(CRat(Frac(2), Frac(1)), CRat(Frac(2), Frac(-1))),
+     (), 0),
+    (lambda: linear_equation(Frac(-1), Frac(3)), (), 0),   # (3 -+ sqrt 5)/2
+    (lambda: load_equation("remark3"), (), 0),
+    (lambda: _with_roots(Frac(4), Frac(4)), (4,), 0),
+    (lambda: _with_roots(Frac(1), Frac(12)), (1,), 0),
+])
+def test_applicability_matches_the_integer_scan(make, want_res, want_near):
+    cd = make().char_exponents()
+    app = applicability(cd, 10)
+    assert (app.resonances, app.near_resonances) == _scan_applicability(cd, 10)
+    assert app.resonances == want_res
+    assert len(app.near_resonances) == want_near
+    assert app.unique_formal == (not want_res)
+
+
+def test_applicability_cost_does_not_grow_with_the_order():
+    cd = _with_roots(Frac(2), Frac(-1)).char_exponents()
+    app = applicability(cd, 10 ** 9)
+    assert app.resonances == (2,)
+    assert app.near_resonances == ()
 
 
 def _dec(f: Frac) -> Decimal:

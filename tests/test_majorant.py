@@ -184,23 +184,23 @@ def test_norm_soundness_complex():
 
 
 def build_profile(rng):
-    keys = lambda_keys(2, 1)
-    F = SeriesTXZ.zero(1, 2, 3, 3, 3)
+    keys = lambda_keys(1)
+    F = SeriesTXZ.zero(1, 3, 3, 3)
     for _ in range(4):
         zk = rng.choice(keys)
         c = Frac(rng.randint(1, 6), rng.randint(1, 6))
         term = SeriesTXZ.from_tx(
             SeriesTX.monomial(1, 3, 3, c, rng.randint(0, 1), (rng.randint(0, 1),)),
-            2, 3)
+            3)
         for _ in range(rng.randint(0, 2)):
-            term = term * SeriesTXZ.z_var(1, 2, 3, 3, 3, zk)
+            term = term * SeriesTXZ.z_var(1, 3, 3, 3, zk)
         F = F + term
     return F
 
 
 def test_norm_xz_eval_matches_direct_substitution():
     rng = random.Random(1212)
-    keys = lambda_keys(2, 1)
+    keys = lambda_keys(1)
     for _ in range(40):
         F = build_profile(rng)
         P = norm_xz(F)
@@ -217,14 +217,14 @@ def test_norm_xz_eval_matches_direct_substitution():
 
 
 def build_tfree_profile(rng):
-    keys = lambda_keys(2, 1)
-    F = SeriesTXZ.zero(1, 2, 3, 3, 3)
+    keys = lambda_keys(1)
+    F = SeriesTXZ.zero(1, 3, 3, 3)
     for _ in range(4):
         c = Frac(rng.randint(1, 6), rng.randint(1, 6))
         term = SeriesTXZ.from_tx(
-            SeriesTX.monomial(1, 3, 3, c, 0, (rng.randint(0, 2),)), 2, 3)
+            SeriesTX.monomial(1, 3, 3, c, 0, (rng.randint(0, 2),)), 3)
         for _ in range(rng.randint(1, 2)):
-            term = term * SeriesTXZ.z_var(1, 2, 3, 3, 3, rng.choice(keys))
+            term = term * SeriesTXZ.z_var(1, 3, 3, 3, rng.choice(keys))
         F = F + term
     return F
 
@@ -238,7 +238,7 @@ def test_z_linear_bound_dominates_on_box():
         R, L = Frac(1, 2), Frac(1, 4)
         C = P.z_linear_bound(R, L)
         for _ in range(10):
-            z = {zk: rng.uniform(0, float(L)) for zk in lambda_keys(2, 1)}
+            z = {zk: rng.uniform(0, float(L)) for zk in lambda_keys(1)}
             rho = rng.uniform(0, float(R))
             val = P.eval(0.0, rho, z)
             cap = float(C) * max(z.values())
@@ -246,7 +246,7 @@ def test_z_linear_bound_dominates_on_box():
 
 
 def test_z_linear_bound_rejects_jet_free_terms():
-    F = SeriesTXZ.from_tx(SeriesTX.one(1, 3, 3), 2, 3)
+    F = SeriesTXZ.from_tx(SeriesTX.one(1, 3, 3), 3)
     with pytest.raises(ValueError):
         norm_xz(F).z_linear_bound(Frac(1), Frac(1))
 
@@ -288,7 +288,7 @@ _coeff = st.builds(Frac, st.integers(0, 9), st.integers(1, 7))
 _rho_poly = st.lists(_coeff, max_size=5).map(RhoPoly)
 _point = st.one_of(st.just(0.0), st.floats(0.0, 2.0),
                    st.floats(1e-9, 1e-3))
-_jet_keys = lambda_keys(2, 1)
+_jet_keys = lambda_keys(1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

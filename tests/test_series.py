@@ -166,12 +166,12 @@ def test_eval_numeric_matches_exact_polynomial():
 
 
 def test_lambda_keys_frozen():
-    assert lambda_keys(2, 1) == [
+    assert lambda_keys(1) == [
         ZKey(0, (0,)), ZKey(0, (1,)), ZKey(1, (0,)),
         ZKey(0, (2,)), ZKey(1, (1,)),
     ]
-    assert len(lambda_keys(2, 2)) == 9
-    assert all(k.i < 2 and k.i + sum(k.alpha) <= 2 for k in lambda_keys(2, 2))
+    assert len(lambda_keys(2)) == 9
+    assert all(k.i < 2 and k.i + sum(k.alpha) <= 2 for k in lambda_keys(2))
 
 
 def test_alphas_of_degree():
@@ -182,24 +182,24 @@ def test_alphas_of_degree():
 
 def test_substitute_z_is_a_homomorphism():
     rng = random.Random(77)
-    keys = lambda_keys(2, 1)
+    keys = lambda_keys(1)
     for _ in range(25):
-        F = SeriesTXZ.zero(1, 2, 6, 6, 4)
-        G = SeriesTXZ.zero(1, 2, 6, 6, 4)
+        F = SeriesTXZ.zero(1, 6, 6, 4)
+        G = SeriesTXZ.zero(1, 6, 6, 4)
         for tgt in (F, G):
             pass
         def rand_txz():
-            out = SeriesTXZ.zero(1, 2, 6, 6, 4)
+            out = SeriesTXZ.zero(1, 6, 6, 4)
             for _ in range(3):
                 zk = rng.choice(keys)
                 p = rng.randint(0, 2)
                 c = Frac(rng.randint(-5, 5), rng.randint(1, 5))
                 base = SeriesTXZ.from_tx(
                     SeriesTX.monomial(1, 6, 6, c, rng.randint(0, 2), (rng.randint(0, 1),)),
-                    2, 4)
+                    4)
                 term = base
                 for _ in range(p):
-                    term = term * SeriesTXZ.z_var(1, 2, 6, 6, 4, zk)
+                    term = term * SeriesTXZ.z_var(1, 6, 6, 4, zk)
                 out = out + term
             return out
         F, G = rand_txz(), rand_txz()
@@ -214,11 +214,11 @@ def test_substitute_z_is_a_homomorphism():
 
 def test_z_free_part_and_from_tx_roundtrip():
     f = SeriesTX.monomial(1, 3, 3, Frac(2, 5), 1, (1,))
-    F = SeriesTXZ.from_tx(f, 2, 3)
+    F = SeriesTXZ.from_tx(f, 3)
     assert F.z_free_part() == f
     assert F.jet_keys_used() == set()
     zk = ZKey(0, (1,))
-    G = F * SeriesTXZ.z_var(1, 2, 3, 3, 3, zk)
+    G = F * SeriesTXZ.z_var(1, 3, 3, 3, zk)
     assert G.z_free_part().is_zero()
     assert G.jet_keys_used() == {zk}
 
@@ -226,18 +226,18 @@ def test_z_free_part_and_from_tx_roundtrip():
 def test_shift_z_matches_polynomial_expansion():
     # F = z^2 for z = z_{0,(0,)}; shifting z -> z + s gives z^2 + 2 s z + s^2
     zk = ZKey(0, (0,))
-    z = SeriesTXZ.z_var(1, 2, 4, 4, 4, zk)
+    z = SeriesTXZ.z_var(1, 4, 4, 4, zk)
     F = z * z
     s = SeriesTX.var_t(1, 4, 4)
     G = F.shift_z({zk: s})
-    expected = F + z.scale(2) * SeriesTXZ.from_tx(s, 2, 4) \
-        + SeriesTXZ.from_tx(s * s, 2, 4)
+    expected = F + z.scale(2) * SeriesTXZ.from_tx(s, 4) \
+        + SeriesTXZ.from_tx(s * s, 4)
     assert G == expected
 
 
 def test_shift_z_refuses_clipped_series():
     zk = ZKey(0, (0,))
-    z = SeriesTXZ.z_var(1, 2, 3, 3, 1, zk)
+    z = SeriesTXZ.z_var(1, 3, 3, 1, zk)
     clipped = z * z  # degree 2 > k_z = 1
     assert clipped.z_clipped
     with pytest.raises(TruncationExhausted):
@@ -246,11 +246,68 @@ def test_shift_z_refuses_clipped_series():
 
 def test_substitute_z_linear_preserves_degree():
     zk1, zk0 = ZKey(1, (1,)), ZKey(0, (1,))
-    z = SeriesTXZ.z_var(1, 2, 3, 3, 3, zk1)
+    z = SeriesTXZ.z_var(1, 3, 3, 3, zk1)
     F = z * z
     lam = CRat(Frac(-2))
     G = F.substitute_z_linear({zk1: [(CRat(Frac(1)), zk1), (lam, zk0)]})
     # (d + lam c)^2 = d^2 + 2 lam c d + lam^2 c^2
-    c = SeriesTXZ.z_var(1, 2, 3, 3, 3, zk0)
+    c = SeriesTXZ.z_var(1, 3, 3, 3, zk0)
     expected = z * z + (z * c).scale(2 * lam) + (c * c).scale(lam * lam)
     assert G == expected
+
+
+def rand_txz(rng, n, k_t, k_x, k_z, n_terms=4, max_deg=2):
+    keys = lambda_keys(n)
+    out = SeriesTXZ.zero(n, k_t, k_x, k_z)
+    for _ in range(n_terms):
+        term = SeriesTXZ.from_tx(rand_series(rng, n, k_t, k_x, n_terms=1), k_z)
+        for _ in range(rng.randint(0, max_deg)):
+            term = term * SeriesTXZ.z_var(n, k_t, k_x, k_z, rng.choice(keys))
+        out = out + term
+    return out
+
+
+def _equal_within_joint_caps(a, b):
+    kt, kx = min(a.k_t, b.k_t), min(a.k_x, b.k_x)
+    return a.truncate(k_t=kt, k_x=kx) == b.truncate(k_t=kt, k_x=kx)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shift_and_linear_maps_agree_with_substitute_z(seed):
+    # substitute_z is the independent oracle: shifting z -> z + s and then
+    # substituting v is substituting v + s, and a linear map of the jet
+    # variables followed by v is substituting the composed values
+    rng = random.Random(4100 + seed)
+    n = rng.choice((1, 2))
+    keys = lambda_keys(n)
+    F = rand_txz(rng, n, 3, 3, 3)
+    v = {zk: rand_series(rng, n, 3, 3, n_terms=2) for zk in keys}
+    s = {zk: rand_series(rng, n, 3, 3, n_terms=2)
+         for zk in rng.sample(keys, 3)}
+    shifted = {zk: v[zk] + s[zk] if zk in s else v[zk] for zk in keys}
+    assert _equal_within_joint_caps(F.shift_z(s).substitute_z(v),
+                                    F.substitute_z(shifted))
+
+    def rand_crat():
+        return CRat(Frac(rng.randint(-4, 4), rng.randint(1, 4)),
+                    Frac(rng.randint(-4, 4), rng.randint(1, 4)))
+
+    L = {zk: [(rand_crat(), rng.choice(keys)) for _ in range(rng.randint(1, 2))]
+         for zk in rng.sample(keys, 3)}
+    zero = SeriesTX.zero(n, 3, 3)
+    composed = {zk: sum((v[k2].scale(c) for c, k2 in L[zk]), zero)
+                if zk in L else v[zk] for zk in keys}
+    G = F.substitute_z_linear(L)
+    assert not G.z_clipped
+    assert _equal_within_joint_caps(G.substitute_z(v), F.substitute_z(composed))
+
+    # z-clipped input: the flag carries over, and with values vanishing at
+    # t = 0 both sides agree on the t-orders the substitution can trust
+    Fc = SeriesTXZ(n, 3, 3, 3, F.terms, z_clipped=True)
+    v1 = {zk: rand_series(rng, n, 3, 3, n_terms=2, t_min=1) for zk in keys}
+    composed1 = {zk: sum((v1[k2].scale(c) for c, k2 in L[zk]), zero)
+                 if zk in L else v1[zk] for zk in keys}
+    Gc = Fc.substitute_z_linear(L)
+    assert Gc.z_clipped and Gc == G
+    assert _equal_within_joint_caps(Gc.substitute_z(v1),
+                                    Fc.substitute_z(composed1))

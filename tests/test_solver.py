@@ -38,8 +38,8 @@ def test_hand_case_tx_forcing():
     # second builtin plus forcing t*x has the closed solution t*x/6
     eq = load_equation("remark3")
     forcing = SeriesTXZ.from_tx(
-        SeriesTX.monomial(1, eq.F.k_t, eq.F.k_x, 1, 1, (1,)), 2, eq.F.k_z)
-    eq2 = FuchsianEquation(2, 1, eq.F + forcing)
+        SeriesTX.monomial(1, eq.F.k_t, eq.F.k_x, 1, 1, (1,)), eq.F.k_z)
+    eq2 = FuchsianEquation(eq.F + forcing)
     sol = solve_formal(eq2, 4, x_order=2)
     expected = SeriesTX.monomial(1, sol.u.k_t, sol.u.k_x, Frac(1, 6), 1, (1,))
     assert sol.u == expected
@@ -71,10 +71,10 @@ def test_solution_is_deterministic():
 
 def test_resonant_equation_raises():
     # lambda^2 - lambda - 2 has the root +2: step k = 2 divides by zero
-    F = SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(1, (0,))) \
-        + SeriesTXZ.z_var(1, 2, 6, 8, 4, ZKey(0, (0,))).scale(2) \
-        + SeriesTXZ.from_tx(SeriesTX.var_t(1, 6, 8), 2, 4)
-    eq = FuchsianEquation(2, 1, F)
+    F = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(1, (0,))) \
+        + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,))).scale(2) \
+        + SeriesTXZ.from_tx(SeriesTX.var_t(1, 6, 8), 4)
+    eq = FuchsianEquation(F)
     with pytest.raises(IndicialZero):
         solve_formal(eq, 4)
 
@@ -87,7 +87,7 @@ def test_budget_exhaustion_raises():
 
 def test_derivative_tuple_contents():
     u = SeriesTX.monomial(1, 4, 4, 1, 1, (2,))   # t x^2
-    jets = derivative_tuple(u, lambda_keys(2, 1))
+    jets = derivative_tuple(u, lambda_keys(1))
     assert jets[ZKey(0, (0,))] == u
     assert jets[ZKey(1, (0,))] == u               # Euler of t x^2 is itself
     assert jets[ZKey(0, (1,))].coeff(1, (1,)) == CRat(Frac(2))
@@ -119,16 +119,16 @@ def random_base_equation(rng, n, k_t, k_x, k_z):
     lam2 = lam1 - Frac(rng.randint(0, 3), rng.choice([1, 2]))
     b1 = lam1 + lam2
     b0 = -(lam1 * lam2)
-    F = SeriesTXZ.z_var(n, 2, k_t, k_x, k_z, ZKey(1, (0,) * n)).scale(b1) \
-        + SeriesTXZ.z_var(n, 2, k_t, k_x, k_z, ZKey(0, (0,) * n)).scale(b0)
-    keys = lambda_keys(2, n)
+    F = SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(1, (0,) * n)).scale(b1) \
+        + SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(0, (0,) * n)).scale(b0)
+    keys = lambda_keys(n)
     for _ in range(rng.randint(1, 3)):
         zk1, zk2 = rng.choice(keys), rng.choice(keys)
         c = Frac(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
-        term = SeriesTXZ.z_var(n, 2, k_t, k_x, k_z, zk1) \
-            * SeriesTXZ.z_var(n, 2, k_t, k_x, k_z, zk2)
+        term = SeriesTXZ.z_var(n, k_t, k_x, k_z, zk1) \
+            * SeriesTXZ.z_var(n, k_t, k_x, k_z, zk2)
         F = F + term.scale(c)
-    return FuchsianEquation(2, n, F)
+    return FuchsianEquation(F)
 
 
 def test_manufactured_random_recovery():
@@ -212,7 +212,7 @@ def random_equations(draw):
     K = draw(st.integers(2, 6) if n == 1 else st.integers(1, 4))
     x_order = draw(st.integers(0, 2))
     k_z = draw(st.sampled_from((2, 3, 3, 3)))
-    keys = lambda_keys(2, n)
+    keys = lambda_keys(n)
     zero = (0,) * n
     lam1 = -Frac(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
     lam2 = lam1 - Frac(draw(st.integers(0, 4)), 2)
@@ -244,9 +244,9 @@ def random_equations(draw):
     for a, beta, nu, c in terms:
         acc = data.get((a, beta, nu))
         data[(a, beta, nu)] = c if acc is None else acc + c
-    F = SeriesTXZ(n, 2, K + draw(st.integers(0, 1)), x_order + 2 * K, k_z,
+    F = SeriesTXZ(n, K + draw(st.integers(0, 1)), x_order + 2 * K, k_z,
                   data)
-    return FuchsianEquation(2, n, F), K
+    return FuchsianEquation(F), K
 
 
 def _outcome(fn, eq, K):
@@ -268,14 +268,14 @@ def test_relaxed_solver_equals_resubstitution(case):
 def _clipped_cubic_equation():
     # remark3's linear part, forcing t and z[0,0]^3, which K_z = 2 drops
     zero = ZKey(0, (0,))
-    F = SeriesTXZ(1, 2, 10, 12, 2, {
+    F = SeriesTXZ(1, 10, 12, 2, {
         (0, (0,), ((ZKey(1, (0,)), 1),)): -3,
         (0, (0,), ((zero, 1),)): -2,
         (1, (0,), ()): 1,
         (0, (0,), ((zero, 3),)): 1,
     })
     assert F.z_clipped
-    return FuchsianEquation(2, 1, F)
+    return FuchsianEquation(F)
 
 
 def test_z_clipped_reliable_order():
@@ -296,12 +296,12 @@ def test_z_clipped_order_ignores_jets_truncation_emptied():
     # partial sum carries x-cap 2, where u_1 and its jets are zero, so the
     # least live jet t-order is 2 (from u_2 = x^2/6) and t^3 stays reliable
     z00, z10, z02 = ZKey(0, (0,)), ZKey(1, (0,)), ZKey(0, (2,))
-    F = SeriesTXZ(1, 2, 3, 6, 2, {
+    F = SeriesTXZ(1, 3, 6, 2, {
         (0, (0,), ((z10, 1),)): -3, (0, (0,), ((z00, 1),)): -2,
         (1, (4,), ()): 1, (1, (0,), ((z02, 1),)): 1,
         (0, (0,), ((z00, 2),)): 1, (0, (0,), ((z00, 3),)): 1})
     assert F.z_clipped
-    eq = FuchsianEquation(2, 1, F)
+    eq = FuchsianEquation(F)
     sol = solve_formal(eq, 3)
     assert sol == solve_by_resubstitution(eq, 3)
     assert sol.u == SeriesTX.monomial(1, 3, 0, Frac(1, 60), 3, (0,))
