@@ -179,6 +179,7 @@ def _applicability_results(eq: FuchsianEquation, K: int) -> dict:
 
 
 def cmd_check(args, data: bytes, label: str, report: dict) -> int:
+    _require_order(args.order)
     eq = parse_equation_bytes(data, label)
     report["results"] = _applicability_results(eq, args.order)
     return 0
@@ -381,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"builtin name: {', '.join(BUILTIN_NAMES)}")
     pv.add_argument("--exponent-p", type=int, default=4, dest="exponent_p",
                     help="suprema are divided by R^p; p in 0..64 (default 4)")
-    pv.add_argument("--tol", type=float, default=1e-10)
+    pv.add_argument("--tol", type=float, default=1e-10,
+                    help="tolerance of remark2's numeric residual grid; "
+                         "unused for the other instances (default 1e-10)")
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify_example)
     return parser

@@ -24,6 +24,8 @@ from functools import lru_cache
 from math import isqrt
 
 Frac = Fraction
+_ZERO = Frac(0)
+_new, _set = object.__new__, object.__setattr__
 
 _ENC_SHIFT = 96          # bits of precision for the rounded squarefree root
 _BIAS_NUM = (1 << 48) + 1
@@ -101,19 +103,29 @@ class CRat:
 
     # -- arithmetic -------------------------------------------------
 
+    @classmethod
+    def _raw(cls, re: Frac, im: Frac) -> "CRat":
+        """Trusted constructor: re and im must already be Fractions."""
+        z = _new(cls)
+        _set(z, "re", re)
+        _set(z, "im", im)
+        return z
+
     @staticmethod
     def _coerce(x) -> "CRat | None":
         if isinstance(x, CRat):
             return x
         if isinstance(x, (int, Fraction)):
-            return CRat(Frac(x), Frac(0))
+            return CRat._raw(Frac(x), _ZERO)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CRat(self.re + o.re, self.im + o.im)
+        if not (self.im or o.im):
+            return CRat._raw(self.re + o.re, self.im)
+        return CRat._raw(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -121,14 +133,16 @@ class CRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CRat(self.re - o.re, self.im - o.im)
+        return CRat._raw(self.re - o.re, self.im - o.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CRat(self.re * o.re - self.im * o.im,
-                    self.re * o.im + self.im * o.re)
+        if not (self.im or o.im):
+            return CRat._raw(self.re * o.re, self.im)
+        return CRat._raw(self.re * o.re - self.im * o.im,
+                         self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -143,26 +157,6 @@ class CRat:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int) -> "CRat":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CRat(Frac(1), Frac(0))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- queries ----------------------------------------------------
 

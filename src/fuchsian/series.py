@@ -310,27 +310,9 @@ class SeriesTX:
     # -- evaluation ---------------------------------------------------
 
     def eval_numeric(self, t, xs) -> complex:
-        """Evaluate at numeric t and xs (length n), Horner in t.
-
-        Within each t-slice, monomials are accumulated in graded-lex order so
-        repeated calls round identically.
-        """
-        xs = tuple(xs)
-        if len(xs) != self.n:
-            raise DimensionMismatch(f"expected {self.n} spatial values")
-        slices: dict[int, list] = {}
-        for (k, alpha), c in self.terms.items():
-            slices.setdefault(k, []).append((alpha, c))
-        acc = 0j
-        for k in range(max(slices, default=0), -1, -1):
-            v = 0j
-            for alpha, c in sorted(slices.get(k, ()), key=lambda ac: _alpha_key(ac[0])):
-                mono = 1.0 + 0j
-                for xj, a in zip(xs, alpha):
-                    mono *= xj ** a
-                v += c.as_complex() * mono
-            acc = acc * t + v
-        return acc
+        """Evaluate at numeric t and xs (length n), Horner in t, with each
+        t-slice summed in graded-lex order so repeated calls round alike."""
+        return SeriesTXZ.from_tx(self, 0).eval_numeric(t, xs, {})
 
 
 class SeriesTXZ:

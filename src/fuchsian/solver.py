@@ -1,52 +1,54 @@
 """Recursive construction of the formal solution.
 
-Writing u = sum_{k>=1} u_k(x) t^k, applying (t d/dt)^m to u and matching
-the t^k coefficient against the right-hand side evaluated on the partial
-sum gives, order by order,
+Writing u = sum_{k>=1} u_k(x) t^k and matching t^k coefficients of
+(t d/dt)^2 u = F(t, x, jet of u) gives, order by order,
 
     P_k(x) u_k(x) = G_k(x),
 
-where P_k(x) = k^m - sum_i beta*_i(x) k^i is a unit x-series whenever its
+where P_k(x) = k^2 - sum_i beta*_i(x) k^i is a unit x-series whenever its
 value at x = 0 is nonzero (positive-integer non-resonance), and G_k is the
 t^k coefficient of F(t, x, jet of u_1 t + ... + u_{k-1} t^{k-1}).
 
 G_k is computed on-line (relaxed), one t-coefficient per step, as in van
 der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
-The jet value z_e = sum_j j^i d^alpha u_j t^j of each key e = (i, alpha)
-is cached coefficient by coefficient as soon as u_j is known.  Every jet
-value vanishes at t = 0, so for a jet monomial Z^nu of degree d >= 2, with
-nu = nu' + e,
+The t^j coefficient j^i d^alpha u_j of each jet value z_e, e = (i, alpha),
+is cached once u_j is known.  Jet values vanish at t = 0, so for a jet
+monomial Z^nu of degree d >= 2, nu = nu' + e,
 
     [t^s] Z^nu = sum_{j=1}^{s-d+1} [t^{s-j}] Z^nu' * [t^j] z_e
 
-involves u_1 .. u_{s-1} only, and step k appends [t^k] to the coefficient
-list of every product F needs.  A term c t^a x^beta Z^nu of F then adds
-c x^beta [t^{k-a}] Z^nu to G_k.  Linear terms with a = 0 would need u_k
-itself; they are the indicial part and enter through P_k instead.  Every
-step is exact rational arithmetic.
+needs u_1 .. u_{s-1} only; step k appends [t^k] to every product F needs.
+A term c t^a x^beta Z^nu of F adds c x^beta [t^{k-a}] Z^nu to G_k.  Linear
+terms with a = 0 would need u_k itself; they are the indicial part, in P_k.
 
-Truncation budget: each jet evaluation consumes up to m orders of x-cap,
-once per step, so producing x-degree x_order at t-order K needs the
-right-hand side to carry k_x >= x_order + m*K and k_t >= K.  Step k works
-at x-cap k_x - k*a, with a the largest spatial order among the jet keys F
-uses, which is what full re-substitution of the partial sum would keep.
+Cached coefficients, product entries and F's coefficients are integer
+numerators, real and imaginary, over one positive denominator: the content
+and primitive-part form of Geddes, Czapor & Labahn, "Algorithms for
+Computer Algebra" (1992).  A produced coefficient, one [t^k] entry or G_k,
+is one sum of products: an lcm of the pair denominators, integer
+multiply-adds, then a single gcd over the result.  Only u_k = P_k^-1 G_k is
+formed in CRat, and it is converted once for the jets.
 
-Verification re-substitutes the result into F with the full expansion of
-SeriesTXZ.substitute_z, an algorithm independent of the construction, and
-insists the residual vanishes identically.  It only covers x-degrees up to
-u.k_x - a, the cap left after the construction minus one more jet
-evaluation; with the default x_order and a = m that is x-degree
-x_order - m, which is x-degree 0 for x_order = m.
+Truncation budget: each step's jet evaluation costs up to 2 orders of
+x-cap, so x-degree x_order at t-order K needs k_x >= x_order + 2K and
+k_t >= K.  Step k works at x-cap k_x - k*a, with a the largest spatial
+order among the jet keys F uses, as full re-substitution would.
+
+Verification re-substitutes the result into F with SeriesTXZ.substitute_z,
+an algorithm independent of the construction, and insists the residual
+vanishes.  It covers x-degrees up to u.k_x - a, the final cap minus one
+more jet evaluation: x-degree x_order - 2 for the default x_order, a = 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import perm
+from math import gcd, lcm, perm
+from operator import add
 
 from .equation import FuchsianEquation
 from .errors import A2Violation, IndicialZero, TruncationExhausted
-from .rational import CRat
+from .rational import CRat, Frac
 from .series import SeriesTX, SeriesTXZ, ZKey
 
 
@@ -81,34 +83,53 @@ class FormalSolution:
     verified: bool
 
 
-# t-free x-series are plain dicts alpha -> nonzero CRat inside this module
+# Inside this module a t-free x-series is a pair (den, {alpha: (re, im)}):
+# integer numerators over one positive denominator, zero entries dropped.
 
 
-def _mul_add(out: dict, f: dict, g: dict, cap: int) -> None:
-    """out += f * g, keeping total x-degrees <= cap."""
-    g_items = [(a, c, sum(a)) for a, c in g.items()]
-    for a1, c1 in f.items():
-        room = cap - sum(a1)
-        for a2, c2, d2 in g_items:
-            if d2 > room:
-                continue
-            alpha = tuple(p + q for p, q in zip(a1, a2))
-            c = c1 * c2
-            acc = out.get(alpha)
-            out[alpha] = c if acc is None else acc + c
+def _from_crat(c: dict) -> tuple:
+    """(den, numerators) form of a dict alpha -> CRat."""
+    den = lcm(*(f.denominator for z in c.values() for f in (z.re, z.im)))
+    return den, {a: (z.re.numerator * (den // z.re.denominator),
+                     z.im.numerator * (den // z.im.denominator))
+                 for a, z in c.items()}
 
 
-def _jet_coeff(uk: dict, zk: ZKey, k: int) -> dict:
+def _cauchy(pairs: list, cap: int) -> tuple:
+    """sum of f * g over the (f, g) pairs, keeping total x-degrees <= cap,
+    reduced by one gcd over the denominator and every numerator."""
+    den = lcm(*(f[0] * g[0] for f, g in pairs))
+    re: dict = {}
+    im: dict = {}
+    for (df, f), (dg, g) in pairs:
+        s = den // (df * dg)
+        g_items = [(a, r, i, sum(a)) for a, (r, i) in g.items()]
+        for a1, (r1, i1) in f.items():
+            room = cap - sum(a1)
+            r1, i1 = r1 * s, i1 * s
+            for a2, r2, i2, d2 in g_items:
+                if d2 > room:
+                    continue
+                alpha = tuple(map(add, a1, a2))
+                re[alpha] = re.get(alpha, 0) + r1 * r2 - i1 * i2
+                im[alpha] = im.get(alpha, 0) + r1 * i2 + i1 * r2
+    g = gcd(den, *re.values(), *im.values())
+    return den // g, {a: (r // g, im[a] // g) for a, r in re.items()
+                      if r or im[a]}
+
+
+def _jet_coeff(uk: tuple, zk: ZKey, k: int) -> tuple:
     """k^i d^alpha u_k: the t^k coefficient of z[i, alpha] from u_k."""
+    den, num = uk
     out = {}
-    for a, c in uk.items():
+    for a, (re, im) in num.items():
         if any(p < q for p, q in zip(a, zk.alpha)):
             continue
         f = k ** zk.i
         for p, q in zip(a, zk.alpha):
             f *= perm(p, q)
-        out[tuple(p - q for p, q in zip(a, zk.alpha))] = c if f == 1 else c * f
-    return out
+        out[tuple(p - q for p, q in zip(a, zk.alpha))] = (re * f, im * f)
+    return den, out
 
 
 def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
@@ -140,12 +161,13 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     groups: dict[tuple, list] = {}
     for (a, beta, nu), c in F.terms.items():
         flat = tuple(zk for zk, p in nu for _ in range(p))
-        groups.setdefault(flat, []).append((a, beta, sum(beta), c))
+        groups.setdefault(flat, []).append((a, _from_crat({beta: c})))
     products = sorted({flat[:d] for flat in groups
                        for d in range(2, len(flat) + 1)}, key=len)
     # coefficient lists indexed by t-power; index 0 is the zero at t = 0
-    jets: dict[ZKey, list] = {zk: [{}] for zk in used}
-    powers: dict[tuple, list] = {p: [{}] for p in products}
+    zero, unit = (1, {}), (1, {(0,) * n: (1, 0)})
+    jets: dict[ZKey, list] = {zk: [zero] for zk in used}
+    powers: dict[tuple, list] = {p: [zero] for p in products}
     u_coeffs: list[dict] = [{}]
     indicial: dict[int, CRat] = {}
     for k in range(1, order + 1):
@@ -155,27 +177,24 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
         for p in products:
             head = powers[p[:-1]] if len(p) > 2 else jets[p[0]]
             tail = jets[p[-1]]
-            acc: dict = {}
-            for j in range(1, k - len(p) + 2):
-                _mul_add(acc, head[k - j], tail[j], kx)
-            powers[p].append({a: c for a, c in acc.items() if not c.is_zero()})
+            powers[p].append(_cauchy(
+                [(head[k - j], tail[j]) for j in range(1, k - len(p) + 2)],
+                kx))
 
-        G: dict = {}
+        pairs = []
         for flat, group in groups.items():
             d = len(flat)
-            for a, beta, bdeg, c in group:
+            for a, c in group:
                 s = k - a
-                if d == 0:
-                    if s == 0 and bdeg <= kx:
-                        acc = G.get(beta)
-                        G[beta] = c if acc is None else acc + c
-                    continue
+                if d == 0 and s == 0:
+                    pairs.append((c, unit))
                 # a linear term at a = 0 sees u_k, still zero: indicial part
-                if s < d or (d == 1 and s == k):
-                    continue
-                src = jets[flat[0]][s] if d == 1 else powers[flat][s]
-                _mul_add(G, {beta: c}, src, kx)
-        section = SeriesTX(n, 0, kx, {(0, a): c for a, c in G.items()})
+                elif d and s >= d and (d > 1 or s < k):
+                    pairs.append(
+                        (c, jets[flat[0]][s] if d == 1 else powers[flat][s]))
+        den, G = _cauchy(pairs, kx)
+        section = SeriesTX(n, 0, kx, {(0, a): CRat(Frac(re, den), Frac(im, den))
+                                      for a, (re, im) in G.items()})
 
         Pk = eq.indicial_series(k)
         p0 = Pk.coeff(0, (0,) * n)
@@ -187,8 +206,9 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
         Pk = Pk.truncate(k_x=kx)
         uk = {a: c for (_, a), c in (Pk.invert_unit() * section).terms.items()}
         u_coeffs.append(uk)
+        uk_int = _from_crat(uk)
         for zk in used:
-            jets[zk].append(_jet_coeff(uk, zk, k))
+            jets[zk].append(_jet_coeff(uk_int, zk, k))
 
     u = SeriesTX(n, order, F.k_x - order * a_used,
                  {(k, a): c for k, uk in enumerate(u_coeffs)
@@ -215,7 +235,7 @@ def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
     u_cap - |alpha| that u_1 .. u_{k-1} carry into step k."""
     live = (j for j in range(1, k)
             if any(sum(a) <= u_cap - sum(zk.alpha)
-                   for zk in used for a in jets[zk][j]))
+                   for zk in used for a in jets[zk][j][1]))
     ord_min = next(live, None)
     if ord_min is None:
         return

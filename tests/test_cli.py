@@ -82,6 +82,14 @@ def test_check_bool_order_is_input_error(tmp_path, capsys):
     assert rep["error"]["type"] == "InputError"
 
 
+def test_check_order_zero_is_input_error(capsys):
+    rc, rep, _ = run_json(capsys, "check", "remark3", "--order", "0")
+    assert rc == 2
+    assert rep["error"] == {"type": "InputError",
+                            "message": "--order must be at least 1, got 0"}
+    assert "results" not in rep
+
+
 def test_check_directory_input_fails_cleanly(tmp_path, capsys):
     rc, out, err = run(capsys, "check", str(tmp_path))
     assert rc == 2

@@ -349,3 +349,32 @@ def test_relaxed_solver_multiplication_count(monkeypatch):
     sol = solve_formal(eq, 12)
     assert sol.verified and not sol.u.is_zero()
     assert 3 * calls[0] <= RESUBSTITUTION_MULS_N1_K12, calls[0]
+
+
+def test_integer_kernel_multiplication_count(monkeypatch):
+    # the equation of test_relaxed_solver_multiplication_count, construction
+    # only: G_k and the jet products run on integer numerators, so CRat
+    # multiplications are left to P_k's inverse and u_k = P_k^-1 G_k
+    # (11,262 when every Cauchy product multiplied CRat values)
+    def term(p, q, t_pow, x_pow, keys):
+        return {"coeff": [p, q, 0, 1], "t_pow": t_pow, "x_pows": [x_pow],
+                "z_pows": [{"i": i, "alpha": [a], "pow": 1} for i, a in keys]}
+
+    eq = parse_equation({
+        "m": 2, "n": 1, "truncation": {"K_t": 12, "K_x": 26, "K_z": 2},
+        "terms": [term(1, 1, 1, 0, []), term(-13, 6, 0, 0, [(1, 0)]),
+                  term(-5, 6, 0, 0, [(0, 0)]), term(-1, 1, 0, 1, [(0, 0)]),
+                  term(1, 4, 0, 0, [(0, 1), (0, 2)]),
+                  term(2, 1, 0, 0, [(0, 2), (1, 1)])]})
+    calls = [0]
+    mul = CRat.__mul__
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CRat, "__mul__", counting)
+    monkeypatch.setattr(CRat, "__rmul__", counting)
+    sol = solve_formal(eq, 12, verify=False)
+    assert not sol.u.is_zero()
+    assert 5 * calls[0] <= 11262, calls[0]
