@@ -6,8 +6,10 @@ comparison profiles for a test function w, select the weight parameters,
 and verify the resulting differential inequality pointwise on a grid.
 
 Everything up to grid evaluation is exact rational arithmetic.  The grid
-itself runs in floats with an explicit slack of 1e-9 * (1 + |rhs|) per
-comparison, reported and never silently absorbed.
+runs in floats, on coefficient families that BarrierSystem compiles once.
+Each pointwise check, like the path checks in characteristics.py, is a
+float comparison against characteristics.allowed(rhs), the one tolerance
+rule; violations are reported, never absorbed, and a pass is not a proof.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .characteristics import allowed
 from .equation import CharData
 from .errors import (
     HypothesisViolated,
@@ -35,6 +38,10 @@ _HEADROOM = Frac((1 << 48) + 1, 1 << 48)
 
 # slot indices of the profile family
 _SLOTS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
+
+# decades of t in every verification grid; halvings allowed per search of
+# choose_params, and the grid that checks its box
+_DECADES, _MAX_HALVINGS, _PARAMS_GRID = 4.0, 60, (12, 12)
 
 
 def _lift_tx(f: SeriesTX, k_t: int, k_x: int, k_z: int) -> SeriesTXZ:
@@ -280,33 +287,31 @@ class BarrierParams:
                 (0, 1): self.eps01, (1, 1): self.eps11}[(i, j)]
 
 
-def barrier_grid(sigma0: float, R0: float, nt: int, nrho: int,
-                 decades: float = 4.0) -> tuple[list, list]:
+def barrier_grid(sigma0: float, R0: float, nt: int,
+                 nrho: int) -> tuple[list, list]:
     """Deterministic verification grid: nt log-spaced t values ending at
-    sigma0 and spanning `decades` decades, nrho linear rho values in
-    [0, R0].  Corner (sigma0, R0) is always on the grid."""
+    sigma0 and spanning four decades, nrho linear rho values in [0, R0].
+    Corner (sigma0, R0) is always on the grid."""
     if nt < 1 or nrho < 1:
         raise InputError("grid needs at least one point per axis")
-    ts = [sigma0 * 10.0 ** (-decades * j / (nt - 1)) for j in range(nt)] \
+    ts = [sigma0 * 10.0 ** (-_DECADES * j / (nt - 1)) for j in range(nt)] \
         if nt > 1 else [sigma0]
     rhos = [R0 * k / (nrho - 1) for k in range(nrho)] if nrho > 1 else [R0]
     return ts, rhos
 
 
 def choose_params(cd: CharData, dec: Decomposition | None = None,
-                  profiles: ProfileFamily | None = None,
-                  sigma_star=Frac(1), R_star=Frac(1),
-                  max_halvings: int = 60, grid: tuple = (12, 12)
+                  profiles: ProfileFamily | None = None
                   ) -> tuple[BarrierParams, dict]:
     """Select the barrier weights and a working box.
 
     Four steps: eps00 = h/4; eps11 halved from 1 until the slope term of
-    the two linear x-series fits under h/4 at the initial radius; kappa and
-    eps01 fixed by kappa = min(1/4, h*eps11/8), eps01 = eps11*(h/4 - kappa);
-    finally the box is halved (the side whose halving lowers the corner
-    value more) until the growth bound is at most h at the corner, which by
-    monotonicity covers the whole box.  Returns the params and a small grid
-    certificate of that last fact.
+    the two linear x-series fits under h/4 at the initial radius 1; kappa
+    and eps01 fixed by kappa = min(1/4, h*eps11/8), eps01 = eps11*(h/4 -
+    kappa); finally the unit box is halved (the side whose halving lowers
+    the corner value more) until the growth bound is at most h at the
+    corner, which by monotonicity covers the whole box.  Returns the params
+    and a small grid certificate of that last fact.
     """
     if cd is None or cd.h is None:
         raise HypothesisViolated(
@@ -320,14 +325,12 @@ def choose_params(cd: CharData, dec: Decomposition | None = None,
 
     db0 = norm_x(dec.beta0).slice(0).d_rho()
     db1 = norm_x(dec.beta1).slice(0).d_rho()
-    Rstar = Frac(R_star)
-    sstar = Frac(sigma_star)
-    eps11 = Frac(1)
+    eps11 = sig = R = Frac(1)
     n_eps = 0
-    while eps11 * (db0.eval_frac(Rstar) / eps00 + db1.eval_frac(Rstar)) > h / 4:
-        if n_eps >= max_halvings:
+    while eps11 * (db0.eval_frac(R) / eps00 + db1.eval_frac(R)) > h / 4:
+        if n_eps >= _MAX_HALVINGS:
             raise SearchExhausted(
-                f"slope term still above h/4 after {max_halvings} halvings "
+                f"slope term still above h/4 after {_MAX_HALVINGS} halvings "
                 f"of the second-derivative weight")
         eps11 /= 2
         n_eps += 1
@@ -337,29 +340,31 @@ def choose_params(cd: CharData, dec: Decomposition | None = None,
     assert eps01 > 0 and kappa + eps01 / eps11 <= h / 4
 
     params = BarrierParams(eps00=eps00, eps01=eps01, eps11=eps11, kappa=kappa,
-                           h=h, sigma0=sstar, R0=Rstar)
+                           h=h, sigma0=sig, R0=R)
     # the growth bound reads only the weights, never the box, so one system
     # serves the whole box search
     system = BarrierSystem(dec, profiles, params)
     hf = float(h)
-    sig, R = sstar, Rstar
     n_box = 0
-    while system.growth_bound(float(sig), float(R)) > hf:
-        if n_box >= max_halvings:
+    # sig and R stay powers of two, so float(sig / 2) == float(sig) / 2 and
+    # the chosen half's value is the next corner value
+    a = system.growth_bound(float(sig), float(R))
+    while a > hf:
+        if n_box >= _MAX_HALVINGS:
             raise SearchExhausted(
-                f"growth bound {system.growth_bound(float(sig), float(R))!r} "
-                f"> h = {hf!r} persists after {max_halvings} box halvings")
+                f"growth bound {a!r} > h = {hf!r} persists after "
+                f"{_MAX_HALVINGS} box halvings")
         a_s = system.growth_bound(float(sig) / 2, float(R))
         a_r = system.growth_bound(float(sig), float(R) / 2)
         if a_s <= a_r:
-            sig /= 2
+            sig, a = sig / 2, a_s
         else:
-            R /= 2
+            R, a = R / 2, a_r
         n_box += 1
 
     params = BarrierParams(eps00=eps00, eps01=eps01, eps11=eps11, kappa=kappa,
                            h=h, sigma0=sig, R0=R)
-    ts, rhos = barrier_grid(float(sig), float(R), grid[0], grid[1])
+    ts, rhos = barrier_grid(float(sig), float(R), *_PARAMS_GRID)
     mx = 0.0
     for t in ts:
         for rho in rhos:
@@ -368,7 +373,7 @@ def choose_params(cd: CharData, dec: Decomposition | None = None,
         "h": hf,
         "max_growth_bound": mx,
         "ok": mx <= hf,
-        "grid": {"nt": grid[0], "nrho": grid[1],
+        "grid": {"nt": _PARAMS_GRID[0], "nrho": _PARAMS_GRID[1],
                  "sigma0": float(sig), "R0": float(R)},
         "halvings": {"eps11": n_eps, "box": n_box},
     }
@@ -386,12 +391,12 @@ class _Check:
         self.worst = 0.0
         self.examples = []
 
-    def record(self, lhs: float, rhs: float, slack: float, t: float, rho: float):
+    def record(self, lhs: float, rhs: float, t: float, rho: float):
         self.checked += 1
-        allowed = rhs + slack * (1.0 + abs(rhs))
-        if lhs > allowed:
+        lim = allowed(rhs)
+        if lhs > lim:
             self.violations += 1
-            excess = lhs - allowed
+            excess = lhs - lim
             if excess > self.worst:
                 self.worst = excess
             if len(self.examples) < 5:
@@ -411,18 +416,11 @@ class BarrierSystem:
 
     def __init__(self, dec: Decomposition, profiles: ProfileFamily,
                  params: BarrierParams):
-        self.dec = dec
-        self.profiles = profiles
         self.params = params
-        n = dec.n
-        self.keys = lambda_keys(n)
-        self.low_keys = tuple(zk for zk in self.keys if sum(zk.alpha) <= 1)
-        self.high_keys = tuple(zk for zk in self.keys if sum(zk.alpha) == 2)
+        self.keys = lambda_keys(dec.n)
         # float weights for the grid, converted once
         self.e00, self.e01 = float(params.eps00), float(params.eps01)
         self.e11, self.kf = float(params.eps11), float(params.kappa)
-        self.eps_key = {zk: float(params.eps_slot(zk.i, sum(zk.alpha)))
-                        for zk in self.low_keys}
 
         sl = profiles.slots
         self.p = dict(sl)
@@ -437,19 +435,26 @@ class BarrierSystem:
         self._dslot_maj = {zk: nxt[(zk.i, sum(zk.alpha) + 1)]
                            for zk in self.keys}
 
-        def pack(series_map):
-            # keys are in _zkey_sort order already (lambda_keys sorts them)
-            out = {}
-            for key, s in series_map.items():
-                prof = norm_xz(s)
-                dz = ((zk, prof.dz(zk)) for zk in self.keys)
-                out[key] = (prof, prof.d_rho(),
-                            tuple((zk, g) for zk, g in dz if not g.is_zero()))
-            return out
+        def pack(s):
+            prof = norm_xz(s)
+            dz = ((zk, prof.dz(zk)) for zk in self.keys)
+            return (prof, prof.d_rho(),
+                    tuple((zk, g) for zk, g in dz if not g.is_zero()))
 
-        self.na = pack(dec.a)
-        self.nb = pack(dec.b)
-        self.nc = pack(dec.c)
+        # coefficient families in the order every evaluator sums them: a on
+        # first-order hosts, then on second-order ones (so (1,(1,)) precedes
+        # (0,(2,)), unlike in lambda_keys), b with its host, c
+        eps = {zk: float(params.eps_slot(zk.i, sum(zk.alpha)))
+               for zk in self.keys if sum(zk.alpha) <= 1}
+        self.a_low = [(pack(dec.a[zk]), wt) for zk, wt in eps.items()
+                      if zk in dec.a]
+        self.a_high = [pack(dec.a[zk]) for zk in self.keys
+                       if zk in dec.a and zk not in eps]
+        self.b_fam = [(zk, pack(dec.b[zk]), wt) for zk, wt in eps.items()
+                      if zk in dec.b]
+        self.c_fam = [pack(s) for s in dec.c.values()]
+        self.inv_eps = sum(1.0 / wt for wt in eps.values())
+        self.n_high = len(self.keys) - len(eps)
         self.nbeta0 = norm_x(dec.beta0).slice(0)
         self.nbeta1 = norm_x(dec.beta1).slice(0)
         self.dbeta0 = self.nbeta0.d_rho()
@@ -512,7 +517,7 @@ class BarrierSystem:
     def growth_bound(self, t: float, rho: float) -> float:
         """Multiplier of q in the differential inequality.  Reads the
         weights only; the box enters through where it gets evaluated."""
-        e00, e01, e11, eps = self.e00, self.e01, self.e11, self.eps_key
+        e00, e01, e11 = self.e00, self.e01, self.e11
         phiv = self.phi_values(t, rho)
         dphiv = self.dphi_values(t, rho)
         sq02 = math.sqrt(self.p[(0, 2)].eval(t, rho))
@@ -520,58 +525,45 @@ class BarrierSystem:
 
         acc = e00
         acc += self.nbeta0.eval(rho) / e00 + self.nbeta1.eval(rho)
-        for zk in self.low_keys:
-            if zk in self.na:
-                acc += t / eps[zk] * self._comp(self.na[zk], t, rho, phiv)
-        for zk in self.high_keys:
-            if zk in self.na:
-                acc += t1k * self._comp(self.na[zk], t, rho, phiv)
-        for zk in self.low_keys:
-            if zk in self.nb:
-                acc += self._comp(self.nb[zk], t, rho, phiv) / eps[zk]
-        for pr in self.nc:
-            acc += self._comp(self.nc[pr], t, rho, phiv) * sq02
+        for pk, eps in self.a_low:
+            acc += t / eps * self._comp(pk, t, rho, phiv)
+        for pk in self.a_high:
+            acc += t1k * self._comp(pk, t, rho, phiv)
+        for _, pk, eps in self.b_fam:
+            acc += self._comp(pk, t, rho, phiv) / eps
+        for pk in self.c_fam:
+            acc += self._comp(pk, t, rho, phiv) * sq02
         acc += self.kf + e01 / e11
         acc += e11 * (self.dbeta0.eval(rho) / e00 + self.dbeta1.eval(rho))
         acc += e11 * (self.nbeta0.eval(rho) / e01 + self.nbeta1.eval(rho) / e11)
-        for zk in self.low_keys:
-            if zk in self.na:
-                acc += (e11 / eps[zk] * t
-                        * self._comp_drho(self.na[zk], t, rho, phiv, dphiv))
-        for zk in self.high_keys:
-            if zk in self.na:
-                acc += e11 * t1k * self._comp_drho(self.na[zk], t, rho,
-                                                   phiv, dphiv)
-        for zk in self.low_keys:
-            if zk in self.nb:
-                acc += (e11 / eps[zk]
-                        * self._comp_drho(self.nb[zk], t, rho, phiv, dphiv))
-        for pr in self.nc:
-            acc += e11 * self._comp_drho(self.nc[pr], t, rho, phiv, dphiv) * sq02
+        for pk, eps in self.a_low:
+            acc += e11 / eps * t * self._comp_drho(pk, t, rho, phiv, dphiv)
+        for pk in self.a_high:
+            acc += e11 * t1k * self._comp_drho(pk, t, rho, phiv, dphiv)
+        for _, pk, eps in self.b_fam:
+            acc += e11 / eps * self._comp_drho(pk, t, rho, phiv, dphiv)
+        for pk in self.c_fam:
+            acc += e11 * self._comp_drho(pk, t, rho, phiv, dphiv) * sq02
         return acc
 
     def transport_rate(self, t: float, rho: float) -> float:
         """Multiplier of the rho-derivative of q; also the speed of the
         domain-shrinking flow."""
-        e11, eps = self.e11, self.eps_key
+        e11 = self.e11
         phiv = self.phi_values(t, rho)
         sq02 = math.sqrt(self.p[(0, 2)].eval(t, rho))
         tk = t ** self.kf
         t1k = t ** (1.0 - self.kf)
 
         acc = tk / e11
-        for zk in self.low_keys:
-            if zk in self.na:
-                acc += (e11 / eps[zk] * t
-                        * self._comp(self.na[zk], t, rho, phiv))
-        for zk in self.high_keys:
-            if zk in self.na:
-                acc += e11 * t1k * self._comp(self.na[zk], t, rho, phiv)
-        for zk in self.low_keys:
-            if zk in self.nb:
-                acc += e11 / eps[zk] * self._comp(self.nb[zk], t, rho, phiv)
-        for pr in self.nc:
-            acc += (4.0 * e11 / 3.0) * self._comp(self.nc[pr], t, rho, phiv) * sq02
+        for pk, eps in self.a_low:
+            acc += e11 / eps * t * self._comp(pk, t, rho, phiv)
+        for pk in self.a_high:
+            acc += e11 * t1k * self._comp(pk, t, rho, phiv)
+        for _, pk, eps in self.b_fam:
+            acc += e11 / eps * self._comp(pk, t, rho, phiv)
+        for pk in self.c_fam:
+            acc += (4.0 * e11 / 3.0) * self._comp(pk, t, rho, phiv) * sq02
         acc += 1.5 / e11 * sq02
         return acc
 
@@ -584,48 +576,38 @@ class BarrierSystem:
         four constants of the t^kappa / q / q^(2/3) / q^(1/3) envelope."""
         P = self.params
         sig, R = float(P.sigma0), float(P.R0)
-        e11, kf, eps = self.e11, self.kf, self.eps_key
+        e11, kf = self.e11, self.kf
         phiv = self.phi_values(sig, R)
         L = 2.0 * max(phiv.values(), default=0.0)
 
         H0 = self.nbeta0.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
         H1 = self.nbeta1.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
 
-        sup_a = {zk: self._comp(self.na[zk], sig, R, phiv) for zk in self.na}
-        sup_c = {pr: self._comp(self.nc[pr], sig, R, phiv) for pr in self.nc}
-        b_lin = {zk: self.nb[zk][0].z_linear_bound(P.R0, Frac(L))
-                 for zk in self.nb}
-
         K1 = 1.0 / e11
-        for zk in self.low_keys:
-            if zk in sup_a:
-                K1 += e11 / eps[zk] * sig ** (1.0 - kf) * sup_a[zk]
-        for zk in self.high_keys:
-            if zk in sup_a:
-                K1 += e11 * sig ** (1.0 - 2.0 * kf) * sup_a[zk]
+        for pk, eps in self.a_low:
+            K1 += e11 / eps * sig ** (1.0 - kf) * self._comp(pk, sig, R, phiv)
+        for pk in self.a_high:
+            K1 += e11 * sig ** (1.0 - 2.0 * kf) * self._comp(pk, sig, R, phiv)
         K2 = 0.0
-        for zk in self.low_keys:
-            if zk in b_lin:
-                K2 += e11 / eps[zk] * float(b_lin[zk])
+        b_linear = {}
+        for zk, pk, eps in self.b_fam:
+            b_lin = float(pk[0].z_linear_bound(P.R0, Frac(L)))
+            b_linear[f"{zk.i},{','.join(map(str, zk.alpha))}"] = b_lin
+            K2 += e11 / eps * b_lin
         K3 = 1.5 / e11
-        for pr in self.nc:
-            K3 += (4.0 * e11 / 3.0) * sup_c[pr]
+        for pk in self.c_fam:
+            K3 += (4.0 * e11 / 3.0) * self._comp(pk, sig, R, phiv)
 
-        inv_eps = sum(1.0 / eps[zk] for zk in self.low_keys)
         return {
-            "H0": float(H0), "H1": float(H1), "L": L,
-            "b_linear": {f"{zk.i},{','.join(map(str, zk.alpha))}": float(v)
-                         for zk, v in sorted(b_lin.items(),
-                                             key=lambda kv: _zkey_sort(kv[0]))},
+            "H0": float(H0), "H1": float(H1), "L": L, "b_linear": b_linear,
             "K1": K1, "K2": K2, "K3": K3,
-            "C1": K1, "C2": K2 * inv_eps, "C3": K2 * len(self.high_keys),
+            "C1": K1, "C2": K2 * self.inv_eps, "C3": K2 * self.n_high,
             "C4": K3,
         }
 
 
 def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
-                   dec: Decomposition, nt: int = 50, nrho: int = 50,
-                   slack: float = 1e-9, decades: float = 4.0) -> dict:
+                   dec: Decomposition, nt: int = 50, nrho: int = 50) -> dict:
     """Grid verification report.
 
     Pointwise checks on an nt-by-nrho grid of the working box:
@@ -642,7 +624,7 @@ def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
     hf, kf = float(P.h), float(P.kappa)
     e = {ij: float(P.eps_slot(*ij)) for ij in ((0, 0), (1, 0), (0, 1), (1, 1))}
     consts = system.constants()
-    ts, rhos = barrier_grid(float(P.sigma0), float(P.R0), nt, nrho, decades)
+    ts, rhos = barrier_grid(float(P.sigma0), float(P.R0), nt, nrho)
 
     names = ("barrier_dineq", "growth_bound_le_h", "phi_vs_q",
              "dphi_vs_dq", "envelope")
@@ -657,28 +639,27 @@ def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
             qmax = max(qmax, q)
 
             checks["barrier_dineq"].record(tdq + 2.0 * hf * q,
-                                           A * q + B * dq, slack, t, rho)
-            checks["growth_bound_le_h"].record(A, hf, slack, t, rho)
+                                           A * q + B * dq, t, rho)
+            checks["growth_bound_le_h"].record(A, hf, t, rho)
 
             pv = checks["phi_vs_q"]
             for ij in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                pv.record(v[ij], q / e[ij], slack, t, rho)
-            pv.record(v[(0, 2)], q ** (2.0 / 3.0), slack, t, rho)
-            pv.record(tk * v[(0, 2)], q, slack, t, rho)
+                pv.record(v[ij], q / e[ij], t, rho)
+            pv.record(v[(0, 2)], q ** (2.0 / 3.0), t, rho)
+            pv.record(tk * v[(0, 2)], q, t, rho)
 
             dpv = checks["dphi_vs_dq"]
             dval = {(0, 0): v[(0, 1)], (1, 0): v[(1, 1)],
                     (0, 1): v[(0, 2)], (1, 1): dv11}
             for ij, val in dval.items():
-                dpv.record(val, dq / e[ij], slack, t, rho)
-            dpv.record(math.sqrt(v[(0, 2)]) * dv02, (2.0 / 3.0) * dq,
-                       slack, t, rho)
-            dpv.record(tk * dv02, dq, slack, t, rho)
+                dpv.record(val, dq / e[ij], t, rho)
+            dpv.record(math.sqrt(v[(0, 2)]) * dv02, (2.0 / 3.0) * dq, t, rho)
+            dpv.record(tk * dv02, dq, t, rho)
 
             env = (consts["C1"] * tk + consts["C2"] * q
                    + consts["C3"] * q ** (2.0 / 3.0)
                    + consts["C4"] * q ** (1.0 / 3.0))
-            checks["envelope"].record(B, env, slack, t, rho)
+            checks["envelope"].record(B, env, t, rho)
 
     # exact structural checks
     recon_ok = reconstruct(dec) == dec.theta_rhs
@@ -691,7 +672,7 @@ def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
     step_ok = step.leq(p10.scale(_HEADROOM))
 
     report = {
-        "grid": {"nt": nt, "nrho": nrho, "decades": decades,
+        "grid": {"nt": nt, "nrho": nrho, "decades": _DECADES,
                  "sigma0": float(P.sigma0), "R0": float(P.R0)},
         "params": {
             "eps00": str(P.eps00), "eps01": str(P.eps01),

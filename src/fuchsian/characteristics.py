@@ -24,6 +24,15 @@ _A6 = (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096)
 _B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
+# relative slack of every float verdict in the path and grid checks
+SLACK = 1e-9
+
+
+def allowed(rhs: float) -> float:
+    """Largest float that passes a check against rhs.  The one tolerance
+    rule of the float verdicts; they are comparisons, not proofs."""
+    return rhs + SLACK * (1.0 + abs(rhs))
+
 
 @dataclass
 class CharacteristicPath:
@@ -117,7 +126,7 @@ def integrate(b_fun, q_fun, t0: float, xi: float, r_max: float,
                               steps_rejected=rejected)
 
 
-def check_weighted_decay(path: CharacteristicPath, h, slack: float = 1e-9) -> dict:
+def check_weighted_decay(path: CharacteristicPath, h) -> dict:
     """Weighted decay along the path: t^h * q must not increase as t
     decreases through the samples.
 
@@ -131,10 +140,10 @@ def check_weighted_decay(path: CharacteristicPath, h, slack: float = 1e-9) -> di
     violations = 0
     worst = 0.0
     for j in range(1, len(vs)):
-        allowed = vs[j - 1] + slack * (1.0 + abs(vs[j - 1]))
-        if vs[j] > allowed:
+        lim = allowed(vs[j - 1])
+        if vs[j] > lim:
             violations += 1
-            worst = max(worst, vs[j] - allowed)
+            worst = max(worst, vs[j] - lim)
 
     idx = list(range(len(vs)))
     if len(idx) > 40:
@@ -146,7 +155,7 @@ def check_weighted_decay(path: CharacteristicPath, h, slack: float = 1e-9) -> di
             j, l = idx[a_], idx[b_]  # t[j] > t[l]
             pair_checked += 1
             bound = (path.ts[l] / path.ts[j]) ** hf * path.qs[l]
-            if path.qs[j] > bound + slack * (1.0 + abs(bound)):
+            if path.qs[j] > allowed(bound):
                 pair_viol += 1
     return {
         "ok": violations == 0,
@@ -168,7 +177,7 @@ def _radius_cap(consts: dict, h, r: float) -> float:
 
 
 def check_radius_bounds(path: CharacteristicPath, consts: dict, kappa, h,
-                        r: float, slack: float = 1e-9) -> dict:
+                        r: float) -> dict:
     """Two-sided radius bound at every sample: rho never drops below the
     anchor value, and never exceeds the anchor plus the integrated
     envelope of the transport rate."""
@@ -179,10 +188,10 @@ def check_radius_bounds(path: CharacteristicPath, consts: dict, kappa, h,
     lower_viol = upper_viol = 0
     worst = 0.0
     for t, rho in zip(path.ts, path.rhos):
-        if rho < xi - slack * (1.0 + abs(xi)):
+        if rho < -allowed(-xi):
             lower_viol += 1
         bound = xi + consts["C1"] / kf * (t0 ** kf - t ** kf) + cap_rest
-        if rho > bound + slack * (1.0 + abs(bound)):
+        if rho > allowed(bound):
             upper_viol += 1
             worst = max(worst, rho - bound)
     return {
@@ -232,7 +241,7 @@ def smallness_box(consts: dict, h, kappa, R: float, q_corner,
 
 
 def check_reaches_origin(path: CharacteristicPath, R: float, consts: dict,
-                         kappa, h, r: float, slack: float = 1e-9) -> dict:
+                         kappa, h, r: float) -> dict:
     """Full small-data conclusion on one path: the anchor radius is under
     R/2, the radius budget fits, the path reaches the floor inside the
     capped radius, and the terminal weighted bound is reported."""
@@ -251,7 +260,7 @@ def check_reaches_origin(path: CharacteristicPath, R: float, consts: dict,
     R1 = xi + small
     rho_max = max(path.rhos)
     reached = path.status == "extended-to-floor"
-    inside = rho_max <= R1 + slack * (1.0 + abs(R1))
+    inside = rho_max <= allowed(R1)
     terminal_bound = (path.t_min_reached / t0) ** hf * r
     out.update({
         "smallness": {"value": small, "budget": R / 2.0, "ok": ok_small,
@@ -262,7 +271,7 @@ def check_reaches_origin(path: CharacteristicPath, R: float, consts: dict,
         "inside_R1": inside,
         "terminal_bound": terminal_bound,
         "q_at_anchor": path.qs[0],
-        "terminal_ok": path.qs[0] <= terminal_bound + slack * (1.0 + terminal_bound),
+        "terminal_ok": path.qs[0] <= allowed(terminal_bound),
         "ok": ok_small and reached and inside and R1 < R,
     })
     return out

@@ -93,6 +93,10 @@ def _parse_w(spec: str, n: int, k_t: int, k_x: int) -> SeriesTX:
             raise InputError(f"w term {pos}: alpha needs {n} entries")
         if tpow < 0 or any(a < 0 for a in alpha):
             raise InputError(f"w term {pos}: negative power")
+        if tpow > k_t or sum(alpha) > k_x:
+            raise InputError(
+                f"w term {pos}: t^{tpow} of x-degree {sum(alpha)} lies beyond "
+                f"the equation's caps K_t = {k_t}, K_x = {k_x}")
         w = w + SeriesTX.monomial(n, k_t, k_x, coeff, tpow, alpha)
     return w
 

@@ -79,7 +79,6 @@ class FormalSolution:
     u: SeriesTX
     order: int
     x_order: int
-    indicial: dict          # step k -> exact indicial value at x = 0
     verified: bool
 
 
@@ -169,7 +168,6 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     jets: dict[ZKey, list] = {zk: [zero] for zk in used}
     powers: dict[tuple, list] = {p: [zero] for p in products}
     u_coeffs: list[dict] = [{}]
-    indicial: dict[int, CRat] = {}
     for k in range(1, order + 1):
         kx = F.k_x - k * a_used
         if F.z_clipped:
@@ -198,7 +196,6 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
 
         Pk = eq.indicial_series(k)
         p0 = Pk.coeff(0, (0,) * n)
-        indicial[k] = p0
         if p0.is_zero():
             raise IndicialZero(
                 f"indicial polynomial vanishes at s = {k}; the recursion "
@@ -222,7 +219,7 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
             "internal error: formal solution leaves a nonzero residual")
         verified = True
     return FormalSolution(u=u.truncate(k_x=x_order), order=order,
-                          x_order=x_order, indicial=indicial, verified=verified)
+                          x_order=x_order, verified=verified)
 
 
 def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,

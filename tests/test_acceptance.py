@@ -224,7 +224,7 @@ def test_criterion_6_barrier_certificate_grid():
     for label, w in candidates:
         prof = profile_family(w, cd)
         params, cert = choose_params(cd, dec, prof)
-        rep = verify_barrier(params, prof, dec, nt=50, nrho=50, slack=1e-9)
+        rep = verify_barrier(params, prof, dec, nt=50, nrho=50)
         recon_all = recon_all and rep["checks"]["reconstruction"]["ok"]
         for name in families:
             if not rep["checks"][name]["ok"]:
@@ -277,10 +277,9 @@ def test_criterion_7_characteristics():
         sigma_max=float(params.sigma0))
     mpath = integrate(system.transport_rate, system.barrier,
                       t0=sigma, xi=R / 4, r_max=R, t_floor=sigma * 1e-6)
-    decay = check_weighted_decay(mpath, h, slack=1e-9)
-    radius = check_radius_bounds(mpath, consts, kappa, h, r_small, slack=1e-9)
-    origin = check_reaches_origin(mpath, R, consts, kappa, h, r_small,
-                                  slack=1e-9)
+    decay = check_weighted_decay(mpath, h)
+    radius = check_radius_bounds(mpath, consts, kappa, h, r_small)
+    origin = check_reaches_origin(mpath, R, consts, kappa, h, r_small)
 
     machinery_ok = (mpath.status == "extended-to-floor" and decay["ok"]
                     and radius["ok"] and origin["ok"]

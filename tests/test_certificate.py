@@ -6,12 +6,13 @@ assertion), and direct evaluation of the corner formulas restated inline
 with math.pow, never through the code path under test.
 """
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from fuchsian.builtin import load_equation
+from fuchsian.builtin import load_equation, parse_equation
 from fuchsian.certificate import (BarrierParams, BarrierSystem, barrier_grid,
                                   build_shifted_rhs, choose_params,
                                   normal_form, profile_family, reconstruct,
@@ -19,9 +20,9 @@ from fuchsian.certificate import (BarrierParams, BarrierSystem, barrier_grid,
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import (HypothesisViolated, InexactRoots,
                              NonpositiveExponent, UnsplittableTerm)
-from fuchsian.majorant import RhoPoly, SectorMajorant
+from fuchsian.majorant import RhoPoly, SectorMajorant, norm_xz
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import SeriesTX, SeriesTXZ, ZKey
+from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort
 from fuchsian.solver import manufactured, solve_formal
 
 
@@ -366,6 +367,193 @@ def test_constants_frozen(remark3_setup):
     assert c["C1"] == pytest.approx(1.0, rel=1e-15)
     assert c["C2"] == 0.0 and c["C3"] == 0.0
     assert c["C4"] == pytest.approx(17 / 6, rel=1e-14)
+
+
+def _jet_term(c, t_pow, jets, den=1, x_pow=0):
+    return {"coeff": [c, den, 0, 1], "t_pow": t_pow, "x_pows": [x_pow],
+            "z_pows": [{"i": i, "alpha": [a], "pow": p} for i, a, p in jets]}
+
+
+# -3 z10 - 2 z00 + z02^2 + z00 z01 + t z01^2 + t z02^2 + t: exponents -1
+# and -2, and every coefficient family is non-empty (a on a first-order and
+# on a second-order host, b on z00, c on z02 z02)
+_FOUR_FAMILIES = [_jet_term(-3, 0, [(1, 0, 1)]), _jet_term(-2, 0, [(0, 0, 1)]),
+                  _jet_term(1, 0, [(0, 2, 2)]),
+                  _jet_term(1, 0, [(0, 0, 1), (0, 1, 1)]),
+                  _jet_term(1, 1, [(0, 1, 2)]), _jet_term(1, 1, [(0, 2, 2)]),
+                  _jet_term(1, 1, [])]
+
+
+class _KeyedSystem:
+    """The filtered key-dict loops that BarrierSystem's compiled families
+    replaced, restated on top of a system's own profile evaluators."""
+
+    def __init__(self, system, dec):
+        self.s = system
+        keys = system.keys
+        self.low = tuple(zk for zk in keys if sum(zk.alpha) <= 1)
+        self.high = tuple(zk for zk in keys if sum(zk.alpha) == 2)
+        self.eps = {zk: float(system.params.eps_slot(zk.i, sum(zk.alpha)))
+                    for zk in self.low}
+
+        def pack(series_map):
+            out = {}
+            for key, s in series_map.items():
+                prof = norm_xz(s)
+                dz = ((zk, prof.dz(zk)) for zk in keys)
+                out[key] = (prof, prof.d_rho(),
+                            tuple((zk, g) for zk, g in dz if not g.is_zero()))
+            return out
+
+        self.na, self.nb, self.nc = pack(dec.a), pack(dec.b), pack(dec.c)
+
+    def growth_bound(self, t, rho):
+        s, eps = self.s, self.eps
+        e00, e01, e11 = s.e00, s.e01, s.e11
+        phiv = s.phi_values(t, rho)
+        dphiv = s.dphi_values(t, rho)
+        sq02 = math.sqrt(s.p[(0, 2)].eval(t, rho))
+        t1k = t ** (1.0 - s.kf)
+        acc = e00
+        acc += s.nbeta0.eval(rho) / e00 + s.nbeta1.eval(rho)
+        for zk in self.low:
+            if zk in self.na:
+                acc += t / eps[zk] * s._comp(self.na[zk], t, rho, phiv)
+        for zk in self.high:
+            if zk in self.na:
+                acc += t1k * s._comp(self.na[zk], t, rho, phiv)
+        for zk in self.low:
+            if zk in self.nb:
+                acc += s._comp(self.nb[zk], t, rho, phiv) / eps[zk]
+        for pr in self.nc:
+            acc += s._comp(self.nc[pr], t, rho, phiv) * sq02
+        acc += s.kf + e01 / e11
+        acc += e11 * (s.dbeta0.eval(rho) / e00 + s.dbeta1.eval(rho))
+        acc += e11 * (s.nbeta0.eval(rho) / e01 + s.nbeta1.eval(rho) / e11)
+        for zk in self.low:
+            if zk in self.na:
+                acc += (e11 / eps[zk] * t
+                        * s._comp_drho(self.na[zk], t, rho, phiv, dphiv))
+        for zk in self.high:
+            if zk in self.na:
+                acc += e11 * t1k * s._comp_drho(self.na[zk], t, rho,
+                                                phiv, dphiv)
+        for zk in self.low:
+            if zk in self.nb:
+                acc += (e11 / eps[zk]
+                        * s._comp_drho(self.nb[zk], t, rho, phiv, dphiv))
+        for pr in self.nc:
+            acc += e11 * s._comp_drho(self.nc[pr], t, rho, phiv, dphiv) * sq02
+        return acc
+
+    def transport_rate(self, t, rho):
+        s, eps, e11 = self.s, self.eps, self.s.e11
+        phiv = s.phi_values(t, rho)
+        sq02 = math.sqrt(s.p[(0, 2)].eval(t, rho))
+        tk = t ** s.kf
+        t1k = t ** (1.0 - s.kf)
+        acc = tk / e11
+        for zk in self.low:
+            if zk in self.na:
+                acc += e11 / eps[zk] * t * s._comp(self.na[zk], t, rho, phiv)
+        for zk in self.high:
+            if zk in self.na:
+                acc += e11 * t1k * s._comp(self.na[zk], t, rho, phiv)
+        for zk in self.low:
+            if zk in self.nb:
+                acc += e11 / eps[zk] * s._comp(self.nb[zk], t, rho, phiv)
+        for pr in self.nc:
+            acc += (4.0 * e11 / 3.0) * s._comp(self.nc[pr], t, rho, phiv) * sq02
+        acc += 1.5 / e11 * sq02
+        return acc
+
+    def constants(self):
+        s, eps, P = self.s, self.eps, self.s.params
+        sig, R = float(P.sigma0), float(P.R0)
+        e11, kf = s.e11, s.kf
+        phiv = s.phi_values(sig, R)
+        L = 2.0 * max(phiv.values(), default=0.0)
+        H0 = s.nbeta0.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
+        H1 = s.nbeta1.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
+        sup_a = {zk: s._comp(self.na[zk], sig, R, phiv) for zk in self.na}
+        sup_c = {pr: s._comp(self.nc[pr], sig, R, phiv) for pr in self.nc}
+        b_lin = {zk: self.nb[zk][0].z_linear_bound(P.R0, Frac(L))
+                 for zk in self.nb}
+        K1 = 1.0 / e11
+        for zk in self.low:
+            if zk in sup_a:
+                K1 += e11 / eps[zk] * sig ** (1.0 - kf) * sup_a[zk]
+        for zk in self.high:
+            if zk in sup_a:
+                K1 += e11 * sig ** (1.0 - 2.0 * kf) * sup_a[zk]
+        K2 = 0.0
+        for zk in self.low:
+            if zk in b_lin:
+                K2 += e11 / eps[zk] * float(b_lin[zk])
+        K3 = 1.5 / e11
+        for pr in self.nc:
+            K3 += (4.0 * e11 / 3.0) * sup_c[pr]
+        inv_eps = sum(1.0 / eps[zk] for zk in self.low)
+        return {
+            "H0": float(H0), "H1": float(H1), "L": L,
+            "b_linear": {f"{zk.i},{','.join(map(str, zk.alpha))}": float(v)
+                         for zk, v in sorted(b_lin.items(),
+                                             key=lambda kv: _zkey_sort(kv[0]))},
+            "K1": K1, "K2": K2, "K3": K3,
+            "C1": K1, "C2": K2 * inv_eps, "C3": K2 * len(self.high),
+            "C4": K3,
+        }
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    [_jet_term(1, 1, [(1, 1, 2)]), _jet_term(2, 0, [(0, 2, 2)], den=7, x_pow=1),
+     _jet_term(3, 0, [(0, 0, 1), (0, 1, 1)], den=5, x_pow=1)],
+], ids=["four-families", "with-z11-host"])
+def test_compiled_families_match_keyed_loops(extra):
+    # bit-identical, not approximately equal: the reports depend on it.  The
+    # second equation adds an a-host (1,(1,)), which lambda_keys puts after
+    # the second-order host (0,(2,)) but every sum takes first, and moves
+    # the b and c coefficients off 1 so that no product is exact.
+    eq = parse_equation({"name": "four-families", "m": 2, "n": 1,
+                         "terms": _FOUR_FAMILIES + extra,
+                         "truncation": {"K_t": 6, "K_x": 8, "K_z": 4}})
+    cd = eq.char_exponents()
+    dec = normal_form(build_shifted_rhs(eq, solve_formal(eq, 3)), cd)
+    assert dec.a and dec.b and dec.c
+    hosts = {sum(zk.alpha) for zk in dec.a}
+    assert 2 in hosts and hosts - {2}
+    rng = random.Random(2718)
+    for _ in range(4):
+        w = SeriesTX.zero(1, 6, 8)
+        for _ in range(3):
+            w = w + SeriesTX.monomial(1, 6, 8, Frac(rng.randint(1, 9),
+                                                    rng.randint(1, 9)),
+                                      rng.randint(1, 2), (rng.randint(0, 4),))
+        prof = profile_family(w, cd)
+        chosen, _ = choose_params(cd, dec, prof)
+        # the chosen weights and box, then random ones: constants() reads
+        # the box, and other weights move every product
+        variants = [chosen] + [
+            dataclasses.replace(chosen, eps11=Frac(rng.randint(1, 99), 100),
+                                kappa=Frac(rng.randint(1, 49), 100),
+                                sigma0=Frac(1, 2 ** rng.randint(0, 12)),
+                                R0=Frac(rng.randint(1, 99), 100))
+            for _ in range(9)]
+        for params in variants:
+            system = BarrierSystem(dec, prof, params)
+            keyed = _KeyedSystem(BarrierSystem(dec, prof, params), dec)
+            assert system.constants() == keyed.constants()
+            sig, R = float(params.sigma0), float(params.R0)
+            points = [(sig, R), (0.0, 0.5), (sig, 0.0)]
+            points += [(sig * 10.0 ** rng.uniform(-4, 0), R * rng.random())
+                       for _ in range(20)]
+            for t, rho in points:
+                assert system.growth_bound(t, rho) == keyed.growth_bound(t, rho)
+                assert (system.transport_rate(t, rho)
+                        == keyed.transport_rate(t, rho))
+            # the same logical evaluations, so the work counters agree
+            assert system.work == keyed.s.work
 
 
 # -- the grid report -----------------------------------------------------

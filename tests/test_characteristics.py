@@ -11,7 +11,8 @@ import math
 import pytest
 
 from fuchsian.builtin import closed_form_eval, load_equation
-from fuchsian.characteristics import (CharacteristicPath, check_radius_bounds,
+from fuchsian.characteristics import (CharacteristicPath, allowed,
+                                      check_radius_bounds,
                                       check_reaches_origin,
                                       check_weighted_decay, decay_profile,
                                       integrate, smallness_box)
@@ -250,3 +251,38 @@ def test_decay_profile_logarithmic_example_trends_to_zero():
         sups = [row["sup_scaled"] for row in rep["rows"] if row["R"] == R]
         assert sups == sorted(sups, reverse=True)
         assert sups[-1] < sups[0]
+
+
+# -- the one tolerance rule ---------------------------------------------
+
+
+def hand_path(ts, rhos, qs):
+    return CharacteristicPath(ts=ts, rhos=rhos, qs=qs, t0=ts[0], xi=rhos[0],
+                              status="extended-to-floor", t_min_reached=ts[-1],
+                              steps_accepted=len(ts) - 1, steps_rejected=0)
+
+
+@pytest.mark.parametrize("rhs", [0.0, 0.7, 3.25e5, 1e-12])
+def test_allowed_is_the_last_passing_float(rhs):
+    lim = allowed(rhs)
+    assert lim == rhs + 1e-9 * (1.0 + abs(rhs))
+    over = math.nextafter(lim, math.inf)
+
+    # weighted decay with h = 0: t^0 * q is q itself
+    def decay_violations(q1):
+        return check_weighted_decay(hand_path([1.0, 0.5], [0.1, 0.1],
+                                              [rhs, q1]), 0)["violations"]
+    assert decay_violations(lim) == 0
+    assert decay_violations(over) == 1
+
+    # with every envelope constant zero the upper bound is xi itself
+    def radius(rho):
+        rep = check_radius_bounds(hand_path([1.0, 0.5], [rhs, rho], [0.0, 0.0]),
+                                  frozen_consts(C1=0.0), Frac(1, 4),
+                                  Frac(9, 20), r=0.0)
+        return rep["lower_violations"], rep["upper_violations"]
+    assert radius(lim) == (0, 0)
+    assert radius(over) == (0, 1)
+    low = -allowed(-rhs)
+    assert radius(low) == (0, 0)
+    assert radius(math.nextafter(low, -math.inf)) == (1, 0)

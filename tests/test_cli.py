@@ -257,6 +257,20 @@ def test_certify_malformed_w_exits_two(capsys):
     assert "coeff,tpow" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("spec, fragment", [
+    ("1,99,2", "t^99 of x-degree 2"),
+    ("1,1,20", "t^1 of x-degree 20"),
+])
+def test_certify_w_beyond_caps_exits_two(capsys, spec, fragment):
+    # remark3 tracks K_t = 10, K_x = 12; such a term used to vanish from w,
+    # leaving w = 0 and a vacuous pass
+    rc, rep, _ = run_json(capsys, "certify", "remark3", "--w", spec)
+    assert rc == 2
+    assert rep["error"]["type"] == "InputError"
+    assert fragment in rep["error"]["message"]
+    assert "K_t = 10, K_x = 12" in rep["error"]["message"]
+
+
 def test_certify_csv_samples(tmp_path, capsys):
     csv = tmp_path / "path.csv"
     rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "8x8",
@@ -348,9 +362,12 @@ def test_version_field_present(capsys):
 
 
 def test_console_script_entry_point():
-    import subprocess, sys
+    import os, subprocess, sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-m", "fuchsian.cli", "check",
-                          "remark3"], capture_output=True, text=True)
+                          "remark3"], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0
     assert json.loads(out.stdout)["results"]["h_exact"] == "9/20"
 

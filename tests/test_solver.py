@@ -174,15 +174,13 @@ def solve_by_resubstitution(eq, order):
             f"need k_x >= {eq.m * order} on the right-hand side for "
             f"x-degree 0 at t-order {order} (have {F.k_x})")
     u = SeriesTX.zero(eq.n, order, F.k_x)
-    indicial = {}
     for k in range(1, order + 1):
         rhs = F.substitute_z(derivative_tuple(u, eq.keys))
         if rhs.k_t < k:
             raise TruncationExhausted(
                 f"substitution reliable only to t-order {rhs.k_t} < {k}")
         section = rhs.x_section(k)
-        indicial[k] = eq.indicial_series(k).coeff(0, (0,) * eq.n)
-        if indicial[k].is_zero():
+        if eq.indicial_series(k).coeff(0, (0,) * eq.n).is_zero():
             raise IndicialZero(
                 f"indicial polynomial vanishes at s = {k}; the recursion "
                 f"cannot be solved at this order")
@@ -194,8 +192,7 @@ def solve_by_resubstitution(eq, order):
     if verified:
         assert residual(eq, u, order).is_zero()
     return FormalSolution(u=u.truncate(k_x=x_order), order=order,
-                          x_order=x_order, indicial=indicial,
-                          verified=verified)
+                          x_order=x_order, verified=verified)
 
 
 _small = st.builds(Frac, st.integers(-5, 5).filter(bool), st.integers(1, 4))
