@@ -27,7 +27,7 @@ from .errors import (
     SearchExhausted,
     UnsplittableTerm,
 )
-from .majorant import SectorMajorant, norm_x, norm_xz
+from .majorant import norm_x, norm_xz
 from .rational import CRat, Frac
 from .series import SeriesTX, SeriesTXZ, ZKey, _nu_degree, _zkey_sort, lambda_keys
 from .solver import FormalSolution, derivative_tuple
@@ -38,6 +38,9 @@ _HEADROOM = Frac((1 << 48) + 1, 1 << 48)
 
 # slot indices of the profile family
 _SLOTS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
+
+# weight of slot (1, 0) in the barrier, which is normalised on it
+_EPS10 = Frac(1)
 
 # decades of t in every verification grid; halvings allowed per search of
 # choose_params, and the grid that checks its box
@@ -82,7 +85,7 @@ def build_shifted_rhs(eq, base=None) -> SeriesTXZ:
     if u0 is not None and not u0.is_zero():
         if u0.t_order() == 0:
             raise HypothesisViolated("base series must vanish at t = 0")
-        F = F.shift_z(derivative_tuple(u0, eq.keys))
+        F = F.shift_z(derivative_tuple(u0))
     zfree = F.z_free_part()
     H = F - _lift_tx(zfree, F.k_t, F.k_x, F.k_z)
     assert H.z_free_part().is_zero()
@@ -99,8 +102,6 @@ class Decomposition:
     c coefficients depending only on the second-order jet slots.
     """
 
-    n: int
-    caps: tuple
     lam1: CRat
     lam2: CRat
     beta0: SeriesTX
@@ -113,8 +114,8 @@ class Decomposition:
 
 def reconstruct(dec: Decomposition) -> SeriesTXZ:
     """Recombine the split coefficients; equals theta_rhs exactly."""
-    n = dec.n
-    kt, kx, kz = dec.caps
+    G = dec.theta_rhs
+    n, kt, kx, kz = G.n, G.k_t, G.k_x, G.k_z
     zeros = (0,) * n
 
     def zvar(zk):
@@ -212,8 +213,8 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
     for s in b.values():
         assert s.z_free_part().is_zero()
 
-    dec = Decomposition(n=n, caps=(kt, kx, kz), lam1=lam1, lam2=lam2,
-                        beta0=beta0, beta1=beta1, a=a, b=b, c=c, theta_rhs=G)
+    dec = Decomposition(lam1=lam1, lam2=lam2, beta0=beta0, beta1=beta1,
+                        a=a, b=b, c=c, theta_rhs=G)
     assert reconstruct(dec) == G, "split coefficients fail to recombine"
     return dec
 
@@ -226,11 +227,6 @@ class ProfileFamily:
 
     w: SeriesTX
     slots: dict
-    a1: Frac
-    a2: Frac
-
-    def slot(self, i: int, j: int) -> SectorMajorant:
-        return self.slots[(i, j)]
 
 
 def profile_family(w: SeriesTX, cd: CharData) -> ProfileFamily:
@@ -261,12 +257,12 @@ def profile_family(w: SeriesTX, cd: CharData) -> ProfileFamily:
     p02 = p01.d_rho()
     slots = {(0, 0): p00, (1, 0): p10, (0, 1): p01, (1, 1): p11, (0, 2): p02}
 
-    jet = derivative_tuple(w, lambda_keys(w.n))
+    jet = derivative_tuple(w)
     for zk, g in jet.items():
         dom = slots[(zk.i, sum(zk.alpha))].scale(_HEADROOM)
         assert norm_x(g).leq(dom), (
             f"profile ({zk.i}, {sum(zk.alpha)}) fails to dominate jet {zk}")
-    return ProfileFamily(w=w, slots=slots, a1=Frac(a1), a2=Frac(a2))
+    return ProfileFamily(w=w, slots=slots)
 
 
 @dataclass(frozen=True)
@@ -280,10 +276,9 @@ class BarrierParams:
     h: Frac
     sigma0: Frac
     R0: Frac
-    eps10: Frac = Frac(1)
 
     def eps_slot(self, i: int, j: int) -> Frac:
-        return {(0, 0): self.eps00, (1, 0): self.eps10,
+        return {(0, 0): self.eps00, (1, 0): _EPS10,
                 (0, 1): self.eps01, (1, 1): self.eps11}[(i, j)]
 
 
@@ -417,7 +412,7 @@ class BarrierSystem:
     def __init__(self, dec: Decomposition, profiles: ProfileFamily,
                  params: BarrierParams):
         self.params = params
-        self.keys = lambda_keys(dec.n)
+        self.keys = lambda_keys(dec.theta_rhs.n)
         # float weights for the grid, converted once
         self.e00, self.e01 = float(params.eps00), float(params.eps01)
         self.e11, self.kf = float(params.eps11), float(params.kappa)
@@ -663,7 +658,7 @@ def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
 
     # exact structural checks
     recon_ok = reconstruct(dec) == dec.theta_rhs
-    jet = derivative_tuple(profiles.w, system.keys)
+    jet = derivative_tuple(profiles.w)
     dom_ok = all(
         norm_x(g).leq(profiles.slots[(zk.i, sum(zk.alpha))].scale(_HEADROOM))
         for zk, g in jet.items())
@@ -676,7 +671,7 @@ def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
                  "sigma0": float(P.sigma0), "R0": float(P.R0)},
         "params": {
             "eps00": str(P.eps00), "eps01": str(P.eps01),
-            "eps11": str(P.eps11), "eps10": str(P.eps10),
+            "eps11": str(P.eps11), "eps10": str(_EPS10),
             "kappa": str(P.kappa), "h": str(P.h),
             "sigma0": str(P.sigma0), "R0": str(P.R0),
         },

@@ -36,16 +36,14 @@ def allowed(rhs: float) -> float:
 
 @dataclass
 class CharacteristicPath:
-    """Sampled path of the flow: ts strictly decreasing from t0, rhos
-    nondecreasing from xi, qs the barrier sampled along the way."""
+    """Sampled path of the flow: ts strictly decreasing from the anchor
+    time ts[0] to the last time reached ts[-1], rhos nondecreasing from the
+    anchor radius rhos[0], qs the barrier sampled along the way."""
 
     ts: list
     rhos: list
     qs: list
-    t0: float
-    xi: float
     status: str  # "extended-to-floor" | "left-domain" | "step-failure"
-    t_min_reached: float
     steps_accepted: int
     steps_rejected: int
 
@@ -119,9 +117,7 @@ def integrate(b_fun, q_fun, t0: float, xi: float, r_max: float,
             break
     if status is None:
         status = "extended-to-floor"
-    return CharacteristicPath(ts=ts, rhos=rhos, qs=qs, t0=float(t0),
-                              xi=float(xi), status=status,
-                              t_min_reached=ts[-1],
+    return CharacteristicPath(ts=ts, rhos=rhos, qs=qs, status=status,
                               steps_accepted=accepted,
                               steps_rejected=rejected)
 
@@ -261,7 +257,7 @@ def check_reaches_origin(path: CharacteristicPath, R: float, consts: dict,
     rho_max = max(path.rhos)
     reached = path.status == "extended-to-floor"
     inside = rho_max <= allowed(R1)
-    terminal_bound = (path.t_min_reached / t0) ** hf * r
+    terminal_bound = (path.ts[-1] / t0) ** hf * r
     out.update({
         "smallness": {"value": small, "budget": R / 2.0, "ok": ok_small,
                       "anchor_term": C1_term},

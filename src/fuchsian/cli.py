@@ -8,7 +8,7 @@ Reports are canonical JSON: sorted keys, compact separators, floats in
 their shortest round-trip form, exact rationals as "p/q" strings.  All
 recorded work measures are deterministic counters, so byte-identical
 inputs give byte-identical reports.  Exit codes: 0 clean, 1 checks ran
-and found violations, 2 input or hypothesis error.
+and found violations, 2 input, hypothesis or write error.
 """
 
 from __future__ import annotations
@@ -32,23 +32,7 @@ from .builtin import (
     read_equation_source,
     remark2_residual_grid,
 )
-from .certificate import (
-    BarrierSystem,
-    build_shifted_rhs,
-    choose_params,
-    normal_form,
-    profile_family,
-    verify_barrier,
-)
-from .characteristics import (
-    check_radius_bounds,
-    check_reaches_origin,
-    check_weighted_decay,
-    decay_profile,
-    integrate,
-    smallness_box,
-)
-from .equation import FuchsianEquation, applicability
+from .equation import CharData, FuchsianEquation, applicability
 from .errors import HypothesisViolated, InputError, ToolkitError
 from .series import SeriesTX, alphas_of_degree
 from .solver import residual, solve_formal
@@ -98,6 +82,10 @@ def _parse_w(spec: str, n: int, k_t: int, k_x: int) -> SeriesTX:
                 f"w term {pos}: t^{tpow} of x-degree {sum(alpha)} lies beyond "
                 f"the equation's caps K_t = {k_t}, K_x = {k_x}")
         w = w + SeriesTX.monomial(n, k_t, k_x, coeff, tpow, alpha)
+    if w.is_zero():
+        raise InputError(f"w sums to zero: {spec!r}")
+    if w.t_order() == 0:
+        raise InputError(f"w must vanish at t = 0: {spec!r} has a t^0 term")
     return w
 
 
@@ -132,9 +120,12 @@ def _make_w(args, eq: FuchsianEquation) -> SeriesTX:
 def _parse_grid(spec: str) -> tuple:
     try:
         nt, nrho = spec.lower().split("x")
-        return int(nt), int(nrho)
+        nt, nrho = int(nt), int(nrho)
     except ValueError:
         raise InputError(f"grid must look like '50x50', got {spec!r}") from None
+    if nt < 1 or nrho < 1:
+        raise InputError(f"grid needs at least one point per axis, got {spec!r}")
+    return nt, nrho
 
 
 def _require_order(order: int) -> None:
@@ -161,31 +152,31 @@ def _rational_flag(name: str, text: str | None, ok, need: str):
     return value
 
 
-def _applicability_results(eq: FuchsianEquation, K: int) -> dict:
-    cd = eq.char_exponents()
-    app = applicability(cd, K)
+def _applicability_results(eq: FuchsianEquation, cd: CharData, K: int) -> dict:
+    resonances, near = applicability(cd, K)
     exact = None
     if cd.roots_exact is not None:
         exact = [str(z.re) if z.im == 0 else f"{z.re}+({z.im})i"
                  for z in cd.roots_exact]
     return {
         "m": eq.m, "n": eq.n,
-        "exponents": [[z.real, z.imag] for z in app.roots],
+        "exponents": [[z.real, z.imag] for z in cd.roots],
         "exponents_exact": exact,
-        "unique_formal": app.unique_formal,
-        "resonances": list(app.resonances),
-        "near_resonances": [[z.real, z.imag, k]
-                            for z, k in app.near_resonances],
-        "decay_applicable": app.decay_applicable,
-        "h": float(app.h) if app.h is not None else None,
-        "h_exact": str(app.h) if app.h is not None else None,
+        "unique_formal": not resonances,
+        "resonances": list(resonances),
+        "near_resonances": [[z.real, z.imag, k] for z, k in near],
+        # h exists exactly when both bounds on -Re of the roots are positive
+        "decay_applicable": cd.h is not None,
+        "h": float(cd.h) if cd.h is not None else None,
+        "h_exact": str(cd.h) if cd.h is not None else None,
     }
 
 
 def cmd_check(args, data: bytes, label: str, report: dict) -> int:
     _require_order(args.order)
     eq = parse_equation_bytes(data, label)
-    report["results"] = _applicability_results(eq, args.order)
+    report["results"] = _applicability_results(eq, eq.char_exponents(),
+                                                args.order)
     return 0
 
 
@@ -196,7 +187,7 @@ def cmd_solve(args, data: bytes, label: str, report: dict) -> int:
     eq = parse_equation_bytes(data, label)
     sol = solve_formal(eq, args.order, x_order=args.x_order)
     report["results"] = {
-        "order": sol.order, "x_order": sol.x_order,
+        "order": sol.u.k_t, "x_order": sol.u.k_x,
         "verified": sol.verified,
         "terms": _series_terms(sol.u),
     }
@@ -204,15 +195,25 @@ def cmd_solve(args, data: bytes, label: str, report: dict) -> int:
 
 
 def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
+    from .certificate import (BarrierSystem, build_shifted_rhs, choose_params,
+                              normal_form, profile_family, verify_barrier)
+    from .characteristics import (check_radius_bounds, check_reaches_origin,
+                                  check_weighted_decay, integrate,
+                                  smallness_box)
     _require_order(args.order)
     kappa = _rational_flag("kappa", args.kappa,
                            lambda v: 0 < v < Fraction(1, 2),
                            "strictly between 0 and 1/2")
     eps00 = _rational_flag("eps00", args.eps00, lambda v: v > 0, "p/q > 0")
     _require_tol(args.tol)
+    if not 0 < args.tfloor < 1:  # nan fails both comparisons
+        raise InputError(
+            f"--tfloor must lie strictly between 0 and 1, got {args.tfloor}")
+    nt, nrho = _parse_grid(args.grid)
     eq = parse_equation_bytes(data, label)
+    w = _make_w(args, eq)
     cd = eq.char_exponents()
-    report["results"] = {"applicability": _applicability_results(eq, 10)}
+    report["results"] = {"applicability": _applicability_results(eq, cd, 10)}
     if cd.h is None:
         raise HypothesisViolated(
             "decay hypothesis fails: no exponent margin h; "
@@ -220,14 +221,12 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
     u0 = solve_formal(eq, args.order)
     H = build_shifted_rhs(eq, u0)
     dec = normal_form(H, cd)
-    w = _make_w(args, eq)
     profiles = profile_family(w, cd)
     params, cert = choose_params(cd, dec, profiles)
     if kappa is not None:
         params = dataclasses.replace(params, kappa=kappa)
     if eps00 is not None:
         params = dataclasses.replace(params, eps00=eps00)
-    nt, nrho = _parse_grid(args.grid)
     barrier_report = verify_barrier(params, profiles, dec, nt, nrho)
     consts = barrier_report["constants"]
 
@@ -251,8 +250,8 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
         "barrier": barrier_report,
         "smallness": small_info,
         "characteristics": {
-            "t0": path.t0, "xi": path.xi,
-            "t_min_reached": path.t_min_reached,
+            "t0": path.ts[0], "xi": path.rhos[0],
+            "t_min_reached": path.ts[-1],
             "status": path.status,
             "samples": len(path.ts),
             "weighted_decay": decay,
@@ -272,7 +271,11 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
         lines = ["t,rho,q,weighted_q"]
         for t, rho, q in zip(path.ts, path.rhos, path.qs):
             lines.append(f"{t:.17g},{rho:.17g},{q:.17g},{t ** hf * q:.17g}")
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        try:
+            Path(args.csv).write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise InputError(
+                f"cannot write --csv {args.csv!r}: {exc.strerror}") from None
     ok = (cert["ok"] and barrier_report["ok"] and decay["ok"]
           and radius["ok"] and origin["ok"])
     report["ok"] = ok
@@ -280,19 +283,22 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
 
 
 def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
+    from .certificate import choose_params
+    from .characteristics import decay_profile
     _require_tol(args.tol)
     if not 0 <= args.exponent_p <= 64:  # keeps R ** -p finite for R >= 1/16
         raise InputError(f"--exponent-p must be in 0..64, got {args.exponent_p}")
     name = args.equation
     eq = parse_equation_bytes(data, label)
-    results: dict = {"applicability": _applicability_results(eq, 10)}
+    cd = eq.char_exponents()
+    results: dict = {"applicability": _applicability_results(eq, cd, 10)}
     if name == "remark2":
         grid = remark2_residual_grid(eq)
         results["residual_numeric"] = {
             **grid, "tol": args.tol,
             "ok": grid["max_abs_residual"] < args.tol}
         try:
-            choose_params(eq.char_exponents())
+            choose_params(cd)
             results["hypothesis_rejection"] = {"ok": False, "raised": None}
         except HypothesisViolated as exc:
             results["hypothesis_rejection"] = {
@@ -397,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Read the input once, run the command into a report that starts with
     the command, version and input digest, and emit it.  A ToolkitError
-    becomes the report's error entry with exit 2; input that cannot be read
-    gives no report, only a message on stderr and exit 2."""
+    becomes the report's error entry with exit 2; input that cannot be read,
+    or a report that cannot be written to --out, gives only a message on
+    stderr and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         data, label = read_equation_source(args.equation)
@@ -415,7 +422,11 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {args.out!r}: {exc.strerror}\n")
+        return 2
     return code
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import A2Violation, A3Violation
 from .rational import CRat, Frac, crat_sqrt_exact, sqrt_upper
-from .series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
+from .series import SeriesTX, SeriesTXZ, ZKey
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,6 @@ class CharData:
     h: Frac | None
 
 
-@dataclass(frozen=True)
-class Applicability:
-    """Outcome of the hypothesis checks for one equation instance."""
-
-    unique_formal: bool          # positive integers avoid the spectrum
-    resonances: tuple            # k in 1..K with vanishing indicial value
-    near_resonances: tuple       # (root, k) pairs closer than the guard
-    decay_applicable: bool       # every root has negative real part
-    h: Frac | None
-    roots: tuple
-    exact_roots: bool
-
-
 # floats closer than this to a positive integer trigger a warning only;
 # the exact indicial test is what decides.
 _NEAR_GUARD = 1e-9
@@ -72,7 +59,6 @@ class FuchsianEquation:
         self.n = F.n
         self.F = F
         self.name = name
-        self.keys = lambda_keys(F.n)
         self.validate()
 
     # -- hypothesis checks --------------------------------------------
@@ -162,8 +148,10 @@ def _re_sqrt_bounds(d: CRat) -> tuple[Frac, Frac]:
     return abs(d.im) / (2 * w_hi), abs(d.im) / (2 * w_lo)
 
 
-def applicability(cd: CharData, K: int = 10) -> Applicability:
-    """Hypothesis checks from the spectral data alone.
+def applicability(cd: CharData, K: int = 10) -> tuple:
+    """(resonances, near_resonances) of the spectral data: the k in 1..K
+    with vanishing indicial value, and the (root, k) pairs closer than the
+    float guard that are not resonances.
 
     The indicial values at positive integers come from the origin values
     of the beta series, so this needs no equation object.  Each root is
@@ -183,11 +171,4 @@ def applicability(cd: CharData, K: int = 10) -> Applicability:
     near = tuple((z, k) for z, k in zip(cd.roots, cands)
                  if 1 <= k <= 10 * K and abs(z - k) < _NEAR_GUARD
                  and not indicial(k).is_zero())
-    return Applicability(
-        unique_formal=not resonances,
-        resonances=resonances,
-        near_resonances=near,
-        decay_applicable=all(v > 0 for v in cd.neg_re_lower),
-        h=cd.h,
-        roots=cd.roots,
-        exact_roots=cd.roots_exact is not None)
+    return resonances, near

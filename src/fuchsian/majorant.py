@@ -58,10 +58,6 @@ class RhoPoly:
     def zero(cls) -> "RhoPoly":
         return cls(())
 
-    @classmethod
-    def monomial(cls, c, d: int) -> "RhoPoly":
-        return cls((0,) * d + (c,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -38,8 +38,6 @@ def _coeff(c) -> CRat:
         return c
     if isinstance(c, (int, Fraction)):
         return CRat(Frac(c), Frac(0))
-    if isinstance(c, complex) and c.imag == 0 and float(c.real).is_integer():
-        return CRat(Frac(int(c.real)), Frac(0))
     raise TypeError(f"cannot use {c!r} as an exact coefficient")
 
 
@@ -149,10 +147,6 @@ class SeriesTX:
     @classmethod
     def monomial(cls, n: int, k_t: int, k_x: int, c, k: int, alpha) -> "SeriesTX":
         return cls(n, k_t, k_x, {(k, tuple(alpha)): c})
-
-    @classmethod
-    def var_t(cls, n: int, k_t: int, k_x: int) -> "SeriesTX":
-        return cls.monomial(n, k_t, k_x, 1, 1, (0,) * n)
 
     # -- queries ----------------------------------------------------
 

@@ -49,15 +49,15 @@ from operator import add
 from .equation import FuchsianEquation
 from .errors import A2Violation, IndicialZero, TruncationExhausted
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey
+from .series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
 
 
-def derivative_tuple(u: SeriesTX, keys) -> dict[ZKey, SeriesTX]:
-    """Jet of u on the given keys: alpha spatial derivatives, then i Euler
-    derivatives (the two commute)."""
+def derivative_tuple(u: SeriesTX) -> dict[ZKey, SeriesTX]:
+    """Jet of u on lambda_keys(u.n): alpha spatial derivatives, then i
+    Euler derivatives (the two commute)."""
     out: dict[ZKey, SeriesTX] = {}
     by_alpha: dict[tuple, SeriesTX] = {}
-    for zk in keys:
+    for zk in lambda_keys(u.n):
         d = by_alpha.get(zk.alpha)
         if d is None:
             d = u.dx_multi(zk.alpha)
@@ -72,13 +72,13 @@ def derivative_tuple(u: SeriesTX, keys) -> dict[ZKey, SeriesTX]:
 class FormalSolution:
     """Result of the order-by-order construction.
 
-    verified means the re-substitution residual vanished on x-degrees up
-    to the construction's final x-cap minus one jet evaluation (see the
-    module docstring), not on every x-degree up to x_order."""
+    u carries the requested orders as its caps: u.k_t is the t-order and
+    u.k_x the x-degree.  verified means the re-substitution residual
+    vanished on x-degrees up to the construction's final x-cap minus one
+    jet evaluation (see the module docstring), not on every x-degree up to
+    u.k_x."""
 
     u: SeriesTX
-    order: int
-    x_order: int
     verified: bool
 
 
@@ -218,8 +218,7 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
         assert res.is_zero(), (
             "internal error: formal solution leaves a nonzero residual")
         verified = True
-    return FormalSolution(u=u.truncate(k_x=x_order), order=order,
-                          x_order=x_order, verified=verified)
+    return FormalSolution(u=u.truncate(k_x=x_order), verified=verified)
 
 
 def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
@@ -245,7 +244,7 @@ def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
 def residual(eq: FuchsianEquation, u: SeriesTX, K: int) -> SeriesTX:
     """(t d/dt)^2 u - F(jet of u), truncated at t-order K."""
     lhs = u.euler_t().euler_t()
-    rhs = eq.F.substitute_z(derivative_tuple(u, eq.keys))
+    rhs = eq.F.substitute_z(derivative_tuple(u))
     return (lhs - rhs).truncate(k_t=K)
 
 

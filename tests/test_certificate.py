@@ -172,21 +172,23 @@ def test_normal_form_rejects_stranded_derivative_term():
 def test_profile_slots_closed_form(remark3_setup):
     _, cd, dec, w, prof, *_ = remark3_setup
     # w = t x^2: first operator gives 3 t x^2, second 6 t x^2; the
-    # transforms divide slice 1 by 1 + a, leaving the family below
-    assert prof.a1 == Frac(2) and prof.a2 == Frac(1)
+    # transforms divide slice 1 by 1 + a, with a the bounds (2, 1) on -Re
+    # of the roots, leaving the family below
+    assert cd.neg_re_lower == (Frac(2), Frac(1))
+    sl = prof.slots
     for t, rho in [(0.5, 0.25), (0.03125, 1.0), (1.0, 0.0)]:
-        assert prof.slot(0, 0).eval(t, rho) == pytest.approx(t * rho * rho, rel=1e-15)
-        assert prof.slot(1, 0).eval(t, rho) == pytest.approx(3 * t * rho * rho, rel=1e-15)
-        assert prof.slot(0, 1).eval(t, rho) == pytest.approx(2 * t * rho, rel=1e-15)
-        assert prof.slot(1, 1).eval(t, rho) == pytest.approx(6 * t * rho, rel=1e-15)
-        assert prof.slot(0, 2).eval(t, rho) == pytest.approx(2 * t, rel=1e-15)
+        assert sl[(0, 0)].eval(t, rho) == pytest.approx(t * rho * rho, rel=1e-15)
+        assert sl[(1, 0)].eval(t, rho) == pytest.approx(3 * t * rho * rho, rel=1e-15)
+        assert sl[(0, 1)].eval(t, rho) == pytest.approx(2 * t * rho, rel=1e-15)
+        assert sl[(1, 1)].eval(t, rho) == pytest.approx(6 * t * rho, rel=1e-15)
+        assert sl[(0, 2)].eval(t, rho) == pytest.approx(2 * t, rel=1e-15)
 
 
 def test_profile_step_domination_exact(remark3_setup):
     # (Euler + 2h) applied to the first profile stays below the second,
     # exactly, because both sides reduce to multiples of t rho^2
     _, cd, dec, w, prof, params, _ = remark3_setup
-    p00, p10 = prof.slot(0, 0), prof.slot(1, 0)
+    p00, p10 = prof.slots[(0, 0)], prof.slots[(1, 0)]
     lhs = p00.euler() + p00.scale(2 * Frac(9, 20))
     assert lhs.leq(p10)
 
@@ -196,7 +198,8 @@ def test_profile_family_rejects_inexact_roots():
         + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,)))
     eq = FuchsianEquation(F)
     with pytest.raises(InexactRoots):
-        profile_family(SeriesTX.var_t(1, 6, 8), eq.char_exponents())
+        profile_family(SeriesTX.monomial(1, 6, 8, 1, 1, (0,)),
+                       eq.char_exponents())
 
 
 def test_profile_family_rejects_nonnegative_exponent():
@@ -205,7 +208,8 @@ def test_profile_family_rejects_nonnegative_exponent():
         + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,))).scale(2)
     eq = FuchsianEquation(F)
     with pytest.raises(NonpositiveExponent):
-        profile_family(SeriesTX.var_t(1, 6, 8), eq.char_exponents())
+        profile_family(SeriesTX.monomial(1, 6, 8, 1, 1, (0,)),
+                       eq.char_exponents())
 
 
 # -- parameter search ---------------------------------------------------

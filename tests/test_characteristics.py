@@ -67,7 +67,7 @@ def test_left_domain_status():
                      t0=0.5, xi=0.05, r_max=0.4, t_floor=1e-12)
     assert path.status == "left-domain"
     assert path.rhos[-1] >= 0.4
-    assert path.t_min_reached > 1e-12
+    assert path.ts[-1] > 1e-12
 
 
 def test_step_budget_exhaustion_reports_step_failure():
@@ -96,9 +96,8 @@ def synthetic_path(q_of_t, n=20, t0=0.5, xi=0.2):
     ts = [t0 * (0.5 ** k) for k in range(n)]
     rhos = [xi] * n
     qs = [q_of_t(t) for t in ts]
-    return CharacteristicPath(ts=ts, rhos=rhos, qs=qs, t0=t0, xi=xi,
+    return CharacteristicPath(ts=ts, rhos=rhos, qs=qs,
                               status="extended-to-floor",
-                              t_min_reached=ts[-1],
                               steps_accepted=n - 1, steps_rejected=0)
 
 
@@ -142,8 +141,7 @@ def test_radius_bounds_on_closed_form_path():
 
 def test_radius_lower_bound_catches_decreasing_path():
     bad = CharacteristicPath(ts=[0.5, 0.25], rhos=[0.2, 0.1], qs=[0.0, 0.0],
-                             t0=0.5, xi=0.2, status="extended-to-floor",
-                             t_min_reached=0.25, steps_accepted=1,
+                             status="extended-to-floor", steps_accepted=1,
                              steps_rejected=0)
     rep = check_radius_bounds(bad, frozen_consts(), Frac(3, 10),
                               Frac(9, 20), r=0.0)
@@ -153,8 +151,7 @@ def test_radius_lower_bound_catches_decreasing_path():
 def test_radius_upper_bound_catches_overshoot():
     # path rises faster than the C1 envelope allows
     bad = CharacteristicPath(ts=[0.5, 0.25], rhos=[0.2, 5.0], qs=[0.0, 0.0],
-                             t0=0.5, xi=0.2, status="extended-to-floor",
-                             t_min_reached=0.25, steps_accepted=1,
+                             status="extended-to-floor", steps_accepted=1,
                              steps_rejected=0)
     rep = check_radius_bounds(bad, frozen_consts(C1=0.01), Frac(3, 10),
                               Frac(9, 20), r=0.0)
@@ -257,8 +254,8 @@ def test_decay_profile_logarithmic_example_trends_to_zero():
 
 
 def hand_path(ts, rhos, qs):
-    return CharacteristicPath(ts=ts, rhos=rhos, qs=qs, t0=ts[0], xi=rhos[0],
-                              status="extended-to-floor", t_min_reached=ts[-1],
+    return CharacteristicPath(ts=ts, rhos=rhos, qs=qs,
+                              status="extended-to-floor",
                               steps_accepted=len(ts) - 1, steps_rejected=0)
 
 

@@ -232,9 +232,24 @@ def test_certify_corrupted_eps00_flags_growth_bound(capsys):
     ("--tol", "0", "--tol must be"),
     ("--tol", "nan", "--tol must be"),
     ("--tol", "inf", "--tol must be"),
+    ("--tfloor", "0", "--tfloor must"),
+    ("--tfloor", "1", "--tfloor must"),
+    ("--tfloor", "-0.5", "--tfloor must"),
+    ("--tfloor", "nan", "--tfloor must"),
+    ("--tfloor", "inf", "--tfloor must"),
+    ("--grid", "bogus", "grid must look like"),
+    ("--grid", "0x5", "at least one point per axis"),
+    ("--w", "bogus", "coeff,tpow"),
+    ("--w", "1,0,2", "must vanish at t = 0"),
+    # a zero test function used to pass every check vacuously
+    ("--w", "0,1,2", "w sums to zero: '0,1,2'"),
+    ("--w", "1,1,2;-1,1,2", "w sums to zero: '1,1,2;-1,1,2'"),
 ])
-def test_certify_bad_flag_is_input_error(capsys, flag, value, fragment):
-    rc, rep, _ = run_json(capsys, "certify", "remark3", flag, value)
+@pytest.mark.parametrize("name", ["remark3", "remark2"])
+def test_certify_bad_flag_is_input_error(capsys, name, flag, value, fragment):
+    # remark2 has no margin h: a bad flag must still be named, not
+    # masked by the hypothesis check
+    rc, rep, _ = run_json(capsys, "certify", name, flag, value)
     assert rc == 2
     assert rep["error"]["type"] == "InputError"
     assert fragment in rep["error"]["message"]
@@ -281,6 +296,15 @@ def test_certify_csv_samples(tmp_path, capsys):
     first = lines[1].split(",")
     assert len(first) == 4
     float(first[0]), float(first[1]), float(first[2]), float(first[3])
+
+
+def test_certify_unwritable_csv_is_input_error(tmp_path, capsys):
+    csv = tmp_path / "missing" / "path.csv"
+    rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "8x8",
+                          "--csv", str(csv))
+    assert rc == 2
+    assert rep["error"]["type"] == "InputError"
+    assert rep["error"]["message"].startswith(f"cannot write --csv {str(csv)!r}")
 
 
 def test_certify_timings_are_deterministic_counters(capsys):
@@ -354,6 +378,15 @@ def test_verify_example_largest_exponent_p_stays_finite(capsys, name):
 # -- misc ----------------------------------------------------------------
 
 
+def test_unwritable_out_exits_two_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    rc, stdout, err = run(capsys, "check", "remark3", "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write {str(out)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_version_field_present(capsys):
     rc, rep, _ = run_json(capsys, "check", "remark3")
     import fuchsian
@@ -373,13 +406,20 @@ def test_console_script_entry_point():
 
 
 def test_cli_import_leaves_numpy_out():
+    # the package root loads no submodule, and the CLI loads the
+    # certificate layers only inside certify and verify-example
     import os, subprocess, sys
     from pathlib import Path
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fuchsian.cli; print('numpy' in sys.modules)"],
+         "import sys, fuchsian\n"
+         "print(sorted(m for m in sys.modules if m.startswith('fuchsian.')))\n"
+         "import fuchsian.cli\n"
+         "print('numpy' in sys.modules)\n"
+         "print([m for m in ('certificate', 'majorant', 'characteristics')\n"
+         "       if 'fuchsian.' + m in sys.modules])"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "False", "[]"]

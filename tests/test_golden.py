@@ -21,6 +21,12 @@ CASES = [
     ("certify_remark3_forced.json", ["certify", "remark3_forced"], 1),
     ("certify_remark3_seed7.json", ["certify", "remark3", "--seed", "7"], 1),
     ("verify-example_remark3.json", ["verify-example", "remark3"], 0),
+    ("check_remark2.json", ["check", "remark2"], 0),
+    ("verify-example_remark2.json", ["verify-example", "remark2"], 0),
+    ("verify-example_remark3_forced.json",
+     ["verify-example", "remark3_forced"], 0),
+    # remark2 has no exponent margin h: the HypothesisViolated path
+    ("certify_remark2.json", ["certify", "remark2"], 2),
     # irrational indicial roots, read from tests/golden/inputs/: real ones
     # (s^2 + 3 s + 1) and a complex pair (s^2 + s + 1)
     ("check_irrational_real.json", ["check", "irrational_real.json"], 0),

@@ -47,7 +47,8 @@ def test_truncation_drops_high_orders():
 def test_t_order():
     assert SeriesTX.zero(1, 3, 3).t_order() is None
     assert SeriesTX.one(1, 3, 3).t_order() == 0
-    g = SeriesTX.var_t(1, 3, 3) + SeriesTX.monomial(1, 3, 3, 1, 2, (1,))
+    g = (SeriesTX.monomial(1, 3, 3, 1, 1, (0,))
+         + SeriesTX.monomial(1, 3, 3, 1, 2, (1,)))
     assert g.t_order() == 1
 
 
@@ -77,7 +78,7 @@ def test_invert_unit_is_right_inverse():
 
 def test_invert_unit_needs_nonzero_constant():
     with pytest.raises(NotInvertible):
-        SeriesTX.var_t(1, 3, 3).invert_unit()
+        SeriesTX.monomial(1, 3, 3, 1, 1, (0,)).invert_unit()
 
 
 # -- ring structure --------------------------------------------------
@@ -228,7 +229,7 @@ def test_shift_z_matches_polynomial_expansion():
     zk = ZKey(0, (0,))
     z = SeriesTXZ.z_var(1, 4, 4, 4, zk)
     F = z * z
-    s = SeriesTX.var_t(1, 4, 4)
+    s = SeriesTX.monomial(1, 4, 4, 1, 1, (0,))
     G = F.shift_z({zk: s})
     expected = F + z.scale(2) * SeriesTXZ.from_tx(s, 4) \
         + SeriesTXZ.from_tx(s * s, 4)
