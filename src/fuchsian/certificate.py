@@ -15,7 +15,7 @@ rule; violations are reported, never absorbed, and a pass is not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characteristics import allowed
 from .equation import CharData
@@ -92,8 +92,7 @@ def build_shifted_rhs(eq, base=None) -> SeriesTXZ:
     return H
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Shifted right-hand side over the factored-operator jet basis.
 
     theta_rhs = beta0*d[0,0] + beta1*d[1,0] + t*sum a[k]*d[k]
@@ -219,8 +218,7 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
     return dec
 
 
-@dataclass(frozen=True)
-class ProfileFamily:
+class ProfileFamily(NamedTuple):
     """Comparison profiles of one test function, indexed by (i, j):
     (0,0) and (1,0) are weighted time integrals of the factored-derivative
     norms, the rest are their rho-derivatives."""
@@ -265,8 +263,7 @@ def profile_family(w: SeriesTX, cd: CharData) -> ProfileFamily:
     return ProfileFamily(w=w, slots=slots)
 
 
-@dataclass(frozen=True)
-class BarrierParams:
+class BarrierParams(NamedTuple):
     """Weights of the barrier combination and the working box."""
 
     eps00: Frac

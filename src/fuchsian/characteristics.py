@@ -11,7 +11,7 @@ exactly nondecreasing as t decreases whenever B >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, SearchExhausted
 
@@ -34,8 +34,7 @@ def allowed(rhs: float) -> float:
     return rhs + SLACK * (1.0 + abs(rhs))
 
 
-@dataclass
-class CharacteristicPath:
+class CharacteristicPath(NamedTuple):
     """Sampled path of the flow: ts strictly decreasing from the anchor
     time ts[0] to the last time reached ts[-1], rhos nondecreasing from the
     anchor radius rhos[0], qs the barrier sampled along the way."""
@@ -54,16 +53,14 @@ def integrate(b_fun, q_fun, t0: float, xi: float, r_max: float,
     """Integrate the flow from (t0, xi) down to t_floor.
 
     b_fun(t, rho) is the transport rate, q_fun(t, rho) the quantity
-    sampled along the path (None records zeros).  Stops at the floor, on
-    leaving rho >= r_max, or on step failure; the stop reason lands in
-    the status field rather than an exception.
+    sampled along the path.  Stops at the floor, on leaving rho >= r_max,
+    or on step failure; the stop reason lands in the status field rather
+    than an exception.
     """
     if not (0.0 < t_floor < t0):
         raise InputError("need 0 < t_floor < t0")
     if not (0.0 < xi < r_max):
         raise InputError("need 0 < xi < r_max")
-    if q_fun is None:
-        q_fun = lambda t, rho: 0.0
 
     s = math.log(t0)
     s_end = math.log(t_floor)

@@ -14,7 +14,6 @@ and found violations, 2 input, hypothesis or write error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -224,9 +223,9 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
     profiles = profile_family(w, cd)
     params, cert = choose_params(cd, dec, profiles)
     if kappa is not None:
-        params = dataclasses.replace(params, kappa=kappa)
+        params = params._replace(kappa=kappa)
     if eps00 is not None:
-        params = dataclasses.replace(params, eps00=eps00)
+        params = params._replace(eps00=eps00)
     barrier_report = verify_barrier(params, profiles, dec, nt, nrho)
     consts = barrier_report["constants"]
 
@@ -236,10 +235,14 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
         consts, params.h, params.kappa, R,
         q_corner=lambda s: system.barrier(s, R),
         sigma_max=float(params.sigma0))
+    t_floor = args.tfloor * sigma_c
+    if not t_floor > 0:
+        raise InputError(f"--tfloor {args.tfloor!r} times the anchor time "
+                         f"{sigma_c!r} underflows to 0")
     xi = R / 4.0
     path = integrate(system.transport_rate, system.barrier,
                      t0=sigma_c, xi=xi, r_max=R,
-                     t_floor=args.tfloor * sigma_c, tol=args.tol)
+                     t_floor=t_floor, tol=args.tol)
     decay = check_weighted_decay(path, params.h)
     radius = check_radius_bounds(path, consts, params.kappa, params.h, r_c)
     origin = check_reaches_origin(path, R, consts, params.kappa,

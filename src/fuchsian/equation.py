@@ -19,15 +19,14 @@ Re sqrt(D) still proves the bounds on -Re of the roots.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import A2Violation, A3Violation
 from .rational import CRat, Frac, crat_sqrt_exact, sqrt_upper
 from .series import SeriesTX, SeriesTXZ, ZKey
 
 
-@dataclass(frozen=True)
-class CharData:
+class CharData(NamedTuple):
     """Linearisation data at x = 0.
 
     betas[i] is the x-series multiplying z[i, 0] among the t-free terms.

@@ -18,14 +18,13 @@ here can mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 Frac = Fraction
 _ZERO = Frac(0)
-_new, _set = object.__new__, object.__setattr__
+_set = object.__setattr__
 
 _ENC_SHIFT = 96          # bits of precision for the rounded squarefree root
 _BIAS_NUM = (1 << 48) + 1
@@ -90,33 +89,36 @@ def frac_sqrt_exact(s: Frac) -> Frac | None:
     return None
 
 
-@dataclass(frozen=True)
 class CRat:
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Frac = Frac(0)
-    im: Frac = Frac(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Frac(self.re))
-        object.__setattr__(self, "im", Frac(self.im))
+    def __init__(self, re=_ZERO, im=_ZERO) -> None:
+        _set(self, "re", re if type(re) is Fraction else Frac(re))
+        _set(self, "im", im if type(im) is Fraction else Frac(im))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"CRat is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, CRat):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     # -- arithmetic -------------------------------------------------
-
-    @classmethod
-    def _raw(cls, re: Frac, im: Frac) -> "CRat":
-        """Trusted constructor: re and im must already be Fractions."""
-        z = _new(cls)
-        _set(z, "re", re)
-        _set(z, "im", im)
-        return z
 
     @staticmethod
     def _coerce(x) -> "CRat | None":
         if isinstance(x, CRat):
             return x
         if isinstance(x, (int, Fraction)):
-            return CRat._raw(Frac(x), _ZERO)
+            return CRat(x)
         return None
 
     def __add__(self, other):
@@ -124,8 +126,8 @@ class CRat:
         if o is None:
             return NotImplemented
         if not (self.im or o.im):
-            return CRat._raw(self.re + o.re, self.im)
-        return CRat._raw(self.re + o.re, self.im + o.im)
+            return CRat(self.re + o.re, self.im)
+        return CRat(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -133,16 +135,16 @@ class CRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CRat._raw(self.re - o.re, self.im - o.im)
+        return CRat(self.re - o.re, self.im - o.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not (self.im or o.im):
-            return CRat._raw(self.re * o.re, self.im)
-        return CRat._raw(self.re * o.re - self.im * o.im,
-                         self.re * o.im + self.im * o.re)
+            return CRat(self.re * o.re, self.im)
+        return CRat(self.re * o.re - self.im * o.im,
+                    self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 

@@ -42,9 +42,9 @@ more jet evaluation: x-degree x_order - 2 for the default x_order, a = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, perm
 from operator import add
+from typing import NamedTuple
 
 from .equation import FuchsianEquation
 from .errors import A2Violation, IndicialZero, TruncationExhausted
@@ -68,8 +68,7 @@ def derivative_tuple(u: SeriesTX) -> dict[ZKey, SeriesTX]:
     return out
 
 
-@dataclass(frozen=True)
-class FormalSolution:
+class FormalSolution(NamedTuple):
     """Result of the order-by-order construction.
 
     u carries the requested orders as its caps: u.k_t is the t-order and

@@ -6,7 +6,6 @@ assertion), and direct evaluation of the corner formulas restated inline
 with math.pow, never through the code path under test.
 """
 
-import dataclasses
 import math
 import random
 
@@ -539,10 +538,10 @@ def test_compiled_families_match_keyed_loops(extra):
         # the chosen weights and box, then random ones: constants() reads
         # the box, and other weights move every product
         variants = [chosen] + [
-            dataclasses.replace(chosen, eps11=Frac(rng.randint(1, 99), 100),
-                                kappa=Frac(rng.randint(1, 49), 100),
-                                sigma0=Frac(1, 2 ** rng.randint(0, 12)),
-                                R0=Frac(rng.randint(1, 99), 100))
+            chosen._replace(eps11=Frac(rng.randint(1, 99), 100),
+                            kappa=Frac(rng.randint(1, 49), 100),
+                            sigma0=Frac(1, 2 ** rng.randint(0, 12)),
+                            R0=Frac(rng.randint(1, 99), 100))
             for _ in range(9)]
         for params in variants:
             system = BarrierSystem(dec, prof, params)
@@ -646,9 +645,8 @@ def test_verify_barrier_sector_evals_per_grid_point(remark3_setup, monkeypatch):
 
 
 def test_corrupted_eps00_breaks_growth_bound(remark3_setup):
-    import dataclasses
     _, cd, dec, w, prof, params, _ = remark3_setup
-    bad = dataclasses.replace(params, eps00=10 * params.h)
+    bad = params._replace(eps00=10 * params.h)
     rep = verify_barrier(bad, prof, dec, nt=20, nrho=20)
     chk = rep["checks"]["growth_bound_le_h"]
     assert not chk["ok"]

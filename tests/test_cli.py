@@ -257,6 +257,17 @@ def test_certify_bad_flag_is_input_error(capsys, name, flag, value, fragment):
     assert "results" not in rep
 
 
+def test_certify_underflowing_tfloor_is_input_error(capsys):
+    # 5e-324 passes the (0, 1) check, but times the anchor time it is 0.0;
+    # the product is known only after the grid has fixed the anchor time
+    rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "4x4",
+                          "--tfloor", "5e-324")
+    assert rc == 2
+    assert rep["error"]["type"] == "InputError"
+    message = rep["error"]["message"]
+    assert "--tfloor 5e-324" in message and "underflows" in message
+
+
 def test_certify_explicit_w(capsys):
     rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "8x8",
                           "--w", "1/2,1,2")
@@ -407,7 +418,8 @@ def test_console_script_entry_point():
 
 def test_cli_import_leaves_numpy_out():
     # the package root loads no submodule, and the CLI loads the
-    # certificate layers only inside certify and verify-example
+    # certificate layers only inside certify and verify-example; no layer
+    # loads dataclasses, which would pull inspect into every process
     import os, subprocess, sys
     from pathlib import Path
     src = Path(__file__).resolve().parent.parent / "src"
@@ -418,8 +430,11 @@ def test_cli_import_leaves_numpy_out():
          "import fuchsian.cli\n"
          "print('numpy' in sys.modules)\n"
          "print([m for m in ('certificate', 'majorant', 'characteristics')\n"
-         "       if 'fuchsian.' + m in sys.modules])"],
+         "       if 'fuchsian.' + m in sys.modules])\n"
+         "print('dataclasses' in sys.modules)\n"
+         "import fuchsian.certificate\n"
+         "print('dataclasses' in sys.modules)"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "False", "[]"]
+    assert out.stdout.splitlines() == ["[]", "False", "[]", "False", "False"]

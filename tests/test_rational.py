@@ -83,8 +83,8 @@ def test_crat_mixed_arithmetic_with_int_and_fraction():
 
 
 def test_crat_ring_operations_match_the_full_formula():
-    # the real-only branches and the trusted constructor must give the same
-    # values, hashes and Fraction parts as the complex formula
+    # the real-only branches must give the same values, hashes and
+    # Fraction parts as the complex formula
     rng = random.Random(8080)
 
     def frac():
@@ -151,3 +151,22 @@ def test_crat_sqrt_exact_roundtrip():
 def test_crat_sqrt_exact_negative_real():
     s = crat_sqrt_exact(CRat(Frac(-9, 4)))
     assert s is not None and s * s == CRat(Frac(-9, 4))
+
+
+@pytest.mark.parametrize("re, im, want", [
+    (3, -2, (Frac(3), Frac(-2))),
+    (Frac(1, 3), Frac(-5, 7), (Frac(1, 3), Frac(-5, 7))),
+    ("1/4", "-2", (Frac(1, 4), Frac(-2))),
+    (7, None, (Frac(7), Frac(0))),
+])
+def test_crat_constructor_contract(re, im, want):
+    z = CRat(re) if im is None else CRat(re, im)
+    assert (z.re, z.im) == want
+    assert type(z.re) is Frac and type(z.im) is Frac
+    assert hash(z) == hash(want)
+    assert {z: "v"}[CRat(*want)] == "v"
+    # immutable, and never equal to a bare number
+    with pytest.raises(AttributeError):
+        z.re = Frac(0)
+    assert (z.re, z.im) == want
+    assert (CRat(1) == 1) is False and CRat() == CRat(0, 0)
