@@ -30,7 +30,7 @@ from .errors import (
 from .majorant import norm_x, norm_xz
 from .rational import CRat, Frac
 from .series import SeriesTX, SeriesTXZ, ZKey, _nu_degree, _zkey_sort, lambda_keys
-from .solver import FormalSolution, derivative_tuple
+from .solver import derivative_tuple
 
 # rational headroom matching the directed-root bias in rational.py: exact
 # domination can be off by at most one part in 2**48 of enclosure rounding
@@ -67,20 +67,12 @@ def _nu_drop(nu: tuple, *gone: ZKey) -> tuple:
     return tuple((zk, counts[zk]) for zk, _ in nu if counts[zk] > 0)
 
 
-def build_shifted_rhs(eq, base=None) -> SeriesTXZ:
+def build_shifted_rhs(eq, u0: SeriesTX | None = None) -> SeriesTXZ:
     """Right-hand side seen by the difference w = u - u0.
 
     Substitutes z -> z + jet(u0) into F and removes the jet-free part, so
-    the result vanishes identically at z = 0.  base may be a FormalSolution,
-    a SeriesTX, or None (no shift).
+    the result vanishes identically at z = 0.  u0 = None means no shift.
     """
-    if isinstance(base, FormalSolution):
-        u0 = base.u
-    elif isinstance(base, SeriesTX) or base is None:
-        u0 = base
-    else:
-        raise TypeError("base must be a FormalSolution, SeriesTX or None")
-
     F = eq.F
     if u0 is not None and not u0.is_zero():
         if u0.t_order() == 0:
@@ -157,7 +149,7 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
     def zvar(zk):
         return SeriesTXZ.z_var(n, kt, kx, kz, zk)
 
-    mapping = {zk: [(CRat(Frac(1)), zk), (lam1, ZKey(0, zk.alpha))]
+    mapping = {zk: [(CRat(1), zk), (lam1, ZKey(0, zk.alpha))]
                for zk in keys if zk.i == 1}
     G = H.substitute_z_linear(mapping)
     # the left side picks up lower-order terms under the factorisation

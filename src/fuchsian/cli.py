@@ -8,7 +8,8 @@ Reports are canonical JSON: sorted keys, compact separators, floats in
 their shortest round-trip form, exact rationals as "p/q" strings.  All
 recorded work measures are deterministic counters, so byte-identical
 inputs give byte-identical reports.  Exit codes: 0 clean, 1 checks ran
-and found violations, 2 input, hypothesis or write error.
+and found violations, 2 input, hypothesis or write error, 3 internal error
+(an unexpected exception, reported as error type "internal_error").
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .builtin import (
 from .equation import CharData, FuchsianEquation, applicability
 from .errors import HypothesisViolated, InputError, ToolkitError
 from .series import SeriesTX, alphas_of_degree
-from .solver import residual, solve_formal
 
 
 def canonical_json(obj) -> str:
@@ -180,6 +180,7 @@ def cmd_check(args, data: bytes, label: str, report: dict) -> int:
 
 
 def cmd_solve(args, data: bytes, label: str, report: dict) -> int:
+    from .solver import solve_formal
     _require_order(args.order)
     if args.x_order is not None and args.x_order < 0:
         raise InputError(f"--x-order must be at least 0, got {args.x_order}")
@@ -199,6 +200,7 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
     from .characteristics import (check_radius_bounds, check_reaches_origin,
                                   check_weighted_decay, integrate,
                                   smallness_box)
+    from .solver import solve_formal
     _require_order(args.order)
     kappa = _rational_flag("kappa", args.kappa,
                            lambda v: 0 < v < Fraction(1, 2),
@@ -218,7 +220,7 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
             "decay hypothesis fails: no exponent margin h; "
             "the barrier construction does not apply")
     u0 = solve_formal(eq, args.order)
-    H = build_shifted_rhs(eq, u0)
+    H = build_shifted_rhs(eq, u0.u)
     dec = normal_form(H, cd)
     profiles = profile_family(w, cd)
     params, cert = choose_params(cd, dec, profiles)
@@ -288,6 +290,7 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
 def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
     from .certificate import choose_params
     from .characteristics import decay_profile
+    from .solver import residual, solve_formal
     _require_tol(args.tol)
     if not 0 <= args.exponent_p <= 64:  # keeps R ** -p finite for R >= 1/16
         raise InputError(f"--exponent-p must be in 0..64, got {args.exponent_p}")
@@ -406,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Read the input once, run the command into a report that starts with
     the command, version and input digest, and emit it.  A ToolkitError
-    becomes the report's error entry with exit 2; input that cannot be read,
-    or a report that cannot be written to --out, gives only a message on
-    stderr and exit 2."""
+    becomes the report's error entry with exit 2, any other exception an
+    internal_error entry with exit 3; input that cannot be read, or a report
+    that cannot be written to --out, gives only a message on stderr and
+    exit 2."""
     args = build_parser().parse_args(argv)
     try:
         data, label = read_equation_source(args.equation)
@@ -425,6 +429,10 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2
+    except Exception as exc:
+        report["error"] = {"type": "internal_error",
+                           "message": f"{type(exc).__name__}: {exc}"}
+        code = 3
     try:
         _emit(report, args.out)
     except OSError as exc:

@@ -96,7 +96,7 @@ class FuchsianEquation:
 
     def indicial_series(self, s: int) -> SeriesTX:
         """The x-series s^2 - beta*_1(x) s - beta*_0(x) (t-free)."""
-        sc = CRat(Frac(s))
+        sc = CRat(s)
         return (SeriesTX.const(self.n, 0, self.F.k_x, sc * sc)
                 - self.beta_star(0) - self.beta_star(1).scale(sc))
 
@@ -107,7 +107,7 @@ class FuchsianEquation:
         b0, b1 = (beta.coeff(0, (0,) * self.n) for beta in betas)
         # s^2 - b1 s - b0 has the roots (b1 -+ sqrt(D)) / 2; the principal
         # root (re > 0, or re == 0 and im >= 0) orders them by (re, im)
-        disc = b1 * b1 + CRat(Frac(4)) * b0
+        disc = b1 * b1 + CRat(4) * b0
         sq = crat_sqrt_exact(disc)
         if sq is not None:
             roots_exact = ((b1 - sq) / 2, (b1 + sq) / 2)
@@ -160,7 +160,7 @@ def applicability(cd: CharData, K: int = 10) -> tuple:
     b0, b1 = (beta.coeff(0, (0,) * beta.n) for beta in cd.betas)
 
     def indicial(k: int) -> CRat:
-        s = CRat(Frac(k))
+        s = CRat(k)
         return s * s - b1 * s - b0
 
     cands = [round(z.re) for z in cd.roots_exact] if cd.roots_exact \

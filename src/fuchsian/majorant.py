@@ -32,7 +32,6 @@ from .series import SeriesTX, SeriesTXZ, ZKey, _norm_nu, _nu_degree, _zkey_sort
 
 def weight(alpha) -> Frac:
     """Combinatorial weight alpha!/|alpha|! of a multi-index."""
-    alpha = tuple(int(a) for a in alpha)
     num = 1
     for a in alpha:
         num *= factorial(a)
@@ -137,7 +136,6 @@ class SectorMajorant:
     def __init__(self, coeffs=None):
         store: dict[int, RhoPoly] = {}
         for k, p in (coeffs or {}).items():
-            k = int(k)
             if k < 0:
                 raise ValueError("negative t-power in majorant")
             if not isinstance(p, RhoPoly):
@@ -270,7 +268,6 @@ class NormProfileZ:
     def __init__(self, profiles=None):
         store: dict[tuple, RhoPoly] = {}
         for (k, nu), p in (profiles or {}).items():
-            k = int(k)
             if k < 0:
                 raise ValueError("negative t-power in norm profile")
             nu = _norm_nu(nu)
@@ -304,7 +301,7 @@ class NormProfileZ:
 
     def dz(self, key) -> "NormProfileZ":
         """Formal partial derivative in one jet slot (power rule)."""
-        zk = ZKey(int(key[0]), tuple(int(a) for a in key[1]))
+        zk = ZKey(*key)
         out: dict[tuple, RhoPoly] = {}
         for (k, nu), p in self.profiles.items():
             nd = dict(nu)

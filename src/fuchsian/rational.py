@@ -192,9 +192,9 @@ def crat_sqrt_exact(z: CRat) -> CRat | None:
     if z.im == 0:
         if z.re >= 0:
             r = frac_sqrt_exact(z.re)
-            return None if r is None else CRat(r, Frac(0))
+            return None if r is None else CRat(r)
         r = frac_sqrt_exact(-z.re)
-        return None if r is None else CRat(Frac(0), r)
+        return None if r is None else CRat(0, r)
     r = frac_sqrt_exact(z.abs2())
     if r is None:
         return None

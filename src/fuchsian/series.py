@@ -15,7 +15,9 @@ both operands are reliable.  Operations never mutate; every method returns
 a fresh object.
 
 t-powers k and multi-indices alpha are ordered graded-lexicographically,
-key (k + |alpha|, k, alpha); jet keys by (i + |alpha|, i, alpha).
+key (k + |alpha|, k, alpha); jet keys by (i + |alpha|, i, alpha).  Keys are
+Python ints, tuples of ints and ZKeys as given, never re-coerced: the JSON
+loader and the CLI, where outside input enters, make them so.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from .errors import (
     NotInvertible,
     TruncationExhausted,
 )
-from .rational import CRat, Frac
+from .rational import CRat
 
 
 def _coeff(c) -> CRat:
     if isinstance(c, CRat):
         return c
     if isinstance(c, (int, Fraction)):
-        return CRat(Frac(c), Frac(0))
+        return CRat(c)
     raise TypeError(f"cannot use {c!r} as an exact coefficient")
 
 
@@ -83,8 +85,7 @@ def _norm_nu(nu) -> tuple:
     acc: dict[ZKey, int] = {}
     items = nu.items() if isinstance(nu, dict) else nu
     for zk, p in items:
-        zk = ZKey(int(zk[0]), tuple(int(a) for a in zk[1]))
-        p = int(p)
+        zk = ZKey(*zk)
         if p < 0:
             raise ValueError("negative jet power")
         if p:
@@ -110,23 +111,17 @@ class SeriesTX:
         self.k_t = k_t
         self.k_x = k_x
         store: dict[tuple, CRat] = {}
-        for (k, alpha), c in (terms or {}).items():
-            k = int(k)
-            alpha = tuple(int(a) for a in alpha)
-            if k < 0 or any(a < 0 for a in alpha):
-                raise ValueError("negative exponent in term key")
+        for key, c in (terms or {}).items():
+            k, alpha = key
             if len(alpha) != n:
                 raise DimensionMismatch(
                     f"multi-index {alpha} has length {len(alpha)}, expected {n}")
+            if k < 0 or min(alpha) < 0:
+                raise ValueError("negative exponent in term key")
             if k > k_t or sum(alpha) > k_x:
                 continue
             c = _coeff(c)
-            key = (k, alpha)
-            acc = store.get(key)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                store.pop(key, None)
-            else:
+            if not c.is_zero():
                 store[key] = c
         self.terms = store
 
@@ -199,7 +194,7 @@ class SeriesTX:
     __radd__ = __add__
 
     def __neg__(self):
-        return self.scale(CRat(Frac(-1)))
+        return self.scale(-1)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CRat)):
@@ -328,23 +323,21 @@ class SeriesTXZ:
         self.k_t = k_t
         self.k_x = k_x
         self.k_z = k_z
-        admissible = set(lambda_keys(n))
         clipped = bool(z_clipped)
         store: dict[tuple, CRat] = {}
         for (k, alpha, nu), c in (terms or {}).items():
-            k = int(k)
-            alpha = tuple(int(a) for a in alpha)
-            if k < 0 or any(a < 0 for a in alpha):
-                raise ValueError("negative exponent in term key")
             if len(alpha) != n:
                 raise DimensionMismatch(
                     f"multi-index {alpha} has length {len(alpha)}, expected {n}")
+            if k < 0 or min(alpha) < 0:
+                raise ValueError("negative exponent in term key")
             nu = _norm_nu(nu)
             for zk, _ in nu:
-                if len(zk.alpha) != n:
+                i, za = zk
+                if len(za) != n:
                     raise DimensionMismatch(
-                        f"jet index {zk} has {len(zk.alpha)} spatial slots, expected {n}")
-                if zk not in admissible:
+                        f"jet index {zk} has {len(za)} spatial slots, expected {n}")
+                if not (0 <= i < 2 and min(za) >= 0 and i + sum(za) <= 2):
                     raise IndexOutOfLambda(
                         f"jet index {zk} not admissible for order 2")
             c = _coeff(c)
@@ -378,7 +371,7 @@ class SeriesTXZ:
 
     @classmethod
     def z_var(cls, n, k_t, k_x, k_z, key) -> "SeriesTXZ":
-        zk = ZKey(int(key[0]), tuple(int(a) for a in key[1]))
+        zk = ZKey(*key)
         if k_z < 1:
             raise TruncationExhausted("k_z = 0 cannot hold a jet variable")
         return cls(n, k_t, k_x, k_z, {(0, (0,) * n, ((zk, 1),)): 1})
@@ -426,7 +419,7 @@ class SeriesTXZ:
     __radd__ = __add__
 
     def __neg__(self):
-        return self.scale(CRat(Frac(-1)))
+        return self.scale(-1)
 
     def __sub__(self, other):
         if isinstance(other, SeriesTXZ):
@@ -490,7 +483,7 @@ class SeriesTXZ:
         """
         vals: dict[ZKey, SeriesTX] = {}
         for key, v in values.items():
-            zk = ZKey(int(key[0]), tuple(int(a) for a in key[1]))
+            zk = ZKey(*key)
             if not isinstance(v, SeriesTX):
                 raise TypeError("substitute_z expects SeriesTX values")
             if v.n != self.n:
@@ -549,7 +542,7 @@ class SeriesTXZ:
         used = self.jet_keys_used()
         images = {}
         for key, s in shifts.items():
-            zk = ZKey(int(key[0]), tuple(int(a) for a in key[1]))
+            zk = ZKey(*key)
             if not isinstance(s, SeriesTX):
                 raise TypeError("shift_z expects SeriesTX shifts")
             if s.n != self.n:
@@ -568,9 +561,8 @@ class SeriesTXZ:
         """
         lin: dict[ZKey, list] = {}
         for key, combo in mapping.items():
-            zk = ZKey(int(key[0]), tuple(int(a) for a in key[1]))
-            lin[zk] = [(_coeff(c), ZKey(int(k2[0]), tuple(int(a) for a in k2[1])))
-                       for c, k2 in combo]
+            zk = ZKey(*key)
+            lin[zk] = [(_coeff(c), ZKey(*k2)) for c, k2 in combo]
 
         used = self.jet_keys_used()
         zero = SeriesTXZ.zero(self.n, self.k_t, self.k_x, self.k_z)
@@ -603,8 +595,7 @@ class SeriesTXZ:
         xs = tuple(xs)
         if len(xs) != self.n:
             raise DimensionMismatch(f"expected {self.n} spatial values")
-        zc = {ZKey(int(k[0]), tuple(int(a) for a in k[1])): complex(v)
-              for k, v in zvals.items()}
+        zc = {ZKey(*k): complex(v) for k, v in zvals.items()}
         missing = sorted(self.jet_keys_used() - set(zc), key=_zkey_sort)
         if missing:
             raise MissingSubstitution(f"no numeric value for {missing}")

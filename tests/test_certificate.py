@@ -52,7 +52,7 @@ def test_shifted_rhs_forced_equation_matches_plain():
     H_plain = build_shifted_rhs(load_equation("remark3"))
     eqf = load_equation("remark3_forced")
     sol = solve_formal(eqf, 4)
-    H_forced = build_shifted_rhs(eqf, sol)
+    H_forced = build_shifted_rhs(eqf, sol.u)
     common_kt = min(H_plain.k_t, H_forced.k_t)
     common_kx = min(H_plain.k_x, H_forced.k_x)
 
@@ -66,7 +66,7 @@ def test_shifted_rhs_forced_equation_matches_plain():
 def test_shifted_rhs_has_no_jet_free_part():
     eqf = load_equation("remark3_forced")
     sol = solve_formal(eqf, 4)
-    H = build_shifted_rhs(eqf, sol)
+    H = build_shifted_rhs(eqf, sol.u)
     assert H.z_free_part().is_zero()
 
 
@@ -135,7 +135,7 @@ def test_normal_form_random_roundtrip():
         except Exception:
             continue
         cd = eqf.char_exponents()
-        H = build_shifted_rhs(eqf, sol)
+        H = build_shifted_rhs(eqf, sol.u)
         dec = normal_form(H, cd)
         assert reconstruct(dec) == dec.theta_rhs
         # a b entry keeps at least one jet factor in every term: its
@@ -522,7 +522,7 @@ def test_compiled_families_match_keyed_loops(extra):
                          "terms": _FOUR_FAMILIES + extra,
                          "truncation": {"K_t": 6, "K_x": 8, "K_z": 4}})
     cd = eq.char_exponents()
-    dec = normal_form(build_shifted_rhs(eq, solve_formal(eq, 3)), cd)
+    dec = normal_form(build_shifted_rhs(eq, solve_formal(eq, 3).u), cd)
     assert dec.a and dec.b and dec.c
     hosts = {sum(zk.alpha) for zk in dec.a}
     assert 2 in hosts and hosts - {2}

@@ -398,6 +398,20 @@ def test_unwritable_out_exits_two_with_one_error_line(tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_unexpected_exception_is_an_internal_error_report(
+        tmp_path, monkeypatch):
+    import fuchsian.cli
+
+    def boom(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fuchsian.cli, "cmd_check", boom)
+    out = tmp_path / "r.json"
+    assert main(["check", "remark3", "--out", str(out)]) == 3
+    error = json.loads(out.read_text())["error"]
+    assert error == {"type": "internal_error", "message": "RuntimeError: boom"}
+
+
 def test_version_field_present(capsys):
     rc, rep, _ = run_json(capsys, "check", "remark3")
     import fuchsian
@@ -418,7 +432,8 @@ def test_console_script_entry_point():
 
 def test_cli_import_leaves_numpy_out():
     # the package root loads no submodule, and the CLI loads the
-    # certificate layers only inside certify and verify-example; no layer
+    # certificate layers only inside certify and verify-example and the
+    # solver only inside the commands that solve; no layer
     # loads dataclasses, which would pull inspect into every process
     import os, subprocess, sys
     from pathlib import Path
@@ -429,7 +444,8 @@ def test_cli_import_leaves_numpy_out():
          "print(sorted(m for m in sys.modules if m.startswith('fuchsian.')))\n"
          "import fuchsian.cli\n"
          "print('numpy' in sys.modules)\n"
-         "print([m for m in ('certificate', 'majorant', 'characteristics')\n"
+         "print([m for m in ('certificate', 'majorant', 'characteristics',\n"
+         "                   'solver')\n"
          "       if 'fuchsian.' + m in sys.modules])\n"
          "print('dataclasses' in sys.modules)\n"
          "import fuchsian.certificate\n"
