@@ -6,7 +6,9 @@ comparison profiles for a test function w, select the weight parameters,
 and verify the resulting differential inequality pointwise on a grid.
 
 Everything up to grid evaluation is exact rational arithmetic.  The grid
-runs in floats, on coefficient families that BarrierSystem compiles once.
+runs in floats on a tensor product: BarrierSystem.grid caches the inner
+Horner values of every majorant once per rho column, so a point costs only
+the outer Horner passes in t, bit for bit the per-point values.
 Each pointwise check, like the path checks in characteristics.py, is a
 float comparison against characteristics.allowed(rhs), the one tolerance
 rule; violations are reported, never absorbed, and a pass is not a proof.
@@ -349,10 +351,7 @@ def choose_params(cd: CharData, dec: Decomposition | None = None,
     params = BarrierParams(eps00=eps00, eps01=eps01, eps11=eps11, kappa=kappa,
                            h=h, sigma0=sig, R0=R)
     ts, rhos = barrier_grid(float(sig), float(R), *_PARAMS_GRID)
-    mx = 0.0
-    for t in ts:
-        for rho in rhos:
-            mx = max(mx, system.growth_bound(t, rho))
+    mx = max([0.0, *(a for *_, a, _ in system.grid(ts, rhos))])
     cert = {
         "h": hf,
         "max_growth_bound": mx,
@@ -362,6 +361,22 @@ def choose_params(cd: CharData, dec: Decomposition | None = None,
         "halvings": {"eps11": n_eps, "box": n_box},
     }
     return params, cert
+
+
+def _pack_inner(pack, rho: float) -> list:
+    """Inner values at rho of every NormProfileZ in a packed coefficient."""
+    prof, dr, dz = pack
+    return [prof.inner(rho), dr.inner(rho), *(g.inner(rho) for _, g in dz)]
+
+
+def _slope(pack, inner: list, t: float, phiv: dict, dphiv: dict) -> float:
+    """Total rho-derivative of a composed coefficient norm: direct slope
+    plus the chain through every profile slot."""
+    _, dr, dz = pack
+    v = dr.outer(inner[1], t, phiv)
+    for (zk, g), gi in zip(dz, inner[2:]):
+        v += g.outer(gi, t, phiv) * dphiv[zk]
+    return v
 
 
 class _Check:
@@ -377,6 +392,8 @@ class _Check:
 
     def record(self, lhs: float, rhs: float, t: float, rho: float):
         self.checked += 1
+        if lhs <= rhs:      # allowed(rhs) >= rhs; nan and inf go on
+            return
         lim = allowed(rhs)
         if lhs > lim:
             self.violations += 1
@@ -394,13 +411,14 @@ class _Check:
 
 
 class BarrierSystem:
-    """Pointwise evaluators built from a decomposition, a profile family
-    and selected weights: the barrier q, its derivatives, and the two
-    majorant coefficients of the differential inequality."""
+    """The barrier q, its derivatives, and the majorant coefficients A and
+    B of the differential inequality.  Each has one kernel that takes the
+    values it is built from: from eval at one point, from column caches on
+    a grid."""
 
     def __init__(self, dec: Decomposition, profiles: ProfileFamily,
                  params: BarrierParams):
-        self.params = params
+        self.dec, self.profiles, self.params = dec, profiles, params
         self.keys = lambda_keys(dec.theta_rhs.n)
         # float weights for the grid, converted once
         self.e00, self.e01 = float(params.eps00), float(params.eps01)
@@ -411,13 +429,14 @@ class BarrierSystem:
         self.d11 = sl[(1, 1)].d_rho()
         self.d02 = sl[(0, 2)].d_rho()
         self.e = {ij: sl[ij].euler() for ij in _SLOTS}
-
-        self._slot_maj = {zk: sl[(zk.i, sum(zk.alpha))] for zk in self.keys}
-        # the rho-derivative of slot (i, j) is slot (i, j + 1), past the
-        # family's end d11 and d02
-        nxt = {**sl, (1, 2): self.d11, (0, 3): self.d02}
-        self._dslot_maj = {zk: nxt[(zk.i, sum(zk.alpha) + 1)]
-                           for zk in self.keys}
+        # the twelve majorants the barrier reads: slots, d11, d02, images
+        self.sectors = [*map(sl.get, _SLOTS), self.d11, self.d02,
+                        *self.e.values()]
+        # phi of key zk is slot (i, |alpha|); dphi is the slot after it in
+        # the family, past its end d11 and d02
+        self._phi = [(zk, _SLOTS.index((zk.i, sum(zk.alpha))))
+                     for zk in self.keys]
+        self._dphi = [(zk, s + 2) for zk, s in self._phi]
 
         def pack(s):
             prof = norm_xz(s)
@@ -426,130 +445,152 @@ class BarrierSystem:
                     tuple((zk, g) for zk, g in dz if not g.is_zero()))
 
         # coefficient families in the order every evaluator sums them: a on
-        # first-order hosts, then on second-order ones (so (1,(1,)) precedes
-        # (0,(2,)), unlike in lambda_keys), b with its host, c
+        # first-order hosts ("a1"), then on second-order ones ("a2"; so
+        # (1,(1,)) precedes (0,(2,)), unlike in lambda_keys), b, c
         eps = {zk: float(params.eps_slot(zk.i, sum(zk.alpha)))
                for zk in self.keys if sum(zk.alpha) <= 1}
-        self.a_low = [(pack(dec.a[zk]), wt) for zk, wt in eps.items()
-                      if zk in dec.a]
-        self.a_high = [pack(dec.a[zk]) for zk in self.keys
-                       if zk in dec.a and zk not in eps]
-        self.b_fam = [(zk, pack(dec.b[zk]), wt) for zk, wt in eps.items()
-                      if zk in dec.b]
-        self.c_fam = [pack(s) for s in dec.c.values()]
+        fams = ([("a1", wt, zk, dec.a[zk]) for zk, wt in eps.items()
+                 if zk in dec.a]
+                + [("a2", None, zk, dec.a[zk]) for zk in self.keys
+                   if zk in dec.a and zk not in eps]
+                + [("b", wt, zk, dec.b[zk]) for zk, wt in eps.items()
+                   if zk in dec.b]
+                + [("c", None, pr, s) for pr, s in dec.c.items()])
+        self.kinds = [(kind, wt, host) for kind, wt, host, _ in fams]
+        self.packs = [pack(s) for *_, s in fams]
+        # whether grid must pass phi and dphi to the coefficients
+        self._reads = any(nu for pk in self.packs for _, nu in pk[0].profiles)
         self.inv_eps = sum(1.0 / wt for wt in eps.values())
         self.n_high = len(self.keys) - len(eps)
         self.nbeta0 = norm_x(dec.beta0).slice(0)
         self.nbeta1 = norm_x(dec.beta1).slice(0)
         self.dbeta0 = self.nbeta0.d_rho()
         self.dbeta1 = self.nbeta1.d_rho()
+        self.betas = (self.nbeta0, self.nbeta1, self.dbeta0, self.dbeta1)
         self.work = {"phi_evals": 0, "coefficient_evals": 0}
-
-    # -- profile values ------------------------------------------------
 
     def phi_values(self, t: float, rho: float) -> dict:
         self.work["phi_evals"] += 1
-        return {zk: self._slot_maj[zk].eval(t, rho) for zk in self.keys}
+        return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
 
     def dphi_values(self, t: float, rho: float) -> dict:
-        return {zk: self._dslot_maj[zk].eval(t, rho) for zk in self.keys}
+        return {zk: self.sectors[s].eval(t, rho) for zk, s in self._dphi}
 
     def _comp(self, pack, t, rho, phiv) -> float:
         self.work["coefficient_evals"] += 1
         return pack[0].eval(t, rho, phiv)
 
     def _comp_drho(self, pack, t, rho, phiv, dphiv) -> float:
-        """Total rho-derivative of a composed coefficient norm: the direct
-        rho slope plus the chain through every profile slot."""
         self.work["coefficient_evals"] += 1
-        _, dr, dz = pack
-        v = dr.eval(t, rho, phiv)
-        for zk, g in dz:
-            v += g.eval(t, rho, phiv) * dphiv[zk]
-        return v
-
-    # -- barrier -----------------------------------------------------
+        return _slope(pack, _pack_inner(pack, rho), t, phiv, dphiv)
 
     def barrier_jet(self, t: float, rho: float) -> tuple:
-        """The barrier q, its rho-derivative, and t d/dt of it (by exact
-        term calculus on each part), with the slot values v and the two
-        second rho-derivatives they were built from:
-        (q, dq, tdq, v, dv11, dv02)."""
-        v = {ij: self.p[ij].eval(t, rho) for ij in _SLOTS}
-        dv11 = self.d11.eval(t, rho)
-        dv02 = self.d02.eval(t, rho)
-        e = {ij: self.e[ij].eval(t, rho) for ij in _SLOTS}
-        tk = t ** self.kf
-        sq02 = math.sqrt(v[(0, 2)])
-        q = (self.e00 * v[(0, 0)] + v[(1, 0)] + tk * v[(0, 2)]
-             + self.e01 * v[(0, 1)] + self.e11 * v[(1, 1)]
-             + v[(0, 2)] ** 1.5)
-        dq = (self.e00 * v[(0, 1)] + v[(1, 1)] + tk * dv02
-              + self.e01 * v[(0, 2)] + self.e11 * dv11
-              + 1.5 * sq02 * dv02)
-        tdq = (self.e00 * e[(0, 0)] + e[(1, 0)]
-               + tk * (self.kf * v[(0, 2)] + e[(0, 2)])
-               + self.e01 * e[(0, 1)] + self.e11 * e[(1, 1)]
-               + 1.5 * sq02 * e[(0, 2)])
-        return q, dq, tdq, v, dv11, dv02
+        """(q, dq, tdq, slot values, dv11, dv02) at one point."""
+        v = [m.eval(t, rho) for m in self.sectors]
+        return (*self._jet(t ** self.kf, v), dict(zip(_SLOTS, v)), v[5], v[6])
 
     def barrier(self, t: float, rho: float) -> float:
         return self.barrier_jet(t, rho)[0]
 
-    # -- the two majorant coefficients ---------------------------------
-
     def growth_bound(self, t: float, rho: float) -> float:
         """Multiplier of q in the differential inequality.  Reads the
         weights only; the box enters through where it gets evaluated."""
-        e00, e01, e11 = self.e00, self.e01, self.e11
-        phiv = self.phi_values(t, rho)
-        dphiv = self.dphi_values(t, rho)
-        sq02 = math.sqrt(self.p[(0, 2)].eval(t, rho))
-        t1k = t ** (1.0 - self.kf)
-
-        acc = e00
-        acc += self.nbeta0.eval(rho) / e00 + self.nbeta1.eval(rho)
-        for pk, eps in self.a_low:
-            acc += t / eps * self._comp(pk, t, rho, phiv)
-        for pk in self.a_high:
-            acc += t1k * self._comp(pk, t, rho, phiv)
-        for _, pk, eps in self.b_fam:
-            acc += self._comp(pk, t, rho, phiv) / eps
-        for pk in self.c_fam:
-            acc += self._comp(pk, t, rho, phiv) * sq02
-        acc += self.kf + e01 / e11
-        acc += e11 * (self.dbeta0.eval(rho) / e00 + self.dbeta1.eval(rho))
-        acc += e11 * (self.nbeta0.eval(rho) / e01 + self.nbeta1.eval(rho) / e11)
-        for pk, eps in self.a_low:
-            acc += e11 / eps * t * self._comp_drho(pk, t, rho, phiv, dphiv)
-        for pk in self.a_high:
-            acc += e11 * t1k * self._comp_drho(pk, t, rho, phiv, dphiv)
-        for _, pk, eps in self.b_fam:
-            acc += e11 / eps * self._comp_drho(pk, t, rho, phiv, dphiv)
-        for pk in self.c_fam:
-            acc += e11 * self._comp_drho(pk, t, rho, phiv, dphiv) * sq02
-        return acc
+        phiv, dphiv = self.phi_values(t, rho), self.dphi_values(t, rho)
+        comp = [self._comp(pk, t, rho, phiv) for pk in self.packs]
+        drho = [self._comp_drho(pk, t, rho, phiv, dphiv) for pk in self.packs]
+        return self._growth(t, t ** (1.0 - self.kf),
+                            math.sqrt(self.p[(0, 2)].eval(t, rho)),
+                            [b.eval(rho) for b in self.betas], comp, drho)
 
     def transport_rate(self, t: float, rho: float) -> float:
         """Multiplier of the rho-derivative of q; also the speed of the
         domain-shrinking flow."""
-        e11 = self.e11
         phiv = self.phi_values(t, rho)
-        sq02 = math.sqrt(self.p[(0, 2)].eval(t, rho))
-        tk = t ** self.kf
-        t1k = t ** (1.0 - self.kf)
+        comp = [self._comp(pk, t, rho, phiv) for pk in self.packs]
+        return self._transport(t, t ** self.kf, t ** (1.0 - self.kf),
+                               math.sqrt(self.p[(0, 2)].eval(t, rho)), comp)
 
-        acc = tk / e11
-        for pk, eps in self.a_low:
-            acc += e11 / eps * t * self._comp(pk, t, rho, phiv)
-        for pk in self.a_high:
-            acc += e11 * t1k * self._comp(pk, t, rho, phiv)
-        for _, pk, eps in self.b_fam:
-            acc += e11 / eps * self._comp(pk, t, rho, phiv)
-        for pk in self.c_fam:
-            acc += (4.0 * e11 / 3.0) * self._comp(pk, t, rho, phiv) * sq02
-        acc += 1.5 / e11 * sq02
+    def _jet(self, tk: float, v: list) -> tuple:
+        """q, dq/drho and t dq/dt (term calculus on each part) from v."""
+        e00, e01, e11 = self.e00, self.e01, self.e11
+        v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, e02v = v
+        sq02 = math.sqrt(v02)
+        q = (e00 * v00 + v10 + tk * v02 + e01 * v01 + e11 * v11
+             + v02 ** 1.5)
+        dq = (e00 * v01 + v11 + tk * dv02 + e01 * v02 + e11 * dv11
+              + 1.5 * sq02 * dv02)
+        tdq = (e00 * e00v + e10v + tk * (self.kf * v02 + e02v)
+               + e01 * e01v + e11 * e11v + 1.5 * sq02 * e02v)
+        return q, dq, tdq
+
+    def _growth(self, t, t1k, sq02, betas, comp, drho) -> float:
+        """A from the values of self.betas and the packs and their slopes."""
+        e00, e01, e11 = self.e00, self.e01, self.e11
+        nb0, nb1, db0, db1 = betas
+        acc = e00
+        acc += nb0 / e00 + nb1
+        for (kind, eps, _), x in zip(self.kinds, comp):
+            acc += (t / eps * x if kind == "a1" else t1k * x if kind == "a2"
+                    else x / eps if kind == "b" else x * sq02)
+        acc += self.kf + e01 / e11
+        acc += e11 * (db0 / e00 + db1)
+        acc += e11 * (nb0 / e01 + nb1 / e11)
+        return self._e11_terms(acc, t, t1k, sq02, drho, e11)
+
+    def _transport(self, t, tk, t1k, sq02, comp) -> float:
+        """B from the values of the packs."""
+        e11 = self.e11
+        acc = self._e11_terms(tk / e11, t, t1k, sq02, comp, 4.0 * e11 / 3.0)
+        return acc + 1.5 / e11 * sq02
+
+    def _e11_terms(self, acc, t, t1k, sq02, xs, wc) -> float:
+        """acc plus the e11-weighted terms of xs, wc * x * sq02 for c."""
+        e11 = self.e11
+        for (kind, eps, _), x in zip(self.kinds, xs):
+            acc += (e11 / eps * t * x if kind == "a1" else e11 * t1k * x
+                    if kind == "a2" else e11 / eps * x if kind == "b"
+                    else wc * x * sq02)
         return acc
+
+    def grid(self, ts: list, rhos: list):
+        """Yield (t, rho, tk, q, dq, tdq, v, A, B) row by row, bit for bit
+        as per point (tk = t**kappa, v the sector values).  Each rho column
+        caches the inner Horner values of the sectors, of phi for A and for
+        B, and of the packs.  A and B each evaluate phi and the packs, as
+        growth_bound and transport_rate do; the work counters count that."""
+        packs, reads, keys, nk = self.packs, self._reads, self.keys, len(self.keys)
+        columns = []
+        for rho in rhos:
+            sect = [m.inner(rho) for m in self.sectors]
+            cols = sect + 2 * [sect[s] for _, s in self._phi]
+            # Horner levels in t, highest first, zero-padded on top: that and
+            # starting at the leading level change no value (finite t, c >= 0)
+            top = max(1, *map(len, cols))
+            lead, *rest = zip(*([0.0] * (top - len(c)) + c for c in cols))
+            # a * t + 0.0 is a * t: a level of zeros only multiplies
+            columns.append((rho, lead, [lv if any(lv) else None for lv in rest],
+                            [b.eval(rho) for b in self.betas],
+                            [_pack_inner(pk, rho) for pk in packs]))
+        for t in ts:
+            tk, t1k = t ** self.kf, t ** (1.0 - self.kf)
+            for rho, vals, rest, betas, inner in columns:
+                for lv in rest:
+                    vals = ([a * t + c for a, c in zip(vals, lv)] if lv
+                            else [a * t for a in vals])
+                v, sq02 = vals[:12], math.sqrt(vals[4])
+                phiv = dict(zip(keys, vals[12:12 + nk])) if reads else {}
+                dphiv = {zk: v[d] for zk, d in self._dphi} if reads else {}
+                A = self._growth(t, t1k, sq02, betas, [
+                    pk[0].outer(pi[0], t, phiv) for pk, pi in zip(packs, inner)
+                ], [_slope(pk, pi, t, phiv, dphiv)
+                    for pk, pi in zip(packs, inner)])
+                phiv = dict(zip(keys, vals[12 + nk:])) if reads else {}
+                B = self._transport(t, tk, t1k, sq02, [
+                    pk[0].outer(pi[0], t, phiv) for pk, pi in zip(packs, inner)
+                ])
+                yield (t, rho, tk, *self._jet(tk, v), v, A, B)
+            self.work["phi_evals"] += 2 * len(columns)
+            self.work["coefficient_evals"] += 3 * len(packs) * len(columns)
 
     # -- envelope constants --------------------------------------------
 
@@ -567,20 +608,18 @@ class BarrierSystem:
         H0 = self.nbeta0.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
         H1 = self.nbeta1.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
 
-        K1 = 1.0 / e11
-        for pk, eps in self.a_low:
-            K1 += e11 / eps * sig ** (1.0 - kf) * self._comp(pk, sig, R, phiv)
-        for pk in self.a_high:
-            K1 += e11 * sig ** (1.0 - 2.0 * kf) * self._comp(pk, sig, R, phiv)
-        K2 = 0.0
-        b_linear = {}
-        for zk, pk, eps in self.b_fam:
-            b_lin = float(pk[0].z_linear_bound(P.R0, Frac(L)))
-            b_linear[f"{zk.i},{','.join(map(str, zk.alpha))}"] = b_lin
-            K2 += e11 / eps * b_lin
-        K3 = 1.5 / e11
-        for pk in self.c_fam:
-            K3 += (4.0 * e11 / 3.0) * self._comp(pk, sig, R, phiv)
+        K1, K2, K3, b_linear = 1.0 / e11, 0.0, 1.5 / e11, {}
+        for (kind, eps, zk), pk in zip(self.kinds, self.packs):
+            if kind == "b":
+                b_lin = float(pk[0].z_linear_bound(P.R0, Frac(L)))
+                b_linear[f"{zk.i},{','.join(map(str, zk.alpha))}"] = b_lin
+                K2 += e11 / eps * b_lin
+            elif kind == "c":
+                K3 += (4.0 * e11 / 3.0) * self._comp(pk, sig, R, phiv)
+            elif kind == "a1":
+                K1 += e11 / eps * sig ** (1.0 - kf) * self._comp(pk, sig, R, phiv)
+            else:
+                K1 += e11 * sig ** (1.0 - 2.0 * kf) * self._comp(pk, sig, R, phiv)
 
         return {
             "H0": float(H0), "H1": float(H1), "L": L, "b_linear": b_linear,
@@ -590,8 +629,8 @@ class BarrierSystem:
         }
 
 
-def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
-                   dec: Decomposition, nt: int = 50, nrho: int = 50) -> dict:
+def verify_barrier(system: BarrierSystem, nt: int = 50,
+                   nrho: int = 50) -> dict:
     """Grid verification report.
 
     Pointwise checks on an nt-by-nrho grid of the working box:
@@ -602,48 +641,38 @@ def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
       envelope            B under the four-constant envelope
     plus three exact structural checks (reconstruction, jet domination,
     profile step inequality).  Violations are report entries, never raises.
+    The grid is a tensor product, evaluated by system.grid.
     """
-    system = BarrierSystem(dec, profiles, params)
-    P = params
-    hf, kf = float(P.h), float(P.kappa)
-    e = {ij: float(P.eps_slot(*ij)) for ij in ((0, 0), (1, 0), (0, 1), (1, 1))}
+    P, dec, profiles = system.params, system.dec, system.profiles
+    hf, e00, e01, e11 = float(P.h), system.e00, system.e01, system.e11
     consts = system.constants()
+    C1, C2, C3, C4 = (consts[c] for c in ("C1", "C2", "C3", "C4"))
     ts, rhos = barrier_grid(float(P.sigma0), float(P.R0), nt, nrho)
 
-    names = ("barrier_dineq", "growth_bound_le_h", "phi_vs_q",
-             "dphi_vs_dq", "envelope")
-    checks = {name: _Check() for name in names}
+    checks = {name: _Check() for name in ("barrier_dineq", "growth_bound_le_h",
+                                          "phi_vs_q", "dphi_vs_dq", "envelope")}
+    dineq, gb, pv, dpv, env = (chk.record for chk in checks.values())
     qmax = 0.0
-    for t in ts:
-        tk = t ** kf
-        for rho in rhos:
-            q, dq, tdq, v, dv11, dv02 = system.barrier_jet(t, rho)
-            A = system.growth_bound(t, rho)
-            B = system.transport_rate(t, rho)
-            qmax = max(qmax, q)
-
-            checks["barrier_dineq"].record(tdq + 2.0 * hf * q,
-                                           A * q + B * dq, t, rho)
-            checks["growth_bound_le_h"].record(A, hf, t, rho)
-
-            pv = checks["phi_vs_q"]
-            for ij in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                pv.record(v[ij], q / e[ij], t, rho)
-            pv.record(v[(0, 2)], q ** (2.0 / 3.0), t, rho)
-            pv.record(tk * v[(0, 2)], q, t, rho)
-
-            dpv = checks["dphi_vs_dq"]
-            dval = {(0, 0): v[(0, 1)], (1, 0): v[(1, 1)],
-                    (0, 1): v[(0, 2)], (1, 1): dv11}
-            for ij, val in dval.items():
-                dpv.record(val, dq / e[ij], t, rho)
-            dpv.record(math.sqrt(v[(0, 2)]) * dv02, (2.0 / 3.0) * dq, t, rho)
-            dpv.record(tk * dv02, dq, t, rho)
-
-            env = (consts["C1"] * tk + consts["C2"] * q
-                   + consts["C3"] * q ** (2.0 / 3.0)
-                   + consts["C4"] * q ** (1.0 / 3.0))
-            checks["envelope"].record(B, env, t, rho)
+    for t, rho, tk, q, dq, tdq, v, A, B in system.grid(ts, rhos):
+        qmax = max(qmax, q)
+        q23 = q ** (2.0 / 3.0)
+        dineq(tdq + 2.0 * hf * q, A * q + B * dq, t, rho)
+        gb(A, hf, t, rho)
+        # each slot under its share of q (eps10 = 1), then likewise the
+        # rho-derivatives: slot (i, j + 1) is two places after (i, j) in v
+        pv(v[0], q / e00, t, rho)
+        pv(v[1], q, t, rho)
+        pv(v[2], q / e01, t, rho)
+        pv(v[3], q / e11, t, rho)
+        pv(v[4], q23, t, rho)
+        pv(tk * v[4], q, t, rho)
+        dpv(v[2], dq / e00, t, rho)
+        dpv(v[3], dq, t, rho)
+        dpv(v[4], dq / e01, t, rho)
+        dpv(v[5], dq / e11, t, rho)
+        dpv(math.sqrt(v[4]) * v[6], (2.0 / 3.0) * dq, t, rho)
+        dpv(tk * v[6], dq, t, rho)
+        env(B, C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0), t, rho)
 
     # exact structural checks
     recon_ok = reconstruct(dec) == dec.theta_rhs
@@ -670,7 +699,7 @@ def verify_barrier(params: BarrierParams, profiles: ProfileFamily,
             "reconstruction": {"ok": recon_ok},
             "profile_domination": {"ok": dom_ok},
             "profile_step": {"ok": step_ok},
-            **{name: checks[name].report() for name in names},
+            **{name: chk.report() for name, chk in checks.items()},
         },
         "work": {"grid_points": nt * nrho, **system.work},
     }

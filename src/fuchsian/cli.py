@@ -228,10 +228,9 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
         params = params._replace(kappa=kappa)
     if eps00 is not None:
         params = params._replace(eps00=eps00)
-    barrier_report = verify_barrier(params, profiles, dec, nt, nrho)
-    consts = barrier_report["constants"]
-
     system = BarrierSystem(dec, profiles, params)
+    barrier_report = verify_barrier(system, nt, nrho)
+    consts = barrier_report["constants"]
     R = float(params.R0)
     sigma_c, r_c, small_info = smallness_box(
         consts, params.h, params.kappa, R,

@@ -30,6 +30,14 @@ from .rational import Frac
 from .series import SeriesTX, SeriesTXZ, ZKey, _norm_nu, _nu_degree, _zkey_sort
 
 
+def horner_eval(cs, x: float) -> float:
+    """Horner's rule on float coefficients, highest degree first."""
+    acc = 0.0
+    for c in cs:
+        acc = acc * x + c
+    return acc
+
+
 def weight(alpha) -> Frac:
     """Combinatorial weight alpha!/|alpha|! of a multi-index."""
     num = 1
@@ -111,10 +119,7 @@ class RhoPoly:
         return self._horner
 
     def eval(self, rho: float) -> float:
-        acc = 0.0
-        for c in self._horner or self.horner():
-            acc = acc * rho + c
-        return acc
+        return horner_eval(self._horner or self.horner(), rho)
 
     def eval_frac(self, rho: Frac) -> Frac:
         acc = Frac(0)
@@ -227,6 +232,11 @@ class SectorMajorant:
                 for k in range(top, -1, -1))
         return self._horner
 
+    def inner(self, rho: float) -> list:
+        """Value at rho of every t-slice, highest power first: Horner in t
+        over these gives eval's value bit for bit."""
+        return [horner_eval(cs, rho) for cs in self._horner or self.horner()]
+
     def eval(self, t: float, rho: float) -> float:
         acc = 0.0
         for cs in self._horner or self.horner():
@@ -314,22 +324,26 @@ class NormProfileZ:
             out[nkey] = out[nkey] + q if nkey in out else q
         return NormProfileZ(out)
 
-    def eval(self, t: float, rho: float, z: dict) -> float:
-        """Value with jet slot zk set to z[zk]; z may be keyed by ZKey or
-        by plain (i, alpha) pairs."""
+    def inner(self, rho: float) -> list:
+        """Value at rho of every term's rho-polynomial, in sum order."""
         if self._terms is None:
             self._terms = tuple((k, p.horner(), nu)
                                 for (k, nu), p in self.sorted_items())
+        return [horner_eval(cs, rho) for _, cs, _ in self._terms]
+
+    def outer(self, inner: list, t: float, z: dict) -> float:
+        """Value from inner(rho), with jet slot zk set to z[zk]; z may be
+        keyed by ZKey or by plain (i, alpha) pairs."""
         acc = 0.0
-        for k, cs, nu in self._terms:
-            v = 0.0
-            for c in cs:
-                v = v * rho + c
+        for (k, _, nu), v in zip(self._terms, inner):
             v *= t ** k
             for zk, power in nu:
                 v *= float(z[zk]) ** power
             acc += v
         return acc
+
+    def eval(self, t: float, rho: float, z: dict) -> float:
+        return self.outer(self.inner(rho), t, z)
 
     def z_linear_bound(self, R, L) -> Frac:
         """Exact constant C with value <= C * max_z |z| whenever rho <= R,

@@ -225,7 +225,7 @@ def test_criterion_6_barrier_certificate_grid():
     for label, w in candidates:
         prof = profile_family(w, cd)
         params, cert = choose_params(cd, dec, prof)
-        rep = verify_barrier(params, prof, dec, nt=50, nrho=50)
+        rep = verify_barrier(BarrierSystem(dec, prof, params), nt=50, nrho=50)
         recon_all = recon_all and rep["checks"]["reconstruction"]["ok"]
         for name in families:
             if not rep["checks"][name]["ok"]:

@@ -12,10 +12,11 @@ import random
 import pytest
 
 from fuchsian.builtin import load_equation, parse_equation
-from fuchsian.certificate import (BarrierParams, BarrierSystem, barrier_grid,
-                                  build_shifted_rhs, choose_params,
-                                  normal_form, profile_family, reconstruct,
-                                  verify_barrier)
+from fuchsian.certificate import (BarrierParams, BarrierSystem, _Check,
+                                  barrier_grid, build_shifted_rhs,
+                                  choose_params, normal_form, profile_family,
+                                  reconstruct, verify_barrier)
+from fuchsian.characteristics import allowed
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import (HypothesisViolated, InexactRoots,
                              NonpositiveExponent, UnsplittableTerm)
@@ -508,21 +509,27 @@ class _KeyedSystem:
         }
 
 
-@pytest.mark.parametrize("extra", [
-    [],
-    [_jet_term(1, 1, [(1, 1, 2)]), _jet_term(2, 0, [(0, 2, 2)], den=7, x_pow=1),
-     _jet_term(3, 0, [(0, 0, 1), (0, 1, 1)], den=5, x_pow=1)],
-], ids=["four-families", "with-z11-host"])
+_Z11_EXTRA = [_jet_term(1, 1, [(1, 1, 2)]),
+              _jet_term(2, 0, [(0, 2, 2)], den=7, x_pow=1),
+              _jet_term(3, 0, [(0, 0, 1), (0, 1, 1)], den=5, x_pow=1)]
+
+
+def _four_families(extra):
+    eq = parse_equation({"name": "four-families", "m": 2, "n": 1,
+                         "terms": _FOUR_FAMILIES + extra,
+                         "truncation": {"K_t": 6, "K_x": 8, "K_z": 4}})
+    cd = eq.char_exponents()
+    return cd, normal_form(build_shifted_rhs(eq, solve_formal(eq, 3).u), cd)
+
+
+@pytest.mark.parametrize("extra", [[], _Z11_EXTRA],
+                         ids=["four-families", "with-z11-host"])
 def test_compiled_families_match_keyed_loops(extra):
     # bit-identical, not approximately equal: the reports depend on it.  The
     # second equation adds an a-host (1,(1,)), which lambda_keys puts after
     # the second-order host (0,(2,)) but every sum takes first, and moves
     # the b and c coefficients off 1 so that no product is exact.
-    eq = parse_equation({"name": "four-families", "m": 2, "n": 1,
-                         "terms": _FOUR_FAMILIES + extra,
-                         "truncation": {"K_t": 6, "K_x": 8, "K_z": 4}})
-    cd = eq.char_exponents()
-    dec = normal_form(build_shifted_rhs(eq, solve_formal(eq, 3).u), cd)
+    cd, dec = _four_families(extra)
     assert dec.a and dec.b and dec.c
     hosts = {sum(zk.alpha) for zk in dec.a}
     assert 2 in hosts and hosts - {2}
@@ -559,6 +566,101 @@ def test_compiled_families_match_keyed_loops(extra):
             assert system.work == keyed.s.work
 
 
+@pytest.mark.parametrize("extra", [None, [], _Z11_EXTRA],
+                         ids=["remark3", "four-families", "with-z11-host"])
+def test_grid_matches_per_point_evaluators_bitwise(extra):
+    # bit-identical, not approximately equal: the reports depend on it.  On
+    # remark3 and on both four-families equations, where every coefficient
+    # family is non-empty, with t x^2 and a seeded test function; the grid
+    # includes the rho = 0 column and the t = sigma0 row
+    if extra is None:
+        eq = load_equation("remark3")
+        cd = eq.char_exponents()
+        dec, (k_t, k_x) = normal_form(build_shifted_rhs(eq), cd), (10, 12)
+    else:
+        (cd, dec), (k_t, k_x) = _four_families(extra), (6, 8)
+    rng = random.Random(3141)
+    seeded = SeriesTX.zero(1, k_t, k_x)
+    for _ in range(3):
+        seeded = seeded + SeriesTX.monomial(
+            1, k_t, k_x, Frac(rng.randint(1, 9), rng.randint(1, 9)),
+            rng.randint(1, 2), (rng.randint(0, 4),))
+    for w in (SeriesTX.monomial(1, k_t, k_x, 1, 1, (2,)), seeded):
+        prof = profile_family(w, cd)
+        params, _ = choose_params(cd, dec, prof)
+        grid_sys = BarrierSystem(dec, prof, params)
+        point_sys = BarrierSystem(dec, prof, params)
+        ts, rhos = barrier_grid(float(params.sigma0), float(params.R0), 6, 5)
+        assert rhos[0] == 0.0 and ts[0] == float(params.sigma0)
+        seen = []
+        for t, rho, tk, q, dq, tdq, v, A, B in grid_sys.grid(ts, rhos):
+            seen.append((t, rho))
+            jet = point_sys.barrier_jet(t, rho)
+            assert (q, dq, tdq) == jet[:3]
+            assert list(jet[3].values()) == list(v[:5])
+            assert (v[5], v[6]) == jet[4:]
+            assert tk == t ** float(params.kappa)
+            assert A == point_sys.growth_bound(t, rho)
+            assert B == point_sys.transport_rate(t, rho)
+        assert seen == [(t, rho) for t in ts for rho in rhos]
+        # the same logical evaluations, so the work counters agree
+        assert grid_sys.work == point_sys.work
+        assert grid_sys.work["phi_evals"] == 2 * len(seen)
+
+
+def test_grid_sector_evals_do_not_grow_with_nt(remark3_setup, monkeypatch):
+    # every point reads the column caches: SectorMajorant.eval runs only in
+    # constants(), whatever the grid
+    _, cd, dec, w, prof, params, _ = remark3_setup
+    calls = [0]
+    ev = SectorMajorant.eval
+
+    def counting(self, t, rho):
+        calls[0] += 1
+        return ev(self, t, rho)
+
+    monkeypatch.setattr(SectorMajorant, "eval", counting)
+    counts = {}
+    for nt, nrho in ((10, 10), (20, 10), (10, 20)):
+        calls[0] = 0
+        verify_barrier(BarrierSystem(dec, prof, params), nt=nt, nrho=nrho)
+        counts[(nt, nrho)] = calls[0]
+    assert counts[(20, 10)] == counts[(10, 10)], counts
+    assert counts[(10, 20)] == counts[(10, 10)], counts
+
+
+def _record_edge_pairs():
+    tiny = 5e-324                                   # smallest subnormal
+    specials = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1.0, -1.0,
+                1e300, -1e300, math.inf, -math.inf, math.nan]
+    pairs = [(a, b) for a in specials for b in specials]
+    rng = random.Random(1618)
+    for _ in range(2000):
+        rhs = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-320, 300)
+        # lhs just above rhs, inside and beyond the slack, or anywhere
+        lhs = rng.choice([rhs * (1 + 10.0 ** rng.uniform(-17, -7)),
+                          allowed(rhs), math.nextafter(allowed(rhs), math.inf),
+                          rng.uniform(-2.0, 2.0) * rhs])
+        pairs.append((lhs, rhs))
+    return pairs
+
+
+def test_record_early_return_keeps_every_verdict():
+    # record returns early on lhs <= rhs; the verdict must equal the full
+    # rule lhs > allowed(rhs) for signed zeros, subnormals, infinities, nan
+    # on either side and seeded random pairs near the slack
+    for lhs, rhs in _record_edge_pairs():
+        chk = _Check()
+        chk.record(lhs, rhs, 0.5, 0.25)
+        bad = lhs > allowed(rhs)
+        assert chk.checked == 1
+        assert chk.violations == int(bad), (lhs, rhs)
+        assert chk.examples == ([{"t": 0.5, "rho": 0.25, "lhs": lhs,
+                                  "rhs": rhs}] if bad else [])
+        if bad:
+            assert chk.worst == max(0.0, lhs - allowed(rhs))
+
+
 # -- the grid report -----------------------------------------------------
 
 
@@ -573,7 +675,7 @@ def test_barrier_grid_contains_corner():
 
 def test_verify_barrier_report(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
-    rep = verify_barrier(params, prof, dec, nt=50, nrho=50)
+    rep = verify_barrier(BarrierSystem(dec, prof, params), nt=50, nrho=50)
     checks = rep["checks"]
     # structural identities hold exactly
     assert checks["reconstruction"]["ok"]
@@ -598,7 +700,7 @@ def test_verify_barrier_report(remark3_setup):
 
 def test_verify_barrier_work_counters(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
-    rep = verify_barrier(params, prof, dec, nt=10, nrho=10)
+    rep = verify_barrier(BarrierSystem(dec, prof, params), nt=10, nrho=10)
     assert rep["work"]["grid_points"] == 100
     assert rep["work"]["phi_evals"] >= 100
     assert rep["work"]["coefficient_evals"] >= 100
@@ -618,7 +720,7 @@ def test_verify_barrier_builds_no_majorant_per_grid_point(remark3_setup,
     counts = []
     for side in (10, 20):
         built[0] = 0
-        verify_barrier(params, prof, dec, nt=side, nrho=side)
+        verify_barrier(BarrierSystem(dec, prof, params), nt=side, nrho=side)
         counts.append(built[0])
     assert counts[0] > 0
     assert counts[0] == counts[1]
@@ -639,7 +741,7 @@ def test_verify_barrier_sector_evals_per_grid_point(remark3_setup, monkeypatch):
     counts = []
     for side in (10, 20):
         calls[0] = 0
-        verify_barrier(params, prof, dec, nt=side, nrho=side)
+        verify_barrier(BarrierSystem(dec, prof, params), nt=side, nrho=side)
         counts.append(calls[0])
     assert (counts[1] - counts[0]) / 300 <= 29, counts
 
@@ -647,7 +749,7 @@ def test_verify_barrier_sector_evals_per_grid_point(remark3_setup, monkeypatch):
 def test_corrupted_eps00_breaks_growth_bound(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
     bad = params._replace(eps00=10 * params.h)
-    rep = verify_barrier(bad, prof, dec, nt=20, nrho=20)
+    rep = verify_barrier(BarrierSystem(dec, prof, bad), nt=20, nrho=20)
     chk = rep["checks"]["growth_bound_le_h"]
     assert not chk["ok"]
     assert chk["violations"] == 400       # 2 eps00 alone already exceeds h
