@@ -363,18 +363,18 @@ def choose_params(cd: CharData, dec: Decomposition | None = None,
     return params, cert
 
 
-def _pack_inner(pack, rho: float) -> list:
-    """Inner values at rho of every NormProfileZ in a packed coefficient."""
-    prof, dr, dz = pack
-    return [prof.inner(rho), dr.inner(rho), *(g.inner(rho) for _, g in dz)]
+def _slope_inner(pack, rho: float) -> list:
+    """Inner values at rho of the profiles _slope reads: dr, then each dz."""
+    _, dr, dz = pack
+    return [dr.inner(rho), *(g.inner(rho) for _, g in dz)]
 
 
 def _slope(pack, inner: list, t: float, phiv: dict, dphiv: dict) -> float:
     """Total rho-derivative of a composed coefficient norm: direct slope
     plus the chain through every profile slot."""
     _, dr, dz = pack
-    v = dr.outer(inner[1], t, phiv)
-    for (zk, g), gi in zip(dz, inner[2:]):
+    v = dr.outer(inner[0], t, phiv)
+    for (zk, g), gi in zip(dz, inner[1:]):
         v += g.outer(gi, t, phiv) * dphiv[zk]
     return v
 
@@ -482,7 +482,7 @@ class BarrierSystem:
 
     def _comp_drho(self, pack, t, rho, phiv, dphiv) -> float:
         self.work["coefficient_evals"] += 1
-        return _slope(pack, _pack_inner(pack, rho), t, phiv, dphiv)
+        return _slope(pack, _slope_inner(pack, rho), t, phiv, dphiv)
 
     def barrier_jet(self, t: float, rho: float) -> tuple:
         """(q, dq, tdq, slot values, dv11, dv02) at one point."""
@@ -570,7 +570,8 @@ class BarrierSystem:
             # a * t + 0.0 is a * t: a level of zeros only multiplies
             columns.append((rho, lead, [lv if any(lv) else None for lv in rest],
                             [b.eval(rho) for b in self.betas],
-                            [_pack_inner(pk, rho) for pk in packs]))
+                            [(pk[0].inner(rho), _slope_inner(pk, rho))
+                             for pk in packs]))
         for t in ts:
             tk, t1k = t ** self.kf, t ** (1.0 - self.kf)
             for rho, vals, rest, betas, inner in columns:
@@ -582,7 +583,7 @@ class BarrierSystem:
                 dphiv = {zk: v[d] for zk, d in self._dphi} if reads else {}
                 A = self._growth(t, t1k, sq02, betas, [
                     pk[0].outer(pi[0], t, phiv) for pk, pi in zip(packs, inner)
-                ], [_slope(pk, pi, t, phiv, dphiv)
+                ], [_slope(pk, pi[1], t, phiv, dphiv)
                     for pk, pi in zip(packs, inner)])
                 phiv = dict(zip(keys, vals[12 + nk:])) if reads else {}
                 B = self._transport(t, tk, t1k, sq02, [

@@ -21,6 +21,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -346,7 +347,9 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
     return 0 if results["ok"] else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; main calls cmd_<subcommand> by name."""
     parser = argparse.ArgumentParser(
         prog="fuchsian",
         description="Formal solutions and uniqueness certificates for "
@@ -358,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--order", type=int, default=10,
                     help="resonance search depth (default 10)")
     pc.add_argument("--out", help="write the JSON report here")
-    pc.set_defaults(func=cmd_check)
 
     ps = sub.add_parser("solve", help="construct the formal solution")
     ps.add_argument("equation")
@@ -366,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="time order of the computed solution (default 6)")
     ps.add_argument("--x-order", type=int, default=None, dest="x_order")
     ps.add_argument("--out")
-    ps.set_defaults(func=cmd_solve)
 
     pf = sub.add_parser("certify",
                         help="barrier verification and the flow run")
@@ -389,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="flow integrator tolerance")
     pf.add_argument("--csv", help="dump path samples (t,rho,q,weighted_q)")
     pf.add_argument("--out")
-    pf.set_defaults(func=cmd_certify)
 
     pv = sub.add_parser("verify-example",
                         help="closed-form checks of a bundled instance")
@@ -401,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="tolerance of remark2's numeric residual grid; "
                          "unused for the other instances (default 1e-10)")
     pv.add_argument("--out")
-    pv.set_defaults(func=cmd_verify_example)
     return parser
 
 
@@ -413,6 +412,7 @@ def main(argv=None) -> int:
     that cannot be written to --out, gives only a message on stderr and
     exit 2."""
     args = build_parser().parse_args(argv)
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         data, label = read_equation_source(args.equation)
     except InputError as exc:
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
               "input": {"path": path,
                         "sha256": hashlib.sha256(data).hexdigest()}}
     try:
-        code = args.func(args, data, label, report)
+        code = run(args, data, label, report)
     except ToolkitError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2

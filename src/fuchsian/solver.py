@@ -26,8 +26,9 @@ numerators, real and imaginary, over one positive denominator: the content
 and primitive-part form of Geddes, Czapor & Labahn, "Algorithms for
 Computer Algebra" (1992).  A produced coefficient, one [t^k] entry or G_k,
 is one sum of products: an lcm of the pair denominators, integer
-multiply-adds, then a single gcd over the result.  Only u_k = P_k^-1 G_k is
-formed in CRat, and it is converted once for the jets.
+multiply-adds, then a single gcd over the result.  P_k is one such sum, and
+u_k a triangular division by the unit P_k (van der Hoeven, section 4): no
+step multiplies CRat values, and u is converted to CRat once, at the end.
 
 Truncation budget: each step's jet evaluation costs up to 2 orders of
 x-cap, so x-degree x_order at t-order K needs k_x >= x_order + 2K and
@@ -43,13 +44,13 @@ more jet evaluation: x-degree x_order - 2 for the default x_order, a = 2.
 from __future__ import annotations
 
 from math import gcd, lcm, perm
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .equation import FuchsianEquation
 from .errors import A2Violation, IndicialZero, TruncationExhausted
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
+from .series import SeriesTX, SeriesTXZ, ZKey, alphas_of_degree, lambda_keys
 
 
 def derivative_tuple(u: SeriesTX) -> dict[ZKey, SeriesTX]:
@@ -130,6 +131,36 @@ def _jet_coeff(uk: tuple, zk: ZKey, k: int) -> tuple:
     return den, out
 
 
+def _divide_unit(P: tuple, G: tuple, n: int, cap: int) -> tuple:
+    """u with P u = G through x-degree cap, P[0] != 0: by total degree,
+    u[alpha] = (G[alpha] - sum_{beta != 0} P[beta] u[alpha - beta]) / P[0].
+    1 / P[0] = c / N, c = conj(P[0]) and N = |P[0]|^2 (c = +-1, N = |P[0]|
+    if P[0] is real); u[alpha] is held over gden N^e, e one more than the
+    largest it reads, until one gcd reduces u over gden N^max(e)."""
+    (pden, p), (gden, g) = P, G
+    pr, pi = p[(0,) * n]
+    cr, ci, N = ((pr, -pi, pr * pr + pi * pi) if pi
+                 else (1 if pr > 0 else -1, 0, abs(pr)))
+    tail = [(b, r, i) for b, (r, i) in p.items() if any(b)]
+    w: dict = {}
+    for d in range(cap + 1):
+        for a in alphas_of_degree(n, d):
+            hits = [(r, i, w[c]) for b, r, i in tail
+                    if (c := tuple(map(sub, a, b))) in w]
+            e = max((we for _, _, (_, _, we) in hits), default=0)
+            sr, si = (v * pden * N ** e for v in g.get(a, (0, 0)))
+            for r, i, (wr, wi, we) in hits:
+                f = N ** (e - we)
+                sr -= (r * wr - i * wi) * f
+                si -= (r * wi + i * wr) * f
+            if sr or si:
+                w[a] = (sr * cr - si * ci, sr * ci + si * cr, e + 1)
+    E = max((e for _, _, e in w.values()), default=0)
+    w = {a: (r * N ** (E - e), i * N ** (E - e)) for a, (r, i, e) in w.items()}
+    h = gcd(gden * N ** E, *(v for ri in w.values() for v in ri))
+    return gden * N ** E // h, {a: (r // h, i // h) for a, (r, i) in w.items()}
+
+
 def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
                  verify: bool = True) -> FormalSolution:
     """Unique formal solution with u(0, x) = 0, through t-order `order` and
@@ -163,10 +194,11 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     products = sorted({flat[:d] for flat in groups
                        for d in range(2, len(flat) + 1)}, key=len)
     # coefficient lists indexed by t-power; index 0 is the zero at t = 0
-    zero, unit = (1, {}), (1, {(0,) * n: (1, 0)})
+    origin = (0,) * n
+    zero, unit = (1, {}), (1, {origin: (1, 0)})
     jets: dict[ZKey, list] = {zk: [zero] for zk in used}
     powers: dict[tuple, list] = {p: [zero] for p in products}
-    u_coeffs: list[dict] = [{}]
+    u_coeffs: list[tuple] = [zero]
     for k in range(1, order + 1):
         kx = F.k_x - k * a_used
         if F.z_clipped:
@@ -178,37 +210,34 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
                 [(head[k - j], tail[j]) for j in range(1, k - len(p) + 2)],
                 kx))
 
-        pairs = []
+        # a linear term at a = 0 would see u_k itself: it is indicial, and
+        # P_k = k^2 - k beta*_1 - beta*_0 gathers these terms
+        P, pairs = [(unit, (1, {origin: (k * k, 0)}))], []
         for flat, group in groups.items():
             d = len(flat)
             for a, c in group:
                 s = k - a
                 if d == 0 and s == 0:
                     pairs.append((c, unit))
-                # a linear term at a = 0 sees u_k, still zero: indicial part
-                elif d and s >= d and (d > 1 or s < k):
+                elif d == 1 and s == k:
+                    P.append((c, (1, {origin: (-k ** flat[0].i, 0)})))
+                elif d and s >= d:
                     pairs.append(
                         (c, jets[flat[0]][s] if d == 1 else powers[flat][s]))
-        den, G = _cauchy(pairs, kx)
-        section = SeriesTX(n, 0, kx, {(0, a): CRat(Frac(re, den), Frac(im, den))
-                                      for a, (re, im) in G.items()})
-
-        Pk = eq.indicial_series(k)
-        p0 = Pk.coeff(0, (0,) * n)
-        if p0.is_zero():
+        P = _cauchy(P, kx)
+        if origin not in P[1]:
             raise IndicialZero(
                 f"indicial polynomial vanishes at s = {k}; the recursion "
                 f"cannot be solved at this order")
-        Pk = Pk.truncate(k_x=kx)
-        uk = {a: c for (_, a), c in (Pk.invert_unit() * section).terms.items()}
+        uk = _divide_unit(P, _cauchy(pairs, kx), n, kx)
         u_coeffs.append(uk)
-        uk_int = _from_crat(uk)
         for zk in used:
-            jets[zk].append(_jet_coeff(uk_int, zk, k))
+            jets[zk].append(_jet_coeff(uk, zk, k))
 
     u = SeriesTX(n, order, F.k_x - order * a_used,
-                 {(k, a): c for k, uk in enumerate(u_coeffs)
-                  for a, c in uk.items()})
+                 {(k, a): CRat(Frac(re, den), Frac(im, den))
+                  for k, (den, uk) in enumerate(u_coeffs)
+                  for a, (re, im) in uk.items()})
     verified = False
     # re-substitution needs m more x-derivatives than construction did, so
     # it only runs when that much budget is left over

@@ -412,6 +412,22 @@ def test_unexpected_exception_is_an_internal_error_report(
     assert error == {"type": "internal_error", "message": "RuntimeError: boom"}
 
 
+def test_parser_built_once_and_reused_cleanly(capsys):
+    # main reuses one parser per process; an option given in one call must
+    # not leak into the next, so successive calls repeat their reports
+    from fuchsian.cli import build_parser
+    assert build_parser() is build_parser()
+    calls = [("solve", "remark3_forced", "--order", "4", "--x-order", "1"),
+             ("solve", "remark3_forced", "--order", "4"),
+             ("check", "remark3", "--order", "3"),
+             ("verify-example", "remark3")]
+    first = [run(capsys, *argv) for argv in calls]
+    again = [run(capsys, *argv) for argv in calls]
+    assert first == again
+    assert [rc for rc, _, _ in first] == [0, 0, 0, 0]
+    assert len({out for _, out, _ in first}) == len(calls)
+
+
 def test_version_field_present(capsys):
     rc, rep, _ = run_json(capsys, "check", "remark3")
     import fuchsian

@@ -377,3 +377,104 @@ def test_integer_kernel_multiplication_count(monkeypatch):
     sol = solve_formal(eq, 12, verify=False)
     assert not sol.u.is_zero()
     assert 5 * calls[0] <= 11262, calls[0]
+
+
+def test_triangular_solve_multiplies_no_crat(monkeypatch):
+    # the equation of test_relaxed_solver_multiplication_count, construction
+    # only: P_k and u_k = P_k^-1 G_k run on integer numerators too, so no
+    # CRat product is left (1,678 when u_k was Pk.invert_unit() * G_k)
+    def term(p, q, t_pow, x_pow, keys):
+        return {"coeff": [p, q, 0, 1], "t_pow": t_pow, "x_pows": [x_pow],
+                "z_pows": [{"i": i, "alpha": [a], "pow": 1} for i, a in keys]}
+
+    eq = parse_equation({
+        "m": 2, "n": 1, "truncation": {"K_t": 12, "K_x": 26, "K_z": 2},
+        "terms": [term(1, 1, 1, 0, []), term(-13, 6, 0, 0, [(1, 0)]),
+                  term(-5, 6, 0, 0, [(0, 0)]), term(-1, 1, 0, 1, [(0, 0)]),
+                  term(1, 4, 0, 0, [(0, 1), (0, 2)]),
+                  term(2, 1, 0, 0, [(0, 2), (1, 1)])]})
+    calls = [0]
+    mul = CRat.__mul__
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CRat, "__mul__", counting)
+    monkeypatch.setattr(CRat, "__rmul__", counting)
+    sol = solve_formal(eq, 12, verify=False)
+    assert not sol.u.is_zero()
+    assert calls[0] == 0
+
+
+# -- complex indicial coefficients -------------------------------------
+
+
+@st.composite
+def complex_equations(draw):
+    """random_equations with complex exponents -a + ib, a, b > 0 (so no
+    resonance and Im beta*_0, Im beta*_1 != 0), a complex x-dependent part
+    of each beta*_i, no dropped z-degrees, and the x-budget for verify."""
+    eq, K = draw(random_equations())
+    F, zero = eq.F, (0,) * eq.n
+    lam1, lam2 = (CRat(-Frac(draw(st.integers(1, 6)), draw(st.integers(1, 3))),
+                       Frac(draw(st.integers(1, 4)), draw(st.integers(1, 3))))
+                  for _ in range(2))
+    data = dict(F.terms)
+    data[(0, zero, ((ZKey(1, zero), 1),))] = lam1 + lam2
+    data[(0, zero, ((ZKey(0, zero), 1),))] = CRat() - lam1 * lam2
+    for i in (0, 1):
+        key = (0, draw(st.sampled_from(_alphas[eq.n][1:])),
+               ((ZKey(i, zero), 1),))
+        data[key] = data.get(key, CRat()) + CRat(draw(_small), draw(_small))
+    F = SeriesTXZ(eq.n, F.k_t, max(F.k_x, 2 * K + 2), 3, data)
+    return FuchsianEquation(F), K
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(complex_equations())
+def test_complex_indicial_solver_equals_resubstitution(case):
+    eq, K = case
+    betas = eq.char_exponents().betas
+    assert all(b.coeff(0, (0,) * eq.n).im for b in betas)
+    assert all(any(c.im for (_, a), c in b.terms.items() if any(a))
+               for b in betas)
+    got = _outcome(solve_formal, eq, K)
+    assert got == _outcome(solve_by_resubstitution, eq, K)
+    assert got[0].verified
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_complex_resonance_raises(n):
+    # exponents 2 and -1 + i: beta*_1 = 1 + i, beta*_0 = 2 - 2i, and
+    # P_2(0) = 4 - 2 (1 + i) - (2 - 2i) = 0, while P_1(0) = -2 + i
+    zero, x1 = (0,) * n, (1,) + (0,) * (n - 1)
+    F = SeriesTXZ(n, 4, 8, 2, {
+        (0, zero, ((ZKey(1, zero), 1),)): CRat(1, 1),
+        (0, zero, ((ZKey(0, zero), 1),)): CRat(2, -2),
+        (0, x1, ((ZKey(0, zero), 1),)): CRat(1, 3),
+        (1, zero, ()): CRat(1, 1),
+        (0, zero, ((ZKey(0, zero), 2),)): 1})
+    eq = FuchsianEquation(F)
+    got = _outcome(solve_formal, eq, 3)
+    assert got == _outcome(solve_by_resubstitution, eq, 3)
+    assert got == (IndicialZero, "indicial polynomial vanishes at s = 2; "
+                   "the recursion cannot be solved at this order")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_negative_indicial_value_matches_resubstitution(n):
+    # exponents 5/2 and -1: P_1(0) = -3 and P_2(0) = -3/2 divide with a
+    # negative denominator, P_3(0) = 2 and P_4(0) = 15/2 with a positive one
+    zero, x1 = (0,) * n, (1,) + (0,) * (n - 1)
+    F = SeriesTXZ(n, 4, 10, 3, {
+        (0, zero, ((ZKey(1, zero), 1),)): Frac(3, 2),
+        (0, zero, ((ZKey(0, zero), 1),)): Frac(5, 2),
+        (0, x1, ((ZKey(0, zero), 1),)): Frac(1, 3),
+        (0, x1, ((ZKey(1, zero), 1),)): Frac(-2, 7),
+        (1, zero, ()): 1, (1, x1, ((ZKey(0, x1), 1),)): 2,
+        (0, zero, ((ZKey(0, zero), 2),)): 1})
+    eq = FuchsianEquation(F)
+    got = _outcome(solve_formal, eq, 4)
+    assert got == _outcome(solve_by_resubstitution, eq, 4)
+    assert got[0].verified and not got[0].u.is_zero()
