@@ -12,20 +12,20 @@ t^k coefficient of F(t, x, jet of u_1 t + ... + u_{k-1} t^{k-1}).
 G_k is computed on-line (relaxed), one t-coefficient per step, as in van
 der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002).
 The t^j coefficient j^i d^alpha u_j of each jet value z_e, e = (i, alpha),
-is cached once u_j is known.  Jet values vanish at t = 0, so for a jet
-monomial Z^nu of degree d >= 2, nu = nu' + e,
-
-    [t^s] Z^nu = sum_{j=1}^{s-d+1} [t^{s-j}] Z^nu' * [t^j] z_e
-
-needs u_1 .. u_{s-1} only; step k appends [t^k] to every product F needs.
-A term c t^a x^beta Z^nu of F adds c x^beta [t^{k-a}] Z^nu to G_k.  Linear
-terms with a = 0 would need u_k itself; they are the indicial part, in P_k.
+is cached once u_j is known.  A jet monomial of degree >= 2 is split once
+as Z^nu = Z^p z_e, e the factor fewest other monomials share (then the
+least ZKey).  F's terms c t^a x^beta Z^nu with one p form the linear form
+L_p[j] = sum c x^beta [t^(j-a)] z_e, and G_k gains sum_{j=1}^{k-|p|}
+[t^(k-j)] Z^p * L_p[j]: monomials sharing p share one Cauchy product, which
+needs only u_1 .. u_{k-1} as jets vanish at t = 0.  Z^p, |p| >= 2, is a
+prefix product extended by one entry per step.  A linear term adds
+c x^beta [t^(k-a)] z_e; at a = 0 it would see u_k: it is in P_k.
 
 Cached coefficients, product entries and F's coefficients are integer
 numerators, real and imaginary, over one positive denominator: the content
 and primitive-part form of Geddes, Czapor & Labahn, "Algorithms for
-Computer Algebra" (1992).  A produced coefficient, one [t^k] entry or G_k,
-is one sum of products: an lcm of the pair denominators, integer
+Computer Algebra" (1992).  A produced coefficient, a [t^k] entry, L_p[j]
+or G_k, is one sum of products: an lcm of the pair denominators, integer
 multiply-adds, then a single gcd over the result.  P_k is one such sum, and
 u_k a triangular division by the unit P_k (van der Hoeven, section 4): no
 step multiplies CRat values, and u is converted to CRat once, at the end.
@@ -43,7 +43,8 @@ more jet evaluation: x-degree x_order - 2 for the default x_order, a = 2.
 
 from __future__ import annotations
 
-from math import gcd, lcm, perm
+from collections import Counter
+from math import gcd, lcm, perm, prod
 from operator import add, sub
 from typing import NamedTuple
 
@@ -117,18 +118,20 @@ def _cauchy(pairs: list, cap: int) -> tuple:
                       if r or im[a]}
 
 
-def _jet_coeff(uk: tuple, zk: ZKey, k: int) -> tuple:
-    """k^i d^alpha u_k: the t^k coefficient of z[i, alpha] from u_k."""
+def _jet_coeffs(uk: tuple, used: list, k: int) -> dict:
+    """k^i d^alpha u_k, the t^k coefficient of each used z[i, alpha], from
+    one d^alpha u_k per distinct alpha (perm(p, q) = 0 when p < q)."""
     den, num = uk
+    by_alpha = {al: {tuple(map(sub, a, al)): (re * f, im * f)
+                     for a, (re, im) in num.items()
+                     if (f := prod(map(perm, a, al)))}
+                for al in {zk.alpha for zk in used}}
     out = {}
-    for a, (re, im) in num.items():
-        if any(p < q for p, q in zip(a, zk.alpha)):
-            continue
-        f = k ** zk.i
-        for p, q in zip(a, zk.alpha):
-            f *= perm(p, q)
-        out[tuple(p - q for p, q in zip(a, zk.alpha))] = (re * f, im * f)
-    return den, out
+    for zk in used:
+        f, d = k ** zk.i, by_alpha[zk.alpha]
+        out[zk] = den, (d if f == 1 else
+                        {a: (re * f, im * f) for a, (re, im) in d.items()})
+    return out
 
 
 def _divide_unit(P: tuple, G: tuple, n: int, cap: int) -> tuple:
@@ -185,17 +188,25 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     used = sorted(F.jet_keys_used())
     # x-cap lost per step: one jet evaluation of the partial sum
     a_used = max((sum(zk.alpha) for zk in used), default=0)
-    # F's terms grouped by jet monomial, flattened to a tuple of jet keys
-    # with repetition; every prefix of length >= 2 is a product to extend
-    groups: dict[tuple, list] = {}
-    for (a, beta, nu), c in F.terms.items():
-        flat = tuple(zk for zk, p in nu for _ in range(p))
-        groups.setdefault(flat, []).append((a, _from_crat({beta: c})))
-    products = sorted({flat[:d] for flat in groups
-                       for d in range(2, len(flat) + 1)}, key=len)
     # coefficient lists indexed by t-power; index 0 is the zero at t = 0
     origin = (0,) * n
     zero, unit = (1, {}), (1, {origin: (1, 0)})
+    # F's terms of jet degree <= 1 as (a, c, flat), flat the jet keys; the
+    # others split as Z^nu = Z^p z_e and grouped by p into the terms of L_p
+    share = Counter(zk for nu in {nu for _, _, nu in F.terms}
+                    if sum(p for _, p in nu) > 1 for zk, _ in nu)
+    low, forms = [], {}
+    for (a, beta, nu), c in F.terms.items():
+        c, flat = _from_crat({beta: c}), [zk for zk, p in nu for _ in range(p)]
+        if len(flat) < 2:
+            low.append((a, c, flat))
+            continue
+        e = min((zk for zk, _ in nu), key=lambda zk: (share[zk], zk))
+        flat.remove(e)
+        forms.setdefault(tuple(flat), ([], [zero]))[0].append((a, c, e))
+    # every prefix of length >= 2 of a p is a product to extend
+    products = sorted({p[:d] for p in forms for d in range(2, len(p) + 1)},
+                      key=len)
     jets: dict[ZKey, list] = {zk: [zero] for zk in used}
     powers: dict[tuple, list] = {p: [zero] for p in products}
     u_coeffs: list[tuple] = [zero]
@@ -213,17 +224,21 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
         # a linear term at a = 0 would see u_k itself: it is indicial, and
         # P_k = k^2 - k beta*_1 - beta*_0 gathers these terms
         P, pairs = [(unit, (1, {origin: (k * k, 0)}))], []
-        for flat, group in groups.items():
-            d = len(flat)
-            for a, c in group:
-                s = k - a
-                if d == 0 and s == 0:
-                    pairs.append((c, unit))
-                elif d == 1 and s == k:
-                    P.append((c, (1, {origin: (-k ** flat[0].i, 0)})))
-                elif d and s >= d:
-                    pairs.append(
-                        (c, jets[flat[0]][s] if d == 1 else powers[flat][s]))
+        for a, c, flat in low:
+            if not flat and a == k:
+                pairs.append((c, unit))
+            elif flat and a == 0:
+                P.append((c, (1, {origin: (-k ** flat[0].i, 0)})))
+            elif flat and a < k:
+                pairs.append((c, jets[flat[0]][k - a]))
+        # L_p[k - |p|] is first read now, at the largest x-cap it needs
+        for p, (terms, L) in forms.items():
+            top = k - len(p)
+            if top > 0:
+                L.append(_cauchy([(c, jets[e][top - a]) for a, c, e in terms
+                                  if top > a], kx))
+            Zp = powers[p] if len(p) > 1 else jets[p[0]]
+            pairs += [(Zp[k - j], L[j]) for j in range(1, top + 1) if L[j][1]]
         P = _cauchy(P, kx)
         if origin not in P[1]:
             raise IndicialZero(
@@ -231,8 +246,8 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
                 f"cannot be solved at this order")
         uk = _divide_unit(P, _cauchy(pairs, kx), n, kx)
         u_coeffs.append(uk)
-        for zk in used:
-            jets[zk].append(_jet_coeff(uk, zk, k))
+        for zk, z in _jet_coeffs(uk, used, k).items():
+            jets[zk].append(z)
 
     u = SeriesTX(n, order, F.k_x - order * a_used,
                  {(k, a): CRat(Frac(re, den), Frac(im, den))

@@ -3,9 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fuchsian import solver
 from fuchsian.builtin import closed_form_series, load_equation, parse_equation
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import IndicialZero, ToolkitError, TruncationExhausted
@@ -255,8 +256,36 @@ def _outcome(fn, eq, K):
     return sol, sol.u.k_t, sol.u.k_x
 
 
+def jet_product_equations(n):
+    """Fixed inputs for the split Z^nu = Z^p z_e of jet monomials.  The
+    first equation has a square z10^2, a cubic z01^2 z02 with a repeated
+    factor (K_z = 3), and z02 z11 and t x z01 z02 sharing z02 (the second
+    at a = 1, so it adds nothing to L_p[j] for j <= 1).  The second has
+    jet monomials that share no factor."""
+    zero, x1 = (0,) * n, (1,) + (0,) * (n - 1)
+    z00, z10, z01, z11 = (ZKey(i, a) for a in (zero, x1) for i in (0, 1))
+    z02 = ZKey(0, (2,) + zero[1:])
+    K = 6 if n == 1 else 4
+    linear = {(0, zero, ((z10, 1),)): Frac(-13, 6),
+              (0, zero, ((z00, 1),)): Frac(-5, 6),
+              (1, zero, ()): 1, (1, x1, ()): 1, (2, zero[:-1] + (1,), ()): 1}
+    shared = {(0, zero, ((z10, 2),)): Frac(1, 2),
+              (0, zero, ((z01, 2), (z02, 1))): Frac(1, 3),
+              (0, zero, ((z02, 1), (z11, 1))): 2,
+              (1, x1, ((z01, 1), (z02, 1))): Frac(-1, 4)}
+    apart = {(0, zero, ((z00, 1), (z02, 1))): Frac(1, 2),
+             (0, zero, ((z10, 1), (z11, 1))): 3}
+    return [(FuchsianEquation(SeriesTXZ(n, K, 2 + 2 * K, k_z,
+                                        {**linear, **jet})), K)
+            for k_z, jet in ((3, shared), (2, apart))]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(random_equations())
+@example(jet_product_equations(1)[0])
+@example(jet_product_equations(1)[1])
+@example(jet_product_equations(2)[0])
+@example(jet_product_equations(2)[1])
 def test_relaxed_solver_equals_resubstitution(case):
     eq, K = case
     got = _outcome(solve_formal, eq, K)
@@ -306,105 +335,91 @@ def test_z_clipped_order_ignores_jets_truncation_emptied():
     assert sol.u == SeriesTX.monomial(1, 3, 0, Frac(1, 60), 3, (0,))
 
 
-# CRat multiplications of solve_formal(verify=True) on the equation below
-# with full re-substitution at every step (measured with the counting
-# wrapper of test_relaxed_solver_multiplication_count)
+# -- guard counts on one fixed equation --------------------------------
+
+
+@pytest.fixture(scope="module")
+def guard_equation():
+    """n = 1, K = 12: t - 13/6 z10 - 5/6 z00 - x z00 + z01 z02 / 4
+    + 2 z02 z11, solved to x-degree 2."""
+    def term(p, q, t_pow, x_pow, keys):
+        return {"coeff": [p, q, 0, 1], "t_pow": t_pow, "x_pows": [x_pow],
+                "z_pows": [{"i": i, "alpha": [a], "pow": 1} for i, a in keys]}
+
+    return parse_equation({
+        "m": 2, "n": 1, "truncation": {"K_t": 12, "K_x": 26, "K_z": 2},
+        "terms": [term(1, 1, 1, 0, []), term(-13, 6, 0, 0, [(1, 0)]),
+                  term(-5, 6, 0, 0, [(0, 0)]), term(-1, 1, 0, 1, [(0, 0)]),
+                  term(1, 4, 0, 0, [(0, 1), (0, 2)]),
+                  term(2, 1, 0, 0, [(0, 2), (1, 1)])]})
+
+
+@pytest.fixture
+def crat_muls(monkeypatch):
+    """One-element list counting the CRat multiplications made after the
+    fixture is set up."""
+    calls = [0]
+    mul = CRat.__mul__
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CRat, "__mul__", counting)
+    monkeypatch.setattr(CRat, "__rmul__", counting)
+    return calls
+
+
+# CRat multiplications of solve_formal(verify=True) on the guard equation
+# with full re-substitution at every step (measured with crat_muls)
 RESUBSTITUTION_MULS_N1_K12 = 52384
 
 
-def test_relaxed_solver_multiplication_count(monkeypatch):
-    # n = 1, K = 12: t - 13/6 z10 - 5/6 z00 - x z00 + z01 z02 / 4
-    # + 2 z02 z11, solved to x-degree 2
-    def coeff(p, q):
-        return [p, q, 0, 1]
-
-    def z(i, a):
-        return {"i": i, "alpha": [a], "pow": 1}
-
-    doc = {"m": 2, "n": 1, "truncation": {"K_t": 12, "K_x": 26, "K_z": 2},
-           "terms": [
-               {"coeff": coeff(1, 1), "t_pow": 1, "x_pows": [0],
-                "z_pows": []},
-               {"coeff": coeff(-13, 6), "t_pow": 0, "x_pows": [0],
-                "z_pows": [z(1, 0)]},
-               {"coeff": coeff(-5, 6), "t_pow": 0, "x_pows": [0],
-                "z_pows": [z(0, 0)]},
-               {"coeff": coeff(-1, 1), "t_pow": 0, "x_pows": [1],
-                "z_pows": [z(0, 0)]},
-               {"coeff": coeff(1, 4), "t_pow": 0, "x_pows": [0],
-                "z_pows": [z(0, 1), z(0, 2)]},
-               {"coeff": coeff(2, 1), "t_pow": 0, "x_pows": [0],
-                "z_pows": [z(0, 2), z(1, 1)]}]}
-    eq = parse_equation(doc)
-    calls = [0]
-    mul = CRat.__mul__
-
-    def counting(a, b):
-        calls[0] += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(CRat, "__mul__", counting)
-    monkeypatch.setattr(CRat, "__rmul__", counting)
-    sol = solve_formal(eq, 12)
+def test_relaxed_solver_multiplication_count(guard_equation, crat_muls):
+    sol = solve_formal(guard_equation, 12)
     assert sol.verified and not sol.u.is_zero()
-    assert 3 * calls[0] <= RESUBSTITUTION_MULS_N1_K12, calls[0]
+    assert 3 * crat_muls[0] <= RESUBSTITUTION_MULS_N1_K12, crat_muls[0]
 
 
-def test_integer_kernel_multiplication_count(monkeypatch):
-    # the equation of test_relaxed_solver_multiplication_count, construction
-    # only: G_k and the jet products run on integer numerators, so CRat
-    # multiplications are left to P_k's inverse and u_k = P_k^-1 G_k
-    # (11,262 when every Cauchy product multiplied CRat values)
-    def term(p, q, t_pow, x_pow, keys):
-        return {"coeff": [p, q, 0, 1], "t_pow": t_pow, "x_pows": [x_pow],
-                "z_pows": [{"i": i, "alpha": [a], "pow": 1} for i, a in keys]}
-
-    eq = parse_equation({
-        "m": 2, "n": 1, "truncation": {"K_t": 12, "K_x": 26, "K_z": 2},
-        "terms": [term(1, 1, 1, 0, []), term(-13, 6, 0, 0, [(1, 0)]),
-                  term(-5, 6, 0, 0, [(0, 0)]), term(-1, 1, 0, 1, [(0, 0)]),
-                  term(1, 4, 0, 0, [(0, 1), (0, 2)]),
-                  term(2, 1, 0, 0, [(0, 2), (1, 1)])]})
-    calls = [0]
-    mul = CRat.__mul__
-
-    def counting(a, b):
-        calls[0] += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(CRat, "__mul__", counting)
-    monkeypatch.setattr(CRat, "__rmul__", counting)
-    sol = solve_formal(eq, 12, verify=False)
+def test_integer_kernel_multiplication_count(guard_equation, crat_muls):
+    # construction only: G_k and the jet products run on integer
+    # numerators, so CRat multiplications are left to P_k's inverse and
+    # u_k = P_k^-1 G_k (11,262 when every Cauchy product multiplied CRat
+    # values)
+    sol = solve_formal(guard_equation, 12, verify=False)
     assert not sol.u.is_zero()
-    assert 5 * calls[0] <= 11262, calls[0]
+    assert 5 * crat_muls[0] <= 11262, crat_muls[0]
 
 
-def test_triangular_solve_multiplies_no_crat(monkeypatch):
-    # the equation of test_relaxed_solver_multiplication_count, construction
-    # only: P_k and u_k = P_k^-1 G_k run on integer numerators too, so no
-    # CRat product is left (1,678 when u_k was Pk.invert_unit() * G_k)
-    def term(p, q, t_pow, x_pow, keys):
-        return {"coeff": [p, q, 0, 1], "t_pow": t_pow, "x_pows": [x_pow],
-                "z_pows": [{"i": i, "alpha": [a], "pow": 1} for i, a in keys]}
-
-    eq = parse_equation({
-        "m": 2, "n": 1, "truncation": {"K_t": 12, "K_x": 26, "K_z": 2},
-        "terms": [term(1, 1, 1, 0, []), term(-13, 6, 0, 0, [(1, 0)]),
-                  term(-5, 6, 0, 0, [(0, 0)]), term(-1, 1, 0, 1, [(0, 0)]),
-                  term(1, 4, 0, 0, [(0, 1), (0, 2)]),
-                  term(2, 1, 0, 0, [(0, 2), (1, 1)])]})
-    calls = [0]
-    mul = CRat.__mul__
-
-    def counting(a, b):
-        calls[0] += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(CRat, "__mul__", counting)
-    monkeypatch.setattr(CRat, "__rmul__", counting)
-    sol = solve_formal(eq, 12, verify=False)
+def test_triangular_solve_multiplies_no_crat(guard_equation, crat_muls):
+    # construction only: P_k and u_k = P_k^-1 G_k run on integer numerators
+    # too, so no CRat product is left (1,678 when u_k was
+    # Pk.invert_unit() * G_k)
+    sol = solve_formal(guard_equation, 12, verify=False)
     assert not sol.u.is_zero()
-    assert calls[0] == 0
+    assert crat_muls[0] == 0
+
+
+def test_shared_factor_shares_one_cauchy_product(guard_equation,
+                                                 monkeypatch):
+    # z01 z02 / 4 and 2 z02 z11 share z02, so each step multiplies z02 by
+    # the one linear form z01 / 4 + 2 z11.  One construction passes 137
+    # (f, g) pairs to _cauchy, whose degree-capped term products number
+    # 4,691; with one Cauchy product per jet monomial it was 203 and 9,047
+    seen = {"pairs": 0, "products": 0}
+    cauchy = solver._cauchy
+
+    def counting(pairs, cap):
+        seen["pairs"] += len(pairs)
+        seen["products"] += sum(sum(a1) + sum(a2) <= cap
+                                for (_, f), (_, g) in pairs
+                                for a1 in f for a2 in g)
+        return cauchy(pairs, cap)
+
+    monkeypatch.setattr(solver, "_cauchy", counting)
+    sol = solve_formal(guard_equation, 12, verify=False)
+    assert not sol.u.is_zero()
+    assert seen["pairs"] <= 137 and seen["products"] <= 4691, seen
 
 
 # -- complex indicial coefficients -------------------------------------
