@@ -36,6 +36,7 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
     _require(isinstance(doc, dict), "document must be a JSON object")
     for field in ("m", "n", "terms", "truncation"):
         _require(field in doc, f"missing field {field!r}")
+    _require(isinstance(doc.get("name", ""), str), "name must be a string")
     m, n = doc["m"], doc["n"]
     _require(_is_int(m) and m == 2, "m must be 2: the equation is second order")
     _require(_is_int(n) and n >= 1, "n must be a positive integer")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .characteristics import allowed
+from .characteristics import _Check
 from .equation import CharData
 from .errors import (
     HypothesisViolated,
@@ -95,8 +95,6 @@ class Decomposition(NamedTuple):
     c coefficients depending only on the second-order jet slots.
     """
 
-    lam1: CRat
-    lam2: CRat
     beta0: SeriesTX
     beta1: SeriesTX
     a: dict
@@ -206,8 +204,7 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
     for s in b.values():
         assert s.z_free_part().is_zero()
 
-    dec = Decomposition(lam1=lam1, lam2=lam2, beta0=beta0, beta1=beta1,
-                        a=a, b=b, c=c, theta_rhs=G)
+    dec = Decomposition(beta0=beta0, beta1=beta1, a=a, b=b, c=c, theta_rhs=G)
     assert reconstruct(dec) == G, "split coefficients fail to recombine"
     return dec
 
@@ -379,37 +376,6 @@ def _slope(pack, inner: list, t: float, phiv: dict, dphiv: dict) -> float:
     return v
 
 
-class _Check:
-    """Accumulator for one pointwise inequality over the grid."""
-
-    __slots__ = ("checked", "violations", "worst", "examples")
-
-    def __init__(self):
-        self.checked = 0
-        self.violations = 0
-        self.worst = 0.0
-        self.examples = []
-
-    def record(self, lhs: float, rhs: float, t: float, rho: float):
-        self.checked += 1
-        if lhs <= rhs:      # allowed(rhs) >= rhs; nan and inf go on
-            return
-        lim = allowed(rhs)
-        if lhs > lim:
-            self.violations += 1
-            excess = lhs - lim
-            if excess > self.worst:
-                self.worst = excess
-            if len(self.examples) < 5:
-                self.examples.append({"t": t, "rho": rho,
-                                      "lhs": lhs, "rhs": rhs})
-
-    def report(self) -> dict:
-        return {"ok": self.violations == 0, "checked": self.checked,
-                "violations": self.violations, "worst_excess": self.worst,
-                "examples": self.examples}
-
-
 class BarrierSystem:
     """The barrier q, its derivatives, and the majorant coefficients A and
     B of the differential inequality.  Each has one kernel that takes the
@@ -473,9 +439,6 @@ class BarrierSystem:
         self.work["phi_evals"] += 1
         return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
 
-    def dphi_values(self, t: float, rho: float) -> dict:
-        return {zk: self.sectors[s].eval(t, rho) for zk, s in self._dphi}
-
     def _comp(self, pack, t, rho, phiv) -> float:
         self.work["coefficient_evals"] += 1
         return pack[0].eval(t, rho, phiv)
@@ -484,18 +447,15 @@ class BarrierSystem:
         self.work["coefficient_evals"] += 1
         return _slope(pack, _slope_inner(pack, rho), t, phiv, dphiv)
 
-    def barrier_jet(self, t: float, rho: float) -> tuple:
-        """(q, dq, tdq, slot values, dv11, dv02) at one point."""
-        v = [m.eval(t, rho) for m in self.sectors]
-        return (*self._jet(t ** self.kf, v), dict(zip(_SLOTS, v)), v[5], v[6])
-
     def barrier(self, t: float, rho: float) -> float:
-        return self.barrier_jet(t, rho)[0]
+        v = [m.eval(t, rho) for m in self.sectors]
+        return self._jet(t ** self.kf, v)[0]
 
     def growth_bound(self, t: float, rho: float) -> float:
         """Multiplier of q in the differential inequality.  Reads the
         weights only; the box enters through where it gets evaluated."""
-        phiv, dphiv = self.phi_values(t, rho), self.dphi_values(t, rho)
+        phiv = self.phi_values(t, rho)
+        dphiv = {zk: self.sectors[s].eval(t, rho) for zk, s in self._dphi}
         comp = [self._comp(pk, t, rho, phiv) for pk in self.packs]
         drho = [self._comp_drho(pk, t, rho, phiv, dphiv) for pk in self.packs]
         return self._growth(t, t ** (1.0 - self.kf),

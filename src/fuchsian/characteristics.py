@@ -34,6 +34,39 @@ def allowed(rhs: float) -> float:
     return rhs + SLACK * (1.0 + abs(rhs))
 
 
+class _Check:
+    """Counter for one inequality lhs <= allowed(rhs) over the grid or a
+    path: checks, violations, the largest excess over allowed(rhs) and the
+    first five failing points."""
+
+    __slots__ = ("checked", "violations", "worst", "examples")
+
+    def __init__(self):
+        self.checked = 0
+        self.violations = 0
+        self.worst = 0.0
+        self.examples = []
+
+    def record(self, lhs: float, rhs: float, t: float, rho: float):
+        self.checked += 1
+        if lhs <= rhs:      # allowed(rhs) >= rhs; nan and inf go on
+            return
+        lim = allowed(rhs)
+        if lhs > lim:
+            self.violations += 1
+            excess = lhs - lim
+            if excess > self.worst:
+                self.worst = excess
+            if len(self.examples) < 5:
+                self.examples.append({"t": t, "rho": rho,
+                                      "lhs": lhs, "rhs": rhs})
+
+    def report(self) -> dict:
+        return {"ok": self.violations == 0, "checked": self.checked,
+                "violations": self.violations, "worst_excess": self.worst,
+                "examples": self.examples}
+
+
 class CharacteristicPath(NamedTuple):
     """Sampled path of the flow: ts strictly decreasing from the anchor
     time ts[0] to the last time reached ts[-1], rhos nondecreasing from the
@@ -129,35 +162,29 @@ def check_weighted_decay(path: CharacteristicPath, h) -> dict:
     for supplied test functions it is informational only.
     """
     hf = float(h)
-    vs = [t ** hf * q for t, q in zip(path.ts, path.qs)]
-    violations = 0
-    worst = 0.0
+    ts, rhos, qs = path.ts, path.rhos, path.qs
+    vs = [t ** hf * q for t, q in zip(ts, qs)]
+    step = _Check()
     for j in range(1, len(vs)):
-        lim = allowed(vs[j - 1])
-        if vs[j] > lim:
-            violations += 1
-            worst = max(worst, vs[j] - lim)
+        step.record(vs[j], vs[j - 1], ts[j], rhos[j])
 
     idx = list(range(len(vs)))
     if len(idx) > 40:
         stride = (len(idx) - 1) / 39.0
         idx = sorted({round(j * stride) for j in range(40)})
-    pair_checked = pair_viol = 0
+    pair = _Check()
     for a_ in range(len(idx)):
         for b_ in range(a_ + 1, len(idx)):
             j, l = idx[a_], idx[b_]  # t[j] > t[l]
-            pair_checked += 1
-            bound = (path.ts[l] / path.ts[j]) ** hf * path.qs[l]
-            if path.qs[j] > allowed(bound):
-                pair_viol += 1
+            pair.record(qs[j], (ts[l] / ts[j]) ** hf * qs[l], ts[j], rhos[j])
     return {
-        "ok": violations == 0,
-        "checked": len(vs) - 1,
-        "violations": violations,
-        "worst_excess": worst,
+        "ok": step.violations == 0,
+        "checked": step.checked,
+        "violations": step.violations,
+        "worst_excess": step.worst,
         "weighted_first": vs[0] if vs else 0.0,
         "weighted_last": vs[-1] if vs else 0.0,
-        "pair_bound": {"checked": pair_checked, "violations": pair_viol},
+        "pair_bound": {"checked": pair.checked, "violations": pair.violations},
     }
 
 
@@ -173,26 +200,23 @@ def check_radius_bounds(path: CharacteristicPath, consts: dict, kappa, h,
                         r: float) -> dict:
     """Two-sided radius bound at every sample: rho never drops below the
     anchor value, and never exceeds the anchor plus the integrated
-    envelope of the transport rate."""
+    envelope of the transport rate.  worst_excess is the largest excess
+    over the passing limit on either side."""
     kf = float(kappa)
     t0 = path.ts[0]
     xi = path.rhos[0]
     cap_rest = _radius_cap(consts, h, r)
-    lower_viol = upper_viol = 0
-    worst = 0.0
+    lower, upper = _Check(), _Check()
     for t, rho in zip(path.ts, path.rhos):
-        if rho < -allowed(-xi):
-            lower_viol += 1
+        lower.record(-rho, -xi, t, rho)
         bound = xi + consts["C1"] / kf * (t0 ** kf - t ** kf) + cap_rest
-        if rho > allowed(bound):
-            upper_viol += 1
-            worst = max(worst, rho - bound)
+        upper.record(rho, bound, t, rho)
     return {
-        "ok": lower_viol == 0 and upper_viol == 0,
+        "ok": lower.violations == 0 and upper.violations == 0,
         "checked": len(path.ts),
-        "lower_violations": lower_viol,
-        "upper_violations": upper_viol,
-        "worst_excess": worst,
+        "lower_violations": lower.violations,
+        "upper_violations": upper.violations,
+        "worst_excess": max(lower.worst, upper.worst),
     }
 
 

@@ -196,12 +196,6 @@ def cmd_solve(args, data: bytes, label: str, report: dict) -> int:
 
 
 def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
-    from .certificate import (BarrierSystem, build_shifted_rhs, choose_params,
-                              normal_form, profile_family, verify_barrier)
-    from .characteristics import (check_radius_bounds, check_reaches_origin,
-                                  check_weighted_decay, integrate,
-                                  smallness_box)
-    from .solver import solve_formal
     _require_order(args.order)
     kappa = _rational_flag("kappa", args.kappa,
                            lambda v: 0 < v < Fraction(1, 2),
@@ -220,6 +214,12 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
         raise HypothesisViolated(
             "decay hypothesis fails: no exponent margin h; "
             "the barrier construction does not apply")
+    from .certificate import (BarrierSystem, build_shifted_rhs, choose_params,
+                              normal_form, profile_family, verify_barrier)
+    from .characteristics import (check_radius_bounds, check_reaches_origin,
+                                  check_weighted_decay, integrate,
+                                  smallness_box)
+    from .solver import solve_formal
     u0 = solve_formal(eq, args.order)
     H = build_shifted_rhs(eq, u0.u)
     dec = normal_form(H, cd)
@@ -288,9 +288,7 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
 
 
 def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
-    from .certificate import choose_params
     from .characteristics import decay_profile
-    from .solver import residual, solve_formal
     _require_tol(args.tol)
     if not 0 <= args.exponent_p <= 64:  # keeps R ** -p finite for R >= 1/16
         raise InputError(f"--exponent-p must be in 0..64, got {args.exponent_p}")
@@ -299,6 +297,7 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
     cd = eq.char_exponents()
     results: dict = {"applicability": _applicability_results(eq, cd, 10)}
     if name == "remark2":
+        from .certificate import choose_params
         grid = remark2_residual_grid(eq)
         results["residual_numeric"] = {
             **grid, "tol": args.tol,
@@ -323,6 +322,7 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
                             if isinstance(v, dict))
     else:
         # remark3 or remark3_forced: argparse admits builtin names only
+        from .solver import residual
         u = closed_form_series(name, eq.F.k_t, eq.F.k_x)
         res = residual(eq, u, K=eq.F.k_t)
         results["residual_symbolic"] = {"zero": res.is_zero()}
@@ -339,6 +339,7 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
             results["ok"] = (res.is_zero()
                              and results["decay_constant"]["ok"])
         else:
+            from .solver import solve_formal
             sol = solve_formal(eq, 4)
             results["solver_match"] = {"ok": sol.u == u.truncate(
                 k_t=sol.u.k_t, k_x=sol.u.k_x)}

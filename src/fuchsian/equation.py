@@ -94,12 +94,6 @@ class FuchsianEquation:
                 out[(0, alpha)] = c
         return SeriesTX(self.n, 0, self.F.k_x, out)
 
-    def indicial_series(self, s: int) -> SeriesTX:
-        """The x-series s^2 - beta*_1(x) s - beta*_0(x) (t-free)."""
-        sc = CRat(s)
-        return (SeriesTX.const(self.n, 0, self.F.k_x, sc * sc)
-                - self.beta_star(0) - self.beta_star(1).scale(sc))
-
     # -- spectrum -------------------------------------------------------
 
     def char_exponents(self) -> CharData:

@@ -61,10 +61,6 @@ class RhoPoly:
         self.coeffs = tuple(cs)
         self._horner = None
 
-    @classmethod
-    def zero(cls) -> "RhoPoly":
-        return cls(())
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -75,8 +71,6 @@ class RhoPoly:
         if not isinstance(other, RhoPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RhoPoly({list(self.coeffs)})"
@@ -89,19 +83,6 @@ class RhoPoly:
             a, b = b, a
         return RhoPoly(tuple(c + (b[i] if i < len(b) else 0)
                              for i, c in enumerate(a)))
-
-    def __mul__(self, other):
-        if isinstance(other, RhoPoly):
-            if self.is_zero() or other.is_zero():
-                return RhoPoly.zero()
-            out = [Frac(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RhoPoly(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "RhoPoly":
         c = Frac(c)
@@ -154,20 +135,16 @@ class SectorMajorant:
         return not self.coeffs
 
     def slice(self, k: int) -> RhoPoly:
-        return self.coeffs.get(k, RhoPoly.zero())
-
-    def sorted_items(self) -> list:
-        return sorted(self.coeffs.items())
+        return self.coeffs.get(k, RhoPoly())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SectorMajorant):
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    __hash__ = None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        body = ", ".join(f"t^{k}: {list(p.coeffs)}" for k, p in self.sorted_items())
+        body = ", ".join(f"t^{k}: {list(p.coeffs)}"
+                         for k, p in sorted(self.coeffs.items()))
         return f"SectorMajorant({{{body}}})"
 
     def __add__(self, other: "SectorMajorant") -> "SectorMajorant":
@@ -181,19 +158,6 @@ class SectorMajorant:
         for k, p in other.coeffs.items():
             out[k] = out[k] + p if k in out else p
         return SectorMajorant(out)
-
-    def __mul__(self, other):
-        if isinstance(other, SectorMajorant):
-            out: dict[int, RhoPoly] = {}
-            for k1, p1 in self.coeffs.items():
-                for k2, p2 in other.coeffs.items():
-                    k = k1 + k2
-                    p = p1 * p2
-                    out[k] = out[k] + p if k in out else p
-            return SectorMajorant(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "SectorMajorant":
         return SectorMajorant({k: p.scale(c) for k, p in self.coeffs.items()})
@@ -303,8 +267,6 @@ class NormProfileZ:
         if not isinstance(other, NormProfileZ):
             return NotImplemented
         return self.profiles == other.profiles
-
-    __hash__ = None
 
     def d_rho(self) -> "NormProfileZ":
         return NormProfileZ({key: p.d_rho() for key, p in self.profiles.items()})

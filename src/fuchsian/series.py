@@ -165,8 +165,6 @@ class SeriesTX:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    __hash__ = None  # mutable-adjacent container; keyed use is a bug
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SeriesTX(n={self.n}, k_t={self.k_t}, k_x={self.k_x}, "
                 f"{len(self.terms)} terms)")
@@ -263,13 +261,6 @@ class SeriesTX:
         return SeriesTX(self.n, self.k_t, self.k_x,
                         {(k, a): c * k for (k, a), c in self.terms.items() if k})
 
-    def x_section(self, k: int) -> "SeriesTX":
-        """Coefficient of t**k as a t-free series."""
-        if k > self.k_t:
-            raise TruncationExhausted(f"t-order {k} beyond cap {self.k_t}")
-        return SeriesTX(self.n, 0, self.k_x,
-                        {(0, a): c for (kk, a), c in self.terms.items() if kk == k})
-
     def truncate(self, k_t: int | None = None, k_x: int | None = None) -> "SeriesTX":
         kt = self.k_t if k_t is None else min(self.k_t, k_t)
         kx = self.k_x if k_x is None else min(self.k_x, k_x)
@@ -295,13 +286,6 @@ class SeriesTX:
                 break
             out = out + power
         return out.scale(inv0)
-
-    # -- evaluation ---------------------------------------------------
-
-    def eval_numeric(self, t, xs) -> complex:
-        """Evaluate at numeric t and xs (length n), Horner in t, with each
-        t-slice summed in graded-lex order so repeated calls round alike."""
-        return SeriesTXZ.from_tx(self, 0).eval_numeric(t, xs, {})
 
 
 class SeriesTXZ:
@@ -385,8 +369,6 @@ class SeriesTXZ:
         if not isinstance(other, SeriesTXZ):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SeriesTXZ(n={self.n}, k_t={self.k_t}, "

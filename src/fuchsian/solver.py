@@ -49,7 +49,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .equation import FuchsianEquation
-from .errors import A2Violation, IndicialZero, TruncationExhausted
+from .errors import IndicialZero, TruncationExhausted
 from .rational import CRat, Frac
 from .series import SeriesTX, SeriesTXZ, ZKey, alphas_of_degree, lambda_keys
 
@@ -290,18 +290,3 @@ def residual(eq: FuchsianEquation, u: SeriesTX, K: int) -> SeriesTX:
     rhs = eq.F.substitute_z(derivative_tuple(u))
     return (lhs - rhs).truncate(k_t=K)
 
-
-def manufactured(eq: FuchsianEquation, u_target: SeriesTX) -> FuchsianEquation:
-    """Equation with the same jet structure whose solution is u_target.
-
-    Adds the forcing g = (t d/dt)^m u_target - F(jet of u_target) to the
-    right-hand side.  The forcing must vanish at t = 0, otherwise the
-    result would violate the no-forcing condition."""
-    g = residual(eq, u_target, u_target.k_t)
-    if any(k == 0 for (k, _) in g.terms):
-        raise A2Violation(
-            "manufactured forcing has terms at t-order 0; pick a target "
-            "that vanishes at t = 0")
-    F = eq.F + SeriesTXZ.from_tx(g, eq.F.k_z)
-    return FuchsianEquation(
-        F, name=(eq.name + "+forcing") if eq.name else "forced")

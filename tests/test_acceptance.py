@@ -31,7 +31,8 @@ from fuchsian.errors import HypothesisViolated
 from fuchsian.majorant import SectorMajorant, norm_x
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
-from fuchsian.solver import manufactured, residual, solve_formal
+from fuchsian.solver import residual, solve_formal
+from oracles import manufactured, sector_product
 
 
 class Budget:
@@ -180,7 +181,7 @@ def test_criterion_5_majorant_property_suite():
     for _ in range(500):
         n = rng.choice([1, 2])
         f, g = rand_series(n), rand_series(n)
-        if not norm_x(f * g).leq(norm_x(f) * norm_x(g)):
+        if not norm_x(f * g).leq(sector_product(norm_x(f), norm_x(g))):
             submult_fail += 1
         if not norm_x(f.dx(rng.randrange(n))).leq(norm_x(f).d_rho()):
             deriv_fail += 1

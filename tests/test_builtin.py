@@ -10,6 +10,7 @@ from fuchsian.builtin import (BUILTIN_NAMES, closed_form_eval,
                               remark2_residual_grid)
 from fuchsian.errors import IndexOutOfLambda, InputError
 from fuchsian.rational import Frac
+from fuchsian.series import SeriesTXZ
 from fuchsian.solver import residual
 
 
@@ -94,6 +95,8 @@ def test_load_equation_bad_utf8(tmp_path):
                  "coeff", id="coeff-bool"),
     pytest.param(lambda d: d["terms"][0].update(z_pows=5), "z_pows",
                  id="z_pows-int"),
+    pytest.param(lambda d: d.update(name=5), "name must be a string",
+                 id="name-int"),
 ])
 def test_parse_equation_rejects_malformed(mutate, fragment):
     doc = valid_doc()
@@ -123,8 +126,8 @@ def test_closed_form_eval_agrees_with_series():
         ev = closed_form_eval(name)
         u = closed_form_series(name)
         for t, x in [(0.5, 0.25), (1e-3, -0.4)]:
-            assert ev(t, (x,)) == pytest.approx(u.eval_numeric(t, (x,)),
-                                                rel=1e-14, abs=1e-300)
+            want = SeriesTXZ.from_tx(u, 0).eval_numeric(t, (x,), {})
+            assert ev(t, (x,)) == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 def test_logarithmic_jets_satisfy_equation_pointwise():

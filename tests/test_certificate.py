@@ -12,18 +12,19 @@ import random
 import pytest
 
 from fuchsian.builtin import load_equation, parse_equation
-from fuchsian.certificate import (BarrierParams, BarrierSystem, _Check,
-                                  barrier_grid, build_shifted_rhs,
-                                  choose_params, normal_form, profile_family,
-                                  reconstruct, verify_barrier)
-from fuchsian.characteristics import allowed
+from fuchsian.certificate import (BarrierParams, BarrierSystem, barrier_grid,
+                                  build_shifted_rhs, choose_params,
+                                  normal_form, profile_family, reconstruct,
+                                  verify_barrier)
+from fuchsian.characteristics import _Check, allowed
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import (HypothesisViolated, InexactRoots,
                              NonpositiveExponent, UnsplittableTerm)
 from fuchsian.majorant import RhoPoly, SectorMajorant, norm_xz
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort
-from fuchsian.solver import manufactured, solve_formal
+from fuchsian.solver import solve_formal
+from oracles import manufactured
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,7 @@ def test_shifted_rhs_rejects_base_with_constant_term():
 
 def test_normal_form_frozen_decomposition(remark3_setup):
     _, cd, dec, *_ = remark3_setup
-    assert dec.lam1 == CRat(Frac(-2)) and dec.lam2 == CRat(Frac(-1))
+    assert cd.roots_exact == (CRat(Frac(-2)), CRat(Frac(-1)))
     assert dec.beta0.is_zero() and dec.beta1.is_zero()
     assert dec.a == {} and dec.b == {}
     key = (ZKey(0, (2,)), ZKey(0, (2,)))
@@ -261,7 +262,7 @@ def test_barrier_matches_hand_formula(remark3_setup):
 def test_barrier_corner_frozen(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
     system = BarrierSystem(dec, prof, params)
-    q, dq, tdq, *_ = system.barrier_jet(1 / 64, 1.0)
+    q, dq, tdq = _grid_point(system, 1 / 64, 1.0)[3:6]
     assert q == pytest.approx(0.17439650722798405, rel=1e-12)
     assert dq == pytest.approx(0.19277343749999998, rel=1e-12)
     assert tdq == pytest.approx(0.17854979618261702, rel=1e-12)
@@ -272,7 +273,7 @@ def test_barrier_drho_teuler_hand_formulas(remark3_setup):
     system = BarrierSystem(dec, prof, params)
     kap = float(params.kappa)
     for t, rho in [(1 / 64, 1.0), (1e-5, 0.25)]:
-        _, dq, tdq, *_ = system.barrier_jet(t, rho)
+        dq, tdq = _grid_point(system, t, rho)[4:6]
         drho = (9 / 80) * 2 * t * rho + 6 * t * rho \
             + (9 / 160) * 2 * t + 6 * t
         assert dq == pytest.approx(drho, rel=1e-12)
@@ -285,8 +286,15 @@ def test_barrier_drho_teuler_hand_formulas(remark3_setup):
         assert tdq == pytest.approx(teuler, rel=1e-12)
 
 
+def _grid_point(system, t, rho):
+    # (t, rho, tk, q, dq, tdq, v, A, B) from a 1 x 1 grid, which the grid
+    # test below ties bit for bit to the per-point evaluators
+    (point,) = system.grid([t], [rho])
+    return point
+
+
 def _old_barrier_parts(system, t, rho):
-    # the three separate evaluators that barrier_jet replaced, restated
+    # q, dq, t dq/dt from one separate evaluator per part, restated
     slots = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
     v = {ij: system.p[ij].eval(t, rho) for ij in slots}
     e = {ij: system.e[ij].eval(t, rho) for ij in slots}
@@ -323,8 +331,11 @@ def test_barrier_jet_equals_separate_evaluators(remark3_setup):
         points += [(10.0 ** rng.uniform(-6, -1.8), rng.uniform(0, 1))
                    for _ in range(25)]
         for t, rho in points:
-            assert system.barrier_jet(t, rho) == _old_barrier_parts(system, t, rho)
-            assert system.barrier(t, rho) == _old_barrier_parts(system, t, rho)[0]
+            q, dq, tdq, v, dv11, dv02 = _old_barrier_parts(system, t, rho)
+            _, _, _, *jet, grid_v, _, _ = _grid_point(system, t, rho)
+            assert jet == [q, dq, tdq]
+            assert list(grid_v[:7]) == [*v.values(), dv11, dv02]
+            assert system.barrier(t, rho) == q
 
 
 def test_growth_bound_corner_and_small_t_limit(remark3_setup):
@@ -415,7 +426,7 @@ class _KeyedSystem:
         s, eps = self.s, self.eps
         e00, e01, e11 = s.e00, s.e01, s.e11
         phiv = s.phi_values(t, rho)
-        dphiv = s.dphi_values(t, rho)
+        dphiv = {zk: s.sectors[d].eval(t, rho) for zk, d in s._dphi}
         sq02 = math.sqrt(s.p[(0, 2)].eval(t, rho))
         t1k = t ** (1.0 - s.kf)
         acc = e00
@@ -595,8 +606,9 @@ def test_grid_matches_per_point_evaluators_bitwise(extra):
         seen = []
         for t, rho, tk, q, dq, tdq, v, A, B in grid_sys.grid(ts, rhos):
             seen.append((t, rho))
-            jet = point_sys.barrier_jet(t, rho)
+            jet = _old_barrier_parts(point_sys, t, rho)
             assert (q, dq, tdq) == jet[:3]
+            assert q == point_sys.barrier(t, rho)
             assert list(jet[3].values()) == list(v[:5])
             assert (v[5], v[6]) == jet[4:]
             assert tk == t ** float(params.kappa)

@@ -158,6 +158,21 @@ def test_radius_upper_bound_catches_overshoot():
     assert not rep["ok"]
 
 
+@pytest.mark.parametrize("rhos,counts,excess", [
+    ([0.2, 0.1], (1, 0), -0.1 - allowed(-0.2)),
+    ([0.2, 5.0], (0, 1), 5.0 - allowed(0.2)),
+    ([0.2, 0.05, 0.3], (1, 1), -0.05 - allowed(-0.2)),
+], ids=["lower", "upper", "both"])
+def test_radius_worst_excess_is_over_the_passing_limit(rhos, counts, excess):
+    # with every envelope constant zero both limits sit at xi = 0.2; the
+    # worst excess is measured from the passing limit, on either side
+    path = hand_path([0.5, 0.25, 0.125][:len(rhos)], rhos, [0.0] * len(rhos))
+    rep = check_radius_bounds(path, frozen_consts(C1=0.0), Frac(3, 10),
+                              Frac(9, 20), r=0.0)
+    assert (rep["lower_violations"], rep["upper_violations"]) == counts
+    assert rep["worst_excess"] == excess
+
+
 # -- smallness search and origin check ------------------------------------
 
 

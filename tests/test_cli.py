@@ -73,6 +73,16 @@ def test_check_non_object_truncation_is_input_error(tmp_path, capsys):
                             "message": "truncation must be an object"}
 
 
+def test_check_non_string_name_is_input_error(tmp_path, capsys):
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps({"m": 2, "n": 1, "terms": [], "name": 5,
+                             "truncation": {"K_t": 2, "K_x": 2, "K_z": 2}}))
+    rc, rep, _ = run_json(capsys, "check", str(p))
+    assert rc == 2
+    assert rep["error"] == {"type": "InputError",
+                            "message": "name must be a string"}
+
+
 def test_check_bool_order_is_input_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"m": True, "n": 1, "terms": [],
@@ -470,3 +480,25 @@ def test_cli_import_leaves_numpy_out():
         env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["[]", "False", "[]", "False", "False"]
+    # each command loads only the layers its branch runs
+    layers = ("certificate", "majorant", "characteristics", "solver")
+    script = ("import contextlib, io, sys\n"
+              "from fuchsian.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    main(sys.argv[1:])\n"
+              f"print(sorted(m for m in {layers!r}\n"
+              "             if 'fuchsian.' + m in sys.modules))")
+    for argv, loaded in [
+            (["check", "remark3"], []),
+            (["solve", "remark3_forced"], ["solver"]),
+            (["verify-example", "remark3"], ["characteristics", "solver"]),
+            (["verify-example", "remark3_forced"],
+             ["characteristics", "solver"]),
+            (["verify-example", "remark2"], sorted(layers)),
+            (["certify", "remark2"], []),
+            (["certify", "remark3", "--grid", "2x2"], sorted(layers))]:
+        out = subprocess.run([sys.executable, "-c", script, *argv],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [str(loaded)], argv

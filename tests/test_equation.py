@@ -12,6 +12,7 @@ from fuchsian.errors import (A2Violation, A3Violation, IndexOutOfLambda,
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey
 from fuchsian.solver import solve_formal
+from oracles import indicial_series
 
 
 def linear_equation(beta0, beta1, n=1, k_t=6, k_x=8, k_z=4):
@@ -87,14 +88,14 @@ def test_indicial_value_matches_brute_quadratic():
     eq = load_equation("remark3")
     # P(s) = s^2 + 3 s + 2 once the linear jet terms move to the left side
     for s in range(1, 9):
-        v = eq.indicial_series(s).coeff(0, (0,))
+        v = indicial_series(eq, s).coeff(0, (0,))
         assert v == CRat(Frac(s * s + 3 * s + 2))
 
 
 def test_resonance_flagged_at_positive_integer_root():
     # lambda^2 - lambda - 2 = (lambda - 2)(lambda + 1): root at +2
     eq = linear_equation(Frac(2), Frac(1))
-    assert eq.indicial_series(2).coeff(0, (0,)) == CRat()
+    assert indicial_series(eq, 2).coeff(0, (0,)) == CRat()
     assert applicability(eq.char_exponents(), 8)[0] == (2,)
     with pytest.raises(IndicialZero):
         solve_formal(eq, 2)

@@ -19,6 +19,7 @@ from fuchsian.errors import NonpositiveExponent
 from fuchsian.majorant import NormProfileZ, RhoPoly, SectorMajorant, norm_x, norm_xz, weight
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
+from oracles import sector_product
 
 
 def rand_series(rng, n, k_t, k_x, n_terms=6, complex_coeffs=False):
@@ -107,7 +108,7 @@ def test_transform_against_quadrature_oracle():
             deg = rng.randint(0, 3)
             c = Frac(rng.randint(1, 9), rng.randint(1, 9))
             coeffs[k] = RhoPoly((0,) * deg + (c,)) \
-                + coeffs.get(k, RhoPoly.zero())
+                + coeffs.get(k, RhoPoly())
         M = SectorMajorant(coeffs)
         a = Frac(rng.randint(1, 8), rng.randint(1, 4))
         t = rng.uniform(0.05, 1.5)
@@ -157,7 +158,7 @@ def test_norm_submultiplicative_coefficientwise():
         n = rng.choice([1, 2])
         f = rand_series(rng, n, 2, 3, n_terms=4)
         g = rand_series(rng, n, 2, 3, n_terms=4)
-        assert norm_x(f * g).leq(norm_x(f) * norm_x(g))
+        assert norm_x(f * g).leq(sector_product(norm_x(f), norm_x(g)))
 
 
 def test_x_derivative_dominated_by_rho_derivative():
@@ -176,7 +177,7 @@ def test_norm_soundness_complex():
         f = rand_series(rng, 1, 2, 3, complex_coeffs=True)
         t = rng.uniform(0.0, 1.0)
         x = rng.uniform(-0.5, 0.5)
-        val = abs(f.eval_numeric(t, (x,)))
+        val = abs(SeriesTXZ.from_tx(f, 0).eval_numeric(t, (x,), {}))
         bound = norm_x(f).eval(t, abs(x))
         assert val <= bound * (1 + 1e-12) + 1e-15
 
