@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .characteristics import _Check
-from .equation import CharData
+from .equation import CharData, decay_margin
 from .errors import (
     HypothesisViolated,
     InexactRoots,
@@ -246,12 +246,19 @@ def profile_family(w: SeriesTX, cd: CharData) -> ProfileFamily:
     p02 = p01.d_rho()
     slots = {(0, 0): p00, (1, 0): p10, (0, 1): p01, (1, 1): p11, (0, 2): p02}
 
-    jet = derivative_tuple(w)
-    for zk, g in jet.items():
-        dom = slots[(zk.i, sum(zk.alpha))].scale(_HEADROOM)
-        assert norm_x(g).leq(dom), (
-            f"profile ({zk.i}, {sum(zk.alpha)}) fails to dominate jet {zk}")
+    bad = _undominated_jet(w, slots)
+    assert bad is None, (
+        f"profile ({bad.i}, {sum(bad.alpha)}) fails to dominate jet {bad}")
     return ProfileFamily(w=w, slots=slots)
+
+
+def _undominated_jet(w: SeriesTX, slots: dict):
+    """The first jet key zk of w whose d^alpha w has a norm above slot
+    (i, |alpha|) with headroom, or None when every slot dominates."""
+    for zk, g in derivative_tuple(w).items():
+        if not norm_x(g).leq(slots[(zk.i, sum(zk.alpha))].scale(_HEADROOM)):
+            return zk
+    return None
 
 
 class BarrierParams(NamedTuple):
@@ -283,9 +290,8 @@ def barrier_grid(sigma0: float, R0: float, nt: int,
     return ts, rhos
 
 
-def choose_params(cd: CharData, dec: Decomposition | None = None,
-                  profiles: ProfileFamily | None = None
-                  ) -> tuple[BarrierParams, dict]:
+def choose_params(cd: CharData, dec: Decomposition,
+                  profiles: ProfileFamily) -> tuple[BarrierParams, dict]:
     """Select the barrier weights and a working box.
 
     Four steps: eps00 = h/4; eps11 halved from 1 until the slope term of
@@ -296,14 +302,7 @@ def choose_params(cd: CharData, dec: Decomposition | None = None,
     corner, which by monotonicity covers the whole box.  Returns the params
     and a small grid certificate of that last fact.
     """
-    if cd is None or cd.h is None:
-        raise HypothesisViolated(
-            "no positive decay margin: some exponent has nonnegative real "
-            "part, so the barrier construction does not apply")
-    if dec is None or profiles is None:
-        raise InputError("parameter selection needs a decomposition and a "
-                         "profile family")
-    h = cd.h
+    h = decay_margin(cd)
     eps00 = h / 4
 
     db0 = norm_x(dec.beta0).slice(0).d_rho()
@@ -433,19 +432,11 @@ class BarrierSystem:
         self.dbeta0 = self.nbeta0.d_rho()
         self.dbeta1 = self.nbeta1.d_rho()
         self.betas = (self.nbeta0, self.nbeta1, self.dbeta0, self.dbeta1)
+        # what grid and constants evaluate; verify_barrier reports it
         self.work = {"phi_evals": 0, "coefficient_evals": 0}
 
     def phi_values(self, t: float, rho: float) -> dict:
-        self.work["phi_evals"] += 1
         return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
-
-    def _comp(self, pack, t, rho, phiv) -> float:
-        self.work["coefficient_evals"] += 1
-        return pack[0].eval(t, rho, phiv)
-
-    def _comp_drho(self, pack, t, rho, phiv, dphiv) -> float:
-        self.work["coefficient_evals"] += 1
-        return _slope(pack, _slope_inner(pack, rho), t, phiv, dphiv)
 
     def barrier(self, t: float, rho: float) -> float:
         v = [m.eval(t, rho) for m in self.sectors]
@@ -456,8 +447,9 @@ class BarrierSystem:
         weights only; the box enters through where it gets evaluated."""
         phiv = self.phi_values(t, rho)
         dphiv = {zk: self.sectors[s].eval(t, rho) for zk, s in self._dphi}
-        comp = [self._comp(pk, t, rho, phiv) for pk in self.packs]
-        drho = [self._comp_drho(pk, t, rho, phiv, dphiv) for pk in self.packs]
+        comp = [pk[0].eval(t, rho, phiv) for pk in self.packs]
+        drho = [_slope(pk, _slope_inner(pk, rho), t, phiv, dphiv)
+                for pk in self.packs]
         return self._growth(t, t ** (1.0 - self.kf),
                             math.sqrt(self.p[(0, 2)].eval(t, rho)),
                             [b.eval(rho) for b in self.betas], comp, drho)
@@ -466,7 +458,7 @@ class BarrierSystem:
         """Multiplier of the rho-derivative of q; also the speed of the
         domain-shrinking flow."""
         phiv = self.phi_values(t, rho)
-        comp = [self._comp(pk, t, rho, phiv) for pk in self.packs]
+        comp = [pk[0].eval(t, rho, phiv) for pk in self.packs]
         return self._transport(t, t ** self.kf, t ** (1.0 - self.kf),
                                math.sqrt(self.p[(0, 2)].eval(t, rho)), comp)
 
@@ -564,6 +556,7 @@ class BarrierSystem:
         sig, R = float(P.sigma0), float(P.R0)
         e11, kf = self.e11, self.kf
         phiv = self.phi_values(sig, R)
+        self.work["phi_evals"] += 1
         L = 2.0 * max(phiv.values(), default=0.0)
 
         H0 = self.nbeta0.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
@@ -575,12 +568,15 @@ class BarrierSystem:
                 b_lin = float(pk[0].z_linear_bound(P.R0, Frac(L)))
                 b_linear[f"{zk.i},{','.join(map(str, zk.alpha))}"] = b_lin
                 K2 += e11 / eps * b_lin
-            elif kind == "c":
-                K3 += (4.0 * e11 / 3.0) * self._comp(pk, sig, R, phiv)
+                continue
+            x = pk[0].eval(sig, R, phiv)
+            self.work["coefficient_evals"] += 1
+            if kind == "c":
+                K3 += (4.0 * e11 / 3.0) * x
             elif kind == "a1":
-                K1 += e11 / eps * sig ** (1.0 - kf) * self._comp(pk, sig, R, phiv)
+                K1 += e11 / eps * sig ** (1.0 - kf) * x
             else:
-                K1 += e11 * sig ** (1.0 - 2.0 * kf) * self._comp(pk, sig, R, phiv)
+                K1 += e11 * sig ** (1.0 - 2.0 * kf) * x
 
         return {
             "H0": float(H0), "H1": float(H1), "L": L, "b_linear": b_linear,
@@ -590,8 +586,7 @@ class BarrierSystem:
         }
 
 
-def verify_barrier(system: BarrierSystem, nt: int = 50,
-                   nrho: int = 50) -> dict:
+def verify_barrier(system: BarrierSystem, nt: int, nrho: int) -> dict:
     """Grid verification report.
 
     Pointwise checks on an nt-by-nrho grid of the working box:
@@ -637,10 +632,7 @@ def verify_barrier(system: BarrierSystem, nt: int = 50,
 
     # exact structural checks
     recon_ok = reconstruct(dec) == dec.theta_rhs
-    jet = derivative_tuple(profiles.w)
-    dom_ok = all(
-        norm_x(g).leq(profiles.slots[(zk.i, sum(zk.alpha))].scale(_HEADROOM))
-        for zk, g in jet.items())
+    dom_ok = _undominated_jet(profiles.w, profiles.slots) is None
     p00, p10 = profiles.slots[(0, 0)], profiles.slots[(1, 0)]
     step = p00.euler() + p00.scale(2 * P.h)
     step_ok = step.leq(p10.scale(_HEADROOM))

@@ -27,6 +27,13 @@ _B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 # relative slack of every float verdict in the path and grid checks
 SLACK = 1e-9
 
+# step budget of one flow run; anchor halvings of one smallness search
+_MAX_STEPS, _MAX_HALVINGS = 200000, 400
+
+# radii R of the decay profile, its log-spaced times per r and its points
+# per circle |x| = R
+_DECAY_RADII, _DECAY_NT, _DECAY_NX = (0.5, 0.25, 0.125, 0.0625), 64, 32
+
 
 def allowed(rhs: float) -> float:
     """Largest float that passes a check against rhs.  The one tolerance
@@ -81,8 +88,7 @@ class CharacteristicPath(NamedTuple):
 
 
 def integrate(b_fun, q_fun, t0: float, xi: float, r_max: float,
-              t_floor: float, tol: float = 1e-10,
-              max_steps: int = 200000) -> CharacteristicPath:
+              t_floor: float, tol: float = 1e-10) -> CharacteristicPath:
     """Integrate the flow from (t0, xi) down to t_floor.
 
     b_fun(t, rho) is the transport rate, q_fun(t, rho) the quantity
@@ -142,7 +148,7 @@ def integrate(b_fun, q_fun, t0: float, xi: float, r_max: float,
             rejected += 1
         fac = 5.0 if err == 0.0 else 0.9 * (scale / err) ** 0.2
         h *= min(5.0, max(0.2, fac))
-        if abs(h) < 1e-14 * max(1.0, abs(s)) or accepted + rejected > max_steps:
+        if abs(h) < 1e-14 * max(1.0, abs(s)) or accepted + rejected > _MAX_STEPS:
             status = "step-failure"
             break
     if status is None:
@@ -221,7 +227,7 @@ def check_radius_bounds(path: CharacteristicPath, consts: dict, kappa, h,
 
 
 def smallness_box(consts: dict, h, kappa, R: float, q_corner,
-                  sigma_max: float, max_halvings: int = 400) -> tuple:
+                  sigma_max: float) -> tuple:
     """Shrink the anchor time until the total radius budget fits in R/2.
 
     q_corner(sigma) must return the supremum of the barrier on the box
@@ -247,10 +253,10 @@ def smallness_box(consts: dict, h, kappa, R: float, q_corner,
         if total < R / 2.0:
             return sigma, r, {"value": total, "budget": R / 2.0,
                               "sigma": sigma, "r": r, "halvings": halvings}
-        if halvings >= max_halvings:
+        if halvings >= _MAX_HALVINGS:
             raise SearchExhausted(
                 f"radius budget {total!r} still above {R / 2.0!r} after "
-                f"{max_halvings} anchor halvings")
+                f"{_MAX_HALVINGS} anchor halvings")
         sigma /= 2.0
         halvings += 1
         if sigma == 0.0:
@@ -294,40 +300,31 @@ def check_reaches_origin(path: CharacteristicPath, R: float, consts: dict,
     return out
 
 
-def decay_profile(u_eval, exponent_p: int = 4, r_list=None, R_list=None,
-                  n: int = 1, nt: int = 64, nx: int = 32) -> dict:
-    """Scaled boundary suprema of a solution evaluator near t = 0.
+def decay_profile(u_eval, exponent_p: int, r_list=None) -> dict:
+    """Scaled boundary suprema of a solution evaluator in one space
+    variable near t = 0.
 
-    For each pair (r, R): sup of |u(t, x)| over nt log-spaced times in
-    (r/1e4, r] and nx^min(n,2) points with the first min(n, 2) coordinates
-    on the circle of radius R (the rest zero), divided by R^exponent_p.
-    Evaluator failures propagate.  Returns the table plus, per R, the
-    inner-limit trend over shrinking r.
+    For each pair (r, R): sup of |u(t, x)| over _DECAY_NT log-spaced times
+    in (r/1e4, r] and _DECAY_NX points x on the circle |x| = R, divided by
+    R^exponent_p.  Evaluator failures propagate.  Returns the table plus,
+    per R, the inner-limit trend over shrinking r.
     """
     if r_list is None:
         r_list = [0.1 * 10.0 ** (-j) for j in range(5)]
-    if R_list is None:
-        R_list = [0.5, 0.25, 0.125, 0.0625]
-    vary = min(n, 2)
-    angles = [2.0 * math.pi * k / nx for k in range(nx)]
+    angles = [2.0 * math.pi * k / _DECAY_NX for k in range(_DECAY_NX)]
     rows = []
-    for R in R_list:
-        if vary == 1:
-            points = [(R * complex(math.cos(a), math.sin(a)),) for a in angles]
-        else:
-            ring = [R * complex(math.cos(a), math.sin(a)) for a in angles]
-            points = [(xa, xb) for xa in ring for xb in ring]
-        points = [xs + (0.0,) * (n - vary) for xs in points]
+    for R in _DECAY_RADII:
+        points = [(R * complex(math.cos(a), math.sin(a)),) for a in angles]
         for r in r_list:
             sup = 0.0
-            for i in range(nt):
-                t = r * 10.0 ** (-4.0 * i / (nt - 1)) if nt > 1 else r
+            for i in range(_DECAY_NT):
+                t = r * 10.0 ** (-4.0 * i / (_DECAY_NT - 1))
                 for xs in points:
                     sup = max(sup, abs(u_eval(t, xs)))
             rows.append({"r": r, "R": R,
                          "sup_scaled": sup / R ** exponent_p})
     inner = []
-    for R in R_list:
+    for R in _DECAY_RADII:
         vals = [row["sup_scaled"] for row in rows if row["R"] == R]
         inner.append({"R": R, "limit_estimate": vals[-1],
                       "monotone_decreasing": all(

@@ -33,7 +33,7 @@ from .builtin import (
     read_equation_source,
     remark2_residual_grid,
 )
-from .equation import CharData, FuchsianEquation, applicability
+from .equation import CharData, FuchsianEquation, applicability, decay_margin
 from .errors import HypothesisViolated, InputError, ToolkitError
 from .series import SeriesTX, alphas_of_degree
 
@@ -297,13 +297,12 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
     cd = eq.char_exponents()
     results: dict = {"applicability": _applicability_results(eq, cd, 10)}
     if name == "remark2":
-        from .certificate import choose_params
         grid = remark2_residual_grid(eq)
         results["residual_numeric"] = {
             **grid, "tol": args.tol,
             "ok": grid["max_abs_residual"] < args.tol}
         try:
-            choose_params(cd)
+            decay_margin(cd)
             results["hypothesis_rejection"] = {"ok": False, "raised": None}
         except HypothesisViolated as exc:
             results["hypothesis_rejection"] = {
@@ -313,8 +312,7 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
         prof = decay_profile(closed_form_eval(name),
                              exponent_p=args.exponent_p,
                              r_list=[0.36787944117144233,
-                                     0.1, 0.01, 0.001, 0.0001],
-                             n=eq.n)
+                                     0.1, 0.01, 0.001, 0.0001])
         results["decay_profile"] = prof
         results["decay_profile"]["ok"] = all(
             e["monotone_decreasing"] for e in prof["inner_trend"])
@@ -327,7 +325,7 @@ def cmd_verify_example(args, data: bytes, label: str, report: dict) -> int:
         res = residual(eq, u, K=eq.F.k_t)
         results["residual_symbolic"] = {"zero": res.is_zero()}
         prof = decay_profile(closed_form_eval(name),
-                             exponent_p=args.exponent_p, n=eq.n)
+                             exponent_p=args.exponent_p)
         results["decay_profile"] = prof
         if name == "remark3":
             vals = [row["sup_scaled"] for row in prof["rows"]]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 from typing import NamedTuple
 
-from .errors import A2Violation, A3Violation
+from .errors import A2Violation, A3Violation, HypothesisViolated
 from .rational import CRat, Frac, crat_sqrt_exact, sqrt_upper
 from .series import SeriesTX, SeriesTXZ, ZKey
 
@@ -42,6 +42,15 @@ class CharData(NamedTuple):
     roots_exact: tuple | None
     neg_re_lower: tuple
     h: Frac | None
+
+
+def decay_margin(cd: CharData) -> Frac:
+    """The stability margin h; HypothesisViolated when there is none."""
+    if cd.h is None:
+        raise HypothesisViolated(
+            "no positive decay margin: some exponent has nonnegative real "
+            "part, so the barrier construction does not apply")
+    return cd.h
 
 
 # floats closer than this to a positive integer trigger a warning only;

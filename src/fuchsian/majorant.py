@@ -217,16 +217,21 @@ class SectorMajorant:
         return acc
 
 
+def _weighted_norms(terms: dict, key) -> dict:
+    """One RhoPoly per key(term key): its rho^d coefficient sums
+    |c| alpha!/|alpha|! over the terms c t^k x^alpha (...) with |alpha| = d."""
+    slices: dict = {}
+    for tk, c in terms.items():
+        cs = slices.setdefault(key(tk), [])
+        d = sum(tk[1])
+        cs.extend([Frac(0)] * (d + 1 - len(cs)))
+        cs[d] += c.abs_upper() * weight(tk[1])
+    return {k: RhoPoly(cs) for k, cs in slices.items()}
+
+
 def norm_x(f: SeriesTX) -> SectorMajorant:
     """Weighted norm of every t-slice of f, as a majorant in (t, rho)."""
-    slices: dict[int, list] = {}
-    for (k, alpha), c in f.terms.items():
-        d = sum(alpha)
-        slices.setdefault(k, [])
-        while len(slices[k]) <= d:
-            slices[k].append(Frac(0))
-        slices[k][d] += c.abs_upper() * weight(alpha)
-    return SectorMajorant({k: RhoPoly(cs) for k, cs in slices.items()})
+    return SectorMajorant(_weighted_norms(f.terms, lambda tk: tk[0]))
 
 
 class NormProfileZ:
@@ -327,12 +332,4 @@ class NormProfileZ:
 
 def norm_xz(F: SeriesTXZ) -> NormProfileZ:
     """Normwise majorant of a jet-dependent series, jet monomials kept."""
-    slices: dict[tuple, list] = {}
-    for (k, alpha, nu), c in F.terms.items():
-        d = sum(alpha)
-        key = (k, nu)
-        slices.setdefault(key, [])
-        while len(slices[key]) <= d:
-            slices[key].append(Frac(0))
-        slices[key][d] += c.abs_upper() * weight(alpha)
-    return NormProfileZ({key: RhoPoly(cs) for key, cs in slices.items()})
+    return NormProfileZ(_weighted_norms(F.terms, lambda tk: (tk[0], tk[2])))

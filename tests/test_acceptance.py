@@ -71,8 +71,7 @@ def test_criterion_2_quartic_closed_form():
     residual_zero = r.truncate(k_x=eq.F.k_x - 2).is_zero()
 
     rep = decay_profile(closed_form_eval("remark3"), exponent_p=4,
-                        r_list=[0.01, 0.001], R_list=[0.5, 0.25],
-                        n=1, nt=32, nx=16)
+                        r_list=[0.01, 0.001])
     worst = max(abs(row["sup_scaled"] - 1.0 / 72.0) for row in rep["rows"])
     ok = residual_zero and worst < 1e-12
     assert finish(2, ok,
@@ -83,13 +82,13 @@ def test_criterion_2_quartic_closed_form():
 def test_criterion_3_logarithmic_closed_form():
     budget = Budget(1.0)
     eq = load_equation("remark2")
-    grid = remark2_residual_grid(eq, nt=40, nx=25)
+    grid = remark2_residual_grid(eq)
     points_ok = grid["points"] == 1000
     residual_ok = grid["max_abs_residual"] < 1e-10
 
     rejected = False
     try:
-        choose_params(eq.char_exponents())
+        choose_params(eq.char_exponents(), None, None)
     except HypothesisViolated:
         rejected = True
 

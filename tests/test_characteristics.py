@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from fuchsian import characteristics
 from fuchsian.builtin import closed_form_eval, load_equation
 from fuchsian.characteristics import (CharacteristicPath, allowed,
                                       check_radius_bounds,
@@ -70,11 +71,22 @@ def test_left_domain_status():
     assert path.ts[-1] > 1e-12
 
 
-def test_step_budget_exhaustion_reports_step_failure():
+def test_step_budget_exhaustion_reports_step_failure(monkeypatch):
+    monkeypatch.setattr(characteristics, "_MAX_STEPS", 5)
     path = integrate(lambda t, rho: 1.0 + rho, lambda t, rho: 0.0,
-                     t0=0.5, xi=0.05, r_max=1e9, t_floor=1e-300, tol=1e-10,
-                     max_steps=5)
+                     t0=0.5, xi=0.05, r_max=1e9, t_floor=1e-300, tol=1e-10)
     assert path.status == "step-failure"
+    assert path.steps_accepted + path.steps_rejected == 6
+
+
+def test_step_size_underflow_reports_step_failure():
+    # a nan rate rejects every step and shrinks h fivefold each time, so h
+    # falls below the relative floor long before the step budget
+    path = integrate(lambda t, rho: math.nan, lambda t, rho: 0.0,
+                     t0=0.5, xi=0.05, r_max=1.0, t_floor=1e-9)
+    assert path.status == "step-failure"
+    assert (path.steps_accepted, path.steps_rejected) == (0, 20)
+    assert path.ts == [0.5] and path.rhos == [0.05]
 
 
 def test_integrate_validates_inputs():
@@ -205,10 +217,9 @@ def test_smallness_box_halves_when_q_is_large():
 def test_smallness_box_exhaustion():
     # a constant corner value can never satisfy the bound if C2 is huge
     consts = frozen_consts(C1=1.0, C2=1e9)
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted, match="after 400 anchor halvings"):
         smallness_box(consts, Frac(9, 20), Frac(1, 4), 0.5,
-                      q_corner=lambda s: 1.0, sigma_max=1.0,
-                      max_halvings=50)
+                      q_corner=lambda s: 1.0, sigma_max=1.0)
 
 
 def test_reaches_origin_closed_form():
@@ -243,8 +254,8 @@ def test_reaches_origin_rejects_wide_start():
 def test_decay_profile_constant_closed_form():
     # x^4/72 is t-independent: every inner sample equals 1/72 R^4
     ev = closed_form_eval("remark3")
-    rep = decay_profile(ev, exponent_p=4, r_list=[0.01], R_list=[0.5, 0.25],
-                        n=1, nt=16, nx=8)
+    rep = decay_profile(ev, exponent_p=4, r_list=[0.01])
+    assert [row["R"] for row in rep["rows"]] == [0.5, 0.25, 0.125, 0.0625]
     for row in rep["rows"]:
         assert row["sup_scaled"] == pytest.approx(1 / 72, rel=1e-12)
     for trend in rep["inner_trend"]:
@@ -255,11 +266,10 @@ def test_decay_profile_logarithmic_example_trends_to_zero():
     ev = closed_form_eval("remark2")
     rep = decay_profile(ev, exponent_p=2,
                         r_list=[0.3678794411714423, 0.03678794411714423,
-                                0.003678794411714423],
-                        R_list=[0.5, 0.25], n=1, nt=24, nx=8)
+                                0.003678794411714423])
     assert all(trend["monotone_decreasing"] for trend in rep["inner_trend"])
     # the scaled sup over the inner window shrinks as r -> 0
-    for R in (0.5, 0.25):
+    for R in (0.5, 0.25, 0.125, 0.0625):
         sups = [row["sup_scaled"] for row in rep["rows"] if row["R"] == R]
         assert sups == sorted(sups, reverse=True)
         assert sups[-1] < sups[0]

@@ -1,6 +1,6 @@
 """Source hygiene: every top-level import of a module under src/fuchsian is
 used in that module, so a deletion leaves no dead import for every fresh
-process to load and compile."""
+process to load and compile, and src/ stays within its line budget."""
 
 import ast
 from pathlib import Path
@@ -37,3 +37,14 @@ def test_checker_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_top_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+# this round's cap on src/ ("Line budget" in ROADMAP.md)
+LINE_BUDGET = 3410
+
+
+def test_src_stays_within_line_budget():
+    # counted as `find src -name '*.py' | xargs cat | wc -l` counts them
+    lines = sum(p.read_bytes().count(b"\n")
+                for p in SRC.parent.rglob("*.py"))
+    assert lines <= LINE_BUDGET, lines
