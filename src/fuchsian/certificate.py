@@ -12,6 +12,8 @@ the outer Horner passes in t, bit for bit the per-point values.
 Each pointwise check, like the path checks in characteristics.py, is a
 float comparison against characteristics.allowed(rhs), the one tolerance
 rule; violations are reported, never absorbed, and a pass is not a proof.
+The grid tests lhs > rhs inline and calls its _Check counter only on such
+a candidate violation; each family's checked count comes from the grid size.
 """
 
 from __future__ import annotations
@@ -439,8 +441,9 @@ class BarrierSystem:
         return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
 
     def barrier(self, t: float, rho: float) -> float:
-        v = [m.eval(t, rho) for m in self.sectors]
-        return self._jet(t ** self.kf, v)[0]
+        # q reads the five slots, the first five sectors
+        v = [m.eval(t, rho) for m in self.sectors[:5]]
+        return self._q(t ** self.kf, v)
 
     def growth_bound(self, t: float, rho: float) -> float:
         """Multiplier of q in the differential inequality.  Reads the
@@ -452,7 +455,7 @@ class BarrierSystem:
                 for pk in self.packs]
         return self._growth(t, t ** (1.0 - self.kf),
                             math.sqrt(self.p[(0, 2)].eval(t, rho)),
-                            [b.eval(rho) for b in self.betas], comp, drho)
+                            self._rho_terms(rho), comp, drho)
 
     def transport_rate(self, t: float, rho: float) -> float:
         """Multiplier of the rho-derivative of q; also the speed of the
@@ -462,32 +465,42 @@ class BarrierSystem:
         return self._transport(t, t ** self.kf, t ** (1.0 - self.kf),
                                math.sqrt(self.p[(0, 2)].eval(t, rho)), comp)
 
+    def _q(self, tk: float, v) -> float:
+        """q from the slot values v[:5]."""
+        v00, v10, v01, v11, v02 = v[:5]
+        return (self.e00 * v00 + v10 + tk * v02 + self.e01 * v01
+                + self.e11 * v11 + v02 ** 1.5)
+
     def _jet(self, tk: float, v: list) -> tuple:
         """q, dq/drho and t dq/dt (term calculus on each part) from v."""
         e00, e01, e11 = self.e00, self.e01, self.e11
         v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, e02v = v
         sq02 = math.sqrt(v02)
-        q = (e00 * v00 + v10 + tk * v02 + e01 * v01 + e11 * v11
-             + v02 ** 1.5)
+        q = self._q(tk, v)
         dq = (e00 * v01 + v11 + tk * dv02 + e01 * v02 + e11 * dv11
               + 1.5 * sq02 * dv02)
         tdq = (e00 * e00v + e10v + tk * (self.kf * v02 + e02v)
                + e01 * e01v + e11 * e11v + 1.5 * sq02 * e02v)
         return q, dq, tdq
 
-    def _growth(self, t, t1k, sq02, betas, comp, drho) -> float:
-        """A from the values of self.betas and the packs and their slopes."""
+    def _rho_terms(self, rho: float) -> tuple:
+        """The four terms of A that depend on rho alone, from the values of
+        self.betas: the one A starts from, and the three it adds after the
+        coefficient families."""
         e00, e01, e11 = self.e00, self.e01, self.e11
-        nb0, nb1, db0, db1 = betas
-        acc = e00
-        acc += nb0 / e00 + nb1
+        nb0, nb1, db0, db1 = [b.eval(rho) for b in self.betas]
+        return (e00 + (nb0 / e00 + nb1), self.kf + e01 / e11,
+                e11 * (db0 / e00 + db1), e11 * (nb0 / e01 + nb1 / e11))
+
+    def _growth(self, t, t1k, sq02, rho_terms, comp, drho) -> float:
+        """A from _rho_terms(rho) and the values of the packs and their
+        slopes."""
+        acc, r1, r2, r3 = rho_terms
         for (kind, eps, _), x in zip(self.kinds, comp):
             acc += (t / eps * x if kind == "a1" else t1k * x if kind == "a2"
                     else x / eps if kind == "b" else x * sq02)
-        acc += self.kf + e01 / e11
-        acc += e11 * (db0 / e00 + db1)
-        acc += e11 * (nb0 / e01 + nb1 / e11)
-        return self._e11_terms(acc, t, t1k, sq02, drho, e11)
+        return self._e11_terms(acc + r1 + r2 + r3, t, t1k, sq02, drho,
+                               self.e11)
 
     def _transport(self, t, tk, t1k, sq02, comp) -> float:
         """B from the values of the packs."""
@@ -508,8 +521,9 @@ class BarrierSystem:
         """Yield (t, rho, tk, q, dq, tdq, v, A, B) row by row, bit for bit
         as per point (tk = t**kappa, v the sector values).  Each rho column
         caches the inner Horner values of the sectors, of phi for A and for
-        B, and of the packs.  A and B each evaluate phi and the packs, as
-        growth_bound and transport_rate do; the work counters count that."""
+        B, and of the packs, and A's terms in rho alone.  A and B each
+        evaluate phi and the packs, as growth_bound and transport_rate do;
+        the work counters count that."""
         packs, reads, keys, nk = self.packs, self._reads, self.keys, len(self.keys)
         columns = []
         for rho in rhos:
@@ -521,26 +535,28 @@ class BarrierSystem:
             lead, *rest = zip(*([0.0] * (top - len(c)) + c for c in cols))
             # a * t + 0.0 is a * t: a level of zeros only multiplies
             columns.append((rho, lead, [lv if any(lv) else None for lv in rest],
-                            [b.eval(rho) for b in self.betas],
-                            [(pk[0].inner(rho), _slope_inner(pk, rho))
-                             for pk in packs]))
+                            self._rho_terms(rho),
+                            [(pk[0], pk, pk[0].inner(rho),
+                              _slope_inner(pk, rho)) for pk in packs]))
+        phia = phib = dphiv = {}
         for t in ts:
             tk, t1k = t ** self.kf, t ** (1.0 - self.kf)
-            for rho, vals, rest, betas, inner in columns:
+            for rho, vals, rest, rho_terms, inner in columns:
                 for lv in rest:
                     vals = ([a * t + c for a, c in zip(vals, lv)] if lv
                             else [a * t for a in vals])
                 v, sq02 = vals[:12], math.sqrt(vals[4])
-                phiv = dict(zip(keys, vals[12:12 + nk])) if reads else {}
-                dphiv = {zk: v[d] for zk, d in self._dphi} if reads else {}
-                A = self._growth(t, t1k, sq02, betas, [
-                    pk[0].outer(pi[0], t, phiv) for pk, pi in zip(packs, inner)
-                ], [_slope(pk, pi[1], t, phiv, dphiv)
-                    for pk, pi in zip(packs, inner)])
-                phiv = dict(zip(keys, vals[12 + nk:])) if reads else {}
-                B = self._transport(t, tk, t1k, sq02, [
-                    pk[0].outer(pi[0], t, phiv) for pk, pi in zip(packs, inner)
-                ])
+                if reads:
+                    phia = dict(zip(keys, vals[12:12 + nk]))
+                    phib = dict(zip(keys, vals[12 + nk:]))
+                    dphiv = {zk: v[d] for zk, d in self._dphi}
+                comp, drho, comp_b = [], [], []
+                for prof, pk, pin, sin in inner:
+                    comp.append(prof.outer(pin, t, phia))
+                    drho.append(_slope(pk, sin, t, phia, dphiv))
+                    comp_b.append(prof.outer(pin, t, phib))
+                A = self._growth(t, t1k, sq02, rho_terms, comp, drho)
+                B = self._transport(t, tk, t1k, sq02, comp_b)
                 yield (t, rho, tk, *self._jet(tk, v), v, A, B)
             self.work["phi_evals"] += 2 * len(columns)
             self.work["coefficient_evals"] += 3 * len(packs) * len(columns)
@@ -597,7 +613,10 @@ def verify_barrier(system: BarrierSystem, nt: int, nrho: int) -> dict:
       envelope            B under the four-constant envelope
     plus three exact structural checks (reconstruction, jet domination,
     profile step inequality).  Violations are report entries, never raises.
-    The grid is a tensor product, evaluated by system.grid.
+    The grid is a tensor product, evaluated by system.grid.  Each of the 15
+    checks per point tests lhs > rhs inline and calls its family's _Check
+    only then, which applies the rule lhs > allowed(rhs); checked is nt*nrho
+    times 1, 1, 6, 6 and 1.  A nan compares false and passes, as in record.
     """
     P, dec, profiles = system.params, system.dec, system.profiles
     hf, e00, e01, e11 = float(P.h), system.e00, system.e01, system.e11
@@ -610,25 +629,47 @@ def verify_barrier(system: BarrierSystem, nt: int, nrho: int) -> dict:
     dineq, gb, pv, dpv, env = (chk.record for chk in checks.values())
     qmax = 0.0
     for t, rho, tk, q, dq, tdq, v, A, B in system.grid(ts, rhos):
-        qmax = max(qmax, q)
-        q23 = q ** (2.0 / 3.0)
-        dineq(tdq + 2.0 * hf * q, A * q + B * dq, t, rho)
-        gb(A, hf, t, rho)
+        if q > qmax:
+            qmax = q
+        lhs, rhs = tdq + 2.0 * hf * q, A * q + B * dq
+        if lhs > rhs:
+            dineq(lhs, rhs, t, rho)
+        if A > hf:
+            gb(A, hf, t, rho)
         # each slot under its share of q (eps10 = 1), then likewise the
         # rho-derivatives: slot (i, j + 1) is two places after (i, j) in v
-        pv(v[0], q / e00, t, rho)
-        pv(v[1], q, t, rho)
-        pv(v[2], q / e01, t, rho)
-        pv(v[3], q / e11, t, rho)
-        pv(v[4], q23, t, rho)
-        pv(tk * v[4], q, t, rho)
-        dpv(v[2], dq / e00, t, rho)
-        dpv(v[3], dq, t, rho)
-        dpv(v[4], dq / e01, t, rho)
-        dpv(v[5], dq / e11, t, rho)
-        dpv(math.sqrt(v[4]) * v[6], (2.0 / 3.0) * dq, t, rho)
-        dpv(tk * v[6], dq, t, rho)
-        env(B, C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0), t, rho)
+        v0, v1, v2, v3, v4, v5, v6 = v[:7]
+        q23 = q ** (2.0 / 3.0)
+        if v0 > q / e00:
+            pv(v0, q / e00, t, rho)
+        if v1 > q:
+            pv(v1, q, t, rho)
+        if v2 > q / e01:
+            pv(v2, q / e01, t, rho)
+        if v3 > q / e11:
+            pv(v3, q / e11, t, rho)
+        if v4 > q23:
+            pv(v4, q23, t, rho)
+        if tk * v4 > q:
+            pv(tk * v4, q, t, rho)
+        if v2 > dq / e00:
+            dpv(v2, dq / e00, t, rho)
+        if v3 > dq:
+            dpv(v3, dq, t, rho)
+        if v4 > dq / e01:
+            dpv(v4, dq / e01, t, rho)
+        if v5 > dq / e11:
+            dpv(v5, dq / e11, t, rho)
+        lhs = math.sqrt(v4) * v6
+        if lhs > (2.0 / 3.0) * dq:
+            dpv(lhs, (2.0 / 3.0) * dq, t, rho)
+        if tk * v6 > dq:
+            dpv(tk * v6, dq, t, rho)
+        rhs = C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0)
+        if B > rhs:
+            env(B, rhs, t, rho)
+    for chk, per_point in zip(checks.values(), (1, 1, 6, 6, 1)):
+        chk.checked = per_point * nt * nrho
 
     # exact structural checks
     recon_ok = reconstruct(dec) == dec.theta_rhs

@@ -44,7 +44,8 @@ def allowed(rhs: float) -> float:
 class _Check:
     """Counter for one inequality lhs <= allowed(rhs) over the grid or a
     path: checks, violations, the largest excess over allowed(rhs) and the
-    first five failing points."""
+    first five failing points.  record counts each check it is given; the
+    grid calls it only when lhs > rhs and sets checked from its size."""
 
     __slots__ = ("checked", "violations", "worst", "examples")
 

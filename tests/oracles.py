@@ -1,7 +1,12 @@
 """Oracles that only the tests need: a manufactured-solution forcing, the
-indicial x-series of the order-by-order recursion, and the products of
-majorants behind the submultiplicativity property."""
+indicial x-series of the order-by-order recursion, the products of
+majorants behind the submultiplicativity property, and the grid checks of
+verify_barrier with every check counted through _Check.record."""
 
+import math
+
+from fuchsian.certificate import barrier_grid
+from fuchsian.characteristics import _Check
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import A2Violation
 from fuchsian.majorant import RhoPoly, SectorMajorant
@@ -51,3 +56,40 @@ def sector_product(m: SectorMajorant, n: SectorMajorant) -> SectorMajorant:
             p = rho_product(p1, p2)
             out[k] = out[k] + p if k in out else p
     return SectorMajorant(out)
+
+
+def grid_checks_by_record(system, nt: int, nrho: int) -> dict:
+    """The five grid families of verify_barrier, r_sup and the work
+    counters, with each of the 15 checks per point passed to record, which
+    counts it and decides it."""
+    P = system.params
+    hf, e00, e01, e11 = float(P.h), system.e00, system.e01, system.e11
+    consts = system.constants()
+    C1, C2, C3, C4 = (consts[c] for c in ("C1", "C2", "C3", "C4"))
+    ts, rhos = barrier_grid(float(P.sigma0), float(P.R0), nt, nrho)
+
+    checks = {name: _Check() for name in ("barrier_dineq", "growth_bound_le_h",
+                                          "phi_vs_q", "dphi_vs_dq", "envelope")}
+    dineq, gb, pv, dpv, env = (chk.record for chk in checks.values())
+    qmax = 0.0
+    for t, rho, tk, q, dq, tdq, v, A, B in system.grid(ts, rhos):
+        qmax = max(qmax, q)
+        q23 = q ** (2.0 / 3.0)
+        dineq(tdq + 2.0 * hf * q, A * q + B * dq, t, rho)
+        gb(A, hf, t, rho)
+        pv(v[0], q / e00, t, rho)
+        pv(v[1], q, t, rho)
+        pv(v[2], q / e01, t, rho)
+        pv(v[3], q / e11, t, rho)
+        pv(v[4], q23, t, rho)
+        pv(tk * v[4], q, t, rho)
+        dpv(v[2], dq / e00, t, rho)
+        dpv(v[3], dq, t, rho)
+        dpv(v[4], dq / e01, t, rho)
+        dpv(v[5], dq / e11, t, rho)
+        dpv(math.sqrt(v[4]) * v[6], (2.0 / 3.0) * dq, t, rho)
+        dpv(tk * v[6], dq, t, rho)
+        env(B, C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0), t, rho)
+    return {"checks": {name: chk.report() for name, chk in checks.items()},
+            "r_sup": 1.05 * qmax,
+            "work": {"grid_points": nt * nrho, **system.work}}

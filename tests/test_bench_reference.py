@@ -1,0 +1,39 @@
+"""The benchmark checks every certify-grid job against the exit code, report
+sha256 and violation counts in perfbench/reference.json.  Running a few of
+those jobs here, in process as the benchmark does, makes a change in
+report bytes fail the suite too, not only the benchmark."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from fuchsian import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  BENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    # dataclass looks its module up in sys.modules
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+observe_report = _load_workloads().observe_report
+REFERENCE = json.loads((BENCH / "reference.json").read_text())["certify-grid"]
+
+
+@pytest.mark.parametrize("argv", [["remark3"], ["remark3_forced"],
+                                  ["remark3", "--seed", "3"],
+                                  ["remark3", "--seed", "26"]],
+                         ids=" ".join)
+def test_certify_report_matches_benchmark_reference(argv, tmp_path):
+    out = tmp_path / "report.json"
+    code = cli.main(["certify", *argv, "--out", str(out)])
+    assert observe_report(code, out.read_bytes()) == REFERENCE[" ".join(argv)]

@@ -6,8 +6,7 @@ import pytest
 
 from fuchsian.builtin import (BUILTIN_NAMES, closed_form_eval,
                               closed_form_series, load_equation,
-                              parse_equation, remark2_jets,
-                              remark2_residual_grid)
+                              parse_equation, remark2_jets)
 from fuchsian.errors import IndexOutOfLambda, InputError
 from fuchsian.rational import Frac
 from fuchsian.series import SeriesTXZ
@@ -128,15 +127,6 @@ def test_closed_form_eval_agrees_with_series():
         for t, x in [(0.5, 0.25), (1e-3, -0.4)]:
             want = SeriesTXZ.from_tx(u, 0).eval_numeric(t, (x,), {})
             assert ev(t, (x,)) == pytest.approx(want, rel=1e-14, abs=1e-300)
-
-
-def test_logarithmic_jets_satisfy_equation_pointwise():
-    # the closed form with a log cannot be a power series; its jets still
-    # satisfy the equation identically, which the residual grid measures
-    eq = load_equation("remark2")
-    rep = remark2_residual_grid(eq)
-    assert rep["points"] == 1000
-    assert rep["max_abs_residual"] < 1e-10
 
 
 def test_remark2_jets_internal_consistency():

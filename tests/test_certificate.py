@@ -26,7 +26,7 @@ from fuchsian.majorant import RhoPoly, SectorMajorant, norm_xz
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort
 from fuchsian.solver import solve_formal
-from oracles import manufactured
+from oracles import grid_checks_by_record, manufactured
 
 
 @pytest.fixture(scope="module")
@@ -551,6 +551,11 @@ _Z11_EXTRA = [_jet_term(1, 1, [(1, 1, 2)]),
               _jet_term(2, 0, [(0, 2, 2)], den=7, x_pow=1),
               _jet_term(3, 0, [(0, 0, 1), (0, 1, 1)], den=5, x_pow=1)]
 
+# linear terms with x: beta0 and beta1 depend on x, so A's terms in rho
+# alone are not 0 and their sum order shows in the bits
+_X_BETAS_EXTRA = [_jet_term(1, 0, [(0, 0, 1)], den=3, x_pow=1),
+                  _jet_term(1, 0, [(1, 0, 1)], den=7, x_pow=2)]
+
 
 def _four_families(extra):
     eq = parse_equation({"name": "four-families", "m": 2, "n": 1,
@@ -560,13 +565,15 @@ def _four_families(extra):
     return cd, normal_form(build_shifted_rhs(eq, solve_formal(eq, 3).u), cd)
 
 
-@pytest.mark.parametrize("extra", [[], _Z11_EXTRA],
-                         ids=["four-families", "with-z11-host"])
+@pytest.mark.parametrize(
+    "extra", [[], _Z11_EXTRA, _X_BETAS_EXTRA],
+    ids=["four-families", "with-z11-host", "with-x-betas"])
 def test_compiled_families_match_keyed_loops(extra):
     # bit-identical, not approximately equal: the reports depend on it.  The
     # second equation adds an a-host (1,(1,)), which lambda_keys puts after
     # the second-order host (0,(2,)) but every sum takes first, and moves
-    # the b and c coefficients off 1 so that no product is exact.
+    # the b and c coefficients off 1 so that no product is exact.  The third
+    # makes beta0 and beta1 depend on x.
     cd, dec = _four_families(extra)
     assert dec.a and dec.b and dec.c
     hosts = {sum(zk.alpha) for zk in dec.a}
@@ -694,6 +701,133 @@ def test_record_early_return_keeps_every_verdict():
                                   "rhs": rhs}] if bad else [])
         if bad:
             assert chk.worst == max(0.0, lhs - allowed(rhs))
+
+
+def _shifted_builtin(name):
+    # the decomposition certify builds: shifted by the order-4 solution
+    eq = load_equation(name)
+    cd = eq.char_exponents()
+    return cd, normal_form(build_shifted_rhs(eq, solve_formal(eq, 4).u), cd)
+
+
+def _faulty(system, seed):
+    # system.grid with one seeded fault per point: one of the 15 checks has
+    # its lhs moved onto rhs * (1 +- f), f log-uniform from well inside the
+    # slack of allowed(rhs) to far past it, or q is scaled up
+    grid, hf = system.grid, float(system.params.h)
+    e00, e01, e11 = system.e00, system.e01, system.e11
+    C1, C2, C3, C4 = (BarrierSystem(system.dec, system.profiles, system.params)
+                      .constants()[c] for c in ("C1", "C2", "C3", "C4"))
+
+    def run(ts, rhos):
+        rng = random.Random(seed)
+        for t, rho, tk, q, dq, tdq, v, A, B in grid(ts, rhos):
+            v = list(v)
+            pick = rng.randrange(16)
+            up = 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-12, 0.5)
+            if pick == 0:
+                tdq = (A * q + B * dq) * up - 2.0 * hf * q
+            elif pick == 1:
+                A = hf * up
+            elif pick < 8:
+                i, share = [(0, q / e00), (1, q), (2, q / e01), (3, q / e11),
+                            (4, q ** (2.0 / 3.0)), (4, q / tk)][pick - 2]
+                v[i] = share * up
+            elif pick < 14:
+                i, share = [(2, dq / e00), (3, dq), (4, dq / e01),
+                            (5, dq / e11),
+                            (6, (2.0 / 3.0) * dq / math.sqrt(v[4]) if v[4]
+                             else 0.0), (6, dq / tk)][pick - 8]
+                v[i] = share * up
+            elif pick == 14:
+                B = (C1 * tk + C2 * q + C3 * q ** (2.0 / 3.0)
+                     + C4 * q ** (1.0 / 3.0)) * up
+            else:
+                q *= abs(up) + 1.0
+            yield t, rho, tk, q, dq, tdq, v, A, B
+    return run
+
+
+def _nan_a_and_v0(system):
+    grid = system.grid
+
+    def run(ts, rhos):
+        for t, rho, tk, q, dq, tdq, v, A, B in grid(ts, rhos):
+            yield t, rho, tk, q, dq, tdq, [math.nan, *v[1:]], math.nan, B
+    return run
+
+
+def _inline_and_oracle(dec, prof, params, nt, nrho, fault=None):
+    # verify_barrier's grid families, r_sup and work next to the oracle's,
+    # each on its own system, both reading the same (possibly faulty) grid
+    systems = [BarrierSystem(dec, prof, params) for _ in range(2)]
+    if fault is not None:
+        for system in systems:
+            system.grid = fault(system)
+    rep = verify_barrier(systems[0], nt, nrho)
+    want = grid_checks_by_record(systems[1], nt, nrho)
+    got = {"checks": {name: rep["checks"][name] for name in want["checks"]},
+           "r_sup": rep["r_sup"], "work": rep["work"]}
+    return got, want
+
+
+@pytest.mark.parametrize("source", ["remark3", "remark3_forced",
+                                    "four-families", "with-z11-host",
+                                    "with-x-betas"])
+def test_inline_grid_checks_equal_record_oracle(source):
+    # exactly equal, compared by repr so that -0.0 and nan would show: the
+    # counts, worst excesses, first five examples in grid order, r_sup and
+    # work, on clean and on faulty grids; a non-square grid and a seeded w
+    # whose sectors have at least three Horner levels in t
+    if source.startswith("remark3"):
+        (cd, dec), (k_t, k_x) = _shifted_builtin(source), (10, 12)
+    else:
+        extra = {"four-families": [], "with-z11-host": _Z11_EXTRA,
+                 "with-x-betas": _X_BETAS_EXTRA}[source]
+        (cd, dec), (k_t, k_x) = _four_families(extra), (6, 8)
+    rng = random.Random(1729)
+    seeded = SeriesTX.monomial(1, k_t, k_x, 1, 3, (1,))
+    for _ in range(3):
+        seeded = seeded + SeriesTX.monomial(
+            1, k_t, k_x, Frac(rng.randint(1, 9), rng.randint(1, 9)),
+            rng.randint(1, 3), (rng.randint(0, 4),))
+    failed = {}
+    for w in (SeriesTX.monomial(1, k_t, k_x, 1, 1, (2,)), seeded):
+        prof = profile_family(w, cd)
+        params, _ = choose_params(cd, dec, prof)
+        if w is seeded:
+            levels = BarrierSystem(dec, prof, params).sectors[0].horner()
+            assert len(levels) >= 3
+        for nt, nrho in ((7, 5), (3, 11)):
+            got, want = _inline_and_oracle(dec, prof, params, nt, nrho)
+            assert repr(got) == repr(want)
+            got, want = _inline_and_oracle(
+                dec, prof, params, nt, nrho,
+                lambda s: _faulty(s, f"{source}/{len(w.terms)}/{nt}x{nrho}"))
+            assert repr(got) == repr(want)
+            for name, c in got["checks"].items():
+                failed[name] = failed.get(name, 0) + c["violations"]
+    # every family fails, and more than five times on one grid, so that the
+    # five examples are a choice
+    assert all(failed.values()) and len(failed) == 5, failed
+    assert max(c["violations"] for c in got["checks"].values()) > 5
+
+
+def test_inline_grid_checks_pass_nan_as_record_does(remark3_setup):
+    # a nan compares false, so A = nan passes growth_bound_le_h and makes
+    # the barrier_dineq rhs nan, and v[0] = nan passes phi_vs_q: with eps00
+    # too large every point fails growth_bound_le_h, and with nan none does
+    _, cd, dec, w, prof, params, _ = remark3_setup
+    bad = params._replace(eps00=10 * params.h)
+    clean = verify_barrier(BarrierSystem(dec, prof, bad), 7, 5)["checks"]
+    assert clean["growth_bound_le_h"]["violations"] == 35
+    got, want = _inline_and_oracle(dec, prof, bad, 7, 5, _nan_a_and_v0)
+    assert repr(got) == repr(want)
+    checks = got["checks"]
+    for name, per_point in (("growth_bound_le_h", 1), ("barrier_dineq", 1),
+                            ("phi_vs_q", 6)):
+        assert checks[name]["checked"] == per_point * 35
+        assert checks[name]["violations"] == 0
 
 
 # -- the grid report -----------------------------------------------------
