@@ -3,8 +3,11 @@
 The JSON schema is flat: {"m" (always 2), "n", "terms": [...], "truncation":
 {"K_t", "K_x", "K_z"}}, each term {"coeff": [num_re, den_re, num_im,
 den_im], "t_pow": int, "x_pows": [n ints], "z_pows": [{"i", "alpha",
-"pow"}, ...]}.  Anything malformed raises InputError with the offending
-field named.
+"pow"}, ...]}.  This is where outside input is checked, once: anything
+malformed or past the limits below raises InputError with the offending
+field named, before any work, and a jet index outside the second-order
+set raises IndexOutOfLambda.  The layers below trust what they are built
+from.
 """
 
 from __future__ import annotations
@@ -15,11 +18,22 @@ from importlib import resources
 from pathlib import Path
 
 from .equation import FuchsianEquation
-from .errors import InputError
+from .errors import IndexOutOfLambda, InputError
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey
+from .series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort, lambda_keys
 
 BUILTIN_NAMES = ("remark2", "remark3", "remark3_forced")
+
+# Input limits, well above the bundled and generated instances (n <= 2,
+# caps <= 26, 10 terms, 6-bit coefficients).  They bound the size of what a
+# document asks for; 256 bits keep each coefficient, and the indicial
+# discriminant, finite as floats.
+MAX_N = 3
+MAX_K_T = 32
+MAX_K_X = 32
+MAX_K_Z = 8
+MAX_TERMS = 1000
+MAX_COEFF_BITS = 256
 
 
 def _require(cond: bool, msg: str):
@@ -40,13 +54,19 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
     m, n = doc["m"], doc["n"]
     _require(_is_int(m) and m == 2, "m must be 2: the equation is second order")
     _require(_is_int(n) and n >= 1, "n must be a positive integer")
+    _require(n <= MAX_N, f"n must be at most {MAX_N}, got {n}")
     tr = doc["truncation"]
     _require(isinstance(tr, dict), "truncation must be an object")
-    for field in ("K_t", "K_x", "K_z"):
+    for field, top in (("K_t", MAX_K_T), ("K_x", MAX_K_X), ("K_z", MAX_K_Z)):
         _require(_is_int(tr.get(field)) and tr[field] >= 0,
                  f"truncation.{field} must be a nonnegative integer")
+        _require(tr[field] <= top,
+                 f"truncation.{field} must be at most {top}, got {tr[field]}")
     terms = {}
     _require(isinstance(doc["terms"], list), "terms must be a list")
+    _require(len(doc["terms"]) <= MAX_TERMS,
+             f"terms may hold at most {MAX_TERMS} entries, "
+             f"got {len(doc['terms'])}")
     for pos, term in enumerate(doc["terms"]):
         where = f"terms[{pos}]"
         _require(isinstance(term, dict), f"{where} must be an object")
@@ -54,6 +74,9 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
         _require(isinstance(co, list) and len(co) == 4
                  and all(_is_int(v) for v in co),
                  f"{where}.coeff must be four integers")
+        _require(all(abs(v).bit_length() <= MAX_COEFF_BITS for v in co),
+                 f"{where}.coeff entries must have at most {MAX_COEFF_BITS} "
+                 f"bits")
         _require(co[1] != 0 and co[3] != 0,
                  f"{where}.coeff has a zero denominator")
         coeff = CRat(Frac(co[0], co[1]), Frac(co[2], co[3]))
@@ -84,6 +107,12 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
         key = (tp, tuple(xp), tuple(nu))
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff
+    admissible = set(lambda_keys(n))
+    for _, _, nu in terms:
+        bad = [zk for zk, _ in nu if zk not in admissible]
+        if bad:
+            raise IndexOutOfLambda(f"jet index {min(bad, key=_zkey_sort)} "
+                                   f"not admissible for order 2")
     F = SeriesTXZ(n, tr["K_t"], tr["K_x"], tr["K_z"], terms)
     return FuchsianEquation(F, name=name or doc.get("name", ""))
 
@@ -108,7 +137,9 @@ def parse_equation_bytes(data: bytes, label: str) -> FuchsianEquation:
     """Equation from the bytes of a JSON document."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError and an integer past Python's digit
+    # limit; RecursionError a nesting deeper than the decoder's stack
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {label}: {exc}") from None
     return parse_equation(doc, name=label)
 

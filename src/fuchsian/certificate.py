@@ -434,8 +434,6 @@ class BarrierSystem:
         self.dbeta0 = self.nbeta0.d_rho()
         self.dbeta1 = self.nbeta1.d_rho()
         self.betas = (self.nbeta0, self.nbeta1, self.dbeta0, self.dbeta1)
-        # what grid and constants evaluate; verify_barrier reports it
-        self.work = {"phi_evals": 0, "coefficient_evals": 0}
 
     def phi_values(self, t: float, rho: float) -> dict:
         return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
@@ -523,7 +521,7 @@ class BarrierSystem:
         caches the inner Horner values of the sectors, of phi for A and for
         B, and of the packs, and A's terms in rho alone.  A and B each
         evaluate phi and the packs, as growth_bound and transport_rate do;
-        the work counters count that."""
+        work counts that."""
         packs, reads, keys, nk = self.packs, self._reads, self.keys, len(self.keys)
         columns = []
         for rho in rhos:
@@ -558,8 +556,14 @@ class BarrierSystem:
                 A = self._growth(t, t1k, sq02, rho_terms, comp, drho)
                 B = self._transport(t, tk, t1k, sq02, comp_b)
                 yield (t, rho, tk, *self._jet(tk, v), v, A, B)
-            self.work["phi_evals"] += 2 * len(columns)
-            self.work["coefficient_evals"] += 3 * len(packs) * len(columns)
+
+    def work(self, nt: int, nrho: int) -> dict:
+        """What grid on nt * nrho points and one constants() call evaluate:
+        at each point A and B evaluate phi and the packs, and A the packs'
+        slopes; constants() evaluates phi once and every pack but b's."""
+        return {"phi_evals": 2 * nt * nrho + 1,
+                "coefficient_evals": 3 * len(self.packs) * nt * nrho
+                + sum(kind != "b" for kind, _, _ in self.kinds)}
 
     # -- envelope constants --------------------------------------------
 
@@ -572,7 +576,6 @@ class BarrierSystem:
         sig, R = float(P.sigma0), float(P.R0)
         e11, kf = self.e11, self.kf
         phiv = self.phi_values(sig, R)
-        self.work["phi_evals"] += 1
         L = 2.0 * max(phiv.values(), default=0.0)
 
         H0 = self.nbeta0.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
@@ -586,7 +589,6 @@ class BarrierSystem:
                 K2 += e11 / eps * b_lin
                 continue
             x = pk[0].eval(sig, R, phiv)
-            self.work["coefficient_evals"] += 1
             if kind == "c":
                 K3 += (4.0 * e11 / 3.0) * x
             elif kind == "a1":
@@ -695,7 +697,7 @@ def verify_barrier(system: BarrierSystem, nt: int, nrho: int) -> dict:
             "profile_step": {"ok": step_ok},
             **{name: chk.report() for name, chk in checks.items()},
         },
-        "work": {"grid_points": nt * nrho, **system.work},
+        "work": {"grid_points": nt * nrho, **system.work(nt, nrho)},
     }
     report["ok"] = all(c["ok"] for c in report["checks"].values())
     return report

@@ -140,7 +140,8 @@ def _require_tol(tol: float) -> None:
 
 def _rational_flag(name: str, text: str | None, ok, need: str):
     """--name as a Fraction, or None when not given; an InputError unless
-    it reads as p/q with q != 0 and satisfies ok."""
+    it reads as p/q with q != 0, satisfies ok and has a nonzero float value,
+    which the barrier evaluates."""
     if text is None:
         return None
     try:
@@ -149,6 +150,11 @@ def _rational_flag(name: str, text: str | None, ok, need: str):
         value = None
     if value is None or not ok(value):
         raise InputError(f"--{name} must be a rational {need}, got {text!r}")
+    try:
+        if float(value) == 0:
+            raise InputError(f"--{name} {text} underflows to 0 as a float")
+    except OverflowError:
+        raise InputError(f"--{name} {text} overflows a float") from None
     return value
 
 

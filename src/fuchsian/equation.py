@@ -73,8 +73,9 @@ class FuchsianEquation:
 
     def validate(self) -> None:
         """Raise unless the right-hand side satisfies the two t = 0
-        structure conditions.  Jet-index admissibility was already
-        enforced when F was built."""
+        structure conditions.  Jet-index admissibility is checked where
+        equations are read, by builtin.parse_equation; F built inside the
+        package uses lambda_keys(n) only."""
         bad_a2 = []
         bad_a3 = []
         for (k, alpha, nu), c in self.F.terms.items():

@@ -14,16 +14,8 @@ class InputError(ToolkitError):
     """Malformed user input: bad JSON schema, bad CLI argument combination."""
 
 
-class DimensionMismatch(ToolkitError):
-    """Operands live over different numbers of spatial variables."""
-
-
 class IndexOutOfLambda(ToolkitError):
     """A jet variable (i, alpha) lies outside the admissible index set."""
-
-
-class MissingSubstitution(ToolkitError):
-    """substitute_z was not given a value for some jet variable present."""
 
 
 class NotInvertible(ToolkitError):

@@ -122,8 +122,6 @@ class SectorMajorant:
     def __init__(self, coeffs=None):
         store: dict[int, RhoPoly] = {}
         for k, p in (coeffs or {}).items():
-            if k < 0:
-                raise ValueError("negative t-power in majorant")
             if not isinstance(p, RhoPoly):
                 p = RhoPoly(p)
             if not p.is_zero():
@@ -247,8 +245,6 @@ class NormProfileZ:
     def __init__(self, profiles=None):
         store: dict[tuple, RhoPoly] = {}
         for (k, nu), p in (profiles or {}).items():
-            if k < 0:
-                raise ValueError("negative t-power in norm profile")
             nu = _norm_nu(nu)
             if not isinstance(p, RhoPoly):
                 p = RhoPoly(p)

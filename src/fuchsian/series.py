@@ -15,9 +15,13 @@ both operands are reliable.  Operations never mutate; every method returns
 a fresh object.
 
 t-powers k and multi-indices alpha are ordered graded-lexicographically,
-key (k + |alpha|, k, alpha); jet keys by (i + |alpha|, i, alpha).  Keys are
-Python ints, tuples of ints and ZKeys as given, never re-coerced: the JSON
-loader and the CLI, where outside input enters, make them so.
+key (k + |alpha|, k, alpha); jet keys by (i + |alpha|, i, alpha).
+
+Nothing here validates its arguments.  builtin.parse_equation and the CLI
+check outside input once, where it enters, and inside the package every key
+has nonnegative int powers, n spatial slots and a jet index in
+lambda_keys(n).  The constructors only drop zero coefficients and terms past
+the caps, and merge jet monomials.
 """
 
 from __future__ import annotations
@@ -25,13 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfLambda,
-    MissingSubstitution,
-    NotInvertible,
-    TruncationExhausted,
-)
+from .errors import NotInvertible, TruncationExhausted
 from .rational import CRat
 
 
@@ -86,8 +84,6 @@ def _norm_nu(nu) -> tuple:
     items = nu.items() if isinstance(nu, dict) else nu
     for zk, p in items:
         zk = ZKey(*zk)
-        if p < 0:
-            raise ValueError("negative jet power")
         if p:
             acc[zk] = acc.get(zk, 0) + p
     return tuple(sorted(acc.items(), key=lambda kv: _zkey_sort(kv[0])))
@@ -103,21 +99,12 @@ class SeriesTX:
     __slots__ = ("n", "k_t", "k_x", "terms")
 
     def __init__(self, n: int, k_t: int, k_x: int, terms=None):
-        if n < 1:
-            raise DimensionMismatch("need at least one spatial variable")
-        if k_t < 0 or k_x < 0:
-            raise ValueError("truncation caps must be nonnegative")
         self.n = n
         self.k_t = k_t
         self.k_x = k_x
         store: dict[tuple, CRat] = {}
         for key, c in (terms or {}).items():
             k, alpha = key
-            if len(alpha) != n:
-                raise DimensionMismatch(
-                    f"multi-index {alpha} has length {len(alpha)}, expected {n}")
-            if k < 0 or min(alpha) < 0:
-                raise ValueError("negative exponent in term key")
             if k > k_t or sum(alpha) > k_x:
                 continue
             c = _coeff(c)
@@ -172,9 +159,6 @@ class SeriesTX:
     # -- ring operations ---------------------------------------------
 
     def _join(self, other: "SeriesTX") -> tuple[int, int]:
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"operands over {self.n} and {other.n} spatial variables")
         return min(self.k_t, other.k_t), min(self.k_x, other.k_x)
 
     def __add__(self, other):
@@ -236,8 +220,6 @@ class SeriesTX:
     def dx(self, j: int) -> "SeriesTX":
         """Partial derivative in x_j.  Costs one unit of x-cap: degree
         k_x + 1 terms, which are not tracked, would land at degree k_x."""
-        if not 0 <= j < self.n:
-            raise DimensionMismatch(f"no spatial variable {j}")
         if self.k_x == 0:
             raise TruncationExhausted(
                 "x-truncation too small to differentiate once more")
@@ -299,10 +281,6 @@ class SeriesTXZ:
 
     def __init__(self, n: int, k_t: int, k_x: int, k_z: int,
                  terms=None, z_clipped: bool = False):
-        if n < 1:
-            raise DimensionMismatch("need at least one spatial variable")
-        if min(k_t, k_x, k_z) < 0:
-            raise ValueError("truncation caps must be nonnegative")
         self.n = n
         self.k_t = k_t
         self.k_x = k_x
@@ -310,20 +288,7 @@ class SeriesTXZ:
         clipped = bool(z_clipped)
         store: dict[tuple, CRat] = {}
         for (k, alpha, nu), c in (terms or {}).items():
-            if len(alpha) != n:
-                raise DimensionMismatch(
-                    f"multi-index {alpha} has length {len(alpha)}, expected {n}")
-            if k < 0 or min(alpha) < 0:
-                raise ValueError("negative exponent in term key")
             nu = _norm_nu(nu)
-            for zk, _ in nu:
-                i, za = zk
-                if len(za) != n:
-                    raise DimensionMismatch(
-                        f"jet index {zk} has {len(za)} spatial slots, expected {n}")
-                if not (0 <= i < 2 and min(za) >= 0 and i + sum(za) <= 2):
-                    raise IndexOutOfLambda(
-                        f"jet index {zk} not admissible for order 2")
             c = _coeff(c)
             if c.is_zero():
                 continue
@@ -378,9 +343,6 @@ class SeriesTXZ:
     # -- ring operations ---------------------------------------------
 
     def _join(self, other: "SeriesTXZ") -> tuple[int, int, int]:
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"operands over {self.n} and {other.n} spatial variables")
         return (min(self.k_t, other.k_t), min(self.k_x, other.k_x),
                 min(self.k_z, other.k_z))
 
@@ -456,27 +418,16 @@ class SeriesTXZ:
     # -- substitution ---------------------------------------------------
 
     def substitute_z(self, values: dict) -> SeriesTX:
-        """Replace every jet variable by the given SeriesTX and expand.
+        """Replace every jet variable by its SeriesTX in values, which holds
+        one over the same n for each key used, and expand.
 
         When z-truncation dropped terms (z_clipped), the result is reliable
         only while the dropped part cannot reach the tracked t-orders: every
         substituted value must then vanish at t = 0, and the t-cap shrinks to
         (k_z + 1) * ord_min - 1 with ord_min the least t-order among values.
         """
-        vals: dict[ZKey, SeriesTX] = {}
-        for key, v in values.items():
-            zk = ZKey(*key)
-            if not isinstance(v, SeriesTX):
-                raise TypeError("substitute_z expects SeriesTX values")
-            if v.n != self.n:
-                raise DimensionMismatch(
-                    f"value for {zk} has n = {v.n}, expected {self.n}")
-            vals[zk] = v
-        used = self.jet_keys_used()
-        missing = sorted(used - set(vals), key=_zkey_sort)
-        if missing:
-            raise MissingSubstitution(f"no value for jet variables {missing}")
-        used_vals = [vals[zk] for zk in sorted(used, key=_zkey_sort)]
+        used_vals = [values[zk]
+                     for zk in sorted(self.jet_keys_used(), key=_zkey_sort)]
 
         kt = min([self.k_t] + [v.k_t for v in used_vals])
         kx = min([self.k_x] + [v.k_x for v in used_vals])
@@ -497,7 +448,7 @@ class SeriesTXZ:
                 max_pow[zk] = max(max_pow.get(zk, 0), p)
         powers: dict[ZKey, list[SeriesTX]] = {}
         for zk, top in max_pow.items():
-            base = vals[zk].truncate(kt, kx)
+            base = values[zk].truncate(kt, kx)
             cache = [SeriesTX.one(self.n, kt, kx)]
             for _ in range(top):
                 cache.append(cache[-1] * base)
@@ -523,13 +474,7 @@ class SeriesTXZ:
             raise TruncationExhausted("cannot shift jet variables after z-clipping")
         used = self.jet_keys_used()
         images = {}
-        for key, s in shifts.items():
-            zk = ZKey(*key)
-            if not isinstance(s, SeriesTX):
-                raise TypeError("shift_z expects SeriesTX shifts")
-            if s.n != self.n:
-                raise DimensionMismatch(
-                    f"shift for {zk} has n = {s.n}, expected {self.n}")
+        for zk, s in shifts.items():
             if zk in used and not s.is_zero():
                 images[zk] = self._var(zk) + SeriesTXZ.from_tx(s, self.k_z)
         return self._expand(images)
@@ -541,16 +486,11 @@ class SeriesTXZ:
         the mapping are left alone.  Degrees in z are preserved, so this is
         safe on z-clipped series: whatever was dropped stays above the cap.
         """
-        lin: dict[ZKey, list] = {}
-        for key, combo in mapping.items():
-            zk = ZKey(*key)
-            lin[zk] = [(_coeff(c), ZKey(*k2)) for c, k2 in combo]
-
         used = self.jet_keys_used()
         zero = SeriesTXZ.zero(self.n, self.k_t, self.k_x, self.k_z)
         return self._expand({
-            zk: sum((self._var(zk2).scale(cc) for cc, zk2 in combo), zero)
-            for zk, combo in lin.items() if zk in used})
+            zk: sum((self._var(zk2).scale(c) for c, zk2 in combo), zero)
+            for zk, combo in mapping.items() if zk in used})
 
     def _var(self, zk: ZKey) -> "SeriesTXZ":
         return SeriesTXZ.z_var(self.n, self.k_t, self.k_x, self.k_z, zk)
@@ -574,13 +514,7 @@ class SeriesTXZ:
     # -- evaluation ---------------------------------------------------
 
     def eval_numeric(self, t, xs, zvals: dict) -> complex:
-        xs = tuple(xs)
-        if len(xs) != self.n:
-            raise DimensionMismatch(f"expected {self.n} spatial values")
-        zc = {ZKey(*k): complex(v) for k, v in zvals.items()}
-        missing = sorted(self.jet_keys_used() - set(zc), key=_zkey_sort)
-        if missing:
-            raise MissingSubstitution(f"no numeric value for {missing}")
+        zc = {zk: complex(v) for zk, v in zvals.items()}
         slices: dict[int, list] = {}
         for (k, alpha, nu), c in self.terms.items():
             slices.setdefault(k, []).append((alpha, nu, c))

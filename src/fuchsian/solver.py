@@ -166,12 +166,8 @@ def _divide_unit(P: tuple, G: tuple, n: int, cap: int) -> tuple:
 
 def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
                  verify: bool = True) -> FormalSolution:
-    """Unique formal solution with u(0, x) = 0, through t-order `order` and
-    x-degree `x_order`."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if x_order is not None and x_order < 0:
-        raise ValueError("x_order must be at least 0")
+    """Unique formal solution with u(0, x) = 0, through t-order `order` >= 1
+    and x-degree `x_order` >= 0; the CLI checks both."""
     F = eq.F
     if F.k_t < order:
         raise TruncationExhausted(

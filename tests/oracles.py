@@ -92,4 +92,4 @@ def grid_checks_by_record(system, nt: int, nrho: int) -> dict:
         env(B, C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0), t, rho)
     return {"checks": {name: chk.report() for name, chk in checks.items()},
             "r_sup": 1.05 * qmax,
-            "work": {"grid_points": nt * nrho, **system.work}}
+            "work": {"grid_points": nt * nrho, **system.work(nt, nrho)}}

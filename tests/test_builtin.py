@@ -1,15 +1,17 @@
 """Bundled instances: schema validation, closed forms, residual grids."""
 
+import itertools
 import json
 
 import pytest
 
-from fuchsian.builtin import (BUILTIN_NAMES, closed_form_eval,
-                              closed_form_series, load_equation,
-                              parse_equation, remark2_jets)
+from fuchsian.builtin import (BUILTIN_NAMES, MAX_COEFF_BITS, MAX_K_T,
+                              MAX_K_X, MAX_K_Z, MAX_N, MAX_TERMS,
+                              closed_form_eval, closed_form_series,
+                              load_equation, parse_equation, remark2_jets)
 from fuchsian.errors import IndexOutOfLambda, InputError
 from fuchsian.rational import Frac
-from fuchsian.series import SeriesTXZ
+from fuchsian.series import SeriesTXZ, ZKey, lambda_keys
 from fuchsian.solver import residual
 
 
@@ -96,6 +98,24 @@ def test_load_equation_bad_utf8(tmp_path):
                  id="z_pows-int"),
     pytest.param(lambda d: d.update(name=5), "name must be a string",
                  id="name-int"),
+    # limits, refused before any work
+    pytest.param(lambda d: d.update(n=MAX_N + 1),
+                 f"n must be at most {MAX_N}, got {MAX_N + 1}", id="n-limit"),
+    pytest.param(lambda d: d["truncation"].update(K_t=MAX_K_T + 1),
+                 f"truncation.K_t must be at most {MAX_K_T}", id="K_t-limit"),
+    pytest.param(lambda d: d["truncation"].update(K_x=4000000),
+                 f"truncation.K_x must be at most {MAX_K_X}, got 4000000",
+                 id="K_x-limit"),
+    pytest.param(lambda d: d["truncation"].update(K_z=MAX_K_Z + 1),
+                 f"truncation.K_z must be at most {MAX_K_Z}", id="K_z-limit"),
+    pytest.param(lambda d: d.update(terms=d["terms"] * (MAX_TERMS + 1)),
+                 f"terms may hold at most {MAX_TERMS} entries", id="terms-limit"),
+    pytest.param(lambda d: d["terms"][0].update(coeff=[-10 ** 400, 1, 0, 1]),
+                 f"terms[0].coeff entries must have at most {MAX_COEFF_BITS}",
+                 id="coeff-limit"),
+    pytest.param(lambda d: d["terms"][0].update(
+        coeff=[1, 2 ** MAX_COEFF_BITS, 0, 1]), "terms[0].coeff entries",
+        id="coeff-denominator-limit"),
 ])
 def test_parse_equation_rejects_malformed(mutate, fragment):
     doc = valid_doc()
@@ -110,6 +130,38 @@ def test_parse_equation_rejects_out_of_range_jet_index():
     doc["terms"][0]["z_pows"][0]["i"] = 2          # i must stay below m
     with pytest.raises(IndexOutOfLambda):
         parse_equation(doc)
+
+
+def test_parse_equation_admits_documents_at_the_limits():
+    doc = valid_doc()
+    doc["n"] = MAX_N
+    doc["terms"] = [{"coeff": [2 ** MAX_COEFF_BITS - 1, 1, 0, 1], "t_pow": 0,
+                     "z_pows": [{"i": 1, "alpha": [0] * MAX_N}]}] * MAX_TERMS
+    doc["truncation"] = {"K_t": MAX_K_T, "K_x": MAX_K_X, "K_z": MAX_K_Z}
+    eq = parse_equation(doc)
+    assert (eq.n, eq.F.k_t, eq.F.k_x, eq.F.k_z) == (MAX_N, MAX_K_T, MAX_K_X,
+                                                    MAX_K_Z)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_parse_equation_refuses_exactly_the_inadmissible_keys(n):
+    # the first offender of the term, in jet-key order, is named; a later
+    # term's is not
+    admissible = set(lambda_keys(n))
+    for i in range(3):
+        for alpha in itertools.product(range(4), repeat=n):
+            doc = valid_doc()
+            doc["n"] = n
+            doc["terms"] = [{"coeff": [1, 1, 0, 1], "x_pows": [0] * n,
+                             "z_pows": [{"i": i, "alpha": list(alpha)},
+                                        {"i": 2, "alpha": [3] * n}]},
+                            {"coeff": [1, 1, 0, 1],
+                             "z_pows": [{"i": 2, "alpha": [0] * n}]}]
+            with pytest.raises(IndexOutOfLambda) as exc:
+                parse_equation(doc)
+            bad = ZKey(i, alpha) if ZKey(i, alpha) not in admissible \
+                else ZKey(2, (3,) * n)
+            assert str(exc.value) == f"jet index {bad} not admissible for order 2"
 
 
 def test_closed_form_series_is_exact_solution():

@@ -92,6 +92,19 @@ def test_check_bool_order_is_input_error(tmp_path, capsys):
     assert rep["error"]["type"] == "InputError"
 
 
+@pytest.mark.parametrize("text", [
+    '{"m": 2, "n": 1, "x": 1' + "0" * 5000 + "}",   # past the digit limit
+    "[" * 100000,                                  # past the decoder's stack
+], ids=["long-integer", "deep-nesting"])
+def test_check_undecodable_json_is_input_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    rc, rep, _ = run_json(capsys, "check", str(p))
+    assert rc == 2
+    assert rep["error"]["type"] == "InputError"
+    assert rep["error"]["message"].startswith(f"invalid JSON in {p.stem}")
+
+
 def test_check_order_zero_is_input_error(capsys):
     rc, rep, _ = run_json(capsys, "check", "remark3", "--order", "0")
     assert rc == 2
@@ -238,6 +251,11 @@ def test_certify_corrupted_eps00_flags_growth_bound(capsys):
     ("--kappa", "0", "--kappa must be"),
     ("--kappa", "1/2", "--kappa must be"),
     ("--kappa", "1/0", "--kappa must be"),
+    # in range as rationals, but 0 or out of range as the floats the
+    # barrier evaluates
+    ("--kappa", "1e-400", "--kappa 1e-400 underflows to 0 as a float"),
+    ("--eps00", "1e-330", "--eps00 1e-330 underflows to 0 as a float"),
+    ("--eps00", "1e400", "--eps00 1e400 overflows a float"),
     ("--tol", "-1", "--tol must be"),
     ("--tol", "0", "--tol must be"),
     ("--tol", "nan", "--tol must be"),

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from fuchsian.builtin import load_equation
+from fuchsian.builtin import load_equation, parse_equation
 from fuchsian.equation import FuchsianEquation, applicability
 from fuchsian.errors import (A2Violation, A3Violation, IndexOutOfLambda,
                              IndicialZero)
@@ -154,8 +154,11 @@ def test_order_other_than_two_is_refused():
     # a third-order right-hand side needs the jet variable z[2, 0], which
     # lies outside the jet set of the second-order equation
     assert FuchsianEquation.m == 2
+    doc = {"m": 2, "n": 1, "truncation": {"K_t": 4, "K_x": 4, "K_z": 2},
+           "terms": [{"coeff": [1, 1, 0, 1],
+                      "z_pows": [{"i": 2, "alpha": [0]}]}]}
     with pytest.raises(IndexOutOfLambda, match="not admissible for order 2"):
-        SeriesTXZ.z_var(1, 4, 4, 2, ZKey(2, (0,)))
+        parse_equation(doc)
 
 
 def _scan_applicability(cd, K):
