@@ -6,8 +6,8 @@ den_im], "t_pow": int, "x_pows": [n ints], "z_pows": [{"i", "alpha",
 "pow"}, ...]}.  This is where outside input is checked, once: anything
 malformed or past the limits below raises InputError with the offending
 field named, before any work, and a jet index outside the second-order
-set raises IndexOutOfLambda.  The layers below trust what they are built
-from.
+set raises IndexOutOfLambda.  Jet monomials are put in canonical form here
+too; the layers below trust what they are built from.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from .equation import FuchsianEquation
 from .errors import IndexOutOfLambda, InputError
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort, lambda_keys
+from .series import SeriesTX, SeriesTXZ, ZKey, _norm_nu, _zkey_sort, lambda_keys
 
 BUILTIN_NAMES = ("remark2", "remark3", "remark3_forced")
 
@@ -104,7 +104,7 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
             _require(_is_int(p) and p >= 1,
                      f"{zwhere}.pow must be a positive integer")
             nu.append((ZKey(i, tuple(al)), p))
-        key = (tp, tuple(xp), tuple(nu))
+        key = (tp, tuple(xp), _norm_nu(nu))
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff
     admissible = set(lambda_keys(n))

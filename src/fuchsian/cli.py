@@ -117,6 +117,10 @@ def _make_w(args, eq: FuchsianEquation) -> SeriesTX:
     return SeriesTX.monomial(eq.n, k_t, k_x, Fraction(1), 1, alpha)
 
 
+# 40 times the default 50x50 grid: the work of a grid grows with its points
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> tuple:
     try:
         nt, nrho = spec.lower().split("x")
@@ -125,6 +129,9 @@ def _parse_grid(spec: str) -> tuple:
         raise InputError(f"grid must look like '50x50', got {spec!r}") from None
     if nt < 1 or nrho < 1:
         raise InputError(f"grid needs at least one point per axis, got {spec!r}")
+    if nt * nrho > MAX_GRID_POINTS:
+        raise InputError(f"grid may hold at most {MAX_GRID_POINTS} points, "
+                         f"got {spec!r}")
     return nt, nrho
 
 

@@ -282,7 +282,7 @@ class NormProfileZ:
                 continue
             power = nd[zk]
             nd[zk] -= 1
-            nkey = (k, _norm_nu(nd))
+            nkey = (k, _norm_nu(nd.items()))
             q = p.scale(power)
             out[nkey] = out[nkey] + q if nkey in out else q
         return NormProfileZ(out)

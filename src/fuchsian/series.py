@@ -19,9 +19,10 @@ key (k + |alpha|, k, alpha); jet keys by (i + |alpha|, i, alpha).
 
 Nothing here validates its arguments.  builtin.parse_equation and the CLI
 check outside input once, where it enters, and inside the package every key
-has nonnegative int powers, n spatial slots and a jet index in
-lambda_keys(n).  The constructors only drop zero coefficients and terms past
-the caps, and merge jet monomials.
+has nonnegative int powers, n spatial slots, jet indices in lambda_keys(n)
+and its jet monomial in the canonical form of _norm_nu.  The constructors
+take keys as given and only drop zero coefficients and terms past the caps;
+the three substitutions expand through one kernel, _sum_products.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ def lambda_keys(n: int) -> list[ZKey]:
 def _norm_nu(nu) -> tuple:
     """Canonical jet-monomial: sorted tuple of (ZKey, power), powers >= 1."""
     acc: dict[ZKey, int] = {}
-    items = nu.items() if isinstance(nu, dict) else nu
-    for zk, p in items:
+    for zk, p in nu:
         zk = ZKey(*zk)
         if p:
             acc[zk] = acc.get(zk, 0) + p
@@ -288,7 +288,6 @@ class SeriesTXZ:
         clipped = bool(z_clipped)
         store: dict[tuple, CRat] = {}
         for (k, alpha, nu), c in (terms or {}).items():
-            nu = _norm_nu(nu)
             c = _coeff(c)
             if c.is_zero():
                 continue
@@ -297,13 +296,7 @@ class SeriesTXZ:
                 continue
             if k > k_t or sum(alpha) > k_x:
                 continue
-            key = (k, alpha, nu)
-            acc = store.get(key)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                store.pop(key, None)
-            else:
-                store[key] = c
+            store[(k, alpha, nu)] = c
         self.terms = store
         self.z_clipped = clipped
 
@@ -395,11 +388,7 @@ class SeriesTXZ:
                 alpha = tuple(a + b for a, b in zip(a1, a2))
                 if sum(alpha) > kx:
                     continue
-                merged: dict[ZKey, int] = dict(n1)
-                for zk, p in n2:
-                    merged[zk] = merged.get(zk, 0) + p
-                nu = _norm_nu(merged)
-                key = (k, alpha, nu)
+                key = (k, alpha, _norm_nu(n1 + n2))
                 acc = out.get(key)
                 c = c1 * c2
                 out[key] = c if acc is None else acc + c
@@ -426,9 +415,7 @@ class SeriesTXZ:
         substituted value must then vanish at t = 0, and the t-cap shrinks to
         (k_z + 1) * ord_min - 1 with ord_min the least t-order among values.
         """
-        used_vals = [values[zk]
-                     for zk in sorted(self.jet_keys_used(), key=_zkey_sort)]
-
+        used_vals = [values[zk] for zk in self.jet_keys_used()]
         kt = min([self.k_t] + [v.k_t for v in used_vals])
         kx = min([self.k_x] + [v.k_x for v in used_vals])
         if self.z_clipped:
@@ -440,29 +427,8 @@ class SeriesTXZ:
                     "must vanish at t = 0 after z-truncation")
             if ord_min is not None:
                 kt = min(kt, (self.k_z + 1) * ord_min - 1)
-
-        # cache powers of each value at the output caps
-        max_pow: dict[ZKey, int] = {}
-        for (_, _, nu) in self.terms:
-            for zk, p in nu:
-                max_pow[zk] = max(max_pow.get(zk, 0), p)
-        powers: dict[ZKey, list[SeriesTX]] = {}
-        for zk, top in max_pow.items():
-            base = values[zk].truncate(kt, kx)
-            cache = [SeriesTX.one(self.n, kt, kx)]
-            for _ in range(top):
-                cache.append(cache[-1] * base)
-            powers[zk] = cache
-
-        out = SeriesTX.zero(self.n, kt, kx)
-        for (k, alpha, nu), c in self.terms.items():
-            if k > kt or sum(alpha) > kx:
-                continue
-            piece = SeriesTX.monomial(self.n, kt, kx, c, k, alpha)
-            for zk, p in nu:
-                piece = piece * powers[zk][p]
-            out = out + piece
-        return out
+        return SeriesTX(self.n, kt, kx, self._sum_products(
+            values, SeriesTX.one(self.n, kt, kx)))
 
     def shift_z(self, shifts: dict) -> "SeriesTXZ":
         """Substitute z[zk] -> z[zk] + s_zk(t, x) for the given shifts.
@@ -472,12 +438,8 @@ class SeriesTXZ:
         """
         if self.z_clipped:
             raise TruncationExhausted("cannot shift jet variables after z-clipping")
-        used = self.jet_keys_used()
-        images = {}
-        for zk, s in shifts.items():
-            if zk in used and not s.is_zero():
-                images[zk] = self._var(zk) + SeriesTXZ.from_tx(s, self.k_z)
-        return self._expand(images)
+        return self._expand({zk: self._var(zk) + SeriesTXZ.from_tx(s, self.k_z)
+                             for zk, s in shifts.items() if not s.is_zero()})
 
     def substitute_z_linear(self, mapping: dict) -> "SeriesTXZ":
         """Replace jet variables by linear combinations of jet variables.
@@ -486,29 +448,59 @@ class SeriesTXZ:
         the mapping are left alone.  Degrees in z are preserved, so this is
         safe on z-clipped series: whatever was dropped stays above the cap.
         """
-        used = self.jet_keys_used()
         zero = SeriesTXZ.zero(self.n, self.k_t, self.k_x, self.k_z)
         return self._expand({
             zk: sum((self._var(zk2).scale(c) for c, zk2 in combo), zero)
-            for zk, combo in mapping.items() if zk in used})
+            for zk, combo in mapping.items()})
 
     def _var(self, zk: ZKey) -> "SeriesTXZ":
         return SeriesTXZ.z_var(self.n, self.k_t, self.k_x, self.k_z, zk)
 
     def _expand(self, images: dict) -> "SeriesTXZ":
-        """Replace z[zk] by images[zk] (a SeriesTXZ of z-degree <= 1) in
-        every term and sum the products in term order; variables without an
-        image stay.  No z-degree grows, so z_clipped carries over as is."""
-        out = SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
-                        z_clipped=self.z_clipped)
-        for (k, alpha, nu), c in self.terms.items():
-            piece = SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
-                              {(k, alpha, ()): c})
+        """Replace z[zk] by images[zk], of z-degree <= 1, where one is given.
+        The caps min-join self's with every image a term uses, as * and +
+        would; no z-degree grows, so z_clipped carries over as is."""
+        used = {zk: images[zk] if zk in images else self._var(zk)
+                for zk in self.jet_keys_used()}
+        kt, kx, kz = map(min, zip(*((f.k_t, f.k_x, f.k_z)
+                                    for f in (self, *used.values()))))
+        one = SeriesTXZ(self.n, kt, kx, kz, {(0, (0,) * self.n, ()): 1})
+        return SeriesTXZ(self.n, kt, kx, kz, self._sum_products(used, one),
+                         z_clipped=self.z_clipped)
+
+    def _sum_products(self, images: dict, one) -> dict:
+        """Terms, keyed like those of one (the unit at the output caps), of
+        the sum over self's terms c t^k x^alpha z^nu of c t^k x^alpha times
+        prod images[zk]**p.  Powers are built once and every product adds
+        into one dict (S. C. Johnson, "Sparse polynomial arithmetic", 1974).
+        """
+        kt, kx = one.k_t, one.k_x
+        top: dict[ZKey, int] = {}
+        for (_, _, nu) in self.terms:
             for zk, p in nu:
-                factor = images[zk] if zk in images else self._var(zk)
-                for _ in range(p):
-                    piece = piece * factor
-            out = out + piece
+                top[zk] = max(top.get(zk, 0), p)
+        powers: dict[ZKey, list] = {}
+        for zk, p in top.items():
+            base = one * images[zk]
+            powers[zk] = cache = [one, base]
+            while len(cache) <= p:
+                cache.append(cache[-1] * base)
+        out: dict[tuple, CRat] = {}
+        for (k, alpha, nu), c in self.terms.items():
+            if k > kt or sum(alpha) > kx:
+                continue
+            prod = one
+            for zk, p in nu:
+                prod = powers[zk][p] if prod is one else prod * powers[zk][p]
+            for key, v in prod.terms.items():
+                kk = k + key[0]
+                aa = tuple(a + b for a, b in zip(alpha, key[1]))
+                if kk > kt or sum(aa) > kx:
+                    continue
+                key = (kk, aa) + key[2:]
+                v = c * v
+                acc = out.get(key)
+                out[key] = v if acc is None else acc + v
         return out
 
     # -- evaluation ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Oracles that only the tests need: a manufactured-solution forcing, the
-indicial x-series of the order-by-order recursion, the products of
+indicial x-series of the order-by-order recursion, the term-by-term jet
+expansion behind shift_z and substitute_z_linear, the products of
 majorants behind the submultiplicativity property, and the grid checks of
 verify_barrier with every check counted through _Check.record."""
 
@@ -36,6 +37,40 @@ def indicial_series(eq: FuchsianEquation, s: int) -> SeriesTX:
     sc = CRat(s)
     return (SeriesTX.const(eq.n, 0, eq.F.k_x, sc * sc)
             - eq.beta_star(0) - eq.beta_star(1).scale(sc))
+
+
+def expand_by_terms(F: SeriesTXZ, images: dict) -> SeriesTXZ:
+    """F with z[zk] replaced by images[zk] where one is given, written term
+    by term: each term's product with the images, one factor at a time,
+    added to the running sum with +.  The chain of * and + sets the caps;
+    the cost is quadratic in the output."""
+    out = SeriesTXZ(F.n, F.k_t, F.k_x, F.k_z, z_clipped=F.z_clipped)
+    for (k, alpha, nu), c in F.terms.items():
+        piece = SeriesTXZ(F.n, F.k_t, F.k_x, F.k_z, {(k, alpha, ()): c})
+        for zk, p in nu:
+            factor = images[zk] if zk in images else SeriesTXZ.z_var(
+                F.n, F.k_t, F.k_x, F.k_z, zk)
+            for _ in range(p):
+                piece = piece * factor
+        out = out + piece
+    return out
+
+
+def shift_z_by_terms(F: SeriesTXZ, shifts: dict) -> SeriesTXZ:
+    """F.shift_z(shifts) through expand_by_terms."""
+    return expand_by_terms(F, {
+        zk: SeriesTXZ.z_var(F.n, F.k_t, F.k_x, F.k_z, zk)
+        + SeriesTXZ.from_tx(s, F.k_z)
+        for zk, s in shifts.items() if not s.is_zero()})
+
+
+def substitute_z_linear_by_terms(F: SeriesTXZ, mapping: dict) -> SeriesTXZ:
+    """F.substitute_z_linear(mapping) through expand_by_terms."""
+    zero = SeriesTXZ.zero(F.n, F.k_t, F.k_x, F.k_z)
+    return expand_by_terms(F, {
+        zk: sum((SeriesTXZ.z_var(F.n, F.k_t, F.k_x, F.k_z, zk2).scale(c)
+                 for c, zk2 in combo), zero)
+        for zk, combo in mapping.items()})
 
 
 def rho_product(p: RhoPoly, q: RhoPoly) -> RhoPoly:

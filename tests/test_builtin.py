@@ -164,6 +164,34 @@ def test_parse_equation_refuses_exactly_the_inadmissible_keys(n):
             assert str(exc.value) == f"jet index {bad} not admissible for order 2"
 
 
+def test_parse_equation_canonicalises_jet_monomials():
+    # z[0,(1,)] z[1,(0,)]^2 in its canonical spelling, with its factors in
+    # the other order, and with the square as a repeated factor: one term,
+    # the coefficients merged
+    z01, z10 = {"i": 0, "alpha": [1]}, {"i": 1, "alpha": [0]}
+    spellings = [[z01, {**z10, "pow": 2}], [{**z10, "pow": 2}, z01],
+                 [z10, z01, z10]]
+
+    def doc_of(parts):
+        doc = valid_doc()
+        doc["terms"] += [{"coeff": [c, 1, 0, 1], "t_pow": 1, "x_pows": [0],
+                          "z_pows": zp} for c, zp in parts]
+        return doc
+
+    canonical = parse_equation(doc_of([(6, spellings[0])])).F
+    assert (1, (0,), ((ZKey(0, (1,)), 1), (ZKey(1, (0,)), 2))) in canonical.terms
+    for zp in spellings[1:]:
+        assert parse_equation(doc_of([(6, zp)])).F.terms == canonical.terms
+    merged = parse_equation(doc_of(zip((1, 2, 3), spellings))).F
+    assert merged.terms == canonical.terms and len(merged.terms) == 2
+    # an inadmissible factor is named the same way in either order
+    for zp in ([{"i": 2, "alpha": [0]}, z01], [z01, {"i": 2, "alpha": [0]}]):
+        with pytest.raises(IndexOutOfLambda) as exc:
+            parse_equation(doc_of([(1, zp)]))
+        assert str(exc.value) == ("jet index ZKey(i=2, alpha=(0,)) not "
+                                  "admissible for order 2")
+
+
 def test_closed_form_series_is_exact_solution():
     for name in ("remark3", "remark3_forced"):
         eq = load_equation(name)

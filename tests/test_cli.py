@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fuchsian.cli import main
+from fuchsian.cli import MAX_GRID_POINTS, _parse_grid, main
 
 
 def run(capsys, *argv):
@@ -267,6 +267,9 @@ def test_certify_corrupted_eps00_flags_growth_bound(capsys):
     ("--tfloor", "inf", "--tfloor must"),
     ("--grid", "bogus", "grid must look like"),
     ("--grid", "0x5", "at least one point per axis"),
+    # 10^10 points: refused from the spec alone, never run
+    ("--grid", "100000x100000", "grid may hold at most 100000 points"),
+    ("--grid", "317x316", "grid may hold at most 100000 points"),
     ("--w", "bogus", "coeff,tpow"),
     ("--w", "1,0,2", "must vanish at t = 0"),
     # a zero test function used to pass every check vacuously
@@ -283,6 +286,13 @@ def test_certify_bad_flag_is_input_error(capsys, name, flag, value, fragment):
     assert fragment in rep["error"]["message"]
     # refused before any work: no results were written
     assert "results" not in rep
+
+
+def test_grid_ceiling_admits_the_grids_in_use():
+    # the default, choose_params' 12x12 and every grid the tests run
+    for spec in ("50x50", "12x12", "8x8", "2x2", "1000x100"):
+        nt, nrho = _parse_grid(spec)
+        assert nt * nrho <= MAX_GRID_POINTS
 
 
 def test_certify_underflowing_tfloor_is_input_error(capsys):

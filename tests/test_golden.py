@@ -31,6 +31,11 @@ CASES = [
     # (s^2 + 3 s + 1) and a complex pair (s^2 + s + 1)
     ("check_irrational_real.json", ["check", "irrational_real.json"], 0),
     ("check_complex_pair.json", ["check", "complex_pair.json"], 0),
+    # solve-dense shape 0 variant 0: shift_z and substitute_z_linear expand
+    # a 150-term right-hand side, where the built-ins expand 3 terms;
+    # --kappa 2/5 keeps the anchor time above float underflow
+    ("certify_dense_0_0.json",
+     ["certify", "dense_0_0.json", "--grid", "6x6", "--kappa", "2/5"], 1),
 ]
 
 

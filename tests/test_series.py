@@ -7,12 +7,22 @@ must satisfy term by term.
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuchsian.builtin import load_equation
+from fuchsian.certificate import build_shifted_rhs
 from fuchsian.errors import NotInvertible, TruncationExhausted
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, alphas_of_degree, lambda_keys
+from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu,
+                             alphas_of_degree, lambda_keys)
+from fuchsian.solver import solve_formal
+from oracles import shift_z_by_terms, substitute_z_linear_by_terms
+
+DENSE = Path(__file__).parent / "golden" / "inputs" / "dense_0_0.json"
 
 
 def rand_series(rng, n, k_t, k_x, n_terms=5, t_min=0):
@@ -313,3 +323,95 @@ def test_shift_and_linear_maps_agree_with_substitute_z(seed):
     assert Gc.z_clipped and Gc == G
     assert _equal_within_joint_caps(Gc.substitute_z(v1),
                                     Fc.substitute_z(composed1))
+
+
+# -- the shared expansion kernel against the term-by-term oracle --------
+
+_frac = st.builds(Frac, st.integers(-4, 4), st.integers(1, 4))
+_crat = st.builds(CRat, _frac, _frac)
+
+
+def _alphas_upto(n, d):
+    return [a for e in range(d + 1) for a in alphas_of_degree(n, e)]
+
+
+@st.composite
+def jet_series(draw):
+    """SeriesTXZ with canonical keys; a term past k_z is dropped and sets
+    z_clipped, which some draws also set directly."""
+    n = draw(st.sampled_from((1, 2)))
+    k_t, k_x, k_z = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                     draw(st.integers(1, 3)))
+    keys = lambda_keys(n)
+    data = {}
+    for _ in range(draw(st.integers(0, 6))):
+        factors = draw(st.lists(st.sampled_from(keys), max_size=k_z + 1))
+        key = (draw(st.integers(0, k_t + 1)),
+               draw(st.sampled_from(_alphas_upto(n, k_x + 1))),
+               _norm_nu((zk, 1) for zk in factors))
+        data[key] = draw(_crat)
+    return SeriesTXZ(n, k_t, k_x, k_z, data, z_clipped=draw(st.booleans()))
+
+
+@st.composite
+def tight_tx(draw, n, k_t, k_x):
+    """SeriesTX with caps at or below (k_t, k_x), possibly zero."""
+    kt, kx = draw(st.integers(0, k_t)), draw(st.integers(0, k_x))
+    terms = {(draw(st.integers(0, kt)),
+              draw(st.sampled_from(_alphas_upto(n, kx)))): draw(_crat)
+             for _ in range(draw(st.integers(0, 3)))}
+    return SeriesTX(n, kt, kx, terms)
+
+
+def _assert_same_expansion(got, want):
+    # equality ignores the caps and the flag: check them one by one
+    assert got == want
+    assert (got.k_t, got.k_x, got.k_z) == (want.k_t, want.k_x, want.k_z)
+    assert got.z_clipped == want.z_clipped
+    assert all(nu == _norm_nu(nu) for _, _, nu in got.terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_shift_and_linear_maps_equal_the_term_by_term_oracle(data):
+    F = data.draw(jet_series())
+    keys = lambda_keys(F.n)
+    mapping = {zk: data.draw(st.lists(st.tuples(_crat, st.sampled_from(keys)),
+                                      min_size=1, max_size=2))
+               for zk in data.draw(st.lists(st.sampled_from(keys),
+                                            unique=True))}
+    _assert_same_expansion(F.substitute_z_linear(mapping),
+                           substitute_z_linear_by_terms(F, mapping))
+    shifts = {zk: data.draw(tight_tx(F.n, F.k_t, F.k_x))
+              for zk in data.draw(st.lists(st.sampled_from(keys),
+                                           unique=True))}
+    if F.z_clipped:
+        with pytest.raises(TruncationExhausted):
+            F.shift_z(shifts)
+    else:
+        _assert_same_expansion(F.shift_z(shifts), shift_z_by_terms(F, shifts))
+
+
+def test_substitute_z_linear_builds_terms_linear_in_its_output(monkeypatch):
+    # solve-dense shape 0: H is F shifted by the order-4 solution and G its
+    # image under normal_form's basis change.  Every SeriesTXZ built inside
+    # substitute_z_linear together holds a small multiple of |H| + |G| terms;
+    # adding each term's product to a running sum with + held 11,833.
+    eq = load_equation(str(DENSE))
+    H = build_shifted_rhs(eq, solve_formal(eq, 4).u)
+    lam1 = eq.char_exponents().roots_exact[0]
+    mapping = {zk: [(CRat(1), zk), (lam1, ZKey(0, zk.alpha))]
+               for zk in lambda_keys(1) if zk.i == 1}
+    built = []
+    init = SeriesTXZ.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(len(self.terms))
+
+    monkeypatch.setattr(SeriesTXZ, "__init__", counting)
+    G = H.substitute_z_linear(mapping)
+    monkeypatch.undo()
+    h, g, total = len(H.terms), len(G.terms), sum(built)
+    assert (h, g) == (150, 151)
+    assert total <= 4 * (h + g), total

@@ -11,8 +11,8 @@ from fuchsian.builtin import closed_form_series, load_equation, parse_equation
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import IndicialZero, ToolkitError, TruncationExhausted
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, alphas_of_degree,
-                             lambda_keys)
+from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu,
+                             alphas_of_degree, lambda_keys)
 from fuchsian.solver import (FormalSolution, derivative_tuple, residual,
                              solve_formal)
 from oracles import indicial_series, manufactured
@@ -225,7 +225,7 @@ def random_equations(draw):
         zks = draw(st.lists(st.sampled_from(keys),
                             min_size=z_deg, max_size=z_deg))
         c = CRat(draw(_small), draw(st.sampled_from((Frac(0), Frac(1, 2)))))
-        terms.append((a, beta, tuple((zk, 1) for zk in zks), c))
+        terms.append((a, beta, _norm_nu((zk, 1) for zk in zks), c))
 
     terms.append((1, zero, (), draw(_small)))    # forcing, vanishes at t = 0
     for _ in range(draw(st.integers(0, 1))):
