@@ -305,23 +305,24 @@ def decay_profile(u_eval, exponent_p: int, r_list=None) -> dict:
     """Scaled boundary suprema of a solution evaluator in one space
     variable near t = 0.
 
-    For each pair (r, R): sup of |u(t, x)| over _DECAY_NT log-spaced times
-    in (r/1e4, r] and _DECAY_NX points x on the circle |x| = R, divided by
-    R^exponent_p.  Evaluator failures propagate.  Returns the table plus,
-    per R, the inner-limit trend over shrinking r.
+    u_eval(xs) is a function of t listing u(t, x) for the points x in xs
+    (builtin.closed_form_eval).  For each pair (r, R): sup of |u(t, x)|
+    over _DECAY_NT log-spaced times in (r/1e4, r] and _DECAY_NX points x on
+    the circle |x| = R, divided by R^exponent_p.  Evaluator failures
+    propagate.  Returns the table plus, per R, the inner-limit trend over
+    shrinking r.
     """
     if r_list is None:
         r_list = [0.1 * 10.0 ** (-j) for j in range(5)]
     angles = [2.0 * math.pi * k / _DECAY_NX for k in range(_DECAY_NX)]
     rows = []
     for R in _DECAY_RADII:
-        points = [(R * complex(math.cos(a), math.sin(a)),) for a in angles]
+        at = u_eval([R * complex(math.cos(a), math.sin(a)) for a in angles])
         for r in r_list:
             sup = 0.0
             for i in range(_DECAY_NT):
                 t = r * 10.0 ** (-4.0 * i / (_DECAY_NT - 1))
-                for xs in points:
-                    sup = max(sup, abs(u_eval(t, xs)))
+                sup = max(sup, *map(abs, at(t)))
             rows.append({"r": r, "R": R,
                          "sup_scaled": sup / R ** exponent_p})
     inner = []

@@ -242,16 +242,10 @@ class NormProfileZ:
 
     __slots__ = ("profiles", "_terms")
 
-    def __init__(self, profiles=None):
-        store: dict[tuple, RhoPoly] = {}
-        for (k, nu), p in (profiles or {}).items():
-            nu = _norm_nu(nu)
-            if not isinstance(p, RhoPoly):
-                p = RhoPoly(p)
-            if p.is_zero():
-                continue
-            store[(k, nu)] = store[(k, nu)] + p if (k, nu) in store else p
-        self.profiles = store
+    def __init__(self, profiles: dict):
+        # keys (k, nu) come canonical and distinct from every caller
+        self.profiles = {key: p for key, p in profiles.items()
+                         if not p.is_zero()}
         self._terms = None
 
     def is_zero(self) -> bool:

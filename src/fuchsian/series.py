@@ -505,24 +505,33 @@ class SeriesTXZ:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval_numeric(self, t, xs, zvals: dict) -> complex:
-        zc = {zk: complex(v) for zk, v in zvals.items()}
+    def numeric_evaluator(self):
+        """Float evaluator (t, xs, zvals) -> complex of this series, zvals
+        holding the jet values.  The terms are sliced by t-power, sorted and
+        their coefficients converted once, here; each call sums them in that
+        order and runs Horner in t."""
         slices: dict[int, list] = {}
         for (k, alpha, nu), c in self.terms.items():
             slices.setdefault(k, []).append((alpha, nu, c))
-        acc = 0j
-        for k in range(max(slices, default=0), -1, -1):
-            v = 0j
-            part = sorted(slices.get(k, ()),
-                          key=lambda anc: (_alpha_key(anc[0]),
-                                           tuple((_zkey_sort(zk), p)
-                                                 for zk, p in anc[1])))
-            for alpha, nu, c in part:
-                mono = 1.0 + 0j
-                for xj, a in zip(xs, alpha):
-                    mono *= xj ** a
-                for zk, p in nu:
-                    mono *= zc[zk] ** p
-                v += c.as_complex() * mono
-            acc = acc * t + v
-        return acc
+        parts = [[(alpha, nu, c.as_complex()) for alpha, nu, c in sorted(
+                     slices.get(k, ()),
+                     key=lambda anc: (_alpha_key(anc[0]),
+                                      tuple((_zkey_sort(zk), p)
+                                            for zk, p in anc[1])))]
+                 for k in range(max(slices, default=0), -1, -1)]
+
+        def evaluate(t, xs, zvals: dict) -> complex:
+            zc = {zk: complex(v) for zk, v in zvals.items()}
+            acc = 0j
+            for part in parts:
+                v = 0j
+                for alpha, nu, c in part:
+                    mono = 1.0 + 0j
+                    for xj, a in zip(xs, alpha):
+                        mono *= xj ** a
+                    for zk, p in nu:
+                        mono *= zc[zk] ** p
+                    v += c * mono
+                acc = acc * t + v
+            return acc
+        return evaluate

@@ -35,10 +35,14 @@ x-cap, so x-degree x_order at t-order K needs k_x >= x_order + 2K and
 k_t >= K.  Step k works at x-cap k_x - k*a, with a the largest spatial
 order among the jet keys F uses, as full re-substitution would.
 
-Verification re-substitutes the result into F with SeriesTXZ.substitute_z,
-an algorithm independent of the construction, and insists the residual
-vanishes.  It covers x-degrees up to u.k_x - a, the final cap minus one
-more jet evaluation: x-degree x_order - 2 for the default x_order, a = 2.
+Verification re-substitutes the finished u into F and insists the residual
+(t d/dt)^2 u - F(jet of u) vanishes, at the caps residual() below has.  It
+is independent of the construction: the jets of the whole u, their
+products and F's terms are summed over one common denominator in the same
+integer form, with no Z^p L_p split and no division.  It covers x-degrees
+up to u.k_x - a, the final cap minus one more jet evaluation: x-degree
+x_order - 2 for the default x_order, a = 2.  residual() is the CRat form of
+the same check, kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import NamedTuple
 from .equation import FuchsianEquation
 from .errors import IndicialZero, TruncationExhausted
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey, alphas_of_degree, lambda_keys
+from .series import SeriesTX, SeriesTXZ, ZKey, _alpha_key, lambda_keys
 
 
 def derivative_tuple(u: SeriesTX) -> dict[ZKey, SeriesTX]:
@@ -74,8 +78,8 @@ class FormalSolution(NamedTuple):
     """Result of the order-by-order construction.
 
     u carries the requested orders as its caps: u.k_t is the t-order and
-    u.k_x the x-degree.  verified means the re-substitution residual
-    vanished on x-degrees up to the construction's final x-cap minus one
+    u.k_x the x-degree.  verified means the residual of the re-substituted
+    u vanished on x-degrees up to the construction's final x-cap minus one
     jet evaluation (see the module docstring), not on every x-degree up to
     u.k_x."""
 
@@ -88,7 +92,7 @@ class FormalSolution(NamedTuple):
 
 
 def _from_crat(c: dict) -> tuple:
-    """(den, numerators) form of a dict alpha -> CRat."""
+    """(den, numerators) form of a dict alpha or (k, alpha) -> CRat."""
     den = lcm(*(f.denominator for z in c.values() for f in (z.re, z.im)))
     return den, {a: (z.re.numerator * (den // z.re.denominator),
                      z.im.numerator * (den // z.im.denominator))
@@ -135,7 +139,8 @@ def _jet_coeffs(uk: tuple, used: list, k: int) -> dict:
 
 
 def _divide_unit(P: tuple, G: tuple, n: int, cap: int) -> tuple:
-    """u with P u = G through x-degree cap, P[0] != 0: by total degree,
+    """u with P u = G through x-degree cap, P[0] != 0: by total degree, on
+    the monomials reached from G's support by adding those of P's tail,
     u[alpha] = (G[alpha] - sum_{beta != 0} P[beta] u[alpha - beta]) / P[0].
     1 / P[0] = c / N, c = conj(P[0]) and N = |P[0]|^2 (c = +-1, N = |P[0]|
     if P[0] is real); u[alpha] is held over gden N^e, e one more than the
@@ -145,19 +150,27 @@ def _divide_unit(P: tuple, G: tuple, n: int, cap: int) -> tuple:
     cr, ci, N = ((pr, -pi, pr * pr + pi * pi) if pi
                  else (1 if pr > 0 else -1, 0, abs(pr)))
     tail = [(b, r, i) for b, (r, i) in p.items() if any(b)]
+    reach = set(g)
+    todo = list(g)
+    while todo:
+        a = todo.pop()
+        for b, _, _ in tail:
+            c = tuple(map(add, a, b))
+            if c not in reach and sum(c) <= cap:
+                reach.add(c)
+                todo.append(c)
     w: dict = {}
-    for d in range(cap + 1):
-        for a in alphas_of_degree(n, d):
-            hits = [(r, i, w[c]) for b, r, i in tail
-                    if (c := tuple(map(sub, a, b))) in w]
-            e = max((we for _, _, (_, _, we) in hits), default=0)
-            sr, si = (v * pden * N ** e for v in g.get(a, (0, 0)))
-            for r, i, (wr, wi, we) in hits:
-                f = N ** (e - we)
-                sr -= (r * wr - i * wi) * f
-                si -= (r * wi + i * wr) * f
-            if sr or si:
-                w[a] = (sr * cr - si * ci, sr * ci + si * cr, e + 1)
+    for a in sorted(reach, key=_alpha_key):
+        hits = [(r, i, w[c]) for b, r, i in tail
+                if (c := tuple(map(sub, a, b))) in w]
+        e = max((we for _, _, (_, _, we) in hits), default=0)
+        sr, si = (v * pden * N ** e for v in g.get(a, (0, 0)))
+        for r, i, (wr, wi, we) in hits:
+            f = N ** (e - we)
+            sr -= (r * wr - i * wi) * f
+            si -= (r * wi + i * wr) * f
+        if sr or si:
+            w[a] = (sr * cr - si * ci, sr * ci + si * cr, e + 1)
     E = max((e for _, _, e in w.values()), default=0)
     w = {a: (r * N ** (E - e), i * N ** (E - e)) for a, (r, i, e) in w.items()}
     h = gcd(gden * N ** E, *(v for ri in w.values() for v in ri))
@@ -253,8 +266,7 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     # re-substitution needs m more x-derivatives than construction did, so
     # it only runs when that much budget is left over
     if verify and u.k_x >= eq.m:
-        res = residual(eq, u, order)
-        assert res.is_zero(), (
+        assert _residual_vanishes(eq, u, order), (
             "internal error: formal solution leaves a nonzero residual")
         verified = True
     return FormalSolution(u=u.truncate(k_x=x_order), verified=verified)
@@ -278,6 +290,85 @@ def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
     if kt < k:
         raise TruncationExhausted(
             f"substitution reliable only to t-order {kt} < {k}")
+
+
+def _mul_tx(f: dict, g: dict, kt: int, kx: int) -> dict:
+    """Numerators of f * g for t-x series keyed (k, alpha), through t-order
+    kt and x-degree kx; the denominators multiply outside."""
+    re: dict = {}
+    im: dict = {}
+    # g's terms by t-power, each by ascending x-degree, so that a scan
+    # stops at the first term past the x-cap
+    by_t: dict = {}
+    for (k, a), (r, i) in sorted(g.items(), key=lambda kv: sum(kv[0][1])):
+        by_t.setdefault(k, []).append((a, sum(a), r, i))
+    for (k1, a1), (r1, i1) in f.items():
+        room_x = kx - sum(a1)
+        for k2 in range(kt - k1 + 1):
+            for a2, d2, r2, i2 in by_t.get(k2, ()):
+                if d2 > room_x:
+                    break
+                key = (k1 + k2, tuple(map(add, a1, a2)))
+                re[key] = re.get(key, 0) + r1 * r2 - i1 * i2
+                im[key] = im.get(key, 0) + r1 * i2 + i1 * r2
+    return {key: (r, im[key]) for key, r in re.items() if r or im[key]}
+
+
+def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
+    """residual(eq, u, K).is_zero(), on integer numerators: u over its one
+    denominator D, so a product of d jet values is over D^d.  The caps are
+    residual's: t-order min(F.k_t, u.k_t, K), and (k_z + 1) * ord_min - 1
+    after z-truncation; x-degree min(F.k_x, u.k_x, u.k_x - |alpha|) over
+    the jet keys F uses."""
+    F = eq.F
+    D, num = _from_crat(u.terms)
+    used = F.jet_keys_used()
+    jets = {zk: {(k, tuple(map(sub, a, zk.alpha))): (re * f, im * f)
+                 for (k, a), (re, im) in num.items()
+                 if (f := k ** zk.i * prod(map(perm, a, zk.alpha)))}
+            for zk in used}
+    kt = min(F.k_t, u.k_t, K)
+    kx = min([F.k_x, u.k_x] + [u.k_x - sum(zk.alpha) for zk in used])
+    if F.z_clipped:
+        # ord_min is read off the jet values at their own caps
+        ord_min = min((k for j in jets.values() for k, _ in j), default=None)
+        if ord_min == 0:
+            raise TruncationExhausted(
+                "dropped jet terms reach t-order 0: substitution values "
+                "must vanish at t = 0 after z-truncation")
+        if ord_min is not None:
+            kt = min(kt, (F.k_z + 1) * ord_min - 1)
+    # rows (a, beta, Z, d, c) of F(jet u) - (t d/dt)^2 u: F's terms inside
+    # the caps, c t^a x^beta Z^nu with Z^nu over D^deg(nu) and c over cden
+    # (each prefix of a flattened nu is multiplied once), then -k^2 u_k
+    origin = (0,) * u.n
+    products = {(): {(0, origin): (1, 0)}}
+    rows = []
+    for (a, beta, nu), c in F.terms.items():
+        if a > kt or sum(beta) > kx:
+            continue
+        flat = tuple(zk for zk, p in nu for _ in range(p))
+        for d in range(1, len(flat) + 1):
+            if flat[:d] not in products:
+                products[flat[:d]] = _mul_tx(products[flat[:d - 1]],
+                                             jets[flat[d - 1]], kt, kx)
+        cden, cnum = _from_crat({beta: c})
+        rows.append((a, beta, products[flat], cden * D ** len(flat),
+                     *cnum[beta]))
+    rows.append((0, origin, {(k, a): (-k * k * r, -k * k * i)
+                             for (k, a), (r, i) in num.items()}, D, 1, 0))
+    L = lcm(*(d for _, _, _, d, _, _ in rows))
+    re: dict = {}
+    im: dict = {}
+    for a, beta, z, d, cr, ci in rows:
+        cr, ci = cr * (L // d), ci * (L // d)
+        for (k, al), (r, i) in z.items():
+            key = (k + a, tuple(map(add, al, beta)))
+            if key[0] > kt or sum(key[1]) > kx:
+                continue
+            re[key] = re.get(key, 0) + cr * r - ci * i
+            im[key] = im.get(key, 0) + cr * i + ci * r
+    return not any(re.values()) and not any(im.values())
 
 
 def residual(eq: FuchsianEquation, u: SeriesTX, K: int) -> SeriesTX:

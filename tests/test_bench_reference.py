@@ -1,7 +1,9 @@
 """The benchmark checks every certify-grid job against the exit code, report
-sha256 and violation counts in perfbench/reference.json.  Running a few of
-those jobs here, in process as the benchmark does, makes a change in
-report bytes fail the suite too, not only the benchmark."""
+sha256 and violation counts in perfbench/reference.json, and every
+solve-dense job against the verified flag and the digest of the exact
+series.  Running a few of those jobs here, in process as the benchmark
+does, makes a change in report bytes, in the solver or in its check fail
+the suite too, not only the benchmark."""
 
 import importlib.util
 import json
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fuchsian import cli
+from fuchsian import builtin, cli, solver
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,8 +27,10 @@ def _load_workloads():
     return mod
 
 
-observe_report = _load_workloads().observe_report
-REFERENCE = json.loads((BENCH / "reference.json").read_text())["certify-grid"]
+WORKLOADS = _load_workloads()
+observe_report = WORKLOADS.observe_report
+REFERENCES = json.loads((BENCH / "reference.json").read_text())
+REFERENCE = REFERENCES["certify-grid"]
 
 
 @pytest.mark.parametrize("argv", [["remark3"], ["remark3_forced"],
@@ -37,3 +41,13 @@ def test_certify_report_matches_benchmark_reference(argv, tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(["certify", *argv, "--out", str(out)])
     assert observe_report(code, out.read_bytes()) == REFERENCE[" ".join(argv)]
+
+
+@pytest.mark.parametrize("label", ["0/0", "5/3", "6/1", "9/7"])
+def test_solve_matches_benchmark_reference(label):
+    shape, variant = map(int, label.split("/"))
+    eq = builtin.parse_equation(WORKLOADS.solve_document(shape, variant))
+    sol = solver.solve_formal(eq, eq.F.k_t, verify=True)
+    assert sol.verified
+    assert (WORKLOADS.series_digest(sol.u)
+            == REFERENCES["solve-dense"][label])

@@ -204,9 +204,11 @@ def test_closed_form_eval_agrees_with_series():
     for name in ("remark3", "remark3_forced"):
         ev = closed_form_eval(name)
         u = closed_form_series(name)
-        for t, x in [(0.5, 0.25), (1e-3, -0.4)]:
-            want = SeriesTXZ.from_tx(u, 0).eval_numeric(t, (x,), {})
-            assert ev(t, (x,)) == pytest.approx(want, rel=1e-14, abs=1e-300)
+        xs = [0.25, -0.4]
+        for t in (0.5, 1e-3):
+            for x, got in zip(xs, ev(xs)(t)):
+                want = SeriesTXZ.from_tx(u, 0).numeric_evaluator()(t, (x,), {})
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 def test_remark2_jets_internal_consistency():

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from fuchsian.errors import NonpositiveExponent
 from fuchsian.majorant import NormProfileZ, RhoPoly, SectorMajorant, norm_x, norm_xz, weight
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
+from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, _norm_nu, lambda_keys
 from oracles import sector_product
 
 
@@ -177,7 +177,7 @@ def test_norm_soundness_complex():
         f = rand_series(rng, 1, 2, 3, complex_coeffs=True)
         t = rng.uniform(0.0, 1.0)
         x = rng.uniform(-0.5, 0.5)
-        val = abs(SeriesTXZ.from_tx(f, 0).eval_numeric(t, (x,), {}))
+        val = abs(SeriesTXZ.from_tx(f, 0).numeric_evaluator()(t, (x,), {}))
         bound = norm_x(f).eval(t, abs(x))
         assert val <= bound * (1 + 1e-12) + 1e-15
 
@@ -316,15 +316,16 @@ def test_sector_cached_eval_is_exact(coeffs, t, rho):
            st.tuples(st.integers(0, 3),
                      st.lists(st.tuples(st.sampled_from(_jet_keys),
                                         st.integers(1, 3)), max_size=3)
-                     .map(tuple)),
+                     .map(_norm_nu)),
            _rho_poly, min_size=2, max_size=6),
        _point, _point,
        st.lists(st.one_of(st.floats(0.0, 1.0), _coeff),
                 min_size=len(_jet_keys), max_size=len(_jet_keys)),
        st.booleans())
 def test_profile_cached_eval_is_exact(profiles, t, rho, zvals, plain_keys):
-    # at least two terms, so that a change in summation order shows; z is
-    # keyed by ZKey or by plain (i, alpha) pairs, with float or Fraction values
+    # at least two terms, so that a change in summation order shows; jet
+    # monomials canonical, as every caller builds them; z is keyed by ZKey
+    # or by plain (i, alpha) pairs, with float or Fraction values
     P = NormProfileZ(profiles)
     z = {(tuple(zk) if plain_keys else zk): v
          for zk, v in zip(_jet_keys, zvals)}

@@ -170,7 +170,7 @@ def test_eval_numeric_matches_exact_polynomial():
          + SeriesTX.monomial(2, 3, 3, -1, 2, (2, 0)))
     t, x1, x2 = 0.25, 0.5, -2.0
     expected = 0.5 * t + 3 * x1 * x2 - t * t * x1 * x1
-    value = SeriesTXZ.from_tx(f, 0).eval_numeric(t, (x1, x2), {})
+    value = SeriesTXZ.from_tx(f, 0).numeric_evaluator()(t, (x1, x2), {})
     assert abs(value - expected) < 1e-15
 
 

@@ -1,9 +1,11 @@
 """Formal power-series solver: hand oracles and manufactured solutions."""
 
 import random
+import time
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuchsian import solver
@@ -16,6 +18,8 @@ from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu,
 from fuchsian.solver import (FormalSolution, derivative_tuple, residual,
                              solve_formal)
 from oracles import indicial_series, manufactured
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def test_residual_frozen_oracle():
@@ -338,6 +342,85 @@ def test_z_clipped_order_ignores_jets_truncation_emptied():
     assert sol.u == SeriesTX.monomial(1, 3, 0, Frac(1, 60), 3, (0,))
 
 
+def _checked_u(eq, K):
+    """The u that solve_formal(eq, K) hands its residual check, or None
+    when it raises or skips the check."""
+    seen = []
+    check = solver._residual_vanishes
+    solver._residual_vanishes = lambda *args: seen.append(args) or check(*args)
+    try:
+        solve_formal(eq, K)
+    except ToolkitError:
+        pass
+    finally:
+        solver._residual_vanishes = check
+    return seen[0][1] if seen else None
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def _jet_free_equation():
+    # no jet variable: P_k = k^2 and every cap is F's and u's own
+    return FuchsianEquation(SeriesTXZ(2, 4, 5, 2, {
+        (1, (0, 0), ()): 1, (2, (1, 0), ()): Frac(1, 2),
+        (3, (1, 2), ()): CRat(Frac(1, 3), Frac(-2))})), 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_equations(), st.integers(0, 10 ** 6), _small)
+@example(jet_product_equations(1)[0], 17, Frac(1))
+@example(jet_product_equations(2)[1], 5, Frac(-3, 2))
+@example((_clipped_cubic_equation(), 2), 3, Frac(1))
+@example((_clipped_cubic_equation(), 2), 0, Frac(1))
+@example(_jet_free_equation(), 11, Frac(2))
+def test_integer_residual_check_equals_crat_residual(case, where, delta):
+    # on the u solve_formal checks, and on u with one coefficient inside its
+    # caps moved by delta (at t^0 too, which a z-clipped F refuses)
+    eq, K = case
+    u = _checked_u(eq, K)
+    assume(u is not None)
+    keys = [(k, a) for k in range(u.k_t + 1) for d in range(u.k_x + 1)
+            for a in alphas_of_degree(u.n, d)]
+    key = keys[where % len(keys)]
+    moved = SeriesTX(u.n, u.k_t, u.k_x,
+                     {**u.terms, key: u.coeff(*key) + delta})
+    for v in (u, moved):
+        want = _verdict(lambda: residual(eq, v, K).is_zero())
+        assert _verdict(solver._residual_vanishes, eq, v, K) == want
+    assert solver._residual_vanishes(eq, u, K)
+
+
+def _forced_to_t5():
+    # remark3_forced plus forcing t^5: t/6 solves it through t-order 4
+    F = load_equation("remark3_forced").F
+    return FuchsianEquation(F + SeriesTXZ(1, F.k_t, F.k_x, F.k_z,
+                                          {(5, (0,), ()): 1}))
+
+
+@pytest.mark.parametrize("make_eq, terms, k_t, K, want", [
+    # z-clipped: u has t-order 1, so the t-cap is 3 * 1 - 1 = 2
+    (_clipped_cubic_equation, {(1, (0,)): Frac(1, 6), (3, (0,)): 1}, 10, 10,
+     True),
+    (_clipped_cubic_equation, {(1, (0,)): Frac(1, 6), (2, (0,)): 1}, 10, 10,
+     False),
+    # u's own t-cap and K each hide the forcing t^5
+    (_forced_to_t5, {(1, (0,)): Frac(1, 6)}, 4, 10, True),
+    (_forced_to_t5, {(1, (0,)): Frac(1, 6)}, 10, 4, True),
+    (_forced_to_t5, {(1, (0,)): Frac(1, 6)}, 10, 5, False),
+], ids=["clipped-t3", "clipped-t2", "u-cap", "K-cap", "t5"])
+def test_integer_residual_check_stops_at_the_t_caps(make_eq, terms, k_t, K,
+                                                    want):
+    eq = make_eq()
+    u = SeriesTX(1, k_t, eq.F.k_x, terms)
+    assert residual(eq, u, K).is_zero() is want
+    assert solver._residual_vanishes(eq, u, K) is want
+
+
 # -- guard counts on one fixed equation --------------------------------
 
 
@@ -403,6 +486,25 @@ def test_triangular_solve_multiplies_no_crat(guard_equation, crat_muls):
     assert crat_muls[0] == 0
 
 
+def test_verified_solve_multiplies_no_crat(crat_muls, monkeypatch):
+    # solve-dense shape 0: the residual check runs on integer numerators
+    # too (298 CRat products in 8 SeriesTX products when it substituted u
+    # into F through SeriesTXZ.substitute_z)
+    eq = load_equation(str(GOLDEN_INPUTS / "dense_0_0.json"))
+    tx_muls = [0]
+    mul = SeriesTX.__mul__
+
+    def counting(a, b):
+        tx_muls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(SeriesTX, "__mul__", counting)
+    crat_muls[0] = 0
+    sol = solve_formal(eq, eq.F.k_t, verify=True)
+    assert sol.verified and not sol.u.is_zero()
+    assert (crat_muls[0], tx_muls[0]) == (0, 0)
+
+
 def test_shared_factor_shares_one_cauchy_product(guard_equation,
                                                  monkeypatch):
     # z01 z02 / 4 and 2 z02 z11 share z02, so each step multiplies z02 by
@@ -423,6 +525,28 @@ def test_shared_factor_shares_one_cauchy_product(guard_equation,
     sol = solve_formal(guard_equation, 12, verify=False)
     assert not sol.u.is_zero()
     assert seen["pairs"] <= 137 and seen["products"] <= 4691, seen
+
+
+def test_x_free_solve_walks_only_reached_monomials():
+    # n = 3, K_x = 32 and an x-free F: P_k is a constant and G_k one term,
+    # so u_k = P_k^-1 G_k is one term.  Walking every x-monomial up to the
+    # cap at each step (6,545 at step 1) took 0.12 s on a 2-CPU machine;
+    # the reached ones take under 1 ms
+    z00, z10 = ({"i": i, "alpha": [0, 0, 0], "pow": 1} for i in (0, 1))
+    eq = parse_equation({
+        "m": 2, "n": 3, "truncation": {"K_t": 12, "K_x": 32, "K_z": 2},
+        "terms": [{"coeff": c, "t_pow": a, "x_pows": [0, 0, 0],
+                   "z_pows": nu}
+                  for c, a, nu in (([1, 1, 0, 1], 1, []),
+                                   ([-3, 1, 0, 1], 0, [z10]),
+                                   ([-2, 1, 0, 1], 0, [z00]),
+                                   ([1, 1, 0, 1], 0, [{**z00, "pow": 2}]))]})
+    start = time.perf_counter()
+    sol = solve_formal(eq, 12)
+    elapsed = time.perf_counter() - start
+    assert sol.verified and sol.u.k_x == 8
+    assert sorted(sol.u.terms) == [(k, (0, 0, 0)) for k in range(1, 13)]
+    assert elapsed < 0.05, elapsed
 
 
 # -- complex indicial coefficients -------------------------------------
