@@ -200,13 +200,7 @@ class SectorMajorant:
         return [horner_eval(cs, rho) for cs in self._horner or self.horner()]
 
     def eval(self, t: float, rho: float) -> float:
-        acc = 0.0
-        for cs in self._horner or self.horner():
-            inner = 0.0
-            for c in cs:
-                inner = inner * rho + c
-            acc = acc * t + inner
-        return acc
+        return horner_eval(self.inner(rho), t)
 
     def eval_frac(self, t: Frac, rho: Frac) -> Frac:
         acc = Frac(0)

@@ -36,10 +36,12 @@ k_t >= K.  Step k works at x-cap k_x - k*a, with a the largest spatial
 order among the jet keys F uses, as full re-substitution would.
 
 Verification re-substitutes the finished u into F and insists the residual
-(t d/dt)^2 u - F(jet of u) vanishes, at the caps residual() below has.  It
-is independent of the construction: the jets of the whole u, their
-products and F's terms are summed over one common denominator in the same
-integer form, with no Z^p L_p split and no division.  It covers x-degrees
+(t d/dt)^2 u - F(jet of u) vanishes, one t-order at a time, at the caps
+residual() below has.  It shares the construction's two kernels and
+nothing else: u is split into its t^k sections, _jet_coeffs takes their
+jets, each prefix of a jet monomial is one _cauchy product per t-order,
+and the t^k coefficient of the residual is one _cauchy sum over F's terms
+and -k^2 u_k, with no Z^p L_p split and no division.  It covers x-degrees
 up to u.k_x - a, the final cap minus one more jet evaluation: x-degree
 x_order - 2 for the default x_order, a = 2.  residual() is the CRat form of
 the same check, kept as the tests' oracle.
@@ -88,20 +90,23 @@ class FormalSolution(NamedTuple):
 
 
 # Inside this module a t-free x-series is a pair (den, {alpha: (re, im)}):
-# integer numerators over one positive denominator, zero entries dropped.
+# integer numerators over one positive denominator, zero entries dropped,
+# monomials listed by ascending total degree.
 
 
 def _from_crat(c: dict) -> tuple:
-    """(den, numerators) form of a dict alpha or (k, alpha) -> CRat."""
+    """(den, numerators) form of a dict alpha -> CRat."""
     den = lcm(*(f.denominator for z in c.values() for f in (z.re, z.im)))
-    return den, {a: (z.re.numerator * (den // z.re.denominator),
-                     z.im.numerator * (den // z.im.denominator))
-                 for a, z in c.items()}
+    return den, {a: (c[a].re.numerator * (den // c[a].re.denominator),
+                     c[a].im.numerator * (den // c[a].im.denominator))
+                 for a in sorted(c, key=sum)}
 
 
 def _cauchy(pairs: list, cap: int) -> tuple:
     """sum of f * g over the (f, g) pairs, keeping total x-degrees <= cap,
-    reduced by one gcd over the denominator and every numerator."""
+    reduced by one gcd over the denominator and every numerator; a pair
+    with an empty side adds nothing, and g's scan stops past the cap."""
+    pairs = [(f, g) for f, g in pairs if f[1] and g[1]]
     den = lcm(*(f[0] * g[0] for f, g in pairs))
     re: dict = {}
     im: dict = {}
@@ -113,18 +118,19 @@ def _cauchy(pairs: list, cap: int) -> tuple:
             r1, i1 = r1 * s, i1 * s
             for a2, r2, i2, d2 in g_items:
                 if d2 > room:
-                    continue
+                    break
                 alpha = tuple(map(add, a1, a2))
                 re[alpha] = re.get(alpha, 0) + r1 * r2 - i1 * i2
                 im[alpha] = im.get(alpha, 0) + r1 * i2 + i1 * r2
     g = gcd(den, *re.values(), *im.values())
-    return den // g, {a: (r // g, im[a] // g) for a, r in re.items()
-                      if r or im[a]}
+    return den // g, {a: (re[a] // g, im[a] // g)
+                      for a in sorted(re, key=sum) if re[a] or im[a]}
 
 
 def _jet_coeffs(uk: tuple, used: list, k: int) -> dict:
     """k^i d^alpha u_k, the t^k coefficient of each used z[i, alpha], from
-    one d^alpha u_k per distinct alpha (perm(p, q) = 0 when p < q)."""
+    one d^alpha u_k per distinct alpha (perm(p, q) = 0 when p < q, and
+    0^i = 0: at k = 0 only the keys with i = 0 are nonzero)."""
     den, num = uk
     by_alpha = {al: {tuple(map(sub, a, al)): (re * f, im * f)
                      for a, (re, im) in num.items()
@@ -133,8 +139,8 @@ def _jet_coeffs(uk: tuple, used: list, k: int) -> dict:
     out = {}
     for zk in used:
         f, d = k ** zk.i, by_alpha[zk.alpha]
-        out[zk] = den, (d if f == 1 else
-                        {a: (re * f, im * f) for a, (re, im) in d.items()})
+        out[zk] = den, (d if f == 1 else {a: (re * f, im * f)
+                                          for a, (re, im) in d.items() if f})
     return out
 
 
@@ -247,7 +253,7 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
                 L.append(_cauchy([(c, jets[e][top - a]) for a, c, e in terms
                                   if top > a], kx))
             Zp = powers[p] if len(p) > 1 else jets[p[0]]
-            pairs += [(Zp[k - j], L[j]) for j in range(1, top + 1) if L[j][1]]
+            pairs += [(Zp[k - j], L[j]) for j in range(1, top + 1)]
         P = _cauchy(P, kx)
         if origin not in P[1]:
             raise IndicialZero(
@@ -292,83 +298,53 @@ def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
             f"substitution reliable only to t-order {kt} < {k}")
 
 
-def _mul_tx(f: dict, g: dict, kt: int, kx: int) -> dict:
-    """Numerators of f * g for t-x series keyed (k, alpha), through t-order
-    kt and x-degree kx; the denominators multiply outside."""
-    re: dict = {}
-    im: dict = {}
-    # g's terms by t-power, each by ascending x-degree, so that a scan
-    # stops at the first term past the x-cap
-    by_t: dict = {}
-    for (k, a), (r, i) in sorted(g.items(), key=lambda kv: sum(kv[0][1])):
-        by_t.setdefault(k, []).append((a, sum(a), r, i))
-    for (k1, a1), (r1, i1) in f.items():
-        room_x = kx - sum(a1)
-        for k2 in range(kt - k1 + 1):
-            for a2, d2, r2, i2 in by_t.get(k2, ()):
-                if d2 > room_x:
-                    break
-                key = (k1 + k2, tuple(map(add, a1, a2)))
-                re[key] = re.get(key, 0) + r1 * r2 - i1 * i2
-                im[key] = im.get(key, 0) + r1 * i2 + i1 * r2
-    return {key: (r, im[key]) for key, r in re.items() if r or im[key]}
-
-
 def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
-    """residual(eq, u, K).is_zero(), on integer numerators: u over its one
-    denominator D, so a product of d jet values is over D^d.  The caps are
-    residual's: t-order min(F.k_t, u.k_t, K), and (k_z + 1) * ord_min - 1
-    after z-truncation; x-degree min(F.k_x, u.k_x, u.k_x - |alpha|) over
-    the jet keys F uses."""
+    """residual(eq, u, K).is_zero(), one t-order at a time on u's t^k
+    sections u_k: the t^k coefficient of F(jet of u) - (t d/dt)^2 u is one
+    _cauchy sum of c x^beta [t^(k-a)] Z^nu over F's terms and of -k^2 u_k.
+    The caps are residual's: t-order min(F.k_t, u.k_t, K), and
+    (k_z + 1) * ord_min - 1 after z-truncation; x-degree
+    min(F.k_x, u.k_x, u.k_x - |alpha|) over the jet keys F uses."""
     F = eq.F
-    D, num = _from_crat(u.terms)
     used = F.jet_keys_used()
-    jets = {zk: {(k, tuple(map(sub, a, zk.alpha))): (re * f, im * f)
-                 for (k, a), (re, im) in num.items()
-                 if (f := k ** zk.i * prod(map(perm, a, zk.alpha)))}
-            for zk in used}
     kt = min(F.k_t, u.k_t, K)
     kx = min([F.k_x, u.k_x] + [u.k_x - sum(zk.alpha) for zk in used])
+    sections = [_from_crat({a: c for (j, a), c in u.terms.items() if j == k})
+                for k in range(kt + 1)]
+    jets: dict[ZKey, list] = {zk: [] for zk in used}
+    for k, uk in enumerate(sections):
+        for zk, z in _jet_coeffs(uk, used, k).items():
+            jets[zk].append(z)
     if F.z_clipped:
         # ord_min is read off the jet values at their own caps
-        ord_min = min((k for j in jets.values() for k, _ in j), default=None)
+        ord_min = next((k for k in range(kt + 1)
+                        if any(z[k][1] for z in jets.values())), None)
         if ord_min == 0:
             raise TruncationExhausted(
                 "dropped jet terms reach t-order 0: substitution values "
                 "must vanish at t = 0 after z-truncation")
         if ord_min is not None:
             kt = min(kt, (F.k_z + 1) * ord_min - 1)
-    # rows (a, beta, Z, d, c) of F(jet u) - (t d/dt)^2 u: F's terms inside
-    # the caps, c t^a x^beta Z^nu with Z^nu over D^deg(nu) and c over cden
-    # (each prefix of a flattened nu is multiplied once), then -k^2 u_k
+    # F's terms inside the caps as (a, c, Z^nu by t-order); each prefix of
+    # a flattened nu is multiplied once
     origin = (0,) * u.n
-    products = {(): {(0, origin): (1, 0)}}
+    products = {(): [(1, {origin: (1, 0)})] + [(1, {})] * kt,
+                **{(zk,): z for zk, z in jets.items()}}
     rows = []
     for (a, beta, nu), c in F.terms.items():
         if a > kt or sum(beta) > kx:
             continue
         flat = tuple(zk for zk, p in nu for _ in range(p))
-        for d in range(1, len(flat) + 1):
+        for d in range(2, len(flat) + 1):
             if flat[:d] not in products:
-                products[flat[:d]] = _mul_tx(products[flat[:d - 1]],
-                                             jets[flat[d - 1]], kt, kx)
-        cden, cnum = _from_crat({beta: c})
-        rows.append((a, beta, products[flat], cden * D ** len(flat),
-                     *cnum[beta]))
-    rows.append((0, origin, {(k, a): (-k * k * r, -k * k * i)
-                             for (k, a), (r, i) in num.items()}, D, 1, 0))
-    L = lcm(*(d for _, _, _, d, _, _ in rows))
-    re: dict = {}
-    im: dict = {}
-    for a, beta, z, d, cr, ci in rows:
-        cr, ci = cr * (L // d), ci * (L // d)
-        for (k, al), (r, i) in z.items():
-            key = (k + a, tuple(map(add, al, beta)))
-            if key[0] > kt or sum(key[1]) > kx:
-                continue
-            re[key] = re.get(key, 0) + cr * r - ci * i
-            im[key] = im.get(key, 0) + cr * i + ci * r
-    return not any(re.values()) and not any(im.values())
+                head, tail = products[flat[:d - 1]], jets[flat[d - 1]]
+                products[flat[:d]] = [
+                    _cauchy([(head[j], tail[k - j]) for j in range(k + 1)],
+                            kx) for k in range(kt + 1)]
+        rows.append((a, _from_crat({beta: c}), products[flat]))
+    return not any(_cauchy([(c, Z[k - a]) for a, c, Z in rows if a <= k]
+                           + [((1, {origin: (-k * k, 0)}), sections[k])],
+                           kx)[1] for k in range(kt + 1))
 
 
 def residual(eq: FuchsianEquation, u: SeriesTX, K: int) -> SeriesTX:

@@ -1,10 +1,13 @@
 """Oracles that only the tests need: a manufactured-solution forcing, the
-indicial x-series of the order-by-order recursion, the term-by-term jet
-expansion behind shift_z and substitute_z_linear, the products of
-majorants behind the submultiplicativity property, and the grid checks of
-verify_barrier with every check counted through _Check.record."""
+indicial x-series of the order-by-order recursion, the solver's Cauchy
+sum over every term pair, the term-by-term jet expansion behind shift_z
+and substitute_z_linear, the products of majorants behind the
+submultiplicativity property, and the grid checks of verify_barrier with
+every check counted through _Check.record."""
 
 import math
+from math import gcd, lcm
+from operator import add
 
 from fuchsian.certificate import barrier_grid
 from fuchsian.characteristics import _Check
@@ -37,6 +40,26 @@ def indicial_series(eq: FuchsianEquation, s: int) -> SeriesTX:
     sc = CRat(s)
     return (SeriesTX.const(eq.n, 0, eq.F.k_x, sc * sc)
             - eq.beta_star(0) - eq.beta_star(1).scale(sc))
+
+
+def cauchy_by_pairs(pairs: list, cap: int) -> tuple:
+    """solver._cauchy on sections in any term order: every (f, g) pair and
+    every term pair is visited, and a product past the x-cap is skipped."""
+    den = lcm(*(f[0] * g[0] for f, g in pairs))
+    re: dict = {}
+    im: dict = {}
+    for (df, f), (dg, g) in pairs:
+        s = den // (df * dg)
+        for a1, (r1, i1) in f.items():
+            for a2, (r2, i2) in g.items():
+                if sum(a1) + sum(a2) > cap:
+                    continue
+                alpha = tuple(map(add, a1, a2))
+                re[alpha] = re.get(alpha, 0) + (r1 * r2 - i1 * i2) * s
+                im[alpha] = im.get(alpha, 0) + (r1 * i2 + i1 * r2) * s
+    g = gcd(den, *re.values(), *im.values())
+    return den // g, {a: (r // g, im[a] // g) for a, r in re.items()
+                      if r or im[a]}
 
 
 def expand_by_terms(F: SeriesTXZ, images: dict) -> SeriesTXZ:

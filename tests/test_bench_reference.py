@@ -1,9 +1,9 @@
 """The benchmark checks every certify-grid job against the exit code, report
 sha256 and violation counts in perfbench/reference.json, and every
 solve-dense job against the verified flag and the digest of the exact
-series.  Running a few of those jobs here, in process as the benchmark
-does, makes a change in report bytes, in the solver or in its check fail
-the suite too, not only the benchmark."""
+series.  Running those jobs here, in process as the benchmark does (a few
+certify jobs, every solve job), makes a change in report bytes, in the
+solver or in its check fail the suite too, not only the benchmark."""
 
 import importlib.util
 import json
@@ -43,7 +43,7 @@ def test_certify_report_matches_benchmark_reference(argv, tmp_path):
     assert observe_report(code, out.read_bytes()) == REFERENCE[" ".join(argv)]
 
 
-@pytest.mark.parametrize("label", ["0/0", "5/3", "6/1", "9/7"])
+@pytest.mark.parametrize("label", list(REFERENCES["solve-dense"]))
 def test_solve_matches_benchmark_reference(label):
     shape, variant = map(int, label.split("/"))
     eq = builtin.parse_equation(WORKLOADS.solve_document(shape, variant))

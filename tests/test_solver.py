@@ -17,7 +17,7 @@ from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu,
                              alphas_of_degree, lambda_keys)
 from fuchsian.solver import (FormalSolution, derivative_tuple, residual,
                              solve_formal)
-from oracles import indicial_series, manufactured
+from oracles import cauchy_by_pairs, indicial_series, manufactured
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -421,6 +421,80 @@ def test_integer_residual_check_stops_at_the_t_caps(make_eq, terms, k_t, K,
     assert solver._residual_vanishes(eq, u, K) is want
 
 
+# -- the integer product kernel ---------------------------------------
+
+
+def _degree_sorted(section):
+    degrees = [sum(a) for a in section[1]]
+    return degrees == sorted(degrees)
+
+
+@st.composite
+def _cauchy_cases(draw):
+    """(f, g) pairs of sections whose monomials are listed by ascending
+    degree, in random order within a degree, empty sections included,
+    and an x-cap from below every degree to above most of them."""
+    n = draw(st.sampled_from((1, 2)))
+    alphas = [a for d in range(4) for a in alphas_of_degree(n, d)]
+    nums = st.integers(-9, 9)
+
+    def section():
+        support = draw(st.lists(st.sampled_from(alphas), unique=True,
+                                max_size=5))
+        return draw(st.integers(1, 12)), {
+            a: draw(st.tuples(nums, nums).filter(any))
+            for a in sorted(support, key=sum)}
+
+    pairs = [(section(), section()) for _ in range(draw(st.integers(0, 4)))]
+    return pairs, draw(st.integers(-1, 7))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_cauchy_cases())
+@example(([((2, {(0,): (1, 0)}), (3, {(1,): (0, 1)}))], -1))
+@example(([((1, {}), (2, {(0,): (1, 1)})), ((5, {(1,): (2, 0)}), (1, {})),
+           ((3, {(0,): (1, 0), (1,): (0, 2)}), (4, {(0,): (-1, 0)}))], 1))
+def test_cauchy_equals_the_pairwise_oracle(case):
+    # the kernel drops pairs with an empty side and stops each scan of g
+    # at its first monomial past the cap; the oracle visits every pair
+    pairs, cap = case
+    got = solver._cauchy(pairs, cap)
+    assert got == cauchy_by_pairs(pairs, cap)
+    assert _degree_sorted(got)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(random_equations())
+@example(jet_product_equations(1)[0])
+@example(jet_product_equations(2)[0])
+@example((_clipped_cubic_equation(), 2))
+def test_every_solver_section_is_degree_sorted(case):
+    # _cauchy's early stop is exact only on sections listed by ascending
+    # degree: every section the construction builds is one, and so is every
+    # section the check builds, from u's terms in any order
+    eq, K = case
+    u = _checked_u(eq, K)
+    assume(u is not None)
+    flipped = SeriesTX(u.n, u.k_t, u.k_x, dict(reversed(u.terms.items())))
+    built = []
+
+    def recording(fn, sections=lambda out: [out]):
+        def wrapper(*args):
+            out = fn(*args)
+            built.extend(sections(out))
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_from_crat", "_cauchy", "_divide_unit"):
+            mp.setattr(solver, name, recording(getattr(solver, name)))
+        mp.setattr(solver, "_jet_coeffs",
+                   recording(solver._jet_coeffs, dict.values))
+        solve_formal(eq, K)
+        assert solver._residual_vanishes(eq, flipped, K)
+    assert all(_degree_sorted(section) for section in built)
+
+
 # -- guard counts on one fixed equation --------------------------------
 
 
@@ -547,6 +621,18 @@ def test_x_free_solve_walks_only_reached_monomials():
     assert sol.verified and sol.u.k_x == 8
     assert sorted(sol.u.terms) == [(k, (0, 0, 0)) for k in range(1, 13)]
     assert elapsed < 0.05, elapsed
+
+
+def test_probe_d3_solves_and_verifies_at_order_2():
+    # the worst admitted document of the input limits (n = 3, 26 terms,
+    # K_x = 32, jet monomials of degree 2 and 3): a verified order-2 solve
+    # takes about 0.25 s on a 2-CPU machine
+    eq = load_equation(str(GOLDEN_INPUTS / "d3.json"))
+    start = time.perf_counter()
+    sol = solve_formal(eq, 2)
+    elapsed = time.perf_counter() - start
+    assert sol.verified and not sol.u.is_zero()
+    assert elapsed < 10, elapsed
 
 
 # -- complex indicial coefficients -------------------------------------
