@@ -24,11 +24,14 @@ c x^beta [t^(k-a)] z_e; at a = 0 it would see u_k: it is in P_k.
 Cached coefficients, product entries and F's coefficients are integer
 numerators, real and imaginary, over one positive denominator: the content
 and primitive-part form of Geddes, Czapor & Labahn, "Algorithms for
-Computer Algebra" (1992).  A produced coefficient, a [t^k] entry, L_p[j]
-or G_k, is one sum of products: an lcm of the pair denominators, integer
-multiply-adds, then a single gcd over the result.  P_k is one such sum, and
-u_k a triangular division by the unit P_k (van der Hoeven, section 4): no
-step multiplies CRat values, and u is converted to CRat once, at the end.
+Computer Algebra" (1992).  Monomials are packed exponent vectors with the
+total degree on top (Monagan & Pearce, CASC 2007): a term product adds two
+ints with no carry, and one compare tests the x-cap.  A produced
+coefficient, a [t^k] entry, L_p[j] or G_k, is one sum of products: an lcm
+of the pair denominators, integer multiply-adds, then a single gcd over
+the result.  P_k is one such sum, and u_k a triangular division by the
+unit P_k (van der Hoeven, section 4): no step multiplies CRat values, and
+u is converted to CRat once, at the end.
 
 Truncation budget: each step's jet evaluation costs up to 2 orders of
 x-cap, so x-degree x_order at t-order K needs k_x >= x_order + 2K and
@@ -51,13 +54,12 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd, lcm, perm, prod
-from operator import add, sub
 from typing import NamedTuple
 
 from .equation import FuchsianEquation
 from .errors import IndicialZero, TruncationExhausted
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey, _alpha_key, lambda_keys
+from .series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
 
 
 def derivative_tuple(u: SeriesTX) -> dict[ZKey, SeriesTX]:
@@ -89,53 +91,68 @@ class FormalSolution(NamedTuple):
     verified: bool
 
 
-# Inside this module a t-free x-series is a pair (den, {alpha: (re, im)}):
+# Inside this module a t-free x-series is a pair (den, {key: (re, im)}):
 # integer numerators over one positive denominator, zero entries dropped,
-# monomials listed by ascending total degree.
+# keys ascending.  x^alpha has key |alpha| B^n + alpha_0 B^(n-1) + ... +
+# alpha_(n-1), B one more than any x-degree a solve or check meets.  Under
+# an x-cap c < B no field passes c, so keys add with no carry: x^a x^b has
+# key a + b, past c exactly when a + b >= (c + 1) B^n, and int order is
+# (degree, lex) order, _alpha_key's.
 
 
-def _from_crat(c: dict) -> tuple:
-    """(den, numerators) form of a dict alpha -> CRat."""
+def _pack(alpha: tuple, B: int) -> int:
+    return sum(a * B ** i for i, a in enumerate([*alpha[::-1], sum(alpha)]))
+
+
+def _unpack(key: int, n: int, B: int) -> tuple:
+    return tuple(key // B ** i % B for i in range(n - 1, -1, -1))
+
+
+def _from_crat(c: dict, B: int) -> tuple:
+    """(den, numerators) form of a dict alpha -> CRat, packed in base B."""
     den = lcm(*(f.denominator for z in c.values() for f in (z.re, z.im)))
-    return den, {a: (c[a].re.numerator * (den // c[a].re.denominator),
-                     c[a].im.numerator * (den // c[a].im.denominator))
-                 for a in sorted(c, key=sum)}
+    return den, dict(sorted(
+        (_pack(a, B), (z.re.numerator * (den // z.re.denominator),
+                       z.im.numerator * (den // z.im.denominator)))
+        for a, z in c.items()))
 
 
-def _cauchy(pairs: list, cap: int) -> tuple:
-    """sum of f * g over the (f, g) pairs, keeping total x-degrees <= cap,
-    reduced by one gcd over the denominator and every numerator; a pair
-    with an empty side adds nothing, and g's scan stops past the cap."""
+def _cauchy(pairs: list, lim: int) -> tuple:
+    """sum of f * g over the (f, g) pairs on the keys below lim (x-cap c:
+    lim = (c + 1) B^n), reduced by one gcd over the denominator and every
+    numerator; an empty side adds nothing, and g's scan stops at lim."""
     pairs = [(f, g) for f, g in pairs if f[1] and g[1]]
     den = lcm(*(f[0] * g[0] for f, g in pairs))
     re: dict = {}
     im: dict = {}
     for (df, f), (dg, g) in pairs:
         s = den // (df * dg)
-        g_items = [(a, r, i, sum(a)) for a, (r, i) in g.items()]
-        for a1, (r1, i1) in f.items():
-            room = cap - sum(a1)
+        for k1, (r1, i1) in f.items():
+            room = lim - k1
             r1, i1 = r1 * s, i1 * s
-            for a2, r2, i2, d2 in g_items:
-                if d2 > room:
+            for k2, (r2, i2) in g.items():
+                if k2 >= room:
                     break
-                alpha = tuple(map(add, a1, a2))
-                re[alpha] = re.get(alpha, 0) + r1 * r2 - i1 * i2
-                im[alpha] = im.get(alpha, 0) + r1 * i2 + i1 * r2
+                k = k1 + k2
+                re[k] = re.get(k, 0) + r1 * r2 - i1 * i2
+                im[k] = im.get(k, 0) + r1 * i2 + i1 * r2
     g = gcd(den, *re.values(), *im.values())
-    return den // g, {a: (re[a] // g, im[a] // g)
-                      for a in sorted(re, key=sum) if re[a] or im[a]}
+    return den // g, {k: (re[k] // g, im[k] // g)
+                      for k in sorted(re) if re[k] or im[k]}
 
 
-def _jet_coeffs(uk: tuple, used: list, k: int) -> dict:
+def _jet_coeffs(uk: tuple, used: list, k: int, n: int, B: int) -> dict:
     """k^i d^alpha u_k, the t^k coefficient of each used z[i, alpha], from
     one d^alpha u_k per distinct alpha (perm(p, q) = 0 when p < q, and
-    0^i = 0: at k = 0 only the keys with i = 0 are nonzero)."""
+    0^i = 0: at k = 0 only the keys with i = 0 are nonzero); d^alpha x^a
+    has key a - _pack(alpha)."""
     den, num = uk
-    by_alpha = {al: {tuple(map(sub, a, al)): (re * f, im * f)
-                     for a, (re, im) in num.items()
-                     if (f := prod(map(perm, a, al)))}
-                for al in {zk.alpha for zk in used}}
+    terms = [(_unpack(a, n, B), a, re, im) for a, (re, im) in num.items()]
+    by_alpha = {}
+    for al in {zk.alpha for zk in used}:
+        s = _pack(al, B)
+        by_alpha[al] = {a - s: (re * f, im * f) for d, a, re, im in terms
+                        if (f := prod(map(perm, d, al)))}
     out = {}
     for zk in used:
         f, d = k ** zk.i, by_alpha[zk.alpha]
@@ -144,31 +161,32 @@ def _jet_coeffs(uk: tuple, used: list, k: int) -> dict:
     return out
 
 
-def _divide_unit(P: tuple, G: tuple, n: int, cap: int) -> tuple:
-    """u with P u = G through x-degree cap, P[0] != 0: by total degree, on
+def _divide_unit(P: tuple, G: tuple, lim: int) -> tuple:
+    """u with P u = G on the keys below lim, P[0] != 0: by total degree, on
     the monomials reached from G's support by adding those of P's tail,
     u[alpha] = (G[alpha] - sum_{beta != 0} P[beta] u[alpha - beta]) / P[0].
     1 / P[0] = c / N, c = conj(P[0]) and N = |P[0]|^2 (c = +-1, N = |P[0]|
     if P[0] is real); u[alpha] is held over gden N^e, e one more than the
     largest it reads, until one gcd reduces u over gden N^max(e)."""
     (pden, p), (gden, g) = P, G
-    pr, pi = p[(0,) * n]
+    pr, pi = p[0]
     cr, ci, N = ((pr, -pi, pr * pr + pi * pi) if pi
                  else (1 if pr > 0 else -1, 0, abs(pr)))
-    tail = [(b, r, i) for b, (r, i) in p.items() if any(b)]
+    tail = [(b, r, i) for b, (r, i) in p.items() if b]
     reach = set(g)
     todo = list(g)
     while todo:
         a = todo.pop()
         for b, _, _ in tail:
-            c = tuple(map(add, a, b))
-            if c not in reach and sum(c) <= cap:
+            c = a + b
+            if c < lim and c not in reach:
                 reach.add(c)
                 todo.append(c)
+    # a - b is a key of w only where b divides a: if c = a - b is a key,
+    # |c| + |b| <= |a| < B by the top fields, so c + b adds with no carry
     w: dict = {}
-    for a in sorted(reach, key=_alpha_key):
-        hits = [(r, i, w[c]) for b, r, i in tail
-                if (c := tuple(map(sub, a, b))) in w]
+    for a in sorted(reach):
+        hits = [(r, i, w[a - b]) for b, r, i in tail if a - b in w]
         e = max((we for _, _, (_, _, we) in hits), default=0)
         sr, si = (v * pden * N ** e for v in g.get(a, (0, 0)))
         for r, i, (wr, wi, we) in hits:
@@ -203,16 +221,17 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     used = sorted(F.jet_keys_used())
     # x-cap lost per step: one jet evaluation of the partial sum
     a_used = max((sum(zk.alpha) for zk in used), default=0)
+    B = F.k_x + 1
     # coefficient lists indexed by t-power; index 0 is the zero at t = 0
-    origin = (0,) * n
-    zero, unit = (1, {}), (1, {origin: (1, 0)})
+    zero, unit = (1, {}), (1, {0: (1, 0)})
     # F's terms of jet degree <= 1 as (a, c, flat), flat the jet keys; the
     # others split as Z^nu = Z^p z_e and grouped by p into the terms of L_p
     share = Counter(zk for nu in {nu for _, _, nu in F.terms}
                     if sum(p for _, p in nu) > 1 for zk, _ in nu)
     low, forms = [], {}
     for (a, beta, nu), c in F.terms.items():
-        c, flat = _from_crat({beta: c}), [zk for zk, p in nu for _ in range(p)]
+        c = _from_crat({beta: c}, B)
+        flat = [zk for zk, p in nu for _ in range(p)]
         if len(flat) < 2:
             low.append((a, c, flat))
             continue
@@ -227,23 +246,24 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     u_coeffs: list[tuple] = [zero]
     for k in range(1, order + 1):
         kx = F.k_x - k * a_used
+        lim = (kx + 1) * B ** n
         if F.z_clipped:
-            _check_clipped(F, used, jets, k, order, kx + a_used)
+            _check_clipped(F, used, jets, k, order, kx + a_used, B ** n)
         for p in products:
             head = powers[p[:-1]] if len(p) > 2 else jets[p[0]]
             tail = jets[p[-1]]
             powers[p].append(_cauchy(
                 [(head[k - j], tail[j]) for j in range(1, k - len(p) + 2)],
-                kx))
+                lim))
 
         # a linear term at a = 0 would see u_k itself: it is indicial, and
         # P_k = k^2 - k beta*_1 - beta*_0 gathers these terms
-        P, pairs = [(unit, (1, {origin: (k * k, 0)}))], []
+        P, pairs = [(unit, (1, {0: (k * k, 0)}))], []
         for a, c, flat in low:
             if not flat and a == k:
                 pairs.append((c, unit))
             elif flat and a == 0:
-                P.append((c, (1, {origin: (-k ** flat[0].i, 0)})))
+                P.append((c, (1, {0: (-k ** flat[0].i, 0)})))
             elif flat and a < k:
                 pairs.append((c, jets[flat[0]][k - a]))
         # L_p[k - |p|] is first read now, at the largest x-cap it needs
@@ -251,21 +271,21 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
             top = k - len(p)
             if top > 0:
                 L.append(_cauchy([(c, jets[e][top - a]) for a, c, e in terms
-                                  if top > a], kx))
+                                  if top > a], lim))
             Zp = powers[p] if len(p) > 1 else jets[p[0]]
             pairs += [(Zp[k - j], L[j]) for j in range(1, top + 1)]
-        P = _cauchy(P, kx)
-        if origin not in P[1]:
+        P = _cauchy(P, lim)
+        if 0 not in P[1]:
             raise IndicialZero(
                 f"indicial polynomial vanishes at s = {k}; the recursion "
                 f"cannot be solved at this order")
-        uk = _divide_unit(P, _cauchy(pairs, kx), n, kx)
+        uk = _divide_unit(P, _cauchy(pairs, lim), lim)
         u_coeffs.append(uk)
-        for zk, z in _jet_coeffs(uk, used, k).items():
+        for zk, z in _jet_coeffs(uk, used, k, n, B).items():
             jets[zk].append(z)
 
     u = SeriesTX(n, order, F.k_x - order * a_used,
-                 {(k, a): CRat(Frac(re, den), Frac(im, den))
+                 {(k, _unpack(a, n, B)): CRat(Frac(re, den), Frac(im, den))
                   for k, (den, uk) in enumerate(u_coeffs)
                   for a, (re, im) in uk.items()})
     verified = False
@@ -279,15 +299,15 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
 
 
 def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
-                   u_cap: int) -> None:
+                   u_cap: int, Bn: int) -> None:
     """Raise when F's dropped z-degrees could reach t^k.
 
     Terms above z-degree k_z are gone, so the substitution is reliable only
     to t-order (k_z + 1) * ord_min - 1, where ord_min is the least t-order
     among the used jet values of the partial sum, each read at the x-cap
-    u_cap - |alpha| that u_1 .. u_{k-1} carry into step k."""
+    u_cap - |alpha| that u_1 .. u_{k-1} carry into step k; Bn = B^n."""
     live = (j for j in range(1, k)
-            if any(sum(a) <= u_cap - sum(zk.alpha)
+            if any(a < (u_cap - sum(zk.alpha) + 1) * Bn
                    for zk in used for a in jets[zk][j][1]))
     ord_min = next(live, None)
     if ord_min is None:
@@ -298,22 +318,30 @@ def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
             f"substitution reliable only to t-order {kt} < {k}")
 
 
+def _valuation(z: list) -> int:
+    """Index of the first non-empty section of z, len(z) if none is."""
+    return next((k for k, (_, num) in enumerate(z) if num), len(z))
+
+
 def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
     """residual(eq, u, K).is_zero(), one t-order at a time on u's t^k
     sections u_k: the t^k coefficient of F(jet of u) - (t d/dt)^2 u is one
     _cauchy sum of c x^beta [t^(k-a)] Z^nu over F's terms and of -k^2 u_k.
     The caps are residual's: t-order min(F.k_t, u.k_t, K), and
     (k_z + 1) * ord_min - 1 after z-truncation; x-degree
-    min(F.k_x, u.k_x, u.k_x - |alpha|) over the jet keys F uses."""
-    F = eq.F
+    min(F.k_x, u.k_x, u.k_x - |alpha|) over the jet keys F uses.  Products
+    and sums start at the first t-order where both sides can be nonzero."""
+    F, n = eq.F, u.n
     used = F.jet_keys_used()
     kt = min(F.k_t, u.k_t, K)
     kx = min([F.k_x, u.k_x] + [u.k_x - sum(zk.alpha) for zk in used])
-    sections = [_from_crat({a: c for (j, a), c in u.terms.items() if j == k})
-                for k in range(kt + 1)]
+    B = max(F.k_x, u.k_x) + 1
+    lim = (kx + 1) * B ** n
+    sections = [_from_crat({a: c for (j, a), c in u.terms.items() if j == k},
+                           B) for k in range(kt + 1)]
     jets: dict[ZKey, list] = {zk: [] for zk in used}
     for k, uk in enumerate(sections):
-        for zk, z in _jet_coeffs(uk, used, k).items():
+        for zk, z in _jet_coeffs(uk, used, k, n, B).items():
             jets[zk].append(z)
     if F.z_clipped:
         # ord_min is read off the jet values at their own caps
@@ -325,10 +353,9 @@ def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
                 "must vanish at t = 0 after z-truncation")
         if ord_min is not None:
             kt = min(kt, (F.k_z + 1) * ord_min - 1)
-    # F's terms inside the caps as (a, c, Z^nu by t-order); each prefix of
-    # a flattened nu is multiplied once
-    origin = (0,) * u.n
-    products = {(): [(1, {origin: (1, 0)})] + [(1, {})] * kt,
+    # F's terms inside the caps as (valuation, a, c, Z^nu by t-order); each
+    # prefix of a flattened nu is multiplied once
+    products = {(): [(1, {0: (1, 0)})] + [(1, {})] * kt,
                 **{(zk,): z for zk, z in jets.items()}}
     rows = []
     for (a, beta, nu), c in F.terms.items():
@@ -338,13 +365,17 @@ def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
         for d in range(2, len(flat) + 1):
             if flat[:d] not in products:
                 head, tail = products[flat[:d - 1]], jets[flat[d - 1]]
-                products[flat[:d]] = [
-                    _cauchy([(head[j], tail[k - j]) for j in range(k + 1)],
-                            kx) for k in range(kt + 1)]
-        rows.append((a, _from_crat({beta: c}), products[flat]))
-    return not any(_cauchy([(c, Z[k - a]) for a, c, Z in rows if a <= k]
-                           + [((1, {origin: (-k * k, 0)}), sections[k])],
-                           kx)[1] for k in range(kt + 1))
+                vh, vt = _valuation(head), _valuation(tail)
+                products[flat[:d]] = [(1, {})] * (vh + vt) + [
+                    _cauchy([(head[j], tail[k - j])
+                             for j in range(vh, k - vt + 1)], lim)
+                    for k in range(vh + vt, kt + 1)]
+        Z = products[flat]
+        rows.append((a + _valuation(Z), a, _from_crat({beta: c}, B), Z))
+    start = min([v for v, _, _, _ in rows] + [_valuation(sections)])
+    return not any(_cauchy([(c, Z[k - a]) for v, a, c, Z in rows if v <= k]
+                           + [((1, {0: (-k * k, 0)}), sections[k])],
+                           lim)[1] for k in range(start, kt + 1))
 
 
 def residual(eq: FuchsianEquation, u: SeriesTX, K: int) -> SeriesTX:

@@ -43,8 +43,9 @@ def indicial_series(eq: FuchsianEquation, s: int) -> SeriesTX:
 
 
 def cauchy_by_pairs(pairs: list, cap: int) -> tuple:
-    """solver._cauchy on sections in any term order: every (f, g) pair and
-    every term pair is visited, and a product past the x-cap is skipped."""
+    """solver._cauchy's sum on tuple-keyed sections in any term order: every
+    (f, g) pair and every term pair is visited, and a product past the
+    x-cap is skipped."""
     den = lcm(*(f[0] * g[0] for f, g in pairs))
     re: dict = {}
     im: dict = {}

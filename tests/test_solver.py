@@ -9,11 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuchsian import solver
-from fuchsian.builtin import closed_form_series, load_equation, parse_equation
+from fuchsian.builtin import (MAX_K_X, closed_form_series, load_equation,
+                              parse_equation)
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import IndicialZero, ToolkitError, TruncationExhausted
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu,
+from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _alpha_key, _norm_nu,
                              alphas_of_degree, lambda_keys)
 from fuchsian.solver import (FormalSolution, derivative_tuple, residual,
                              solve_formal)
@@ -424,43 +425,136 @@ def test_integer_residual_check_stops_at_the_t_caps(make_eq, terms, k_t, K,
 # -- the integer product kernel ---------------------------------------
 
 
-def _degree_sorted(section):
-    degrees = [sum(a) for a in section[1]]
-    return degrees == sorted(degrees)
+def _ascending(section):
+    return list(section[1]) == sorted(section[1])
+
+
+def _packed(section, B):
+    """A tuple-keyed section in the solver's packed form, keys ascending."""
+    den, num = section
+    return den, {solver._pack(a, B): num[a]
+                 for a in sorted(num, key=_alpha_key)}
+
+
+def _unpacked(section, n, B):
+    den, num = section
+    return den, {solver._unpack(k, n, B): c for k, c in num.items()}
+
+
+def _limit(cap, n, B):
+    """The first packed key past x-cap cap."""
+    return (cap + 1) * B ** n
+
+
+@st.composite
+def _alphas_up_to(draw, n, top):
+    """An exponent tuple of length n and total degree at most top."""
+    rest, alpha = draw(st.integers(0, top)), []
+    for _ in range(n - 1):
+        alpha.append(draw(st.integers(0, rest)))
+        rest -= alpha[-1]
+    return (*alpha, rest)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[_alphas_up_to(n, MAX_K_X)] * 2)))
+@example(((MAX_K_X,), (0,)))
+@example(((0, 0, MAX_K_X), (1, 0, 0)))
+def test_packed_keys_round_trip_in_alpha_key_order(pair):
+    # B = MAX_K_X + 1 bounds every x-degree a parsed document can reach
+    B, n = MAX_K_X + 1, len(pair[0])
+    a, b = pair
+    assert solver._unpack(solver._pack(a, B), n, B) == a
+    assert ((solver._pack(a, B) < solver._pack(b, B))
+            == (_alpha_key(a) < _alpha_key(b)))
+    ab = tuple(x + y for x, y in zip(a, b))
+    if sum(ab) <= MAX_K_X:
+        assert solver._pack(a, B) + solver._pack(b, B) == solver._pack(ab, B)
 
 
 @st.composite
 def _cauchy_cases(draw):
-    """(f, g) pairs of sections whose monomials are listed by ascending
-    degree, in random order within a degree, empty sections included,
-    and an x-cap from below every degree to above most of them."""
-    n = draw(st.sampled_from((1, 2)))
-    alphas = [a for d in range(4) for a in alphas_of_degree(n, d)]
+    """(f, g) pairs of tuple-keyed sections, empty ones included, on n = 1,
+    2 or 3, with monomials of degree below a base B, and an x-cap from
+    below every degree to B - 1, where a carry past the cap would show."""
+    n, B = draw(st.sampled_from((1, 2, 3))), draw(st.integers(1, 5))
+    alphas = [a for d in range(B) for a in alphas_of_degree(n, d)]
     nums = st.integers(-9, 9)
 
     def section():
         support = draw(st.lists(st.sampled_from(alphas), unique=True,
                                 max_size=5))
         return draw(st.integers(1, 12)), {
-            a: draw(st.tuples(nums, nums).filter(any))
-            for a in sorted(support, key=sum)}
+            a: draw(st.tuples(nums, nums).filter(any)) for a in support}
 
     pairs = [(section(), section()) for _ in range(draw(st.integers(0, 4)))]
-    return pairs, draw(st.integers(-1, 7))
+    return n, B, pairs, draw(st.integers(-1, B - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cauchy_cases())
+@example((1, 3, [((2, {(0,): (1, 0)}), (3, {(1,): (0, 1)}))], -1))
+@example((1, 2, [((1, {}), (2, {(0,): (1, 1)})),
+                 ((5, {(1,): (2, 0)}), (1, {})),
+                 ((3, {(0,): (1, 0), (1,): (0, 2)}), (4, {(0,): (-1, 0)}))],
+          1))
+@example((2, 3, [((1, {(0, 1): (1, 0), (0, 2): (1, 0)}),
+                  (1, {(0, 1): (2, 0), (1, 1): (0, 1), (2, 0): (3, 0)}))], 2))
+@example((3, 4, [((1, {(0, 0, 3): (1, 0), (1, 2, 0): (2, 1)}),
+                  (1, {(0, 0, 1): (1, 0), (1, 0, 0): (1, 0)}))], 3))
+def test_cauchy_equals_the_pairwise_oracle(case):
+    # the packed kernel drops pairs with an empty side and stops each scan
+    # of g at its first key past the cap; the tuple-keyed oracle visits
+    # every pair in any order
+    n, B, pairs, cap = case
+    got = solver._cauchy([(_packed(f, B), _packed(g, B)) for f, g in pairs],
+                         _limit(cap, n, B))
+    assert _unpacked(got, n, B) == cauchy_by_pairs(pairs, cap)
+    assert _ascending(got)
+
+
+@st.composite
+def _division_cases(draw):
+    """A unit P whose tail holds monomials that divide some reached alpha
+    and not others, a G, n = 2 or 3, and the x-cap at B - 1, where a key
+    a - b with b not dividing a borrows into a valid-looking key."""
+    n, cap = draw(st.sampled_from((2, 3))), draw(st.integers(2, 4))
+    alphas = [a for d in range(cap + 1) for a in alphas_of_degree(n, d)]
+    nums = st.integers(-6, 6)
+
+    def section(support, first=()):
+        return draw(st.integers(1, 6)), {
+            a: draw(st.tuples(nums, nums).filter(any))
+            for a in (*first, *support)}
+
+    one = tuple(int(i == n - 1) for i in range(n))
+    tail = draw(st.lists(st.sampled_from(alphas[1:]), unique=True,
+                         min_size=1, max_size=4))
+    P = section({one, *tail}, first=[(0,) * n])
+    G = section(draw(st.lists(st.sampled_from(alphas), unique=True,
+                              min_size=1, max_size=4)))
+    return n, cap, P, G
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_cauchy_cases())
-@example(([((2, {(0,): (1, 0)}), (3, {(1,): (0, 1)}))], -1))
-@example(([((1, {}), (2, {(0,): (1, 1)})), ((5, {(1,): (2, 0)}), (1, {})),
-           ((3, {(0,): (1, 0), (1,): (0, 2)}), (4, {(0,): (-1, 0)}))], 1))
-def test_cauchy_equals_the_pairwise_oracle(case):
-    # the kernel drops pairs with an empty side and stops each scan of g
-    # at its first monomial past the cap; the oracle visits every pair
-    pairs, cap = case
-    got = solver._cauchy(pairs, cap)
-    assert got == cauchy_by_pairs(pairs, cap)
-    assert _degree_sorted(got)
+@given(_division_cases())
+@example((2, 2, (1, {(0, 0): (1, 0), (0, 1): (1, 0), (1, 1): (2, 0)}),
+          (1, {(0, 2): (1, 0), (1, 0): (3, 0)})))
+@example((3, 3, (1, {(0, 0, 0): (2, 1), (0, 0, 1): (1, 0), (0, 2, 0): (1, 0)}),
+          (3, {(0, 0, 3): (1, 0), (0, 1, 0): (0, 1), (1, 0, 0): (1, 0)})))
+def test_divide_unit_multiplies_back_to_g_below_the_cap(case):
+    # B = cap + 1: x^(1,0) has key B and x^(0,1) key 1, so B - 1 is the key
+    # of x^(0,cap) though (0,1) does not divide (1,0); the division reads
+    # a - b only where it is the key of a quotient
+    n, cap, P, G = case
+    B = cap + 1
+    u = solver._divide_unit(_packed(P, B), _packed(G, B), _limit(cap, n, B))
+    assert _ascending(u)
+    u = _unpacked(u, n, B)
+    assert all(sum(a) <= cap for a in u[1])
+    assert (cauchy_by_pairs([(P, u)], cap)
+            == cauchy_by_pairs([((1, {(0,) * n: (1, 0)}), G)], cap))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -470,8 +564,9 @@ def test_cauchy_equals_the_pairwise_oracle(case):
 @example((_clipped_cubic_equation(), 2))
 def test_every_solver_section_is_degree_sorted(case):
     # _cauchy's early stop is exact only on sections listed by ascending
-    # degree: every section the construction builds is one, and so is every
-    # section the check builds, from u's terms in any order
+    # key, so by ascending degree: every section the construction builds is
+    # one, and so is every section the check builds, from u's terms in any
+    # order
     eq, K = case
     u = _checked_u(eq, K)
     assume(u is not None)
@@ -492,7 +587,7 @@ def test_every_solver_section_is_degree_sorted(case):
                    recording(solver._jet_coeffs, dict.values))
         solve_formal(eq, K)
         assert solver._residual_vanishes(eq, flipped, K)
-    assert all(_degree_sorted(section) for section in built)
+    assert all(_ascending(section) for section in built)
 
 
 # -- guard counts on one fixed equation --------------------------------
@@ -588,12 +683,11 @@ def test_shared_factor_shares_one_cauchy_product(guard_equation,
     seen = {"pairs": 0, "products": 0}
     cauchy = solver._cauchy
 
-    def counting(pairs, cap):
+    def counting(pairs, lim):
         seen["pairs"] += len(pairs)
-        seen["products"] += sum(sum(a1) + sum(a2) <= cap
-                                for (_, f), (_, g) in pairs
-                                for a1 in f for a2 in g)
-        return cauchy(pairs, cap)
+        seen["products"] += sum(k1 + k2 < lim for (_, f), (_, g) in pairs
+                                for k1 in f for k2 in g)
+        return cauchy(pairs, lim)
 
     monkeypatch.setattr(solver, "_cauchy", counting)
     sol = solve_formal(guard_equation, 12, verify=False)
