@@ -27,6 +27,7 @@ from pathlib import Path
 from . import __version__
 from .builtin import (
     BUILTIN_NAMES,
+    MAX_COEFF_BITS,
     closed_form_eval,
     closed_form_series,
     parse_equation_bytes,
@@ -60,7 +61,8 @@ def _series_terms(u: SeriesTX) -> list:
 
 def _parse_w(spec: str, n: int, k_t: int, k_x: int) -> SeriesTX:
     """Monomial-sum syntax: terms separated by ';', each term
-    'coeff,tpow,a1 a2 ... an' with coeff an integer or p/q."""
+    'coeff,tpow,a1 a2 ... an' with coeff an integer or p/q whose numerator
+    and denominator have at most MAX_COEFF_BITS bits, as in an equation."""
     w = SeriesTX.zero(n, k_t, k_x)
     for pos, chunk in enumerate(spec.split(";")):
         parts = [p.strip() for p in chunk.split(",")]
@@ -77,6 +79,9 @@ def _parse_w(spec: str, n: int, k_t: int, k_x: int) -> SeriesTX:
             raise InputError(f"w term {pos}: alpha needs {n} entries")
         if tpow < 0 or any(a < 0 for a in alpha):
             raise InputError(f"w term {pos}: negative power")
+        if max(abs(coeff.numerator), coeff.denominator) >> MAX_COEFF_BITS:
+            raise InputError(f"w term {pos}: coeff needs more than "
+                             f"{MAX_COEFF_BITS} bits in p or q")
         if tpow > k_t or sum(alpha) > k_x:
             raise InputError(
                 f"w term {pos}: t^{tpow} of x-degree {sum(alpha)} lies beyond "
@@ -277,13 +282,9 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
             "reaches_origin": origin,
         },
     })
-    report["timings"] = {
-        "grid_points": barrier_report["work"]["grid_points"],
-        "phi_evals": barrier_report["work"]["phi_evals"],
-        "coefficient_evals": barrier_report["work"]["coefficient_evals"],
-        "ode_steps_accepted": path.steps_accepted,
-        "ode_steps_rejected": path.steps_rejected,
-    }
+    report["timings"] = {**barrier_report["work"],
+                         "ode_steps_accepted": path.steps_accepted,
+                         "ode_steps_rejected": path.steps_rejected}
     if args.csv:
         hf = float(params.h)
         lines = ["t,rho,q,weighted_q"]

@@ -86,8 +86,6 @@ class RhoPoly:
 
     def scale(self, c) -> "RhoPoly":
         c = Frac(c)
-        if c < 0:
-            raise NegativeCoefficient(f"scale factor {c} < 0")
         return RhoPoly(tuple(v * c for v in self.coeffs))
 
     def d_rho(self) -> "RhoPoly":
@@ -148,10 +146,6 @@ class SectorMajorant:
     def __add__(self, other: "SectorMajorant") -> "SectorMajorant":
         if not isinstance(other, SectorMajorant):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         out = dict(self.coeffs)
         for k, p in other.coeffs.items():
             out[k] = out[k] + p if k in out else p

@@ -187,8 +187,6 @@ class SeriesTX:
 
     def scale(self, c) -> "SeriesTX":
         c = _coeff(c)
-        if c.is_zero():
-            return SeriesTX.zero(self.n, self.k_t, self.k_x)
         return SeriesTX(self.n, self.k_t, self.k_x,
                         {key: v * c for key, v in self.terms.items()})
 
@@ -340,9 +338,6 @@ class SeriesTXZ:
                 min(self.k_z, other.k_z))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            other = SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
-                              {(0, (0,) * self.n, ()): other})
         if not isinstance(other, SeriesTXZ):
             return NotImplemented
         kt, kx, kz = self._join(other)
@@ -353,29 +348,21 @@ class SeriesTXZ:
         return SeriesTXZ(self.n, kt, kx, kz, out,
                          z_clipped=self.z_clipped or other.z_clipped)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, SeriesTXZ):
-            return self + (-other)
-        if isinstance(other, (int, Fraction, CRat)):
-            return self + (-_coeff(other))
-        return NotImplemented
+        if not isinstance(other, SeriesTXZ):
+            return NotImplemented
+        return self + (-other)
 
     def scale(self, c) -> "SeriesTXZ":
         c = _coeff(c)
-        if c.is_zero():
-            return SeriesTXZ.zero(self.n, self.k_t, self.k_x, self.k_z)
         return SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
                          {key: v * c for key, v in self.terms.items()},
                          z_clipped=self.z_clipped)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            return self.scale(other)
         if not isinstance(other, SeriesTXZ):
             return NotImplemented
         kt, kx, kz = self._join(other)
@@ -394,15 +381,6 @@ class SeriesTXZ:
                 out[key] = c if acc is None else acc + c
         return SeriesTXZ(self.n, kt, kx, kz, out,
                          z_clipped=self.z_clipped or other.z_clipped)
-
-    __rmul__ = __mul__
-
-    # -- structure access ---------------------------------------------
-
-    def z_free_part(self) -> SeriesTX:
-        return SeriesTX(self.n, self.k_t, self.k_x,
-                        {(k, a): c for (k, a, nu), c in self.terms.items()
-                         if not nu})
 
     # -- substitution ---------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Oracles that only the tests need: a manufactured-solution forcing, the
 indicial x-series of the order-by-order recursion, the solver's Cauchy
 sum over every term pair, the term-by-term jet expansion behind shift_z
-and substitute_z_linear, the products of majorants behind the
+and substitute_z_linear, the recombination of a split right-hand side
+with the ring operators, the products of majorants behind the
 submultiplicativity property, and the grid checks of verify_barrier with
 every check counted through _Check.record."""
 
@@ -15,7 +16,7 @@ from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import A2Violation
 from fuchsian.majorant import RhoPoly, SectorMajorant
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import SeriesTX, SeriesTXZ
+from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort
 from fuchsian.solver import residual
 
 
@@ -95,6 +96,38 @@ def substitute_z_linear_by_terms(F: SeriesTXZ, mapping: dict) -> SeriesTXZ:
         zk: sum((SeriesTXZ.z_var(F.n, F.k_t, F.k_x, F.k_z, zk2).scale(c)
                  for c, zk2 in combo), zero)
         for zk, combo in mapping.items()})
+
+
+def reconstruct_by_products(dec) -> SeriesTXZ:
+    """certificate.reconstruct with the ring operators: each split
+    coefficient, at theta_rhs's caps, times its jet factors (and t for the
+    a family), added to the running sum with +.  The chain of * and + sets
+    the caps; the cost is quadratic in the output."""
+    G = dec.theta_rhs
+    n, kt, kx, kz = G.n, G.k_t, G.k_x, G.k_z
+    zeros = (0,) * n
+
+    def at_caps(s):
+        return SeriesTXZ(n, kt, kx, kz, s.terms, z_clipped=s.z_clipped)
+
+    def lift(f):
+        return SeriesTXZ(n, kt, kx, kz,
+                         {(k, a, ()): c for (k, a), c in f.terms.items()})
+
+    def zvar(zk):
+        return SeriesTXZ.z_var(n, kt, kx, kz, zk)
+
+    acc = lift(dec.beta0) * zvar(ZKey(0, zeros))
+    acc = acc + lift(dec.beta1) * zvar(ZKey(1, zeros))
+    tvar = SeriesTXZ(n, kt, kx, kz, {(1, zeros, ()): 1})
+    for host in sorted(dec.a, key=_zkey_sort):
+        acc = acc + tvar * at_caps(dec.a[host]) * zvar(host)
+    for host in sorted(dec.b, key=_zkey_sort):
+        acc = acc + at_caps(dec.b[host]) * zvar(host)
+    for za, zb in sorted(dec.c, key=lambda p: (_zkey_sort(p[0]),
+                                               _zkey_sort(p[1]))):
+        acc = acc + at_caps(dec.c[(za, zb)]) * zvar(za) * zvar(zb)
+    return acc
 
 
 def rho_product(p: RhoPoly, q: RhoPoly) -> RhoPoly:

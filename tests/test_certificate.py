@@ -6,14 +6,19 @@ assertion), and direct evaluation of the corner formulas restated inline
 with math.pow, never through the code path under test.
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuchsian import certificate
+from fuchsian import certificate, cli
 from fuchsian.builtin import load_equation, parse_equation
-from fuchsian.certificate import (BarrierParams, BarrierSystem, ProfileFamily,
+from fuchsian.certificate import (BarrierParams, BarrierSystem, Decomposition,
+                                  ProfileFamily,
                                   _slope, _slope_inner, _undominated_jet,
                                   barrier_grid, build_shifted_rhs,
                                   choose_params, normal_form, profile_family,
@@ -24,9 +29,13 @@ from fuchsian.errors import (HypothesisViolated, InexactRoots,
                              NonpositiveExponent, UnsplittableTerm)
 from fuchsian.majorant import RhoPoly, SectorMajorant, norm_xz
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort
+from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _zkey_sort,
+                             lambda_keys)
 from fuchsian.solver import solve_formal
-from oracles import grid_checks_by_record, manufactured
+from oracles import grid_checks_by_record, manufactured, reconstruct_by_products
+from test_bench_reference import WORKLOADS
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +80,7 @@ def test_shifted_rhs_has_no_jet_free_part():
     eqf = load_equation("remark3_forced")
     sol = solve_formal(eqf, 4)
     H = build_shifted_rhs(eqf, sol.u)
-    assert H.z_free_part().is_zero()
+    assert H.terms and all(nu for _, _, nu in H.terms)
 
 
 def test_shifted_rhs_rejects_base_with_constant_term():
@@ -91,7 +100,7 @@ def test_normal_form_frozen_decomposition(remark3_setup):
     assert dec.a == {} and dec.b == {}
     key = (ZKey(0, (2,)), ZKey(0, (2,)))
     assert set(dec.c.keys()) == {key}
-    assert dec.c[key].z_free_part().coeff(0, (0,)) == CRat(Frac(1))
+    assert dec.c[key].terms[(0, (0,), ())] == CRat(Frac(1))
 
 
 def test_reconstruct_is_exact(remark3_setup):
@@ -99,11 +108,169 @@ def test_reconstruct_is_exact(remark3_setup):
     assert reconstruct(dec) == dec.theta_rhs
 
 
+def _split(eq):
+    # the decomposition certify builds: shifted by the order-4 solution
+    cd = eq.char_exponents()
+    return cd, normal_form(build_shifted_rhs(eq, solve_formal(eq, 4).u), cd)
+
+
+@pytest.mark.parametrize("source", ["remark2", "remark3", "remark3_forced",
+                                    *(f"dense-{s}" for s in range(10))])
+def test_reconstruct_equals_ring_operator_oracle(source):
+    # every built-in and one document of each of the 10 solve-dense shapes;
+    # none of them has c hosts next to a or b hosts, which the property
+    # below covers
+    eq = (load_equation(source) if not source.startswith("dense")
+          else parse_equation(WORKLOADS.solve_document(int(source[6:]), 0)))
+    _, dec = _split(eq)
+    got = reconstruct(dec)
+    assert got == reconstruct_by_products(dec) == dec.theta_rhs
+    assert (got.k_t, got.k_x, got.k_z) == (dec.theta_rhs.k_t,
+                                           dec.theta_rhs.k_x,
+                                           dec.theta_rhs.k_z)
+
+
+@st.composite
+def decompositions(draw):
+    """Decompositions with all five families non-empty.  Their terms, jet
+    hosts included, may pass theta_rhs's caps in t, in x and in z-degree,
+    so that the truncation of each product is exercised."""
+    n = draw(st.integers(1, 2))
+    kt, kx, kz = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                  draw(st.integers(1, 3)))
+    keys = lambda_keys(n)
+
+    def terms(jets):
+        out = {}
+        for _ in range(draw(st.integers(1, 3))):
+            nu = _norm_nu((zk, 1) for zk in draw(
+                st.lists(st.sampled_from(keys), max_size=jets)))
+            key = (draw(st.integers(0, kt + 1)),
+                   tuple(draw(st.integers(0, 2)) for _ in range(n)), nu)
+            out[key] = CRat(Frac(draw(st.sampled_from([-3, -1, 1, 2])),
+                                 draw(st.integers(1, 3))),
+                            Frac(draw(st.integers(-1, 1))))
+        return out
+
+    def series(jets):
+        return SeriesTXZ(n, kt + 1, kx + 4, kz + 1, terms(jets))
+
+    def hosts():
+        return draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                             unique=True))
+
+    betas = [SeriesTX(n, kt + 1, kx + 4, {(k, a): c for (k, a, _), c
+                                           in terms(0).items()})
+             for _ in range(2)]
+    pairs = {tuple(sorted(draw(st.lists(st.sampled_from(keys), min_size=2,
+                                        max_size=2)), key=_zkey_sort))
+             for _ in range(draw(st.integers(1, 2)))}
+    return Decomposition(
+        beta0=betas[0], beta1=betas[1],
+        a={h: series(kz) for h in hosts()}, b={h: series(kz) for h in hosts()},
+        c={pr: series(kz) for pr in pairs},
+        theta_rhs=SeriesTXZ.zero(n, kt, kx, kz))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(dec=decompositions())
+def test_reconstruct_matches_oracle_on_random_decompositions(dec):
+    assert not (dec.beta0.is_zero() or dec.beta1.is_zero())
+    assert all(s.terms for fam in (dec.a, dec.b, dec.c)
+               for s in fam.values())
+    assert reconstruct(dec) == reconstruct_by_products(dec)
+
+
+def _drop_one_term(dec, family):
+    # dec with the first term of one family's first series removed
+    if family.startswith("beta"):
+        s = getattr(dec, family)
+        kept = dict(list(s.terms.items())[1:])
+        return dec._replace(**{family: SeriesTX(s.n, s.k_t, s.k_x, kept)})
+    fam = dict(getattr(dec, family))
+    host, s = next(iter(fam.items()))
+    fam[host] = SeriesTXZ(s.n, s.k_t, s.k_x, s.k_z,
+                          dict(list(s.terms.items())[1:]))
+    return dec._replace(**{family: fam})
+
+
+@pytest.mark.parametrize("family", ["beta0", "beta1", "a", "b", "c"])
+def test_dropped_split_term_fails_the_reconstruction_check(family):
+    # x-dependent betas and a, b and c hosts; K_x leaves x-degree 4 after
+    # the shift, so every family has terms inside theta_rhs's caps
+    cd, dec = _split(parse_equation({
+        "name": "x-betas", "m": 2, "n": 1,
+        "terms": _FOUR_FAMILIES + _X_BETAS_EXTRA,
+        "truncation": {"K_t": 6, "K_x": 14, "K_z": 4}}))
+    w = SeriesTX.monomial(1, 6, 14, 1, 1, (2,))
+    prof = profile_family(w, cd)
+    params, _ = choose_params(cd, dec, prof)
+    rep = verify_barrier(BarrierSystem(dec, prof, params), 3, 3)
+    assert rep["checks"]["reconstruction"] == {"ok": True}
+    broken = _drop_one_term(dec, family)
+    assert broken != dec
+    rep = verify_barrier(BarrierSystem(broken, prof, params), 3, 3)
+    assert rep["checks"]["reconstruction"] == {"ok": False}
+    assert rep["ok"] is False
+
+
+def test_broken_split_makes_certify_exit_1(monkeypatch, tmp_path):
+    # a split that fails to recombine is a failed check in the report, not
+    # an internal error: the first c coefficient keeps its two jet factors
+    drop, calls = certificate._nu_drop, []
+
+    def keep_first(nu, *gone):
+        calls.append(nu)
+        return nu if len(calls) == 1 else drop(nu, *gone)
+
+    monkeypatch.setattr(certificate, "_nu_drop", keep_first)
+    out = tmp_path / "report.json"
+    code = cli.main(["certify", "remark3", "--grid", "3x3", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 1 and "error" not in report
+    checks = report["results"]["barrier"]["checks"]
+    assert checks["reconstruction"] == {"ok": False}
+
+
+def test_reconstruct_builds_one_series(monkeypatch):
+    _, dec = _split(parse_equation(json.loads(
+        (GOLDEN_INPUTS / "dense_0_0.json").read_text())))
+    built = [0]
+    init = SeriesTXZ.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeriesTXZ, "__init__", counting)
+    assert reconstruct(dec) == dec.theta_rhs
+    assert built[0] == 1
+
+
+def test_certify_decides_each_structural_check_once(monkeypatch, tmp_path):
+    calls = {"reconstruct": 0, "_undominated_jet": 0}
+    for name in calls:
+        real = getattr(certificate, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(certificate, name, counting)
+    for argv in (["remark3"], ["remark3_forced", "--seed", "3"]):
+        for name in calls:
+            calls[name] = 0
+        out = tmp_path / "report.json"
+        cli.main(["certify", *argv, "--grid", "4x4", "--out", str(out)])
+        assert json.loads(out.read_text())["results"]["barrier"]["checks"][
+            "reconstruction"] == {"ok": True}
+        assert calls == {"reconstruct": 1, "_undominated_jet": 1}
+
+
 def test_normal_form_random_roundtrip():
     # random equations with exact rational exponents; solve, recentre,
     # decompose, and require the reassembled series to match exactly
     rng = random.Random(8844)
-    from fuchsian.series import lambda_keys
     done = 0
     while done < 12:
         n = 1 + (done % 2)
@@ -142,10 +309,9 @@ def test_normal_form_random_roundtrip():
         H = build_shifted_rhs(eqf, sol.u)
         dec = normal_form(H, cd)
         assert reconstruct(dec) == dec.theta_rhs
-        # a b entry keeps at least one jet factor in every term: its
-        # jet-free part is identically zero
+        # a b entry keeps at least one jet factor in every term
         for s in dec.b.values():
-            assert s.z_free_part().is_zero()
+            assert all(nu for _, _, nu in s.terms)
         done += 1
 
 
@@ -197,9 +363,10 @@ def test_profile_step_domination_exact(remark3_setup):
 
 
 def test_jet_domination_failure_names_the_jet(remark3_setup, monkeypatch):
-    # one rule for profile_family's assert and the report's
-    # profile_domination check: halving slot (0, 2) leaves d^2 w = 2t
-    # above it, and a headroom below 1 fails the first jet, w itself
+    # the report's profile_domination check is the one place jet domination
+    # is decided: halving slot (0, 2) leaves d^2 w = 2t above it, and a
+    # headroom below 1 fails the first jet, w itself, while profile_family
+    # still returns its profiles
     _, cd, dec, w, prof, params, _ = remark3_setup
     assert _undominated_jet(w, prof.slots) is None
     slots = {**prof.slots, (0, 2): prof.slots[(0, 2)].scale(Frac(1, 2))}
@@ -208,9 +375,12 @@ def test_jet_domination_failure_names_the_jet(remark3_setup, monkeypatch):
                          2, 2)
     assert rep["checks"]["profile_domination"] == {"ok": False}
     monkeypatch.setattr(certificate, "_HEADROOM", Frac(1, 2))
-    with pytest.raises(AssertionError, match=r"profile \(0, 0\) fails to "
-                       r"dominate jet ZKey\(i=0, alpha=\(0,\)\)"):
-        profile_family(w, cd)
+    halved = profile_family(w, cd)
+    assert halved.slots == prof.slots
+    assert _undominated_jet(w, halved.slots) == ZKey(0, (0,))
+    rep = verify_barrier(BarrierSystem(dec, halved, params), 2, 2)
+    assert rep["checks"]["profile_domination"] == {"ok": False}
+    assert rep["ok"] is False
 
 
 def test_profile_family_rejects_inexact_roots():
@@ -706,13 +876,6 @@ def test_record_early_return_keeps_every_verdict():
             assert chk.worst == max(0.0, lhs - allowed(rhs))
 
 
-def _shifted_builtin(name):
-    # the decomposition certify builds: shifted by the order-4 solution
-    eq = load_equation(name)
-    cd = eq.char_exponents()
-    return cd, normal_form(build_shifted_rhs(eq, solve_formal(eq, 4).u), cd)
-
-
 def _faulty(system, seed):
     # system.grid with one seeded fault per point: one of the 15 checks has
     # its lhs moved onto rhs * (1 +- f), f log-uniform from well inside the
@@ -783,7 +946,7 @@ def test_inline_grid_checks_equal_record_oracle(source):
     # work, on clean and on faulty grids; a non-square grid and a seeded w
     # whose sectors have at least three Horner levels in t
     if source.startswith("remark3"):
-        (cd, dec), (k_t, k_x) = _shifted_builtin(source), (10, 12)
+        (cd, dec), (k_t, k_x) = _split(load_equation(source)), (10, 12)
     else:
         extra = {"four-families": [], "with-z11-host": _Z11_EXTRA,
                  "with-x-betas": _X_BETAS_EXTRA}[source]

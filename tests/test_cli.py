@@ -275,6 +275,10 @@ def test_certify_corrupted_eps00_flags_growth_bound(capsys):
     # a zero test function used to pass every check vacuously
     ("--w", "0,1,2", "w sums to zero: '0,1,2'"),
     ("--w", "1,1,2;-1,1,2", "w sums to zero: '1,1,2;-1,1,2'"),
+    # past the 256 bits of an equation file's coefficients: 10^400 made
+    # the profiles overflow a float, an internal error with exit 3
+    ("--w", "1" + "0" * 400 + ",1,2", "coeff needs more than 256 bits"),
+    ("--w", f"1,1,2;-1/{2 ** 256},2,0", "w term 1: coeff needs more than"),
 ])
 @pytest.mark.parametrize("name", ["remark3", "remark2"])
 def test_certify_bad_flag_is_input_error(capsys, name, flag, value, fragment):
@@ -312,6 +316,18 @@ def test_certify_explicit_w(capsys):
     assert rc in (0, 1)
     assert rep["results"]["w_terms"] == [
         {"coeff": [1, 2, 0, 1], "t_pow": 1, "x_pows": [2]}]
+
+
+def test_certify_w_at_the_coefficient_bit_limit_runs(capsys):
+    # the profiles of a 256-bit coefficient stay finite floats: the box
+    # search gives up on the huge one, and the tiny one runs the grid
+    big = 2 ** 256 - 1
+    rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "4x4",
+                          "--w", f"{big},1,2;1/{big},2,1")
+    assert rc == 2 and rep["error"]["type"] == "SearchExhausted"
+    rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "4x4",
+                          "--w", f"1/{big},1,2")
+    assert rc in (0, 1)
 
 
 def test_certify_malformed_w_exits_two(capsys):
@@ -360,6 +376,8 @@ def test_certify_timings_are_deterministic_counters(capsys):
     rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "8x8")
     t = rep["timings"]
     assert t["grid_points"] == 64
+    work = rep["results"]["barrier"]["work"]
+    assert {k: t[k] for k in work} == work
     assert t["phi_evals"] > 0
     assert t["coefficient_evals"] > 0
     assert t["ode_steps_accepted"] > 0
