@@ -6,9 +6,10 @@ comparison profiles for a test function w, select the weight parameters,
 and verify the resulting differential inequality pointwise on a grid.
 
 Everything up to grid evaluation is exact rational arithmetic.  The grid
-runs in floats on a tensor product: BarrierSystem.grid caches the inner
-Horner values of every majorant once per rho column, so a point costs only
-the outer Horner passes in t, bit for bit the per-point values.
+runs in floats on a tensor product, in one kernel, BarrierSystem.grid: a
+rho column evaluates every rho-polynomial it reads in one Horner pass, a t
+row takes the powers of t, and a point costs the outer Horner passes in t
+and straight-line float expressions, bit for bit Horner on each majorant.
 Each pointwise check, like the path checks in characteristics.py, is a
 float comparison against characteristics.allowed(rhs), the one tolerance
 rule; violations are reported, never absorbed, and a pass is not a proof.
@@ -348,27 +349,11 @@ def choose_params(cd: CharData, dec: Decomposition,
     return params, cert
 
 
-def _slope_inner(pack, rho: float) -> list:
-    """Inner values at rho of the profiles _slope reads: dr, then each dz."""
-    _, dr, dz = pack
-    return [dr.inner(rho), *(g.inner(rho) for _, g in dz)]
-
-
-def _slope(pack, inner: list, t: float, phiv: dict, dphiv: dict) -> float:
-    """Total rho-derivative of a composed coefficient norm: direct slope
-    plus the chain through every profile slot."""
-    _, dr, dz = pack
-    v = dr.outer(inner[0], t, phiv)
-    for (zk, g), gi in zip(dz, inner[1:]):
-        v += g.outer(gi, t, phiv) * dphiv[zk]
-    return v
-
-
 class BarrierSystem:
     """The barrier q, its derivatives, and the majorant coefficients A and
-    B of the differential inequality.  Each has one kernel that takes the
-    values it is built from: from eval at one point, from column caches on
-    a grid."""
+    B of the differential inequality.  grid is their one kernel: it takes
+    them at every point of a tensor grid, and barrier, growth_bound and
+    transport_rate read one point of it, on a 1 x 1 grid."""
 
     def __init__(self, dec: Decomposition, profiles: ProfileFamily,
                  params: BarrierParams):
@@ -412,8 +397,6 @@ class BarrierSystem:
                 + [("c", None, pr, s) for pr, s in dec.c.items()])
         self.kinds = [(kind, wt, host) for kind, wt, host, _ in fams]
         self.packs = [pack(s) for *_, s in fams]
-        # whether grid must pass phi and dphi to the coefficients
-        self._reads = any(nu for pk in self.packs for _, nu in pk[0].profiles)
         self.inv_eps = sum(1.0 / wt for wt in eps.values())
         self.n_high = len(self.keys) - len(eps)
         self.nbeta0 = norm_x(dec.beta0).slice(0)
@@ -422,127 +405,151 @@ class BarrierSystem:
         self.dbeta1 = self.nbeta1.d_rho()
         self.betas = (self.nbeta0, self.nbeta1, self.dbeta0, self.dbeta1)
 
+        # the kernel's plan.  A column evaluates every rho-polynomial the
+        # grid reads in one Horner pass in rho: the sectors' t-slices level
+        # by level, highest power first and () above a sector's top; the
+        # four betas; the terms of each pack, of its rho-derivative and of
+        # its nonzero jet derivatives.  Per pack, in sum order: kind, eps,
+        # e11/eps, where its profiles' values lie in the pass (the pack's
+        # again last, for B), the terms a point sums (those profiles with
+        # A's phi, the pack with B's) and the sector of dphi for each jet
+        # derivative.  A term is (t-power, ((index, power), ...)), indexing
+        # a point's values: the twelve sectors, phi for A, phi for B
+        levels = [m.horner() for m in self.sectors]
+        top = max(1, *map(len, levels))
+        polys, self._levels = [], []
+        for j in range(top):
+            level = [lv[j - top + len(lv)] if j >= top - len(lv) else ()
+                     for lv in levels]
+            # a level below the top where every slice is empty is zero
+            keep = not j or any(level)
+            self._levels.append(len(polys) if keep else None)
+            polys += level if keep else []
+        self._nb = len(polys)
+        polys += [b.horner() for b in self.betas]
+        nk, dphi = len(self.keys), dict(self._dphi)
+        at = {zk: 12 + j for j, zk in enumerate(self.keys)}
+        self._plan = []
+        for (kind, wt, _), (prof, dr, dz) in zip(self.kinds, self.packs):
+            spans, segs = [], []
+            for f in (prof, dr, *(g for _, g in dz)):
+                terms = f.horner_terms()
+                spans.append((len(polys), len(polys) + len(terms)))
+                polys += [cs for _, cs, _ in terms]
+                segs.append(tuple((k, tuple((at[zk], p) for zk, p in nu))
+                                  for k, _, nu in terms))
+            spans.append(spans[0])
+            segs.append(tuple((k, tuple((i + nk, p) for i, p in nu))
+                              for k, nu in segs[0]))
+            self._plan.append((kind, wt, None if wt is None else self.e11 / wt,
+                               spans, segs, tuple(dphi[zk] for zk, _ in dz)))
+        # coefficient rows of the pass, zero-padded on top
+        deg = max(1, *map(len, polys))
+        self._row0, *self._rows = zip(*((0.0,) * (deg - len(cs)) + cs
+                                        for cs in polys))
+        self._kmax = max((k for *_, segs, _ in self._plan for seg in segs
+                          for k, _ in seg), default=0)
+
     def phi_values(self, t: float, rho: float) -> dict:
         return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
 
     def barrier(self, t: float, rho: float) -> float:
-        # q reads the five slots, the first five sectors
-        v = [m.eval(t, rho) for m in self.sectors[:5]]
-        return self._q(t ** self.kf, v)
+        return next(self.grid([t], [rho]))[3]
 
     def growth_bound(self, t: float, rho: float) -> float:
         """Multiplier of q in the differential inequality.  Reads the
         weights only; the box enters through where it gets evaluated."""
-        phiv = self.phi_values(t, rho)
-        dphiv = {zk: self.sectors[s].eval(t, rho) for zk, s in self._dphi}
-        comp = [pk[0].eval(t, rho, phiv) for pk in self.packs]
-        drho = [_slope(pk, _slope_inner(pk, rho), t, phiv, dphiv)
-                for pk in self.packs]
-        return self._growth(t, t ** (1.0 - self.kf),
-                            math.sqrt(self.p[(0, 2)].eval(t, rho)),
-                            self._rho_terms(rho), comp, drho)
+        return next(self.grid([t], [rho]))[7]
 
     def transport_rate(self, t: float, rho: float) -> float:
         """Multiplier of the rho-derivative of q; also the speed of the
         domain-shrinking flow."""
-        phiv = self.phi_values(t, rho)
-        comp = [pk[0].eval(t, rho, phiv) for pk in self.packs]
-        return self._transport(t, t ** self.kf, t ** (1.0 - self.kf),
-                               math.sqrt(self.p[(0, 2)].eval(t, rho)), comp)
-
-    def _q(self, tk: float, v) -> float:
-        """q from the slot values v[:5]."""
-        v00, v10, v01, v11, v02 = v[:5]
-        return (self.e00 * v00 + v10 + tk * v02 + self.e01 * v01
-                + self.e11 * v11 + v02 ** 1.5)
-
-    def _jet(self, tk: float, v: list) -> tuple:
-        """q, dq/drho and t dq/dt (term calculus on each part) from v."""
-        e00, e01, e11 = self.e00, self.e01, self.e11
-        v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, e02v = v
-        sq02 = math.sqrt(v02)
-        q = self._q(tk, v)
-        dq = (e00 * v01 + v11 + tk * dv02 + e01 * v02 + e11 * dv11
-              + 1.5 * sq02 * dv02)
-        tdq = (e00 * e00v + e10v + tk * (self.kf * v02 + e02v)
-               + e01 * e01v + e11 * e11v + 1.5 * sq02 * e02v)
-        return q, dq, tdq
-
-    def _rho_terms(self, rho: float) -> tuple:
-        """The four terms of A that depend on rho alone, from the values of
-        self.betas: the one A starts from, and the three it adds after the
-        coefficient families."""
-        e00, e01, e11 = self.e00, self.e01, self.e11
-        nb0, nb1, db0, db1 = [b.eval(rho) for b in self.betas]
-        return (e00 + (nb0 / e00 + nb1), self.kf + e01 / e11,
-                e11 * (db0 / e00 + db1), e11 * (nb0 / e01 + nb1 / e11))
-
-    def _growth(self, t, t1k, sq02, rho_terms, comp, drho) -> float:
-        """A from _rho_terms(rho) and the values of the packs and their
-        slopes."""
-        acc, r1, r2, r3 = rho_terms
-        for (kind, eps, _), x in zip(self.kinds, comp):
-            acc += (t / eps * x if kind == "a1" else t1k * x if kind == "a2"
-                    else x / eps if kind == "b" else x * sq02)
-        return self._e11_terms(acc + r1 + r2 + r3, t, t1k, sq02, drho,
-                               self.e11)
-
-    def _transport(self, t, tk, t1k, sq02, comp) -> float:
-        """B from the values of the packs."""
-        e11 = self.e11
-        acc = self._e11_terms(tk / e11, t, t1k, sq02, comp, 4.0 * e11 / 3.0)
-        return acc + 1.5 / e11 * sq02
-
-    def _e11_terms(self, acc, t, t1k, sq02, xs, wc) -> float:
-        """acc plus the e11-weighted terms of xs, wc * x * sq02 for c."""
-        e11 = self.e11
-        for (kind, eps, _), x in zip(self.kinds, xs):
-            acc += (e11 / eps * t * x if kind == "a1" else e11 * t1k * x
-                    if kind == "a2" else e11 / eps * x if kind == "b"
-                    else wc * x * sq02)
-        return acc
+        return next(self.grid([t], [rho]))[8]
 
     def grid(self, ts: list, rhos: list):
-        """Yield (t, rho, tk, q, dq, tdq, v, A, B) row by row, bit for bit
-        as per point (tk = t**kappa, v the sector values).  Each rho column
-        caches the inner Horner values of the sectors, of phi for A and for
-        B, and of the packs, and A's terms in rho alone.  A and B each
-        evaluate phi and the packs, as growth_bound and transport_rate do;
-        work counts that."""
-        packs, reads, keys, nk = self.packs, self._reads, self.keys, len(self.keys)
-        columns = []
+        """Yield (t, rho, tk, q, dq, tdq, v, A, B) row by row (tk =
+        t**kappa, v the sector values), bit for bit Horner on each majorant
+        alone.  A rho column runs the one Horner pass in rho of the plan
+        and takes A's terms in rho alone; a t row takes the powers of t.  A
+        point runs the outer Horner passes in t of the sectors and of phi
+        for A and for B, one loop over the packs for A's values and slopes
+        and B's values, and straight-line float expressions, with no call.
+        A and B each evaluate phi and the packs; work counts that."""
+        e00, e01, e11, kf = self.e00, self.e01, self.e11, self.kf
+        wc, sq_b, plan = 4.0 * e11 / 3.0, 1.5 / e11, self._plan
+        cols = list(range(12)) + 2 * [s for _, s in self._phi]
+        nb, columns = self._nb, []
         for rho in rhos:
-            sect = [m.inner(rho) for m in self.sectors]
-            cols = sect + 2 * [sect[s] for _, s in self._phi]
-            # Horner levels in t, highest first, zero-padded on top: that and
-            # starting at the leading level change no value (finite t, c >= 0)
-            top = max(1, *map(len, cols))
-            lead, *rest = zip(*([0.0] * (top - len(c)) + c for c in cols))
-            # a * t + 0.0 is a * t: a level of zeros only multiplies
-            columns.append((rho, lead, [lv if any(lv) else None for lv in rest],
-                            self._rho_terms(rho),
-                            [(pk[0], pk, pk[0].inner(rho),
-                              _slope_inner(pk, rho)) for pk in packs]))
-        phia = phib = dphiv = {}
+            # 0.0 * rho + c is c, and a zero on top changes no value (finite
+            # rho): bit for bit Horner on each polynomial alone
+            vals = self._row0
+            for row in self._rows:
+                vals = [a * rho + c for a, c in zip(vals, row)]
+            # Horner levels in t, highest first: starting at the leading
+            # level changes no value (finite t, c >= 0), and a * t + 0.0 is
+            # a * t, so a level of zeros only multiplies
+            lead, *rest = ([vals[o + i] for i in cols] if o is not None
+                           else None for o in self._levels)
+            nb0, nb1, db0, db1 = vals[nb:nb + 4]
+            # A starts from the first term in rho alone and adds the other
+            # three after the packs' values
+            columns.append((rho, lead, [lv if lv and any(lv) else None
+                                        for lv in rest],
+                            (e00 + (nb0 / e00 + nb1), kf + e01 / e11,
+                             e11 * (db0 / e00 + db1),
+                             e11 * (nb0 / e01 + nb1 / e11)),
+                            [[vals[a:b] for a, b in spans]
+                             for *_, spans, _, _ in plan]))
         for t in ts:
-            tk, t1k = t ** self.kf, t ** (1.0 - self.kf)
-            for rho, vals, rest, rho_terms, inner in columns:
+            tk, t1k = t ** kf, t ** (1.0 - kf)
+            b0, tp = tk / e11, [t ** k for k in range(self._kmax + 1)]
+            # per pack the factor of its value in A (a divisor for b) and
+            # of its slope in A and its value in B; c's are per point
+            row = [(kind, *((t / eps, we * t) if kind == "a1" else
+                            (t1k, e11 * t1k) if kind == "a2" else (eps, we)),
+                    segs, dphi)
+                   for kind, eps, we, _, segs, dphi in plan]
+            for rho, vals, rest, (r0, r1, r2, r3), inner in columns:
                 for lv in rest:
                     vals = ([a * t + c for a, c in zip(vals, lv)] if lv
                             else [a * t for a in vals])
-                v, sq02 = vals[:12], math.sqrt(vals[4])
-                if reads:
-                    phia = dict(zip(keys, vals[12:12 + nk]))
-                    phib = dict(zip(keys, vals[12 + nk:]))
-                    dphiv = {zk: v[d] for zk, d in self._dphi}
-                comp, drho, comp_b = [], [], []
-                for prof, pk, pin, sin in inner:
-                    comp.append(prof.outer(pin, t, phia))
-                    drho.append(_slope(pk, sin, t, phia, dphiv))
-                    comp_b.append(prof.outer(pin, t, phib))
-                A = self._growth(t, t1k, sq02, rho_terms, comp, drho)
-                B = self._transport(t, tk, t1k, sq02, comp_b)
-                yield (t, rho, tk, *self._jet(tk, v), v, A, B)
+                v = vals[:12]
+                v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, \
+                    e02v = v
+                sq02 = math.sqrt(v02)
+                q = (e00 * v00 + v10 + tk * v02 + e01 * v01 + e11 * v11
+                     + v02 ** 1.5)
+                dq = (e00 * v01 + v11 + tk * dv02 + e01 * v02 + e11 * dv11
+                      + 1.5 * sq02 * dv02)
+                tdq = (e00 * e00v + e10v + tk * (kf * v02 + e02v)
+                       + e01 * e01v + e11 * e11v + 1.5 * sq02 * e02v)
+                A, B, slopes = r0, b0, []
+                for (kind, m1, m2, segs, dphi), pins in zip(row, inner):
+                    # A's value, its slope's parts, B's value
+                    outs = []
+                    for seg, pin in zip(segs, pins):
+                        acc = 0.0
+                        for (k, nu), u in zip(seg, pin):
+                            u *= tp[k]
+                            for i, p in nu:
+                                u *= vals[i] ** p
+                            acc += u
+                        outs.append(acc)
+                    x, s, *chain, xb = outs
+                    for g, d in zip(chain, dphi):
+                        s += g * vals[d]
+                    if kind == "c":
+                        A += x * sq02
+                        slopes.append(e11 * s * sq02)
+                        B += wc * xb * sq02
+                    else:
+                        A += x / m1 if kind == "b" else m1 * x
+                        slopes.append(m2 * s)
+                        B += m2 * xb
+                A = A + r1 + r2 + r3
+                for y in slopes:
+                    A += y
+                yield t, rho, tk, q, dq, tdq, v, A, B + sq_b * sq02
 
     def work(self, nt: int, nrho: int) -> dict:
         """What grid on nt * nrho points and one constants() call evaluate:

@@ -59,6 +59,17 @@ def _series_terms(u: SeriesTX) -> list:
             for (k, alpha), c in u.sorted_terms()]
 
 
+def _fraction(text: str, what: str) -> Fraction:
+    """Fraction(text), refusing first a decimal exponent of five or more
+    digits, which it expands as 10 ** exp: no value a float or a 256-bit
+    coefficient holds needs one, as a mantissa has at most 4300 digits."""
+    _, e, exp = text.replace("_", "").lower().partition("e")
+    if e and len(exp.strip().lstrip("+-").lstrip("0")) > 4:
+        raise InputError(f"{what} {text!r} has a decimal exponent of more "
+                         "than four digits")
+    return Fraction(text)
+
+
 def _parse_w(spec: str, n: int, k_t: int, k_x: int) -> SeriesTX:
     """Monomial-sum syntax: terms separated by ';', each term
     'coeff,tpow,a1 a2 ... an' with coeff an integer or p/q whose numerator
@@ -70,7 +81,7 @@ def _parse_w(spec: str, n: int, k_t: int, k_x: int) -> SeriesTX:
             raise InputError(
                 f"w term {pos}: expected 'coeff,tpow,a1 ... an', got {chunk!r}")
         try:
-            coeff = Fraction(parts[0])
+            coeff = _fraction(parts[0], f"w term {pos}: coeff")
             tpow = int(parts[1])
             alpha = tuple(int(v) for v in parts[2].split())
         except (ValueError, ZeroDivisionError) as exc:
@@ -157,7 +168,7 @@ def _rational_flag(name: str, text: str | None, ok, need: str):
     if text is None:
         return None
     try:
-        value = Fraction(text)
+        value = _fraction(text, f"--{name}")
     except (ValueError, ZeroDivisionError):
         value = None
     if value is None or not ok(value):

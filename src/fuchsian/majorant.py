@@ -188,13 +188,9 @@ class SectorMajorant:
                 for k in range(top, -1, -1))
         return self._horner
 
-    def inner(self, rho: float) -> list:
-        """Value at rho of every t-slice, highest power first: Horner in t
-        over these gives eval's value bit for bit."""
-        return [horner_eval(cs, rho) for cs in self._horner or self.horner()]
-
     def eval(self, t: float, rho: float) -> float:
-        return horner_eval(self.inner(rho), t)
+        return horner_eval([horner_eval(cs, rho) for cs in
+                            self._horner or self.horner()], t)
 
     def eval_frac(self, t: Frac, rho: Frac) -> Frac:
         acc = Frac(0)
@@ -269,26 +265,24 @@ class NormProfileZ:
             out[nkey] = out[nkey] + q if nkey in out else q
         return NormProfileZ(out)
 
-    def inner(self, rho: float) -> list:
-        """Value at rho of every term's rho-polynomial, in sum order."""
+    def horner_terms(self) -> tuple:
+        """(k, Horner tuple of the rho-polynomial, nu) of every term, in
+        sum order; computed once."""
         if self._terms is None:
             self._terms = tuple((k, p.horner(), nu)
                                 for (k, nu), p in self.sorted_items())
-        return [horner_eval(cs, rho) for _, cs, _ in self._terms]
+        return self._terms
 
-    def outer(self, inner: list, t: float, z: dict) -> float:
-        """Value from inner(rho), with jet slot zk set to z[zk]; z may be
-        keyed by ZKey or by plain (i, alpha) pairs."""
+    def eval(self, t: float, rho: float, z: dict) -> float:
+        """Value with jet slot zk set to z[zk]; z may be keyed by ZKey or by
+        plain (i, alpha) pairs."""
         acc = 0.0
-        for (k, _, nu), v in zip(self._terms, inner):
-            v *= t ** k
+        for k, cs, nu in self.horner_terms():
+            v = horner_eval(cs, rho) * t ** k
             for zk, power in nu:
                 v *= float(z[zk]) ** power
             acc += v
         return acc
-
-    def eval(self, t: float, rho: float, z: dict) -> float:
-        return self.outer(self.inner(rho), t, z)
 
     def z_linear_bound(self, R, L) -> Frac:
         """Exact constant C with value <= C * max_z |z| whenever rho <= R,

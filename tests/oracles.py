@@ -14,7 +14,7 @@ from fuchsian.certificate import barrier_grid
 from fuchsian.characteristics import _Check
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import A2Violation
-from fuchsian.majorant import RhoPoly, SectorMajorant
+from fuchsian.majorant import RhoPoly, SectorMajorant, horner_eval
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort
 from fuchsian.solver import residual
@@ -185,3 +185,117 @@ def grid_checks_by_record(system, nt: int, nrho: int) -> dict:
     return {"checks": {name: chk.report() for name, chk in checks.items()},
             "r_sup": 1.05 * qmax,
             "work": {"grid_points": nt * nrho, **system.work(nt, nrho)}}
+
+
+# -- the barrier's per-point formulas before grid became their one kernel,
+# kept verbatim (methods of BarrierSystem then, functions of it here)
+
+
+def _inner(prof, rho: float) -> list:
+    """NormProfileZ.inner: the value at rho of every term's rho-polynomial,
+    in sum order."""
+    return [horner_eval(cs, rho) for _, cs, _ in prof.horner_terms()]
+
+
+def _slope_inner(pack, rho: float) -> list:
+    """Inner values at rho of the profiles _slope reads: dr, then each dz."""
+    _, dr, dz = pack
+    return [_inner(dr, rho), *(_inner(g, rho) for _, g in dz)]
+
+
+def _outer(prof, inner: list, t: float, z: dict) -> float:
+    """NormProfileZ.outer: the value from inner(rho), with jet slot zk set
+    to z[zk]."""
+    acc = 0.0
+    for (k, _, nu), v in zip(prof.horner_terms(), inner):
+        v *= t ** k
+        for zk, power in nu:
+            v *= float(z[zk]) ** power
+        acc += v
+    return acc
+
+
+def _slope(pack, inner: list, t: float, phiv: dict, dphiv: dict) -> float:
+    """Total rho-derivative of a composed coefficient norm: direct slope
+    plus the chain through every profile slot."""
+    _, dr, dz = pack
+    v = _outer(dr, inner[0], t, phiv)
+    for (zk, g), gi in zip(dz, inner[1:]):
+        v += _outer(g, gi, t, phiv) * dphiv[zk]
+    return v
+
+
+def _q(self, tk: float, v) -> float:
+    """q from the slot values v[:5]."""
+    v00, v10, v01, v11, v02 = v[:5]
+    return (self.e00 * v00 + v10 + tk * v02 + self.e01 * v01
+            + self.e11 * v11 + v02 ** 1.5)
+
+
+def _jet(self, tk: float, v: list) -> tuple:
+    """q, dq/drho and t dq/dt (term calculus on each part) from v."""
+    e00, e01, e11 = self.e00, self.e01, self.e11
+    v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, e02v = v
+    sq02 = math.sqrt(v02)
+    q = _q(self, tk, v)
+    dq = (e00 * v01 + v11 + tk * dv02 + e01 * v02 + e11 * dv11
+          + 1.5 * sq02 * dv02)
+    tdq = (e00 * e00v + e10v + tk * (self.kf * v02 + e02v)
+           + e01 * e01v + e11 * e11v + 1.5 * sq02 * e02v)
+    return q, dq, tdq
+
+
+def _rho_terms(self, rho: float) -> tuple:
+    """The four terms of A that depend on rho alone, from the values of
+    self.betas: the one A starts from, and the three it adds after the
+    coefficient families."""
+    e00, e01, e11 = self.e00, self.e01, self.e11
+    nb0, nb1, db0, db1 = [b.eval(rho) for b in self.betas]
+    return (e00 + (nb0 / e00 + nb1), self.kf + e01 / e11,
+            e11 * (db0 / e00 + db1), e11 * (nb0 / e01 + nb1 / e11))
+
+
+def _growth(self, t, t1k, sq02, rho_terms, comp, drho) -> float:
+    """A from _rho_terms(rho) and the values of the packs and their
+    slopes."""
+    acc, r1, r2, r3 = rho_terms
+    for (kind, eps, _), x in zip(self.kinds, comp):
+        acc += (t / eps * x if kind == "a1" else t1k * x if kind == "a2"
+                else x / eps if kind == "b" else x * sq02)
+    return _e11_terms(self, acc + r1 + r2 + r3, t, t1k, sq02, drho,
+                      self.e11)
+
+
+def _transport(self, t, tk, t1k, sq02, comp) -> float:
+    """B from the values of the packs."""
+    e11 = self.e11
+    acc = _e11_terms(self, tk / e11, t, t1k, sq02, comp, 4.0 * e11 / 3.0)
+    return acc + 1.5 / e11 * sq02
+
+
+def _e11_terms(self, acc, t, t1k, sq02, xs, wc) -> float:
+    """acc plus the e11-weighted terms of xs, wc * x * sq02 for c."""
+    e11 = self.e11
+    for (kind, eps, _), x in zip(self.kinds, xs):
+        acc += (e11 / eps * t * x if kind == "a1" else e11 * t1k * x
+                if kind == "a2" else e11 / eps * x if kind == "b"
+                else wc * x * sq02)
+    return acc
+
+
+def barrier_point(system, t: float, rho: float) -> tuple:
+    """(t, rho, tk, q, dq, tdq, v, A, B) at one point, as BarrierSystem.grid
+    yields it, from per-point evaluators and the formulas above: A and B
+    as growth_bound and transport_rate took them."""
+    s = system
+    tk, t1k = t ** s.kf, t ** (1.0 - s.kf)
+    v = [m.eval(t, rho) for m in s.sectors]
+    phiv = s.phi_values(t, rho)
+    dphiv = {zk: s.sectors[d].eval(t, rho) for zk, d in s._dphi}
+    comp = [pk[0].eval(t, rho, phiv) for pk in s.packs]
+    drho = [_slope(pk, _slope_inner(pk, rho), t, phiv, dphiv)
+            for pk in s.packs]
+    sq02 = math.sqrt(s.p[(0, 2)].eval(t, rho))
+    A = _growth(s, t, t1k, sq02, _rho_terms(s, rho), comp, drho)
+    B = _transport(s, t, tk, t1k, sq02, comp)
+    return (t, rho, tk, *_jet(s, tk, v), v, A, B)

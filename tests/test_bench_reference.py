@@ -1,8 +1,8 @@
 """The benchmark checks every certify-grid job against the exit code, report
 sha256 and violation counts in perfbench/reference.json, and every
 solve-dense job against the verified flag and the digest of the exact
-series.  Running those jobs here, in process as the benchmark does (a few
-certify jobs, every solve job), makes a change in report bytes, in the
+series.  Running those jobs here, in process as the benchmark does (every
+certify job, every solve job), makes a change in report bytes, in the
 solver or in its check fail the suite too, not only the benchmark."""
 
 import importlib.util
@@ -33,14 +33,11 @@ REFERENCES = json.loads((BENCH / "reference.json").read_text())
 REFERENCE = REFERENCES["certify-grid"]
 
 
-@pytest.mark.parametrize("argv", [["remark3"], ["remark3_forced"],
-                                  ["remark3", "--seed", "3"],
-                                  ["remark3", "--seed", "26"]],
-                         ids=" ".join)
-def test_certify_report_matches_benchmark_reference(argv, tmp_path):
+@pytest.mark.parametrize("label", list(REFERENCE))
+def test_certify_report_matches_benchmark_reference(label, tmp_path):
     out = tmp_path / "report.json"
-    code = cli.main(["certify", *argv, "--out", str(out)])
-    assert observe_report(code, out.read_bytes()) == REFERENCE[" ".join(argv)]
+    code = cli.main(["certify", *label.split(), "--out", str(out)])
+    assert observe_report(code, out.read_bytes()) == REFERENCE[label]
 
 
 @pytest.mark.parametrize("label", list(REFERENCES["solve-dense"]))

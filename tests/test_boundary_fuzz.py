@@ -117,7 +117,13 @@ def test_mutated_documents_give_a_report_and_a_documented_exit(
 # or float option before a report exists, so those pools hold numbers only.
 # An admitted grid stays at most 5x5.
 SPEC_TEXT = st.text(alphabet="0123456789-/;, xX.e", max_size=10)
-BAD_RATIONALS = st.one_of(SPEC_TEXT, st.sampled_from(
+# decimal exponents of 10^5 to 10^7, both signs: Fraction expands them as
+# 10 ** exp, which took up to 10 s a value before the CLI bounded them
+HUGE_EXPONENTS = st.builds("{}e{}{}".format,
+                           st.sampled_from(["1", "-3", "2.5", "0"]),
+                           st.sampled_from(["", "+", "-"]),
+                           st.sampled_from([10 ** 5, 10 ** 6, 10 ** 7]))
+BAD_RATIONALS = st.one_of(SPEC_TEXT, HUGE_EXPONENTS, st.sampled_from(
     ["0", "1/2", "-1/5", "1/0", "abc", "", "1e-400", "1e400",
      "1/" + "9" * 400]))
 BAD_FLOATS = st.sampled_from([0.0, -1.0, 1.0, 2.0, math.inf, -math.inf,
@@ -132,7 +138,8 @@ FLAGS = {
                  "1,1,13", "1,1,2;", "1,1", ";", "nan,1,2", "1/0,1,2"]),
                 # a coefficient past the 256 bits an equation file may use
                 st.builds("{}{},1,2".format, st.sampled_from(["", "-", "1/"]),
-                          st.sampled_from([10 ** 400, 2 ** 256])))),
+                          st.sampled_from([10 ** 400, 2 ** 256])),
+                st.builds("{},1,2".format, HUGE_EXPONENTS))),
     "--seed": (st.integers(-3, 40), st.sampled_from([-10 ** 30, 10 ** 30])),
     "--grid": (st.builds("{}x{}".format, st.integers(1, 5),
                          st.integers(1, 5)),

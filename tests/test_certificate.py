@@ -6,20 +6,22 @@ assertion), and direct evaluation of the corner formulas restated inline
 with math.pow, never through the code path under test.
 """
 
+import collections
+import functools
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuchsian import certificate, cli
 from fuchsian.builtin import load_equation, parse_equation
 from fuchsian.certificate import (BarrierParams, BarrierSystem, Decomposition,
-                                  ProfileFamily,
-                                  _slope, _slope_inner, _undominated_jet,
+                                  ProfileFamily, _undominated_jet,
                                   barrier_grid, build_shifted_rhs,
                                   choose_params, normal_form, profile_family,
                                   reconstruct, verify_barrier)
@@ -32,7 +34,8 @@ from fuchsian.rational import CRat, Frac
 from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _zkey_sort,
                              lambda_keys)
 from fuchsian.solver import solve_formal
-from oracles import grid_checks_by_record, manufactured, reconstruct_by_products
+from oracles import (_slope, _slope_inner, barrier_point, grid_checks_by_record,
+                     manufactured, reconstruct_by_products)
 from test_bench_reference import WORKLOADS
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -842,6 +845,116 @@ def test_grid_sector_evals_do_not_grow_with_nt(remark3_setup, monkeypatch):
     assert counts[(20, 10)] == counts[(10, 10)], counts
     assert counts[(10, 20)] == counts[(10, 10)], counts
     assert counts[(20, 20)] == counts[(10, 10)], counts
+
+
+@functools.cache
+def _kernel_system(source):
+    # the system certify builds on source, with a seeded w of three terms
+    if source.startswith("remark3"):
+        (cd, dec), (k_t, k_x) = _split(load_equation(source)), (10, 12)
+    else:
+        extra = {"with-x-betas": _X_BETAS_EXTRA,
+                 "with-z11-host": _Z11_EXTRA}[source]
+        (cd, dec), (k_t, k_x) = _four_families(extra), (6, 8)
+    rng = random.Random(577)
+    w = SeriesTX.monomial(1, k_t, k_x, 1, 1, (2,))
+    for _ in range(3):
+        w = w + SeriesTX.monomial(
+            1, k_t, k_x, Frac(rng.randint(1, 9), rng.randint(1, 9)),
+            rng.randint(1, 2), (rng.randint(0, 4),))
+    prof = profile_family(w, cd)
+    return BarrierSystem(dec, prof, choose_params(cd, dec, prof)[0])
+
+
+def test_kernel_property_systems_cover_every_pack_kind():
+    # the x-betas decomposition has every kind of pack, packs that read
+    # phi, and terms of A in rho alone that are not 0
+    system = _kernel_system("with-x-betas")
+    assert {kind for kind, _, _ in system.kinds} == {"a1", "a2", "b", "c"}
+    assert any(nu for pk in system.packs for _, nu in pk[0].profiles)
+    assert not system.nbeta0.is_zero() and not system.nbeta1.is_zero()
+
+
+# the z11 host adds c and b packs that depend on rho
+_SOURCES = ("remark3", "remark3_forced", "with-x-betas", "with-z11-host")
+# an axis as fractions of the box: t = sigma0 * 10^(-4 f), rho = R0 * f,
+# so f = 0 is the row t = sigma0 and the column rho = 0
+_AXIS = st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+                 min_size=1, max_size=6)
+
+
+# weights and box, drawn from a seed: the chosen ones are mostly powers
+# of two, under which many orders of the same products give the same
+# bits, and in a small box a last-bit change of a small term drowns in the
+# sums.  Weights span five decades, so that each term leads A somewhere
+def _drawn_params(params, seed):
+    rng = random.Random(seed)
+    eps = [Frac(rng.randint(1, 99), 10 ** rng.randint(0, 4)) for _ in "012"]
+    return params._replace(eps00=eps[0], eps01=eps[1], eps11=eps[2],
+                           kappa=Frac(rng.randint(1, 99), 100),
+                           R0=Frac(rng.randint(1, 99), 100),
+                           sigma0=Frac(1, 2 ** rng.randint(0, 12)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(source=st.sampled_from(_SOURCES),
+       seed=st.none() | st.integers(0, 2 ** 32 - 1), tf=_AXIS, rf=_AXIS)
+@example(source="remark3", seed=None, tf=[0.0], rf=[0.0])
+@example(source="remark3_forced", seed=None, tf=[0.0], rf=[0.0])
+@example(source="with-x-betas", seed=None, tf=[0.0], rf=[0.0])
+@example(source="with-z11-host", seed=None, tf=[0.0], rf=[0.0])
+def test_grid_matches_per_point_oracle_bitwise(source, seed, tf, rf):
+    # bit-identical, compared by repr so that -0.0 would show: every value
+    # the grid yields against the per-point formulas it replaced, on grids
+    # of 1 to 36 points, at the chosen weights and box or at drawn ones
+    system = _kernel_system(source)
+    params = system.params
+    if seed is not None:
+        params = _drawn_params(params, seed)
+        system = BarrierSystem(system.dec, system.profiles, params)
+    sig, R = float(params.sigma0), float(params.R0)
+    ts = [sig * 10.0 ** (-4.0 * f) for f in tf]
+    rhos = [R * f for f in rf]
+
+    def rows(points):
+        return repr([(*p[:6], list(p[6]), *p[7:]) for p in points])
+
+    assert rows(system.grid(ts, rhos)) \
+        == rows(barrier_point(system, t, rho) for t in ts for rho in rhos)
+
+
+@pytest.mark.parametrize("source", ["remark3", "with-x-betas"])
+def test_grid_python_calls_do_not_grow_with_points(source):
+    # a grid point runs inline: the package functions the grid calls (its
+    # own resumptions and comprehensions aside) do not grow from 100 to
+    # 400 points, on 10 or on 20 columns.  Each point called about ten
+    # helpers when q, A and B were a chain of them
+    system = _kernel_system(source)
+    sig, R = float(system.params.sigma0), float(system.params.R0)
+    grid_code = BarrierSystem.grid.__code__
+    package = str(Path(certificate.__file__).parent)
+
+    def calls(nt, nrho):
+        seen = collections.Counter()
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code is not grid_code
+                    and code.co_filename.startswith(package)
+                    and not code.co_name.startswith("<")):
+                seen[f"{code.co_filename}:{code.co_name}"] += 1
+
+        points = system.grid(*barrier_grid(sig, R, nt, nrho))
+        sys.setprofile(profile)
+        try:
+            n = sum(1 for _ in points)
+        finally:
+            sys.setprofile(None)
+        assert n == nt * nrho
+        return seen
+
+    assert calls(40, 10) == calls(10, 10)
+    assert calls(20, 20) == calls(10, 10)
 
 
 def _record_edge_pairs():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fuchsian import cli
 from fuchsian.cli import MAX_GRID_POINTS, _parse_grid, main
 
 
@@ -279,6 +280,13 @@ def test_certify_corrupted_eps00_flags_growth_bound(capsys):
     # the profiles overflow a float, an internal error with exit 3
     ("--w", "1" + "0" * 400 + ",1,2", "coeff needs more than 256 bits"),
     ("--w", f"1,1,2;-1/{2 ** 256},2,0", "w term 1: coeff needs more than"),
+    # Fraction would expand these exponents as 10 ** exp, seconds each
+    ("--kappa", "1e-10000000",
+     "--kappa '1e-10000000' has a decimal exponent of more than four"),
+    ("--eps00", "2.5E+1_000_000",
+     "--eps00 '2.5E+1_000_000' has a decimal exponent of more than four"),
+    ("--w", "1,1,2;1e10000,2,0",
+     "w term 1: coeff '1e10000' has a decimal exponent of more than four"),
 ])
 @pytest.mark.parametrize("name", ["remark3", "remark2"])
 def test_certify_bad_flag_is_input_error(capsys, name, flag, value, fragment):
@@ -290,6 +298,21 @@ def test_certify_bad_flag_is_input_error(capsys, name, flag, value, fragment):
     assert fragment in rep["error"]["message"]
     # refused before any work: no results were written
     assert "results" not in rep
+
+
+def test_huge_decimal_exponent_is_refused_before_fraction(capsys,
+                                                         monkeypatch):
+    # the bound is read from the text: Fraction never sees the exponent
+    def fraction(text, *rest):
+        raise AssertionError(f"Fraction({text!r}) was called")
+
+    monkeypatch.setattr(cli, "Fraction", fraction)
+    for flag, value in (("--kappa", "1e-10000000"), ("--eps00", "1e10000001"),
+                        ("--w", "-7e-100000,1,2")):
+        rc, rep, _ = run_json(capsys, "certify", "remark3", f"{flag}={value}")
+        assert rc == 2, rep
+        assert "decimal exponent of more than four digits" \
+            in rep["error"]["message"]
 
 
 def test_grid_ceiling_admits_the_grids_in_use():
