@@ -298,8 +298,9 @@ def choose_params(cd: CharData, dec: Decomposition,
     db0 = norm_x(dec.beta0).slice(0).d_rho()
     db1 = norm_x(dec.beta1).slice(0).d_rho()
     eps11 = sig = R = Frac(1)
+    slope = db0.eval_frac(R) / eps00 + db1.eval_frac(R)
     n_eps = 0
-    while eps11 * (db0.eval_frac(R) / eps00 + db1.eval_frac(R)) > h / 4:
+    while eps11 * slope > h / 4:
         if n_eps >= _MAX_HALVINGS:
             raise SearchExhausted(
                 f"slope term still above h/4 after {_MAX_HALVINGS} halvings "

@@ -13,12 +13,6 @@ actual profiles.
 
 |f_alpha| is the directed bound CRat.abs_upper, so every coefficient here
 is an exact rational upper bound and all comparisons are certificates.
-
-These objects are never changed after construction.  The first float
-evaluation of each one converts its coefficients to floats once, in Horner
-order (empty t-slices as ()), and later evaluations reuse them; the float
-operations and their order are those of a direct Horner loop over the
-Fractions, so results are bit-identical to converting at every call.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ def weight(alpha) -> Frac:
 class RhoPoly:
     """Polynomial in rho with nonnegative Fraction coefficients."""
 
-    __slots__ = ("coeffs", "_horner")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [Frac(c) for c in coeffs]
@@ -59,7 +53,6 @@ class RhoPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._horner = None
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -92,13 +85,11 @@ class RhoPoly:
         return RhoPoly(tuple(c * d for d, c in enumerate(self.coeffs))[1:])
 
     def horner(self) -> tuple:
-        """Float coefficients, highest degree first; computed once."""
-        if self._horner is None:
-            self._horner = tuple(float(c) for c in reversed(self.coeffs))
-        return self._horner
+        """Float coefficients, highest degree first."""
+        return tuple(float(c) for c in reversed(self.coeffs))
 
     def eval(self, rho: float) -> float:
-        return horner_eval(self._horner or self.horner(), rho)
+        return horner_eval(self.horner(), rho)
 
     def eval_frac(self, rho: Frac) -> Frac:
         acc = Frac(0)
@@ -115,7 +106,7 @@ class RhoPoly:
 class SectorMajorant:
     """sum_k P_k(rho) t^k with nonnegative coefficients."""
 
-    __slots__ = ("coeffs", "_horner")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         store: dict[int, RhoPoly] = {}
@@ -125,7 +116,6 @@ class SectorMajorant:
             if not p.is_zero():
                 store[k] = p
         self.coeffs = store
-        self._horner = None
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -180,17 +170,12 @@ class SectorMajorant:
 
     def horner(self) -> tuple:
         """Float Horner tuples of the t-slices, highest power first, () for
-        an empty slice; computed once."""
-        if self._horner is None:
-            top = max(self.coeffs, default=-1)
-            self._horner = tuple(
-                self.coeffs[k].horner() if k in self.coeffs else ()
-                for k in range(top, -1, -1))
-        return self._horner
+        an empty slice."""
+        return tuple(self.coeffs[k].horner() if k in self.coeffs else ()
+                     for k in range(max(self.coeffs, default=-1), -1, -1))
 
     def eval(self, t: float, rho: float) -> float:
-        return horner_eval([horner_eval(cs, rho) for cs in
-                            self._horner or self.horner()], t)
+        return horner_eval([horner_eval(cs, rho) for cs in self.horner()], t)
 
     def eval_frac(self, t: Frac, rho: Frac) -> Frac:
         acc = Frac(0)
@@ -224,13 +209,12 @@ class NormProfileZ:
     slots are later filled with nonnegative numbers (norms of profiles).
     """
 
-    __slots__ = ("profiles", "_terms")
+    __slots__ = ("profiles",)
 
     def __init__(self, profiles: dict):
         # keys (k, nu) come canonical and distinct from every caller
         self.profiles = {key: p for key, p in profiles.items()
                          if not p.is_zero()}
-        self._terms = None
 
     def is_zero(self) -> bool:
         return not self.profiles
@@ -267,11 +251,8 @@ class NormProfileZ:
 
     def horner_terms(self) -> tuple:
         """(k, Horner tuple of the rho-polynomial, nu) of every term, in
-        sum order; computed once."""
-        if self._terms is None:
-            self._terms = tuple((k, p.horner(), nu)
-                                for (k, nu), p in self.sorted_items())
-        return self._terms
+        sum order."""
+        return tuple((k, p.horner(), nu) for (k, nu), p in self.sorted_items())
 
     def eval(self, t: float, rho: float, z: dict) -> float:
         """Value with jet slot zk set to z[zk]; z may be keyed by ZKey or by

@@ -268,6 +268,20 @@ class SeriesTX:
         return out.scale(inv0)
 
 
+def clipped_t_cap(F: "SeriesTXZ", kt: int, ord_min: int | None) -> int:
+    """The t-cap kt once F's z-truncation is accounted for: the dropped jet
+    terms are of z-degree k_z + 1 or more, so when the substituted values
+    start at t-order ord_min (None if they all vanish) the result is
+    reliable to t-order (k_z + 1) * ord_min - 1, and not at all if 0."""
+    if not F.z_clipped or ord_min is None:
+        return kt
+    if ord_min == 0:
+        raise TruncationExhausted(
+            "dropped jet terms reach t-order 0: substitution values "
+            "must vanish at t = 0 after z-truncation")
+    return min(kt, (F.k_z + 1) * ord_min - 1)
+
+
 class SeriesTXZ:
     """Series in t, x and the jet variables z[i, alpha] of the second-order
     equation, (i, alpha) in lambda_keys(n).  Jet monomials are truncated at
@@ -398,13 +412,7 @@ class SeriesTXZ:
         kx = min([self.k_x] + [v.k_x for v in used_vals])
         if self.z_clipped:
             orders = [o for v in used_vals if (o := v.t_order()) is not None]
-            ord_min = min(orders) if orders else None
-            if ord_min == 0:
-                raise TruncationExhausted(
-                    "dropped jet terms reach t-order 0: substitution values "
-                    "must vanish at t = 0 after z-truncation")
-            if ord_min is not None:
-                kt = min(kt, (self.k_z + 1) * ord_min - 1)
+            kt = clipped_t_cap(self, kt, min(orders, default=None))
         return SeriesTX(self.n, kt, kx, self._sum_products(
             values, SeriesTX.one(self.n, kt, kx)))
 

@@ -59,7 +59,7 @@ from typing import NamedTuple
 from .equation import FuchsianEquation
 from .errors import IndicialZero, TruncationExhausted
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey, lambda_keys
+from .series import SeriesTX, SeriesTXZ, ZKey, clipped_t_cap, lambda_keys
 
 
 def derivative_tuple(u: SeriesTX) -> dict[ZKey, SeriesTX]:
@@ -303,16 +303,13 @@ def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
     """Raise when F's dropped z-degrees could reach t^k.
 
     Terms above z-degree k_z are gone, so the substitution is reliable only
-    to t-order (k_z + 1) * ord_min - 1, where ord_min is the least t-order
+    to t-order clipped_t_cap(F, order, ord_min), ord_min the least t-order
     among the used jet values of the partial sum, each read at the x-cap
     u_cap - |alpha| that u_1 .. u_{k-1} carry into step k; Bn = B^n."""
     live = (j for j in range(1, k)
             if any(a < (u_cap - sum(zk.alpha) + 1) * Bn
                    for zk in used for a in jets[zk][j][1]))
-    ord_min = next(live, None)
-    if ord_min is None:
-        return
-    kt = min(order, (F.k_z + 1) * ord_min - 1)
+    kt = clipped_t_cap(F, order, next(live, None))
     if kt < k:
         raise TruncationExhausted(
             f"substitution reliable only to t-order {kt} < {k}")
@@ -337,22 +334,19 @@ def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
     kx = min([F.k_x, u.k_x] + [u.k_x - sum(zk.alpha) for zk in used])
     B = max(F.k_x, u.k_x) + 1
     lim = (kx + 1) * B ** n
-    sections = [_from_crat({a: c for (j, a), c in u.terms.items() if j == k},
-                           B) for k in range(kt + 1)]
+    split: list[dict] = [{} for _ in range(kt + 1)]
+    for (j, a), c in u.terms.items():
+        if j <= kt:
+            split[j][a] = c
+    sections = [_from_crat(s, B) for s in split]
     jets: dict[ZKey, list] = {zk: [] for zk in used}
     for k, uk in enumerate(sections):
         for zk, z in _jet_coeffs(uk, used, k, n, B).items():
             jets[zk].append(z)
     if F.z_clipped:
         # ord_min is read off the jet values at their own caps
-        ord_min = next((k for k in range(kt + 1)
-                        if any(z[k][1] for z in jets.values())), None)
-        if ord_min == 0:
-            raise TruncationExhausted(
-                "dropped jet terms reach t-order 0: substitution values "
-                "must vanish at t = 0 after z-truncation")
-        if ord_min is not None:
-            kt = min(kt, (F.k_z + 1) * ord_min - 1)
+        live = (k for k in range(kt + 1) if any(z[k][1] for z in jets.values()))
+        kt = clipped_t_cap(F, kt, next(live, None))
     # F's terms inside the caps as (valuation, a, c, Z^nu by t-order); each
     # prefix of a flattened nu is multiplied once
     products = {(): [(1, {0: (1, 0)})] + [(1, {})] * kt,

@@ -551,7 +551,8 @@ def test_transport_rate_zero_profiles_is_t_to_kappa(remark3_setup):
 
 
 def test_reused_system_matches_fresh_system(remark3_setup):
-    # the float caches that earlier evaluations fill must not move a value
+    # a system holds no state its evaluations change, so earlier ones must
+    # not move a value
     _, cd, dec, w, prof, params, _ = remark3_setup
     warm = BarrierSystem(dec, prof, params)
     for t, rho in [(1 / 64, 1.0), (1e-5, 0.0), (0.0, 0.5)]:

@@ -253,7 +253,7 @@ def test_z_linear_bound_rejects_jet_free_terms():
         norm_xz(F).z_linear_bound(Frac(1), Frac(1))
 
 
-# -- cached float evaluation against the per-call conversion loops -----
+# -- float evaluation against the per-call conversion loops ------------
 
 
 def _old_rho_eval(p, rho):
@@ -295,16 +295,16 @@ _jet_keys = lambda_keys(1)
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_rho_poly, _point)
-def test_rho_poly_cached_eval_is_exact(p, rho):
+def test_rho_poly_eval_matches_per_call_conversion(p, rho):
     want = _old_rho_eval(p, rho)
     assert p.eval(rho) == want
-    assert p.eval(rho) == want            # second call reads the cache
+    assert p.eval(rho) == want            # and again on a second call
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.dictionaries(st.integers(0, 6), _rho_poly, max_size=4),
        _point, _point)
-def test_sector_cached_eval_is_exact(coeffs, t, rho):
+def test_sector_eval_matches_per_call_conversion(coeffs, t, rho):
     M = SectorMajorant(coeffs)
     want = _old_sector_eval(M, t, rho)
     assert M.eval(t, rho) == want
@@ -322,7 +322,8 @@ def test_sector_cached_eval_is_exact(coeffs, t, rho):
        st.lists(st.one_of(st.floats(0.0, 1.0), _coeff),
                 min_size=len(_jet_keys), max_size=len(_jet_keys)),
        st.booleans())
-def test_profile_cached_eval_is_exact(profiles, t, rho, zvals, plain_keys):
+def test_profile_eval_matches_per_call_conversion(profiles, t, rho, zvals,
+                                                  plain_keys):
     # at least two terms, so that a change in summation order shows; jet
     # monomials canonical, as every caller builds them; z is keyed by ZKey
     # or by plain (i, alpha) pairs, with float or Fraction values

@@ -15,7 +15,7 @@ from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import IndicialZero, ToolkitError, TruncationExhausted
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _alpha_key, _norm_nu,
-                             alphas_of_degree, lambda_keys)
+                             alphas_of_degree, clipped_t_cap, lambda_keys)
 from fuchsian.solver import (FormalSolution, derivative_tuple, residual,
                              solve_formal)
 from oracles import cauchy_by_pairs, indicial_series, manufactured
@@ -420,6 +420,27 @@ def test_integer_residual_check_stops_at_the_t_caps(make_eq, terms, k_t, K,
     u = SeriesTX(1, k_t, eq.F.k_x, terms)
     assert residual(eq, u, K).is_zero() is want
     assert solver._residual_vanishes(eq, u, K) is want
+
+
+def test_z_truncation_rule_is_shared_by_both_residual_paths():
+    # clipped_t_cap sets the t-cap of the CRat residual, through
+    # substitute_z, and of the integer check alike
+    eq = _clipped_cubic_equation()
+    assert clipped_t_cap(load_equation("remark3").F, 7, 0) == 7
+    u0 = SeriesTX(1, 10, eq.F.k_x, {(0, (0,)): 1, (1, (0,)): Frac(1, 6)})
+    texts = []
+    for check in (residual, solver._residual_vanishes):
+        with pytest.raises(TruncationExhausted) as exc:
+            check(eq, u0, 10)
+        texts.append(str(exc.value))
+    assert texts == ["dropped jet terms reach t-order 0: substitution values "
+                     "must vanish at t = 0 after z-truncation"] * 2
+    # u's jets start at t^1, so both caps are 3 * 1 - 1 = 2: a residual
+    # from t^3 on is out of sight, one at t^2 is not
+    for k, want in ((3, True), (4, True), (2, False)):
+        u = SeriesTX(1, 10, eq.F.k_x, {(1, (0,)): Frac(1, 6), (k, (0,)): 5})
+        assert residual(eq, u, 10).is_zero() is want
+        assert solver._residual_vanishes(eq, u, 10) is want
 
 
 # -- the integer product kernel ---------------------------------------
