@@ -5,11 +5,13 @@ shifted right-hand side over the factored Euler operators, build integral
 comparison profiles for a test function w, select the weight parameters,
 and verify the resulting differential inequality pointwise on a grid.
 
-Everything up to grid evaluation is exact rational arithmetic.  The grid
-runs in floats on a tensor product, in one kernel, BarrierSystem.grid: a
-rho column evaluates every rho-polynomial it reads in one Horner pass, a t
-row takes the powers of t, and a point costs the outer Horner passes in t
-and straight-line float expressions, bit for bit Horner on each majorant.
+Everything up to grid evaluation is exact rational arithmetic.  A certify
+builds one BarrierSystem; the weights and the box (BarrierParams) are an
+argument of each method that reads them.  The grid runs in floats on a
+tensor product, in one kernel, BarrierSystem.grid: a rho column evaluates
+every rho-polynomial it reads in one Horner pass, a t row takes the powers
+of t, and a point costs the outer Horner passes in t and straight-line
+float expressions, bit for bit Horner on each majorant.
 Each pointwise check, like the path checks in characteristics.py, is a
 float comparison against characteristics.allowed(rhs), the one tolerance
 rule; violations are reported, never absorbed, and a pass is not a proof.
@@ -280,25 +282,24 @@ def barrier_grid(sigma0: float, R0: float, nt: int,
     return ts, rhos
 
 
-def choose_params(cd: CharData, dec: Decomposition,
-                  profiles: ProfileFamily) -> tuple[BarrierParams, dict]:
-    """Select the barrier weights and a working box.
+def choose_params(cd: CharData,
+                  system: BarrierSystem) -> tuple[BarrierParams, dict]:
+    """Select the barrier weights and a working box for system.
 
     Four steps: eps00 = h/4; eps11 halved from 1 until the slope term of
     the two linear x-series fits under h/4 at the initial radius 1; kappa
     and eps01 fixed by kappa = min(1/4, h*eps11/8), eps01 = eps11*(h/4 -
     kappa); finally the unit box is halved (the side whose halving lowers
     the corner value more) until the growth bound is at most h at the
-    corner, which by monotonicity covers the whole box.  Returns the params
-    and a small grid certificate of that last fact.
+    corner, which by monotonicity covers the whole box.  Reads system's beta
+    norms and growth bound.  Returns the params and a small grid
+    certificate of that last fact.
     """
     h = decay_margin(cd)
     eps00 = h / 4
 
-    db0 = norm_x(dec.beta0).slice(0).d_rho()
-    db1 = norm_x(dec.beta1).slice(0).d_rho()
     eps11 = sig = R = Frac(1)
-    slope = db0.eval_frac(R) / eps00 + db1.eval_frac(R)
+    slope = system.dbeta0.eval_frac(R) / eps00 + system.dbeta1.eval_frac(R)
     n_eps = 0
     while eps11 * slope > h / 4:
         if n_eps >= _MAX_HALVINGS:
@@ -314,31 +315,27 @@ def choose_params(cd: CharData, dec: Decomposition,
 
     params = BarrierParams(eps00=eps00, eps01=eps01, eps11=eps11, kappa=kappa,
                            h=h, sigma0=sig, R0=R)
-    # the growth bound reads only the weights, never the box, so one system
-    # serves the whole box search
-    system = BarrierSystem(dec, profiles, params)
     hf = float(h)
     n_box = 0
     # sig and R stay powers of two, so float(sig / 2) == float(sig) / 2 and
     # the chosen half's value is the next corner value
-    a = system.growth_bound(float(sig), float(R))
+    a = system.growth_bound(params, float(sig), float(R))
     while a > hf:
         if n_box >= _MAX_HALVINGS:
             raise SearchExhausted(
                 f"growth bound {a!r} > h = {hf!r} persists after "
                 f"{_MAX_HALVINGS} box halvings")
-        a_s = system.growth_bound(float(sig) / 2, float(R))
-        a_r = system.growth_bound(float(sig), float(R) / 2)
+        a_s = system.growth_bound(params, float(sig) / 2, float(R))
+        a_r = system.growth_bound(params, float(sig), float(R) / 2)
         if a_s <= a_r:
             sig, a = sig / 2, a_s
         else:
             R, a = R / 2, a_r
         n_box += 1
 
-    params = BarrierParams(eps00=eps00, eps01=eps01, eps11=eps11, kappa=kappa,
-                           h=h, sigma0=sig, R0=R)
+    params = params._replace(sigma0=sig, R0=R)
     ts, rhos = barrier_grid(float(sig), float(R), *_PARAMS_GRID)
-    mx = max([0.0, *(a for *_, a, _ in system.grid(ts, rhos))])
+    mx = max([0.0, *(a for *_, a, _ in system.grid(params, ts, rhos))])
     cert = {
         "h": hf,
         "max_growth_bound": mx,
@@ -352,17 +349,15 @@ def choose_params(cd: CharData, dec: Decomposition,
 
 class BarrierSystem:
     """The barrier q, its derivatives, and the majorant coefficients A and
-    B of the differential inequality.  grid is their one kernel: it takes
-    them at every point of a tensor grid, and barrier, growth_bound and
-    transport_rate read one point of it, on a 1 x 1 grid."""
+    B of the differential inequality: the majorants, packs, beta norms and
+    plan of one decomposition and profile family, with the weights and box
+    an argument.  grid is their one kernel: it takes them at every point
+    of a tensor grid, and barrier, growth_bound and transport_rate read
+    one point of it, on a 1 x 1 grid."""
 
-    def __init__(self, dec: Decomposition, profiles: ProfileFamily,
-                 params: BarrierParams):
-        self.dec, self.profiles, self.params = dec, profiles, params
+    def __init__(self, dec: Decomposition, profiles: ProfileFamily):
+        self.dec, self.profiles = dec, profiles
         self.keys = lambda_keys(dec.theta_rhs.n)
-        # float weights for the grid, converted once
-        self.e00, self.e01 = float(params.eps00), float(params.eps01)
-        self.e11, self.kf = float(params.eps11), float(params.kappa)
 
         sl = profiles.slots
         self.p = dict(sl)
@@ -386,20 +381,16 @@ class BarrierSystem:
 
         # coefficient families in the order every evaluator sums them: a on
         # first-order hosts ("a1"), then on second-order ones ("a2"; so
-        # (1,(1,)) precedes (0,(2,)), unlike in lambda_keys), b, c
-        eps = {zk: float(params.eps_slot(zk.i, sum(zk.alpha)))
-               for zk in self.keys if sum(zk.alpha) <= 1}
-        fams = ([("a1", wt, zk, dec.a[zk]) for zk, wt in eps.items()
-                 if zk in dec.a]
-                + [("a2", None, zk, dec.a[zk]) for zk in self.keys
-                   if zk in dec.a and zk not in eps]
-                + [("b", wt, zk, dec.b[zk]) for zk, wt in eps.items()
-                   if zk in dec.b]
-                + [("c", None, pr, s) for pr, s in dec.c.items()])
-        self.kinds = [(kind, wt, host) for kind, wt, host, _ in fams]
+        # (1,(1,)) precedes (0,(2,)), unlike in lambda_keys), b, c.  A host
+        # of a1 or b is weighted by its slot's eps
+        self.low = [zk for zk in self.keys if sum(zk.alpha) <= 1]
+        fams = ([("a1", zk, dec.a[zk]) for zk in self.low if zk in dec.a]
+                + [("a2", zk, dec.a[zk]) for zk in self.keys
+                   if zk in dec.a and zk not in self.low]
+                + [("b", zk, dec.b[zk]) for zk in self.low if zk in dec.b]
+                + [("c", pr, s) for pr, s in dec.c.items()])
+        self.kinds = [(kind, host) for kind, host, _ in fams]
         self.packs = [pack(s) for *_, s in fams]
-        self.inv_eps = sum(1.0 / wt for wt in eps.values())
-        self.n_high = len(self.keys) - len(eps)
         self.nbeta0 = norm_x(dec.beta0).slice(0)
         self.nbeta1 = norm_x(dec.beta1).slice(0)
         self.dbeta0 = self.nbeta0.d_rho()
@@ -410,12 +401,12 @@ class BarrierSystem:
         # grid reads in one Horner pass in rho: the sectors' t-slices level
         # by level, highest power first and () above a sector's top; the
         # four betas; the terms of each pack, of its rho-derivative and of
-        # its nonzero jet derivatives.  Per pack, in sum order: kind, eps,
-        # e11/eps, where its profiles' values lie in the pass (the pack's
-        # again last, for B), the terms a point sums (those profiles with
-        # A's phi, the pack with B's) and the sector of dphi for each jet
-        # derivative.  A term is (t-power, ((index, power), ...)), indexing
-        # a point's values: the twelve sectors, phi for A, phi for B
+        # its nonzero jet derivatives.  Per pack, in sum order: where its
+        # profiles' values lie in the pass (the pack's again last, for B),
+        # the terms a point sums (those profiles with A's phi, the pack with
+        # B's) and the sector of dphi for each jet derivative.  A term is
+        # (t-power, ((index, power), ...)), indexing a point's values: the
+        # twelve sectors, phi for A, phi for B
         levels = [m.horner() for m in self.sectors]
         top = max(1, *map(len, levels))
         polys, self._levels = [], []
@@ -431,7 +422,7 @@ class BarrierSystem:
         nk, dphi = len(self.keys), dict(self._dphi)
         at = {zk: 12 + j for j, zk in enumerate(self.keys)}
         self._plan = []
-        for (kind, wt, _), (prof, dr, dz) in zip(self.kinds, self.packs):
+        for prof, dr, dz in self.packs:
             spans, segs = [], []
             for f in (prof, dr, *(g for _, g in dz)):
                 terms = f.horner_terms()
@@ -442,32 +433,31 @@ class BarrierSystem:
             spans.append(spans[0])
             segs.append(tuple((k, tuple((i + nk, p) for i, p in nu))
                               for k, nu in segs[0]))
-            self._plan.append((kind, wt, None if wt is None else self.e11 / wt,
-                               spans, segs, tuple(dphi[zk] for zk, _ in dz)))
+            self._plan.append((spans, segs, tuple(dphi[zk] for zk, _ in dz)))
         # coefficient rows of the pass, zero-padded on top
         deg = max(1, *map(len, polys))
         self._row0, *self._rows = zip(*((0.0,) * (deg - len(cs)) + cs
                                         for cs in polys))
-        self._kmax = max((k for *_, segs, _ in self._plan for seg in segs
+        self._kmax = max((k for _, segs, _ in self._plan for seg in segs
                           for k, _ in seg), default=0)
 
     def phi_values(self, t: float, rho: float) -> dict:
         return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
 
-    def barrier(self, t: float, rho: float) -> float:
-        return next(self.grid([t], [rho]))[3]
+    def barrier(self, P: BarrierParams, t: float, rho: float) -> float:
+        return next(self.grid(P, [t], [rho]))[3]
 
-    def growth_bound(self, t: float, rho: float) -> float:
+    def growth_bound(self, P: BarrierParams, t: float, rho: float) -> float:
         """Multiplier of q in the differential inequality.  Reads the
-        weights only; the box enters through where it gets evaluated."""
-        return next(self.grid([t], [rho]))[7]
+        weights of P only; the box enters through where it gets evaluated."""
+        return next(self.grid(P, [t], [rho]))[7]
 
-    def transport_rate(self, t: float, rho: float) -> float:
-        """Multiplier of the rho-derivative of q; also the speed of the
-        domain-shrinking flow."""
-        return next(self.grid([t], [rho]))[8]
+    def transport_rate(self, P: BarrierParams, t: float, rho: float) -> float:
+        """Multiplier of the rho-derivative of q under the weights of P;
+        also the speed of the domain-shrinking flow."""
+        return next(self.grid(P, [t], [rho]))[8]
 
-    def grid(self, ts: list, rhos: list):
+    def grid(self, P: BarrierParams, ts: list, rhos: list):
         """Yield (t, rho, tk, q, dq, tdq, v, A, B) row by row (tk =
         t**kappa, v the sector values), bit for bit Horner on each majorant
         alone.  A rho column runs the one Horner pass in rho of the plan
@@ -475,9 +465,16 @@ class BarrierSystem:
         point runs the outer Horner passes in t of the sectors and of phi
         for A and for B, one loop over the packs for A's values and slopes
         and B's values, and straight-line float expressions, with no call.
-        A and B each evaluate phi and the packs; work counts that."""
-        e00, e01, e11, kf = self.e00, self.e01, self.e11, self.kf
-        wc, sq_b, plan = 4.0 * e11 / 3.0, 1.5 / e11, self._plan
+        A and B each evaluate phi and the packs; work counts that.  A call
+        converts the weights of P to floats once, and never reads its box."""
+        e00, e01, e11, kf = map(float, (P.eps00, P.eps01, P.eps11, P.kappa))
+        wc, sq_b, plan = 4.0 * e11 / 3.0, 1.5 / e11, []
+        # per pack in sum order: kind, the eps of its host for a1 and b and
+        # e11 over it, and the pack's part of the plan
+        for (kind, host), part in zip(self.kinds, self._plan):
+            wt = float(P.eps_slot(host.i, sum(host.alpha))) \
+                if kind in ("a1", "b") else None
+            plan.append((kind, wt, None if wt is None else e11 / wt, *part))
         cols = list(range(12)) + 2 * [s for _, s in self._phi]
         nb, columns = self._nb, []
         for rho in rhos:
@@ -558,18 +555,18 @@ class BarrierSystem:
         slopes; constants() evaluates phi once and every pack but b's."""
         return {"phi_evals": 2 * nt * nrho + 1,
                 "coefficient_evals": 3 * len(self.packs) * nt * nrho
-                + sum(kind != "b" for kind, _, _ in self.kinds)}
+                + sum(kind != "b" for kind, _ in self.kinds)}
 
     # -- envelope constants --------------------------------------------
 
-    def constants(self) -> dict:
-        """Envelope constants for the transport rate, evaluated at the box
-        corner (valid on the box by monotonicity): linear bounds for the
-        two x-series, one linear bound per t-free coefficient, and the
+    def constants(self, P: BarrierParams) -> dict:
+        """Envelope constants for the transport rate under P, evaluated at
+        its box corner (valid on the box by monotonicity): linear bounds for
+        the two x-series, one linear bound per t-free coefficient, and the
         four constants of the t^kappa / q / q^(2/3) / q^(1/3) envelope."""
-        P = self.params
         sig, R = float(P.sigma0), float(P.R0)
-        e11, kf = self.e11, self.kf
+        e11, kf = float(P.eps11), float(P.kappa)
+        eps = {zk: float(P.eps_slot(zk.i, sum(zk.alpha))) for zk in self.low}
         phiv = self.phi_values(sig, R)
         L = 2.0 * max(phiv.values(), default=0.0)
 
@@ -577,32 +574,34 @@ class BarrierSystem:
         H1 = self.nbeta1.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
 
         K1, K2, K3, b_linear = 1.0 / e11, 0.0, 1.5 / e11, {}
-        for (kind, eps, zk), pk in zip(self.kinds, self.packs):
+        for (kind, zk), pk in zip(self.kinds, self.packs):
             if kind == "b":
                 b_lin = float(pk[0].z_linear_bound(P.R0, Frac(L)))
                 b_linear[f"{zk.i},{','.join(map(str, zk.alpha))}"] = b_lin
-                K2 += e11 / eps * b_lin
+                K2 += e11 / eps[zk] * b_lin
                 continue
             x = pk[0].eval(sig, R, phiv)
             if kind == "c":
                 K3 += (4.0 * e11 / 3.0) * x
             elif kind == "a1":
-                K1 += e11 / eps * sig ** (1.0 - kf) * x
+                K1 += e11 / eps[zk] * sig ** (1.0 - kf) * x
             else:
                 K1 += e11 * sig ** (1.0 - 2.0 * kf) * x
 
         return {
             "H0": float(H0), "H1": float(H1), "L": L, "b_linear": b_linear,
             "K1": K1, "K2": K2, "K3": K3,
-            "C1": K1, "C2": K2 * self.inv_eps, "C3": K2 * self.n_high,
+            "C1": K1, "C2": K2 * sum(1.0 / wt for wt in eps.values()),
+            "C3": K2 * (len(self.keys) - len(self.low)),
             "C4": K3,
         }
 
 
-def verify_barrier(system: BarrierSystem, nt: int, nrho: int) -> dict:
-    """Grid verification report.
+def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
+                   nrho: int) -> dict:
+    """Grid verification report of system under params.
 
-    Pointwise checks on an nt-by-nrho grid of the working box:
+    Pointwise checks, under params, on an nt-by-nrho grid of its box:
       barrier_dineq       (t d/dt + 2h) q <= A q + B dq/drho
       growth_bound_le_h   A <= h
       phi_vs_q            each profile under its share of q
@@ -615,9 +614,9 @@ def verify_barrier(system: BarrierSystem, nt: int, nrho: int) -> dict:
     only then, which applies the rule lhs > allowed(rhs); checked is nt*nrho
     times 1, 1, 6, 6 and 1.  A nan compares false and passes, as in record.
     """
-    P, dec, profiles = system.params, system.dec, system.profiles
-    hf, e00, e01, e11 = float(P.h), system.e00, system.e01, system.e11
-    consts = system.constants()
+    P, dec, profiles = params, system.dec, system.profiles
+    hf, e00, e01, e11 = map(float, (P.h, P.eps00, P.eps01, P.eps11))
+    consts = system.constants(P)
     C1, C2, C3, C4 = (consts[c] for c in ("C1", "C2", "C3", "C4"))
     ts, rhos = barrier_grid(float(P.sigma0), float(P.R0), nt, nrho)
 
@@ -625,7 +624,7 @@ def verify_barrier(system: BarrierSystem, nt: int, nrho: int) -> dict:
                                           "phi_vs_q", "dphi_vs_dq", "envelope")}
     dineq, gb, pv, dpv, env = (chk.record for chk in checks.values())
     qmax = 0.0
-    for t, rho, tk, q, dq, tdq, v, A, B in system.grid(ts, rhos):
+    for t, rho, tk, q, dq, tdq, v, A, B in system.grid(P, ts, rhos):
         if q > qmax:
             qmax = q
         lhs, rhs = tdq + 2.0 * hf * q, A * q + B * dq

@@ -21,7 +21,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -253,25 +253,25 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
     H = build_shifted_rhs(eq, u0.u)
     dec = normal_form(H, cd)
     profiles = profile_family(w, cd)
-    params, cert = choose_params(cd, dec, profiles)
+    system = BarrierSystem(dec, profiles)
+    params, cert = choose_params(cd, system)
     if kappa is not None:
         params = params._replace(kappa=kappa)
     if eps00 is not None:
         params = params._replace(eps00=eps00)
-    system = BarrierSystem(dec, profiles, params)
-    barrier_report = verify_barrier(system, nt, nrho)
+    barrier_report = verify_barrier(system, params, nt, nrho)
     consts = barrier_report["constants"]
-    R = float(params.R0)
+    R, q = float(params.R0), partial(system.barrier, params)
     sigma_c, r_c, small_info = smallness_box(
         consts, params.h, params.kappa, R,
-        q_corner=lambda s: system.barrier(s, R),
+        q_corner=lambda s: q(s, R),
         sigma_max=float(params.sigma0))
     t_floor = args.tfloor * sigma_c
     if not t_floor > 0:
         raise InputError(f"--tfloor {args.tfloor!r} times the anchor time "
                          f"{sigma_c!r} underflows to 0")
     xi = R / 4.0
-    path = integrate(system.transport_rate, system.barrier,
+    path = integrate(partial(system.transport_rate, params), q,
                      t0=sigma_c, xi=xi, r_max=R,
                      t_floor=t_floor, tol=args.tol)
     decay = check_weighted_decay(path, params.h)

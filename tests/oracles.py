@@ -9,6 +9,7 @@ every check counted through _Check.record."""
 import math
 from math import gcd, lcm
 from operator import add
+from types import SimpleNamespace
 
 from fuchsian.certificate import barrier_grid
 from fuchsian.characteristics import _Check
@@ -150,13 +151,12 @@ def sector_product(m: SectorMajorant, n: SectorMajorant) -> SectorMajorant:
     return SectorMajorant(out)
 
 
-def grid_checks_by_record(system, nt: int, nrho: int) -> dict:
-    """The five grid families of verify_barrier, r_sup and the work
-    counters, with each of the 15 checks per point passed to record, which
-    counts it and decides it."""
-    P = system.params
-    hf, e00, e01, e11 = float(P.h), system.e00, system.e01, system.e11
-    consts = system.constants()
+def grid_checks_by_record(system, P, nt: int, nrho: int) -> dict:
+    """The five grid families of verify_barrier under params P, r_sup and
+    the work counters, with each of the 15 checks per point passed to
+    record, which counts it and decides it."""
+    hf, e00, e01, e11 = (float(f) for f in (P.h, P.eps00, P.eps01, P.eps11))
+    consts = system.constants(P)
     C1, C2, C3, C4 = (consts[c] for c in ("C1", "C2", "C3", "C4"))
     ts, rhos = barrier_grid(float(P.sigma0), float(P.R0), nt, nrho)
 
@@ -164,7 +164,7 @@ def grid_checks_by_record(system, nt: int, nrho: int) -> dict:
                                           "phi_vs_q", "dphi_vs_dq", "envelope")}
     dineq, gb, pv, dpv, env = (chk.record for chk in checks.values())
     qmax = 0.0
-    for t, rho, tk, q, dq, tdq, v, A, B in system.grid(ts, rhos):
+    for t, rho, tk, q, dq, tdq, v, A, B in system.grid(P, ts, rhos):
         qmax = max(qmax, q)
         q23 = q ** (2.0 / 3.0)
         dineq(tdq + 2.0 * hf * q, A * q + B * dq, t, rho)
@@ -188,7 +188,21 @@ def grid_checks_by_record(system, nt: int, nrho: int) -> dict:
 
 
 # -- the barrier's per-point formulas before grid became their one kernel,
-# kept verbatim (methods of BarrierSystem then, functions of it here)
+# kept verbatim (methods of BarrierSystem then, functions of it here).
+# self is weighted(system, P): the float weights and kinds a system held
+# when it was built for one BarrierParams
+
+
+def weighted(system, P) -> SimpleNamespace:
+    """system's float weights under params P as it once held them: e00,
+    e01, e11 and kf, and kinds as (kind, eps of the host for a1 and b or
+    None, host), next to its betas."""
+    return SimpleNamespace(
+        e00=float(P.eps00), e01=float(P.eps01), e11=float(P.eps11),
+        kf=float(P.kappa), betas=system.betas,
+        kinds=[(kind, float(P.eps_slot(h.i, sum(h.alpha)))
+                if kind in ("a1", "b") else None, h)
+               for kind, h in system.kinds])
 
 
 def _inner(prof, rho: float) -> list:
@@ -283,12 +297,12 @@ def _e11_terms(self, acc, t, t1k, sq02, xs, wc) -> float:
     return acc
 
 
-def barrier_point(system, t: float, rho: float) -> tuple:
-    """(t, rho, tk, q, dq, tdq, v, A, B) at one point, as BarrierSystem.grid
-    yields it, from per-point evaluators and the formulas above: A and B
-    as growth_bound and transport_rate took them."""
-    s = system
-    tk, t1k = t ** s.kf, t ** (1.0 - s.kf)
+def barrier_point(system, P, t: float, rho: float) -> tuple:
+    """(t, rho, tk, q, dq, tdq, v, A, B) at one point under params P, as
+    BarrierSystem.grid yields it, from per-point evaluators and the
+    formulas above: A and B as growth_bound and transport_rate took them."""
+    s, w = system, weighted(system, P)
+    tk, t1k = t ** w.kf, t ** (1.0 - w.kf)
     v = [m.eval(t, rho) for m in s.sectors]
     phiv = s.phi_values(t, rho)
     dphiv = {zk: s.sectors[d].eval(t, rho) for zk, d in s._dphi}
@@ -296,6 +310,6 @@ def barrier_point(system, t: float, rho: float) -> tuple:
     drho = [_slope(pk, _slope_inner(pk, rho), t, phiv, dphiv)
             for pk in s.packs]
     sq02 = math.sqrt(s.p[(0, 2)].eval(t, rho))
-    A = _growth(s, t, t1k, sq02, _rho_terms(s, rho), comp, drho)
-    B = _transport(s, t, tk, t1k, sq02, comp)
-    return (t, rho, tk, *_jet(s, tk, v), v, A, B)
+    A = _growth(w, t, t1k, sq02, _rho_terms(w, rho), comp, drho)
+    B = _transport(w, t, tk, t1k, sq02, comp)
+    return (t, rho, tk, *_jet(w, tk, v), v, A, B)

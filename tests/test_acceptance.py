@@ -7,6 +7,7 @@ arbitrary polynomial test functions; it does not, and the test reports
 that failure rather than weakening the check (see the package README).
 """
 
+import functools
 import json
 import math
 import random
@@ -88,7 +89,7 @@ def test_criterion_3_logarithmic_closed_form():
 
     rejected = False
     try:
-        choose_params(eq.char_exponents(), None, None)
+        choose_params(eq.char_exponents(), None)
     except HypothesisViolated:
         rejected = True
 
@@ -224,8 +225,9 @@ def test_criterion_6_barrier_certificate_grid():
     dineq_points = 0
     for label, w in candidates:
         prof = profile_family(w, cd)
-        params, cert = choose_params(cd, dec, prof)
-        rep = verify_barrier(BarrierSystem(dec, prof, params), nt=50, nrho=50)
+        system = BarrierSystem(dec, prof)
+        params, cert = choose_params(cd, system)
+        rep = verify_barrier(system, params, nt=50, nrho=50)
         recon_all = recon_all and rep["checks"]["reconstruction"]["ok"]
         for name in families:
             if not rep["checks"][name]["ok"]:
@@ -266,17 +268,18 @@ def test_criterion_7_characteristics():
     dec = normal_form(build_shifted_rhs(eq), cd)
     w = SeriesTX.monomial(1, 10, 12, 1, 1, (2,))
     prof = profile_family(w, cd)
-    params, _ = choose_params(cd, dec, prof)
-    system = BarrierSystem(dec, prof, params)
-    consts = system.constants()
+    system = BarrierSystem(dec, prof)
+    params, _ = choose_params(cd, system)
+    consts = system.constants(params)
     R = float(params.R0)
     h, kappa = params.h, params.kappa
 
     sigma, r_small, info = smallness_box(
         consts, h, kappa, R,
-        q_corner=lambda s: system.barrier(s, R),
+        q_corner=lambda s: system.barrier(params, s, R),
         sigma_max=float(params.sigma0))
-    mpath = integrate(system.transport_rate, system.barrier,
+    mpath = integrate(functools.partial(system.transport_rate, params),
+                      functools.partial(system.barrier, params),
                       t0=sigma, xi=R / 4, r_max=R, t_floor=sigma * 1e-6)
     decay = check_weighted_decay(mpath, h)
     radius = check_radius_bounds(mpath, consts, kappa, h, r_small)

@@ -35,7 +35,7 @@ from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _zkey_sort,
                              lambda_keys)
 from fuchsian.solver import solve_formal
 from oracles import (_slope, _slope_inner, barrier_point, grid_checks_by_record,
-                     manufactured, reconstruct_by_products)
+                     manufactured, reconstruct_by_products, weighted)
 from test_bench_reference import WORKLOADS
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -48,7 +48,7 @@ def remark3_setup():
     dec = normal_form(build_shifted_rhs(eq), cd)
     w = SeriesTX.monomial(1, 10, 12, 1, 1, (2,))     # w = t x^2
     prof = profile_family(w, cd)
-    params, cert = choose_params(cd, dec, prof)
+    params, cert = choose_params(cd, BarrierSystem(dec, prof))
     return eq, cd, dec, w, prof, params, cert
 
 
@@ -207,12 +207,12 @@ def test_dropped_split_term_fails_the_reconstruction_check(family):
         "truncation": {"K_t": 6, "K_x": 14, "K_z": 4}}))
     w = SeriesTX.monomial(1, 6, 14, 1, 1, (2,))
     prof = profile_family(w, cd)
-    params, _ = choose_params(cd, dec, prof)
-    rep = verify_barrier(BarrierSystem(dec, prof, params), 3, 3)
+    params, _ = choose_params(cd, BarrierSystem(dec, prof))
+    rep = verify_barrier(BarrierSystem(dec, prof), params, 3, 3)
     assert rep["checks"]["reconstruction"] == {"ok": True}
     broken = _drop_one_term(dec, family)
     assert broken != dec
-    rep = verify_barrier(BarrierSystem(broken, prof, params), 3, 3)
+    rep = verify_barrier(BarrierSystem(broken, prof), params, 3, 3)
     assert rep["checks"]["reconstruction"] == {"ok": False}
     assert rep["ok"] is False
 
@@ -268,6 +268,46 @@ def test_certify_decides_each_structural_check_once(monkeypatch, tmp_path):
         assert json.loads(out.read_text())["results"]["barrier"]["checks"][
             "reconstruction"] == {"ok": True}
         assert calls == {"reconstruct": 1, "_undominated_jet": 1}
+
+
+def test_certify_builds_one_system(monkeypatch, tmp_path):
+    # one BarrierSystem per certify, with or without weight overrides, so
+    # each beta norm and each pack's norm is taken once; the x-betas
+    # document has packs of every kind (at the chosen weights it stops at
+    # the anchor time, after the grid)
+    doc = tmp_path / "x-betas.json"
+    doc.write_text(json.dumps({
+        "name": "x-betas", "m": 2, "n": 1,
+        "terms": _FOUR_FAMILIES + _X_BETAS_EXTRA,
+        "truncation": {"K_t": 6, "K_x": 8, "K_z": 4}}))
+    calls = {"__init__": [], "normal_form": [], "norm_x": [], "norm_xz": []}
+    for owner, name in ((BarrierSystem, "__init__"),
+                        (certificate, "normal_form"), (certificate, "norm_x"),
+                        (certificate, "norm_xz")):
+        real = getattr(owner, name)
+
+        def counting(*args, _real=real, _seen=calls[name]):
+            out = _real(*args)
+            _seen.append(out if _real is normal_form else args[-1])
+            return out
+
+        monkeypatch.setattr(owner, name, counting)
+    overrides = ["--kappa", "1/7", "--eps00", "1/3"]
+    for argv, exit_code in ((["remark3"], 1), (["remark3", *overrides], 1),
+                            ([str(doc), "--order", "3"], 2),
+                            ([str(doc), "--order", "3", *overrides], 1)):
+        for seen in calls.values():
+            seen.clear()
+        out = tmp_path / "report.json"
+        assert cli.main(["certify", *argv, "--grid", "4x4",
+                         "--out", str(out)]) == exit_code
+        (dec,) = calls["normal_form"]
+        assert len(calls["__init__"]) == 1
+        for beta in (dec.beta0, dec.beta1):
+            assert sum(s is beta for s in calls["norm_x"]) == 1
+        packs = [*dec.a.values(), *dec.b.values(), *dec.c.values()]
+        assert packs and [sum(s is pk for s in calls["norm_xz"])
+                          for pk in packs] == [1] * len(packs)
 
 
 def test_normal_form_random_roundtrip():
@@ -374,14 +414,14 @@ def test_jet_domination_failure_names_the_jet(remark3_setup, monkeypatch):
     assert _undominated_jet(w, prof.slots) is None
     slots = {**prof.slots, (0, 2): prof.slots[(0, 2)].scale(Frac(1, 2))}
     assert _undominated_jet(w, slots) == ZKey(0, (2,))
-    rep = verify_barrier(BarrierSystem(dec, ProfileFamily(w, slots), params),
+    rep = verify_barrier(BarrierSystem(dec, ProfileFamily(w, slots)), params,
                          2, 2)
     assert rep["checks"]["profile_domination"] == {"ok": False}
     monkeypatch.setattr(certificate, "_HEADROOM", Frac(1, 2))
     halved = profile_family(w, cd)
     assert halved.slots == prof.slots
     assert _undominated_jet(w, halved.slots) == ZKey(0, (0,))
-    rep = verify_barrier(BarrierSystem(dec, halved, params), 2, 2)
+    rep = verify_barrier(BarrierSystem(dec, halved), params, 2, 2)
     assert rep["checks"]["profile_domination"] == {"ok": False}
     assert rep["ok"] is False
 
@@ -425,7 +465,7 @@ def test_choose_params_frozen_recipe(remark3_setup):
 def test_choose_params_needs_decay_rate():
     eq = load_equation("remark2")
     with pytest.raises(HypothesisViolated):
-        choose_params(eq.char_exponents(), None, None)
+        choose_params(eq.char_exponents(), None)
 
 
 # -- barrier evaluation --------------------------------------------------
@@ -445,16 +485,16 @@ def hand_barrier(t, rho, kappa):
 def test_barrier_matches_hand_formula(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
     kappa = float(params.kappa)
-    system = BarrierSystem(dec, prof, params)
+    system = BarrierSystem(dec, prof)
     for t, rho in [(1 / 64, 1.0), (1e-4, 0.5), (1e-8, 0.125)]:
-        ours = system.barrier(t, rho)
+        ours = system.barrier(params, t, rho)
         assert ours == pytest.approx(hand_barrier(t, rho, kappa), rel=1e-12)
 
 
 def test_barrier_corner_frozen(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
-    system = BarrierSystem(dec, prof, params)
-    q, dq, tdq = _grid_point(system, 1 / 64, 1.0)[3:6]
+    system = BarrierSystem(dec, prof)
+    q, dq, tdq = _grid_point(system, params, 1 / 64, 1.0)[3:6]
     assert q == pytest.approx(0.17439650722798405, rel=1e-12)
     assert dq == pytest.approx(0.19277343749999998, rel=1e-12)
     assert tdq == pytest.approx(0.17854979618261702, rel=1e-12)
@@ -462,10 +502,10 @@ def test_barrier_corner_frozen(remark3_setup):
 
 def test_barrier_drho_teuler_hand_formulas(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
-    system = BarrierSystem(dec, prof, params)
+    system = BarrierSystem(dec, prof)
     kap = float(params.kappa)
     for t, rho in [(1 / 64, 1.0), (1e-5, 0.25)]:
-        dq, tdq = _grid_point(system, t, rho)[4:6]
+        dq, tdq = _grid_point(system, params, t, rho)[4:6]
         drho = (9 / 80) * 2 * t * rho + 6 * t * rho \
             + (9 / 160) * 2 * t + 6 * t
         assert dq == pytest.approx(drho, rel=1e-12)
@@ -478,29 +518,30 @@ def test_barrier_drho_teuler_hand_formulas(remark3_setup):
         assert tdq == pytest.approx(teuler, rel=1e-12)
 
 
-def _grid_point(system, t, rho):
+def _grid_point(system, params, t, rho):
     # (t, rho, tk, q, dq, tdq, v, A, B) from a 1 x 1 grid, which the grid
     # test below ties bit for bit to the per-point evaluators
-    (point,) = system.grid([t], [rho])
+    (point,) = system.grid(params, [t], [rho])
     return point
 
 
-def _old_barrier_parts(system, t, rho):
+def _old_barrier_parts(system, params, t, rho):
     # q, dq, t dq/dt from one separate evaluator per part, restated
     slots = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
+    w = weighted(system, params)
     v = {ij: system.p[ij].eval(t, rho) for ij in slots}
     e = {ij: system.e[ij].eval(t, rho) for ij in slots}
     dv11, dv02 = system.d11.eval(t, rho), system.d02.eval(t, rho)
-    tk = t ** system.kf
-    q = (system.e00 * v[(0, 0)] + v[(1, 0)] + tk * v[(0, 2)]
-         + system.e01 * v[(0, 1)] + system.e11 * v[(1, 1)]
+    tk = t ** w.kf
+    q = (w.e00 * v[(0, 0)] + v[(1, 0)] + tk * v[(0, 2)]
+         + w.e01 * v[(0, 1)] + w.e11 * v[(1, 1)]
          + v[(0, 2)] ** 1.5)
-    dq = (system.e00 * v[(0, 1)] + v[(1, 1)] + tk * dv02
-          + system.e01 * v[(0, 2)] + system.e11 * dv11
+    dq = (w.e00 * v[(0, 1)] + v[(1, 1)] + tk * dv02
+          + w.e01 * v[(0, 2)] + w.e11 * dv11
           + 1.5 * math.sqrt(v[(0, 2)]) * dv02)
-    tdq = (system.e00 * e[(0, 0)] + e[(1, 0)]
-           + tk * (system.kf * v[(0, 2)] + e[(0, 2)])
-           + system.e01 * e[(0, 1)] + system.e11 * e[(1, 1)]
+    tdq = (w.e00 * e[(0, 0)] + e[(1, 0)]
+           + tk * (w.kf * v[(0, 2)] + e[(0, 2)])
+           + w.e01 * e[(0, 1)] + w.e11 * e[(1, 1)]
            + 1.5 * math.sqrt(v[(0, 2)]) * e[(0, 2)])
     return q, dq, tdq, v, dv11, dv02
 
@@ -518,58 +559,71 @@ def test_barrier_jet_equals_separate_evaluators(remark3_setup):
                                       rng.randint(1, 2), (rng.randint(0, 4),))
         if w.is_zero():
             continue
-        system = BarrierSystem(dec, profile_family(w, cd), params)
+        system = BarrierSystem(dec, profile_family(w, cd))
         points = [(1 / 64, 1.0), (0.0, 0.5), (1e-5, 0.0)]
         points += [(10.0 ** rng.uniform(-6, -1.8), rng.uniform(0, 1))
                    for _ in range(25)]
         for t, rho in points:
-            q, dq, tdq, v, dv11, dv02 = _old_barrier_parts(system, t, rho)
-            _, _, _, *jet, grid_v, _, _ = _grid_point(system, t, rho)
+            q, dq, tdq, v, dv11, dv02 = _old_barrier_parts(system, params,
+                                                           t, rho)
+            _, _, _, *jet, grid_v, _, _ = _grid_point(system, params, t, rho)
             assert jet == [q, dq, tdq]
             assert list(grid_v[:7]) == [*v.values(), dv11, dv02]
-            assert system.barrier(t, rho) == q
+            assert system.barrier(params, t, rho) == q
 
 
 def test_growth_bound_corner_and_small_t_limit(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
-    system = BarrierSystem(dec, prof, params)
-    corner = system.growth_bound(1 / 64, 1.0)
+    system = BarrierSystem(dec, prof)
+    corner = system.growth_bound(params, 1 / 64, 1.0)
     # 2 eps00 + sqrt(phi02) contribution at the corner
     assert corner == pytest.approx(0.225 + math.sqrt(1 / 32), rel=1e-12)
     assert corner <= float(params.h)
-    small = system.growth_bound(1e-12, 0.0)
+    small = system.growth_bound(params, 1e-12, 0.0)
     assert small == pytest.approx(0.225, abs=2e-6)
 
 
 def test_transport_rate_zero_profiles_is_t_to_kappa(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
     prof0 = profile_family(SeriesTX.zero(1, 10, 12), cd)
-    system = BarrierSystem(dec, prof0, params)
+    system = BarrierSystem(dec, prof0)
     for t in (0.01, 1e-6, 1e-3):
-        assert system.transport_rate(t, 0.3) \
+        assert system.transport_rate(params, t, 0.3) \
             == pytest.approx(math.pow(t, float(params.kappa)), rel=1e-13)
 
 
+def _values(system, params):
+    # everything a system yields under params, by repr so that -0.0 shows
+    sig, R = float(params.sigma0), float(params.R0)
+    points = [(sig, R), (1e-5, 0.0), (0.0, 0.5), (sig / 3, R * 0.6)]
+    grid = [(*p[:6], list(p[6]), *p[7:])
+            for p in system.grid(params, *barrier_grid(sig, R, 3, 4))]
+    return repr((grid, system.constants(params),
+                 [(system.barrier(params, t, rho),
+                   system.growth_bound(params, t, rho),
+                   system.transport_rate(params, t, rho))
+                  for t, rho in points]))
+
+
 def test_reused_system_matches_fresh_system(remark3_setup):
-    # a system holds no state its evaluations change, so earlier ones must
-    # not move a value
+    # params are inputs, not state: one system evaluated under P, then P'
+    # (other kappa and eps00, box halved), then P again gives, bit for
+    # bit, what a system that only ever saw that params gives
     _, cd, dec, w, prof, params, _ = remark3_setup
-    warm = BarrierSystem(dec, prof, params)
-    for t, rho in [(1 / 64, 1.0), (1e-5, 0.0), (0.0, 0.5)]:
-        warm.barrier(t, rho)
-        warm.growth_bound(t, rho)
-        warm.transport_rate(t, rho)
-    fresh = BarrierSystem(dec, profile_family(w, cd), params)
-    t, rho = 1e-3, 0.6
-    assert fresh.barrier(t, rho) == warm.barrier(t, rho)
-    assert fresh.growth_bound(t, rho) == warm.growth_bound(t, rho)
-    assert fresh.transport_rate(t, rho) == warm.transport_rate(t, rho)
+    other = params._replace(kappa=Frac(1, 7), eps00=Frac(1, 3),
+                            sigma0=params.sigma0 / 2, R0=params.R0 / 2)
+    shared = BarrierSystem(dec, prof)
+    seen = [_values(shared, P) for P in (params, other, params)]
+    fresh = [_values(BarrierSystem(dec, profile_family(w, cd)), P)
+             for P in (params, other, params)]
+    assert seen == fresh
+    assert seen[0] != seen[1]
 
 
 def test_constants_frozen(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
-    system = BarrierSystem(dec, prof, params)
-    c = system.constants()
+    system = BarrierSystem(dec, prof)
+    c = system.constants(params)
     assert c["H0"] == 0.0 and c["H1"] == 0.0
     assert c["L"] == pytest.approx(0.1875, rel=1e-15)
     assert c["C1"] == pytest.approx(1.0, rel=1e-15)
@@ -604,12 +658,12 @@ class _KeyedSystem:
     """The filtered key-dict loops that BarrierSystem's compiled families
     replaced, restated on top of a system's own profile evaluators."""
 
-    def __init__(self, system, dec):
-        self.s = system
+    def __init__(self, system, dec, params):
+        self.s, self.P, self.w = system, params, weighted(system, params)
         keys = system.keys
         self.low = tuple(zk for zk in keys if sum(zk.alpha) <= 1)
         self.high = tuple(zk for zk in keys if sum(zk.alpha) == 2)
-        self.eps = {zk: float(system.params.eps_slot(zk.i, sum(zk.alpha)))
+        self.eps = {zk: float(params.eps_slot(zk.i, sum(zk.alpha)))
                     for zk in self.low}
 
         def pack(series_map):
@@ -624,12 +678,12 @@ class _KeyedSystem:
         self.na, self.nb, self.nc = pack(dec.a), pack(dec.b), pack(dec.c)
 
     def growth_bound(self, t, rho):
-        s, eps = self.s, self.eps
-        e00, e01, e11 = s.e00, s.e01, s.e11
+        s, eps, w = self.s, self.eps, self.w
+        e00, e01, e11 = w.e00, w.e01, w.e11
         phiv = s.phi_values(t, rho)
         dphiv = {zk: s.sectors[d].eval(t, rho) for zk, d in s._dphi}
         sq02 = math.sqrt(s.p[(0, 2)].eval(t, rho))
-        t1k = t ** (1.0 - s.kf)
+        t1k = t ** (1.0 - w.kf)
         acc = e00
         acc += s.nbeta0.eval(rho) / e00 + s.nbeta1.eval(rho)
         for zk in self.low:
@@ -643,7 +697,7 @@ class _KeyedSystem:
                 acc += _comp(self.nb[zk], t, rho, phiv) / eps[zk]
         for pr in self.nc:
             acc += _comp(self.nc[pr], t, rho, phiv) * sq02
-        acc += s.kf + e01 / e11
+        acc += w.kf + e01 / e11
         acc += e11 * (s.dbeta0.eval(rho) / e00 + s.dbeta1.eval(rho))
         acc += e11 * (s.nbeta0.eval(rho) / e01 + s.nbeta1.eval(rho) / e11)
         for zk in self.low:
@@ -663,11 +717,11 @@ class _KeyedSystem:
         return acc
 
     def transport_rate(self, t, rho):
-        s, eps, e11 = self.s, self.eps, self.s.e11
+        s, eps, e11, kf = self.s, self.eps, self.w.e11, self.w.kf
         phiv = s.phi_values(t, rho)
         sq02 = math.sqrt(s.p[(0, 2)].eval(t, rho))
-        tk = t ** s.kf
-        t1k = t ** (1.0 - s.kf)
+        tk = t ** kf
+        t1k = t ** (1.0 - kf)
         acc = tk / e11
         for zk in self.low:
             if zk in self.na:
@@ -684,9 +738,9 @@ class _KeyedSystem:
         return acc
 
     def constants(self):
-        s, eps, P = self.s, self.eps, self.s.params
+        s, eps, P = self.s, self.eps, self.P
         sig, R = float(P.sigma0), float(P.R0)
-        e11, kf = s.e11, s.kf
+        e11, kf = self.w.e11, self.w.kf
         phiv = s.phi_values(sig, R)
         L = 2.0 * max(phiv.values(), default=0.0)
         H0 = s.nbeta0.eval_frac(P.R0) / P.R0 if P.R0 > 0 else Frac(0)
@@ -760,9 +814,10 @@ def test_compiled_families_match_keyed_loops(extra):
                                                     rng.randint(1, 9)),
                                       rng.randint(1, 2), (rng.randint(0, 4),))
         prof = profile_family(w, cd)
-        chosen, _ = choose_params(cd, dec, prof)
-        # the chosen weights and box, then random ones: constants() reads
-        # the box, and other weights move every product
+        system = BarrierSystem(dec, prof)
+        chosen, _ = choose_params(cd, system)
+        # the chosen weights and box, then random ones, on the one system:
+        # constants() reads the box, and other weights move every product
         variants = [chosen] + [
             chosen._replace(eps11=Frac(rng.randint(1, 99), 100),
                             kappa=Frac(rng.randint(1, 49), 100),
@@ -770,16 +825,16 @@ def test_compiled_families_match_keyed_loops(extra):
                             R0=Frac(rng.randint(1, 99), 100))
             for _ in range(9)]
         for params in variants:
-            system = BarrierSystem(dec, prof, params)
-            keyed = _KeyedSystem(BarrierSystem(dec, prof, params), dec)
-            assert system.constants() == keyed.constants()
+            keyed = _KeyedSystem(BarrierSystem(dec, prof), dec, params)
+            assert system.constants(params) == keyed.constants()
             sig, R = float(params.sigma0), float(params.R0)
             points = [(sig, R), (0.0, 0.5), (sig, 0.0)]
             points += [(sig * 10.0 ** rng.uniform(-4, 0), R * rng.random())
                        for _ in range(20)]
             for t, rho in points:
-                assert system.growth_bound(t, rho) == keyed.growth_bound(t, rho)
-                assert (system.transport_rate(t, rho)
+                assert (system.growth_bound(params, t, rho)
+                        == keyed.growth_bound(t, rho))
+                assert (system.transport_rate(params, t, rho)
                         == keyed.transport_rate(t, rho))
 
 
@@ -804,22 +859,21 @@ def test_grid_matches_per_point_evaluators_bitwise(extra):
             rng.randint(1, 2), (rng.randint(0, 4),))
     for w in (SeriesTX.monomial(1, k_t, k_x, 1, 1, (2,)), seeded):
         prof = profile_family(w, cd)
-        params, _ = choose_params(cd, dec, prof)
-        grid_sys = BarrierSystem(dec, prof, params)
-        point_sys = BarrierSystem(dec, prof, params)
+        grid_sys, point_sys = BarrierSystem(dec, prof), BarrierSystem(dec, prof)
+        params, _ = choose_params(cd, grid_sys)
         ts, rhos = barrier_grid(float(params.sigma0), float(params.R0), 6, 5)
         assert rhos[0] == 0.0 and ts[0] == float(params.sigma0)
         seen = []
-        for t, rho, tk, q, dq, tdq, v, A, B in grid_sys.grid(ts, rhos):
+        for t, rho, tk, q, dq, tdq, v, A, B in grid_sys.grid(params, ts, rhos):
             seen.append((t, rho))
-            jet = _old_barrier_parts(point_sys, t, rho)
+            jet = _old_barrier_parts(point_sys, params, t, rho)
             assert (q, dq, tdq) == jet[:3]
-            assert q == point_sys.barrier(t, rho)
+            assert q == point_sys.barrier(params, t, rho)
             assert list(jet[3].values()) == list(v[:5])
             assert (v[5], v[6]) == jet[4:]
             assert tk == t ** float(params.kappa)
-            assert A == point_sys.growth_bound(t, rho)
-            assert B == point_sys.transport_rate(t, rho)
+            assert A == point_sys.growth_bound(params, t, rho)
+            assert B == point_sys.transport_rate(params, t, rho)
         assert seen == [(t, rho) for t in ts for rho in rhos]
         # two phi evaluations per point the grid yields, one in constants()
         assert grid_sys.work(len(ts), len(rhos))["phi_evals"] \
@@ -841,7 +895,7 @@ def test_grid_sector_evals_do_not_grow_with_nt(remark3_setup, monkeypatch):
     counts = {}
     for nt, nrho in ((10, 10), (20, 10), (10, 20), (20, 20)):
         calls[0] = 0
-        verify_barrier(BarrierSystem(dec, prof, params), nt=nt, nrho=nrho)
+        verify_barrier(BarrierSystem(dec, prof), params, nt=nt, nrho=nrho)
         counts[(nt, nrho)] = calls[0]
     assert counts[(20, 10)] == counts[(10, 10)], counts
     assert counts[(10, 20)] == counts[(10, 10)], counts
@@ -850,7 +904,8 @@ def test_grid_sector_evals_do_not_grow_with_nt(remark3_setup, monkeypatch):
 
 @functools.cache
 def _kernel_system(source):
-    # the system certify builds on source, with a seeded w of three terms
+    # the system certify builds on source, with a seeded w of three terms,
+    # and the params it chooses
     if source.startswith("remark3"):
         (cd, dec), (k_t, k_x) = _split(load_equation(source)), (10, 12)
     else:
@@ -863,15 +918,15 @@ def _kernel_system(source):
         w = w + SeriesTX.monomial(
             1, k_t, k_x, Frac(rng.randint(1, 9), rng.randint(1, 9)),
             rng.randint(1, 2), (rng.randint(0, 4),))
-    prof = profile_family(w, cd)
-    return BarrierSystem(dec, prof, choose_params(cd, dec, prof)[0])
+    system = BarrierSystem(dec, profile_family(w, cd))
+    return system, choose_params(cd, system)[0]
 
 
 def test_kernel_property_systems_cover_every_pack_kind():
     # the x-betas decomposition has every kind of pack, packs that read
     # phi, and terms of A in rho alone that are not 0
-    system = _kernel_system("with-x-betas")
-    assert {kind for kind, _, _ in system.kinds} == {"a1", "a2", "b", "c"}
+    system, _ = _kernel_system("with-x-betas")
+    assert {kind for kind, _ in system.kinds} == {"a1", "a2", "b", "c"}
     assert any(nu for pk in system.packs for _, nu in pk[0].profiles)
     assert not system.nbeta0.is_zero() and not system.nbeta1.is_zero()
 
@@ -897,31 +952,34 @@ def _drawn_params(params, seed):
                            sigma0=Frac(1, 2 ** rng.randint(0, 12)))
 
 
+_SEED = st.none() | st.integers(0, 2 ** 32 - 1)
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(source=st.sampled_from(_SOURCES),
-       seed=st.none() | st.integers(0, 2 ** 32 - 1), tf=_AXIS, rf=_AXIS)
-@example(source="remark3", seed=None, tf=[0.0], rf=[0.0])
-@example(source="remark3_forced", seed=None, tf=[0.0], rf=[0.0])
-@example(source="with-x-betas", seed=None, tf=[0.0], rf=[0.0])
-@example(source="with-z11-host", seed=None, tf=[0.0], rf=[0.0])
-def test_grid_matches_per_point_oracle_bitwise(source, seed, tf, rf):
+@given(source=st.sampled_from(_SOURCES), seed=_SEED, seed2=_SEED, tf=_AXIS,
+       rf=_AXIS)
+@example(source="remark3", seed=None, seed2=None, tf=[0.0], rf=[0.0])
+@example(source="remark3_forced", seed=None, seed2=None, tf=[0.0], rf=[0.0])
+@example(source="with-x-betas", seed=None, seed2=None, tf=[0.0], rf=[0.0])
+@example(source="with-z11-host", seed=None, seed2=None, tf=[0.0], rf=[0.0])
+def test_grid_matches_per_point_oracle_bitwise(source, seed, seed2, tf, rf):
     # bit-identical, compared by repr so that -0.0 would show: every value
     # the grid yields against the per-point formulas it replaced, on grids
-    # of 1 to 36 points, at the chosen weights and box or at drawn ones
-    system = _kernel_system(source)
-    params = system.params
-    if seed is not None:
-        params = _drawn_params(params, seed)
-        system = BarrierSystem(system.dec, system.profiles, params)
-    sig, R = float(params.sigma0), float(params.R0)
-    ts = [sig * 10.0 ** (-4.0 * f) for f in tf]
-    rhos = [R * f for f in rf]
+    # of 1 to 36 points, at the chosen weights and box or at drawn ones,
+    # then at a second chosen or drawn params on the same system
+    system, chosen = _kernel_system(source)
 
     def rows(points):
         return repr([(*p[:6], list(p[6]), *p[7:]) for p in points])
 
-    assert rows(system.grid(ts, rhos)) \
-        == rows(barrier_point(system, t, rho) for t in ts for rho in rhos)
+    for s in (seed, seed2):
+        params = chosen if s is None else _drawn_params(chosen, s)
+        sig, R = float(params.sigma0), float(params.R0)
+        ts = [sig * 10.0 ** (-4.0 * f) for f in tf]
+        rhos = [R * f for f in rf]
+        assert rows(system.grid(params, ts, rhos)) \
+            == rows(barrier_point(system, params, t, rho)
+                    for t in ts for rho in rhos)
 
 
 @pytest.mark.parametrize("source", ["remark3", "with-x-betas"])
@@ -930,8 +988,8 @@ def test_grid_python_calls_do_not_grow_with_points(source):
     # own resumptions and comprehensions aside) do not grow from 100 to
     # 400 points, on 10 or on 20 columns.  Each point called about ten
     # helpers when q, A and B were a chain of them
-    system = _kernel_system(source)
-    sig, R = float(system.params.sigma0), float(system.params.R0)
+    system, params = _kernel_system(source)
+    sig, R = float(params.sigma0), float(params.R0)
     grid_code = BarrierSystem.grid.__code__
     package = str(Path(certificate.__file__).parent)
 
@@ -945,7 +1003,7 @@ def test_grid_python_calls_do_not_grow_with_points(source):
                     and not code.co_name.startswith("<")):
                 seen[f"{code.co_filename}:{code.co_name}"] += 1
 
-        points = system.grid(*barrier_grid(sig, R, nt, nrho))
+        points = system.grid(params, *barrier_grid(sig, R, nt, nrho))
         sys.setprofile(profile)
         try:
             n = sum(1 for _ in points)
@@ -994,14 +1052,15 @@ def _faulty(system, seed):
     # system.grid with one seeded fault per point: one of the 15 checks has
     # its lhs moved onto rhs * (1 +- f), f log-uniform from well inside the
     # slack of allowed(rhs) to far past it, or q is scaled up
-    grid, hf = system.grid, float(system.params.h)
-    e00, e01, e11 = system.e00, system.e01, system.e11
-    C1, C2, C3, C4 = (BarrierSystem(system.dec, system.profiles, system.params)
-                      .constants()[c] for c in ("C1", "C2", "C3", "C4"))
+    grid = system.grid
 
-    def run(ts, rhos):
+    def run(P, ts, rhos):
+        hf, e00, e01, e11 = (float(f) for f in (P.h, P.eps00, P.eps01,
+                                                P.eps11))
+        C1, C2, C3, C4 = (BarrierSystem(system.dec, system.profiles)
+                          .constants(P)[c] for c in ("C1", "C2", "C3", "C4"))
         rng = random.Random(seed)
-        for t, rho, tk, q, dq, tdq, v, A, B in grid(ts, rhos):
+        for t, rho, tk, q, dq, tdq, v, A, B in grid(P, ts, rhos):
             v = list(v)
             pick = rng.randrange(16)
             up = 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-12, 0.5)
@@ -1031,8 +1090,8 @@ def _faulty(system, seed):
 def _nan_a_and_v0(system):
     grid = system.grid
 
-    def run(ts, rhos):
-        for t, rho, tk, q, dq, tdq, v, A, B in grid(ts, rhos):
+    def run(P, ts, rhos):
+        for t, rho, tk, q, dq, tdq, v, A, B in grid(P, ts, rhos):
             yield t, rho, tk, q, dq, tdq, [math.nan, *v[1:]], math.nan, B
     return run
 
@@ -1040,12 +1099,12 @@ def _nan_a_and_v0(system):
 def _inline_and_oracle(dec, prof, params, nt, nrho, fault=None):
     # verify_barrier's grid families, r_sup and work next to the oracle's,
     # each on its own system, both reading the same (possibly faulty) grid
-    systems = [BarrierSystem(dec, prof, params) for _ in range(2)]
+    systems = [BarrierSystem(dec, prof) for _ in range(2)]
     if fault is not None:
         for system in systems:
             system.grid = fault(system)
-    rep = verify_barrier(systems[0], nt, nrho)
-    want = grid_checks_by_record(systems[1], nt, nrho)
+    rep = verify_barrier(systems[0], params, nt, nrho)
+    want = grid_checks_by_record(systems[1], params, nt, nrho)
     got = {"checks": {name: rep["checks"][name] for name in want["checks"]},
            "r_sup": rep["r_sup"], "work": rep["work"]}
     return got, want
@@ -1074,9 +1133,10 @@ def test_inline_grid_checks_equal_record_oracle(source):
     failed = {}
     for w in (SeriesTX.monomial(1, k_t, k_x, 1, 1, (2,)), seeded):
         prof = profile_family(w, cd)
-        params, _ = choose_params(cd, dec, prof)
+        system = BarrierSystem(dec, prof)
+        params, _ = choose_params(cd, system)
         if w is seeded:
-            levels = BarrierSystem(dec, prof, params).sectors[0].horner()
+            levels = system.sectors[0].horner()
             assert len(levels) >= 3
         for nt, nrho in ((7, 5), (3, 11)):
             got, want = _inline_and_oracle(dec, prof, params, nt, nrho)
@@ -1099,7 +1159,7 @@ def test_inline_grid_checks_pass_nan_as_record_does(remark3_setup):
     # too large every point fails growth_bound_le_h, and with nan none does
     _, cd, dec, w, prof, params, _ = remark3_setup
     bad = params._replace(eps00=10 * params.h)
-    clean = verify_barrier(BarrierSystem(dec, prof, bad), 7, 5)["checks"]
+    clean = verify_barrier(BarrierSystem(dec, prof), bad, 7, 5)["checks"]
     assert clean["growth_bound_le_h"]["violations"] == 35
     got, want = _inline_and_oracle(dec, prof, bad, 7, 5, _nan_a_and_v0)
     assert repr(got) == repr(want)
@@ -1124,7 +1184,7 @@ def test_barrier_grid_contains_corner():
 
 def test_verify_barrier_report(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
-    rep = verify_barrier(BarrierSystem(dec, prof, params), nt=50, nrho=50)
+    rep = verify_barrier(BarrierSystem(dec, prof), params, nt=50, nrho=50)
     checks = rep["checks"]
     # structural identities hold exactly
     assert checks["reconstruction"]["ok"]
@@ -1152,13 +1212,13 @@ def test_verify_barrier_work_counters(remark3_setup):
     # evaluations per point, one of each in constants(); a second call on
     # the same system reports the same, whatever ran on it before
     _, cd, dec, w, prof, params, _ = remark3_setup
-    system = BarrierSystem(dec, prof, params)
+    system = BarrierSystem(dec, prof)
     for _ in range(2):
-        rep = verify_barrier(system, nt=10, nrho=10)
+        rep = verify_barrier(system, params, nt=10, nrho=10)
         assert rep["work"] == {"grid_points": 100, "phi_evals": 201,
                                "coefficient_evals": 301}
-        system.growth_bound(0.01, 0.5)
-        system.constants()
+        system.growth_bound(params, 0.01, 0.5)
+        system.constants(params)
 
 
 def test_verify_barrier_builds_no_majorant_per_grid_point(remark3_setup,
@@ -1175,7 +1235,7 @@ def test_verify_barrier_builds_no_majorant_per_grid_point(remark3_setup,
     counts = []
     for side in (10, 20):
         built[0] = 0
-        verify_barrier(BarrierSystem(dec, prof, params), nt=side, nrho=side)
+        verify_barrier(BarrierSystem(dec, prof), params, nt=side, nrho=side)
         counts.append(built[0])
     assert counts[0] > 0
     assert counts[0] == counts[1]
@@ -1184,7 +1244,7 @@ def test_verify_barrier_builds_no_majorant_per_grid_point(remark3_setup,
 def test_corrupted_eps00_breaks_growth_bound(remark3_setup):
     _, cd, dec, w, prof, params, _ = remark3_setup
     bad = params._replace(eps00=10 * params.h)
-    rep = verify_barrier(BarrierSystem(dec, prof, bad), nt=20, nrho=20)
+    rep = verify_barrier(BarrierSystem(dec, prof), bad, nt=20, nrho=20)
     chk = rep["checks"]["growth_bound_le_h"]
     assert not chk["ok"]
     assert chk["violations"] == 400       # 2 eps00 alone already exceeds h
