@@ -4,10 +4,11 @@ The JSON schema is flat: {"m" (always 2), "n", "terms": [...], "truncation":
 {"K_t", "K_x", "K_z"}}, each term {"coeff": [num_re, den_re, num_im,
 den_im], "t_pow": int, "x_pows": [n ints], "z_pows": [{"i", "alpha",
 "pow"}, ...]}.  This is where outside input is checked, once: anything
-malformed or past the limits below raises InputError with the offending
-field named, before any work, and a jet index outside the second-order
-set raises IndexOutOfLambda.  Jet monomials are put in canonical form here
-too; the layers below trust what they are built from.
+malformed or past the limits below, or a term whose z-degree (the sum of
+its pows) exceeds K_z, raises InputError with the offending field named,
+before any work, and a jet index outside the second-order set raises
+IndexOutOfLambda.  Jet monomials are put in canonical form here too; the
+layers below trust what they are built from.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 from .equation import FuchsianEquation
 from .errors import IndexOutOfLambda, InputError
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey, _norm_nu, _zkey_sort, lambda_keys
+from .series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _nu_degree,
+                     _zkey_sort, lambda_keys)
 
 BUILTIN_NAMES = ("remark2", "remark3", "remark3_forced")
 
@@ -104,6 +106,9 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
             _require(_is_int(p) and p >= 1,
                      f"{zwhere}.pow must be a positive integer")
             nu.append((ZKey(i, tuple(al)), p))
+        deg = _nu_degree(nu)
+        _require(deg <= tr["K_z"], f"{where}.z_pows must have z-degree at "
+                 f"most truncation.K_z = {tr['K_z']}, got {deg}")
         key = (tp, tuple(xp), _norm_nu(nu))
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff

@@ -77,8 +77,7 @@ def build_shifted_rhs(eq, u0: SeriesTX | None = None) -> SeriesTXZ:
             raise HypothesisViolated("base series must vanish at t = 0")
         F = F.shift_z(derivative_tuple(u0))
     return SeriesTXZ(F.n, F.k_t, F.k_x, F.k_z,
-                     {key: c for key, c in F.terms.items() if key[2]},
-                     z_clipped=F.z_clipped)
+                     {key: c for key, c in F.terms.items() if key[2]})
 
 
 class Decomposition(NamedTuple):

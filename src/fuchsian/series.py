@@ -268,49 +268,28 @@ class SeriesTX:
         return out.scale(inv0)
 
 
-def clipped_t_cap(F: "SeriesTXZ", kt: int, ord_min: int | None) -> int:
-    """The t-cap kt once F's z-truncation is accounted for: the dropped jet
-    terms are of z-degree k_z + 1 or more, so when the substituted values
-    start at t-order ord_min (None if they all vanish) the result is
-    reliable to t-order (k_z + 1) * ord_min - 1, and not at all if 0."""
-    if not F.z_clipped or ord_min is None:
-        return kt
-    if ord_min == 0:
-        raise TruncationExhausted(
-            "dropped jet terms reach t-order 0: substitution values "
-            "must vanish at t = 0 after z-truncation")
-    return min(kt, (F.k_z + 1) * ord_min - 1)
-
-
 class SeriesTXZ:
     """Series in t, x and the jet variables z[i, alpha] of the second-order
     equation, (i, alpha) in lambda_keys(n).  Jet monomials are truncated at
-    total z-degree k_z; z_clipped records whether that truncation has ever
-    dropped a term, because substitution can only be trusted to a finite
-    t-order afterwards."""
+    total z-degree k_z, as t-powers at k_t and x-degrees at k_x;
+    parse_equation refuses a document term past K_z, so a right-hand side
+    holds its whole jet polynomial."""
 
-    __slots__ = ("n", "k_t", "k_x", "k_z", "terms", "z_clipped")
+    __slots__ = ("n", "k_t", "k_x", "k_z", "terms")
 
-    def __init__(self, n: int, k_t: int, k_x: int, k_z: int,
-                 terms=None, z_clipped: bool = False):
+    def __init__(self, n: int, k_t: int, k_x: int, k_z: int, terms=None):
         self.n = n
         self.k_t = k_t
         self.k_x = k_x
         self.k_z = k_z
-        clipped = bool(z_clipped)
         store: dict[tuple, CRat] = {}
         for (k, alpha, nu), c in (terms or {}).items():
+            if k > k_t or sum(alpha) > k_x or _nu_degree(nu) > k_z:
+                continue
             c = _coeff(c)
-            if c.is_zero():
-                continue
-            if _nu_degree(nu) > k_z:
-                clipped = True
-                continue
-            if k > k_t or sum(alpha) > k_x:
-                continue
-            store[(k, alpha, nu)] = c
+            if not c.is_zero():
+                store[(k, alpha, nu)] = c
         self.terms = store
-        self.z_clipped = clipped
 
     # -- constructors -----------------------------------------------
 
@@ -342,8 +321,7 @@ class SeriesTXZ:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SeriesTXZ(n={self.n}, k_t={self.k_t}, "
-                f"k_x={self.k_x}, k_z={self.k_z}, {len(self.terms)} terms"
-                + (", z_clipped" if self.z_clipped else "") + ")")
+                f"k_x={self.k_x}, k_z={self.k_z}, {len(self.terms)} terms)")
 
     # -- ring operations ---------------------------------------------
 
@@ -359,8 +337,7 @@ class SeriesTXZ:
         for key, c in other.terms.items():
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return SeriesTXZ(self.n, kt, kx, kz, out,
-                         z_clipped=self.z_clipped or other.z_clipped)
+        return SeriesTXZ(self.n, kt, kx, kz, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -373,8 +350,7 @@ class SeriesTXZ:
     def scale(self, c) -> "SeriesTXZ":
         c = _coeff(c)
         return SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
-                         {key: v * c for key, v in self.terms.items()},
-                         z_clipped=self.z_clipped)
+                         {key: v * c for key, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SeriesTXZ):
@@ -393,37 +369,21 @@ class SeriesTXZ:
                 acc = out.get(key)
                 c = c1 * c2
                 out[key] = c if acc is None else acc + c
-        return SeriesTXZ(self.n, kt, kx, kz, out,
-                         z_clipped=self.z_clipped or other.z_clipped)
+        return SeriesTXZ(self.n, kt, kx, kz, out)
 
     # -- substitution ---------------------------------------------------
 
     def substitute_z(self, values: dict) -> SeriesTX:
         """Replace every jet variable by its SeriesTX in values, which holds
-        one over the same n for each key used, and expand.
-
-        When z-truncation dropped terms (z_clipped), the result is reliable
-        only while the dropped part cannot reach the tracked t-orders: every
-        substituted value must then vanish at t = 0, and the t-cap shrinks to
-        (k_z + 1) * ord_min - 1 with ord_min the least t-order among values.
-        """
+        one over the same n for each key used, and expand."""
         used_vals = [values[zk] for zk in self.jet_keys_used()]
         kt = min([self.k_t] + [v.k_t for v in used_vals])
         kx = min([self.k_x] + [v.k_x for v in used_vals])
-        if self.z_clipped:
-            orders = [o for v in used_vals if (o := v.t_order()) is not None]
-            kt = clipped_t_cap(self, kt, min(orders, default=None))
         return SeriesTX(self.n, kt, kx, self._sum_products(
             values, SeriesTX.one(self.n, kt, kx)))
 
     def shift_z(self, shifts: dict) -> "SeriesTXZ":
-        """Substitute z[zk] -> z[zk] + s_zk(t, x) for the given shifts.
-
-        Needs an exact jet polynomial: a z-clipped series would have lost
-        high z-degree terms whose shifted expansion reaches low z-degrees.
-        """
-        if self.z_clipped:
-            raise TruncationExhausted("cannot shift jet variables after z-clipping")
+        """Substitute z[zk] -> z[zk] + s_zk(t, x) for the given shifts."""
         return self._expand({zk: self._var(zk) + SeriesTXZ.from_tx(s, self.k_z)
                              for zk, s in shifts.items() if not s.is_zero()})
 
@@ -431,8 +391,7 @@ class SeriesTXZ:
         """Replace jet variables by linear combinations of jet variables.
 
         mapping: ZKey -> iterable of (coefficient, ZKey).  Keys absent from
-        the mapping are left alone.  Degrees in z are preserved, so this is
-        safe on z-clipped series: whatever was dropped stays above the cap.
+        the mapping are left alone.  Degrees in z are preserved.
         """
         zero = SeriesTXZ.zero(self.n, self.k_t, self.k_x, self.k_z)
         return self._expand({
@@ -445,14 +404,13 @@ class SeriesTXZ:
     def _expand(self, images: dict) -> "SeriesTXZ":
         """Replace z[zk] by images[zk], of z-degree <= 1, where one is given.
         The caps min-join self's with every image a term uses, as * and +
-        would; no z-degree grows, so z_clipped carries over as is."""
+        would."""
         used = {zk: images[zk] if zk in images else self._var(zk)
                 for zk in self.jet_keys_used()}
         kt, kx, kz = map(min, zip(*((f.k_t, f.k_x, f.k_z)
                                     for f in (self, *used.values()))))
         one = SeriesTXZ(self.n, kt, kx, kz, {(0, (0,) * self.n, ()): 1})
-        return SeriesTXZ(self.n, kt, kx, kz, self._sum_products(used, one),
-                         z_clipped=self.z_clipped)
+        return SeriesTXZ(self.n, kt, kx, kz, self._sum_products(used, one))
 
     def _sum_products(self, images: dict, one) -> dict:
         """Terms, keyed like those of one (the unit at the output caps), of

@@ -59,7 +59,7 @@ from typing import NamedTuple
 from .equation import FuchsianEquation
 from .errors import IndicialZero, TruncationExhausted
 from .rational import CRat, Frac
-from .series import SeriesTX, SeriesTXZ, ZKey, clipped_t_cap, lambda_keys
+from .series import SeriesTX, ZKey, lambda_keys
 
 
 def derivative_tuple(u: SeriesTX) -> dict[ZKey, SeriesTX]:
@@ -247,8 +247,6 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     for k in range(1, order + 1):
         kx = F.k_x - k * a_used
         lim = (kx + 1) * B ** n
-        if F.z_clipped:
-            _check_clipped(F, used, jets, k, order, kx + a_used, B ** n)
         for p in products:
             head = powers[p[:-1]] if len(p) > 2 else jets[p[0]]
             tail = jets[p[-1]]
@@ -298,23 +296,6 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     return FormalSolution(u=u.truncate(k_x=x_order), verified=verified)
 
 
-def _check_clipped(F: SeriesTXZ, used: list, jets: dict, k: int, order: int,
-                   u_cap: int, Bn: int) -> None:
-    """Raise when F's dropped z-degrees could reach t^k.
-
-    Terms above z-degree k_z are gone, so the substitution is reliable only
-    to t-order clipped_t_cap(F, order, ord_min), ord_min the least t-order
-    among the used jet values of the partial sum, each read at the x-cap
-    u_cap - |alpha| that u_1 .. u_{k-1} carry into step k; Bn = B^n."""
-    live = (j for j in range(1, k)
-            if any(a < (u_cap - sum(zk.alpha) + 1) * Bn
-                   for zk in used for a in jets[zk][j][1]))
-    kt = clipped_t_cap(F, order, next(live, None))
-    if kt < k:
-        raise TruncationExhausted(
-            f"substitution reliable only to t-order {kt} < {k}")
-
-
 def _valuation(z: list) -> int:
     """Index of the first non-empty section of z, len(z) if none is."""
     return next((k for k, (_, num) in enumerate(z) if num), len(z))
@@ -324,8 +305,7 @@ def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
     """residual(eq, u, K).is_zero(), one t-order at a time on u's t^k
     sections u_k: the t^k coefficient of F(jet of u) - (t d/dt)^2 u is one
     _cauchy sum of c x^beta [t^(k-a)] Z^nu over F's terms and of -k^2 u_k.
-    The caps are residual's: t-order min(F.k_t, u.k_t, K), and
-    (k_z + 1) * ord_min - 1 after z-truncation; x-degree
+    The caps are residual's: t-order min(F.k_t, u.k_t, K); x-degree
     min(F.k_x, u.k_x, u.k_x - |alpha|) over the jet keys F uses.  Products
     and sums start at the first t-order where both sides can be nonzero."""
     F, n = eq.F, u.n
@@ -343,10 +323,6 @@ def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
     for k, uk in enumerate(sections):
         for zk, z in _jet_coeffs(uk, used, k, n, B).items():
             jets[zk].append(z)
-    if F.z_clipped:
-        # ord_min is read off the jet values at their own caps
-        live = (k for k in range(kt + 1) if any(z[k][1] for z in jets.values()))
-        kt = clipped_t_cap(F, kt, next(live, None))
     # F's terms inside the caps as (valuation, a, c, Z^nu by t-order); each
     # prefix of a flattened nu is multiplied once
     products = {(): [(1, {0: (1, 0)})] + [(1, {})] * kt,

@@ -70,7 +70,7 @@ def expand_by_terms(F: SeriesTXZ, images: dict) -> SeriesTXZ:
     by term: each term's product with the images, one factor at a time,
     added to the running sum with +.  The chain of * and + sets the caps;
     the cost is quadratic in the output."""
-    out = SeriesTXZ(F.n, F.k_t, F.k_x, F.k_z, z_clipped=F.z_clipped)
+    out = SeriesTXZ.zero(F.n, F.k_t, F.k_x, F.k_z)
     for (k, alpha, nu), c in F.terms.items():
         piece = SeriesTXZ(F.n, F.k_t, F.k_x, F.k_z, {(k, alpha, ()): c})
         for zk, p in nu:
@@ -109,7 +109,7 @@ def reconstruct_by_products(dec) -> SeriesTXZ:
     zeros = (0,) * n
 
     def at_caps(s):
-        return SeriesTXZ(n, kt, kx, kz, s.terms, z_clipped=s.z_clipped)
+        return SeriesTXZ(n, kt, kx, kz, s.terms)
 
     def lift(f):
         return SeriesTXZ(n, kt, kx, kz,

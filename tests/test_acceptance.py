@@ -8,12 +8,9 @@ that failure rather than weakening the check (see the package README).
 """
 
 import functools
-import json
-import math
 import random
 import time
 
-import pytest
 from scipy.integrate import quad
 
 from conftest import record_criterion

@@ -8,9 +8,9 @@ import pytest
 from fuchsian.builtin import (BUILTIN_NAMES, MAX_COEFF_BITS, MAX_K_T,
                               MAX_K_X, MAX_K_Z, MAX_N, MAX_TERMS,
                               closed_form_eval, closed_form_series,
-                              load_equation, parse_equation, remark2_jets)
+                              load_equation, parse_equation,
+                              read_equation_source, remark2_jets)
 from fuchsian.errors import IndexOutOfLambda, InputError
-from fuchsian.rational import Frac
 from fuchsian.series import SeriesTXZ, ZKey, lambda_keys
 from fuchsian.solver import residual
 
@@ -108,6 +108,13 @@ def test_load_equation_bad_utf8(tmp_path):
                  id="K_x-limit"),
     pytest.param(lambda d: d["truncation"].update(K_z=MAX_K_Z + 1),
                  f"truncation.K_z must be at most {MAX_K_Z}", id="K_z-limit"),
+    # a term's z-degree, the sum of its pows, may not pass K_z = 3
+    pytest.param(lambda d: d["terms"][0]["z_pows"][0].update(pow=4),
+                 "terms[0].z_pows must have z-degree at most truncation.K_z "
+                 "= 3, got 4", id="z-degree-limit"),
+    pytest.param(lambda d: d["terms"][0]["z_pows"].append(
+        {"i": 0, "alpha": [0], "pow": 3}), "terms[0].z_pows must have "
+        "z-degree at most truncation.K_z = 3, got 4", id="z-degree-sum-limit"),
     pytest.param(lambda d: d.update(terms=d["terms"] * (MAX_TERMS + 1)),
                  f"terms may hold at most {MAX_TERMS} entries", id="terms-limit"),
     pytest.param(lambda d: d["terms"][0].update(coeff=[-10 ** 400, 1, 0, 1]),
@@ -123,6 +130,19 @@ def test_parse_equation_rejects_malformed(mutate, fragment):
     with pytest.raises(InputError) as exc:
         parse_equation(doc)
     assert fragment in str(exc.value)
+
+
+def test_remark3_is_refused_below_the_degree_of_its_square():
+    # z02^2, terms[2], has z-degree 2: kept whole at K_z = 2, and refused,
+    # not dropped, at K_z = 1
+    doc = json.loads(read_equation_source("remark3")[0])
+    doc["truncation"]["K_z"] = 2
+    assert parse_equation(doc).F == load_equation("remark3").F
+    doc["truncation"]["K_z"] = 1
+    with pytest.raises(InputError) as exc:
+        parse_equation(doc)
+    assert str(exc.value) == ("terms[2].z_pows must have z-degree at most "
+                              "truncation.K_z = 1, got 2")
 
 
 def test_parse_equation_rejects_out_of_range_jet_index():

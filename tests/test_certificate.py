@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from fuchsian import certificate, cli
 from fuchsian.builtin import load_equation, parse_equation
-from fuchsian.certificate import (BarrierParams, BarrierSystem, Decomposition,
+from fuchsian.certificate import (BarrierSystem, Decomposition,
                                   ProfileFamily, _undominated_jet,
                                   barrier_grid, build_shifted_rhs,
                                   choose_params, normal_form, profile_family,

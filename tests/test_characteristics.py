@@ -11,7 +11,7 @@ import math
 import pytest
 
 from fuchsian import characteristics
-from fuchsian.builtin import closed_form_eval, load_equation
+from fuchsian.builtin import closed_form_eval
 from fuchsian.characteristics import (CharacteristicPath, allowed,
                                       check_radius_bounds,
                                       check_reaches_origin,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fuchsian import cli
+from fuchsian.builtin import read_equation_source
 from fuchsian.cli import MAX_GRID_POINTS, _parse_grid, main
 
 
@@ -82,6 +83,21 @@ def test_check_non_string_name_is_input_error(tmp_path, capsys):
     assert rc == 2
     assert rep["error"] == {"type": "InputError",
                             "message": "name must be a string"}
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "certify"])
+def test_term_past_K_z_is_input_error(tmp_path, capsys, command):
+    # remark3 at K_z = 1 would lose its only nonlinear term, z02^2
+    doc = json.loads(read_equation_source("remark3")[0])
+    doc["truncation"]["K_z"] = 1
+    p = tmp_path / "remark3_kz1.json"
+    p.write_text(json.dumps(doc))
+    rc, rep, _ = run_json(capsys, command, str(p))
+    assert rc == 2
+    assert rep["error"] == {
+        "type": "InputError",
+        "message": "terms[2].z_pows must have z-degree at most "
+                   "truncation.K_z = 1, got 2"}
 
 
 def test_check_bool_order_is_input_error(tmp_path, capsys):

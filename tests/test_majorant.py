@@ -7,7 +7,6 @@ computes the integral numerically with scipy and never reuses the package's
 own slice arithmetic, so the two sides are independent.
 """
 
-import math
 import random
 
 import pytest

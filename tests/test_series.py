@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fuchsian.builtin import load_equation
 from fuchsian.certificate import build_shifted_rhs
-from fuchsian.errors import NotInvertible, TruncationExhausted
+from fuchsian.errors import NotInvertible
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu,
                              alphas_of_degree, lambda_keys)
@@ -247,15 +247,6 @@ def test_shift_z_matches_polynomial_expansion():
     assert G == expected
 
 
-def test_shift_z_refuses_clipped_series():
-    zk = ZKey(0, (0,))
-    z = SeriesTXZ.z_var(1, 3, 3, 1, zk)
-    clipped = z * z  # degree 2 > k_z = 1
-    assert clipped.z_clipped
-    with pytest.raises(TruncationExhausted):
-        clipped.shift_z({zk: SeriesTX.one(1, 3, 3)})
-
-
 def test_substitute_z_linear_preserves_degree():
     zk1, zk0 = ZKey(1, (1,)), ZKey(0, (1,))
     z = SeriesTXZ.z_var(1, 3, 3, 3, zk1)
@@ -310,19 +301,14 @@ def test_shift_and_linear_maps_agree_with_substitute_z(seed):
     composed = {zk: sum((v[k2].scale(c) for c, k2 in L[zk]), zero)
                 if zk in L else v[zk] for zk in keys}
     G = F.substitute_z_linear(L)
-    assert not G.z_clipped
     assert _equal_within_joint_caps(G.substitute_z(v), F.substitute_z(composed))
 
-    # z-clipped input: the flag carries over, and with values vanishing at
-    # t = 0 both sides agree on the t-orders the substitution can trust
-    Fc = SeriesTXZ(n, 3, 3, 3, F.terms, z_clipped=True)
+    # and with values vanishing at t = 0
     v1 = {zk: rand_series(rng, n, 3, 3, n_terms=2, t_min=1) for zk in keys}
     composed1 = {zk: sum((v1[k2].scale(c) for c, k2 in L[zk]), zero)
                  if zk in L else v1[zk] for zk in keys}
-    Gc = Fc.substitute_z_linear(L)
-    assert Gc.z_clipped and Gc == G
-    assert _equal_within_joint_caps(Gc.substitute_z(v1),
-                                    Fc.substitute_z(composed1))
+    assert _equal_within_joint_caps(G.substitute_z(v1),
+                                    F.substitute_z(composed1))
 
 
 # -- the shared expansion kernel against the term-by-term oracle --------
@@ -337,8 +323,7 @@ def _alphas_upto(n, d):
 
 @st.composite
 def jet_series(draw):
-    """SeriesTXZ with canonical keys; a term past k_z is dropped and sets
-    z_clipped, which some draws also set directly."""
+    """SeriesTXZ with canonical keys; a term past a cap is dropped."""
     n = draw(st.sampled_from((1, 2)))
     k_t, k_x, k_z = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
                      draw(st.integers(1, 3)))
@@ -350,7 +335,7 @@ def jet_series(draw):
                draw(st.sampled_from(_alphas_upto(n, k_x + 1))),
                _norm_nu((zk, 1) for zk in factors))
         data[key] = draw(_crat)
-    return SeriesTXZ(n, k_t, k_x, k_z, data, z_clipped=draw(st.booleans()))
+    return SeriesTXZ(n, k_t, k_x, k_z, data)
 
 
 @st.composite
@@ -364,10 +349,9 @@ def tight_tx(draw, n, k_t, k_x):
 
 
 def _assert_same_expansion(got, want):
-    # equality ignores the caps and the flag: check them one by one
+    # equality ignores the caps: check them one by one
     assert got == want
     assert (got.k_t, got.k_x, got.k_z) == (want.k_t, want.k_x, want.k_z)
-    assert got.z_clipped == want.z_clipped
     assert all(nu == _norm_nu(nu) for _, _, nu in got.terms)
 
 
@@ -385,11 +369,7 @@ def test_shift_and_linear_maps_equal_the_term_by_term_oracle(data):
     shifts = {zk: data.draw(tight_tx(F.n, F.k_t, F.k_x))
               for zk in data.draw(st.lists(st.sampled_from(keys),
                                            unique=True))}
-    if F.z_clipped:
-        with pytest.raises(TruncationExhausted):
-            F.shift_z(shifts)
-    else:
-        _assert_same_expansion(F.shift_z(shifts), shift_z_by_terms(F, shifts))
+    _assert_same_expansion(F.shift_z(shifts), shift_z_by_terms(F, shifts))
 
 
 def test_substitute_z_linear_builds_terms_linear_in_its_output(monkeypatch):

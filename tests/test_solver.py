@@ -15,7 +15,7 @@ from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import IndicialZero, ToolkitError, TruncationExhausted
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _alpha_key, _norm_nu,
-                             alphas_of_degree, clipped_t_cap, lambda_keys)
+                             alphas_of_degree, lambda_keys)
 from fuchsian.solver import (FormalSolution, derivative_tuple, residual,
                              solve_formal)
 from oracles import cauchy_by_pairs, indicial_series, manufactured
@@ -183,9 +183,6 @@ def solve_by_resubstitution(eq, order):
     u = SeriesTX.zero(eq.n, order, F.k_x)
     for k in range(1, order + 1):
         rhs = F.substitute_z(derivative_tuple(u))
-        if rhs.k_t < k:
-            raise TruncationExhausted(
-                f"substitution reliable only to t-order {rhs.k_t} < {k}")
         section = SeriesTX(eq.n, 0, rhs.k_x, {(0, a): c for (kk, a), c
                                               in rhs.terms.items() if kk == k})
         Pk = indicial_series(eq, k)
@@ -216,7 +213,7 @@ def random_equations(draw):
     n = draw(st.sampled_from((1, 2)))
     K = draw(st.integers(2, 6) if n == 1 else st.integers(1, 4))
     x_order = draw(st.integers(0, 2))
-    k_z = draw(st.sampled_from((2, 3, 3, 3)))
+    k_z = draw(st.sampled_from((3, 4)))
     keys = lambda_keys(n)
     zero = (0,) * n
     lam1 = -Frac(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
@@ -301,48 +298,6 @@ def test_relaxed_solver_equals_resubstitution(case):
     assert got == want
 
 
-def _clipped_cubic_equation():
-    # remark3's linear part, forcing t and z[0,0]^3, which K_z = 2 drops
-    zero = ZKey(0, (0,))
-    F = SeriesTXZ(1, 10, 12, 2, {
-        (0, (0,), ((ZKey(1, (0,)), 1),)): -3,
-        (0, (0,), ((zero, 1),)): -2,
-        (1, (0,), ()): 1,
-        (0, (0,), ((zero, 3),)): 1,
-    })
-    assert F.z_clipped
-    return FuchsianEquation(F)
-
-
-def test_z_clipped_reliable_order():
-    # u_1 = 1/6 gives the jets t-order 1, so the dropped cubic can reach
-    # t^3: the substitution is reliable only through t^2
-    eq = _clipped_cubic_equation()
-    for order in (1, 2):
-        sol = solve_formal(eq, order)
-        assert sol.u == SeriesTX.monomial(1, order, sol.u.k_x,
-                                          Frac(1, 6), 1, (0,))
-    with pytest.raises(TruncationExhausted) as exc:
-        solve_formal(eq, 3)
-    assert str(exc.value) == "substitution reliable only to t-order 2 < 3"
-
-
-def test_z_clipped_order_ignores_jets_truncation_emptied():
-    # u_1 = x^4/6 sits at the top x-degree of step 1; from step 3 on the
-    # partial sum carries x-cap 2, where u_1 and its jets are zero, so the
-    # least live jet t-order is 2 (from u_2 = x^2/6) and t^3 stays reliable
-    z00, z10, z02 = ZKey(0, (0,)), ZKey(1, (0,)), ZKey(0, (2,))
-    F = SeriesTXZ(1, 3, 6, 2, {
-        (0, (0,), ((z10, 1),)): -3, (0, (0,), ((z00, 1),)): -2,
-        (1, (4,), ()): 1, (1, (0,), ((z02, 1),)): 1,
-        (0, (0,), ((z00, 2),)): 1, (0, (0,), ((z00, 3),)): 1})
-    assert F.z_clipped
-    eq = FuchsianEquation(F)
-    sol = solve_formal(eq, 3)
-    assert sol == solve_by_resubstitution(eq, 3)
-    assert sol.u == SeriesTX.monomial(1, 3, 0, Frac(1, 60), 3, (0,))
-
-
 def _checked_u(eq, K):
     """The u that solve_formal(eq, K) hands its residual check, or None
     when it raises or skips the check."""
@@ -376,12 +331,11 @@ def _jet_free_equation():
 @given(random_equations(), st.integers(0, 10 ** 6), _small)
 @example(jet_product_equations(1)[0], 17, Frac(1))
 @example(jet_product_equations(2)[1], 5, Frac(-3, 2))
-@example((_clipped_cubic_equation(), 2), 3, Frac(1))
-@example((_clipped_cubic_equation(), 2), 0, Frac(1))
+@example(jet_product_equations(1)[0], 0, Frac(1))
 @example(_jet_free_equation(), 11, Frac(2))
 def test_integer_residual_check_equals_crat_residual(case, where, delta):
     # on the u solve_formal checks, and on u with one coefficient inside its
-    # caps moved by delta (at t^0 too, which a z-clipped F refuses)
+    # caps moved by delta (at t^0 x^0 too, where = 0)
     eq, K = case
     u = _checked_u(eq, K)
     assume(u is not None)
@@ -404,43 +358,17 @@ def _forced_to_t5():
 
 
 @pytest.mark.parametrize("make_eq, terms, k_t, K, want", [
-    # z-clipped: u has t-order 1, so the t-cap is 3 * 1 - 1 = 2
-    (_clipped_cubic_equation, {(1, (0,)): Frac(1, 6), (3, (0,)): 1}, 10, 10,
-     True),
-    (_clipped_cubic_equation, {(1, (0,)): Frac(1, 6), (2, (0,)): 1}, 10, 10,
-     False),
     # u's own t-cap and K each hide the forcing t^5
     (_forced_to_t5, {(1, (0,)): Frac(1, 6)}, 4, 10, True),
     (_forced_to_t5, {(1, (0,)): Frac(1, 6)}, 10, 4, True),
     (_forced_to_t5, {(1, (0,)): Frac(1, 6)}, 10, 5, False),
-], ids=["clipped-t3", "clipped-t2", "u-cap", "K-cap", "t5"])
+], ids=["u-cap", "K-cap", "t5"])
 def test_integer_residual_check_stops_at_the_t_caps(make_eq, terms, k_t, K,
                                                     want):
     eq = make_eq()
     u = SeriesTX(1, k_t, eq.F.k_x, terms)
     assert residual(eq, u, K).is_zero() is want
     assert solver._residual_vanishes(eq, u, K) is want
-
-
-def test_z_truncation_rule_is_shared_by_both_residual_paths():
-    # clipped_t_cap sets the t-cap of the CRat residual, through
-    # substitute_z, and of the integer check alike
-    eq = _clipped_cubic_equation()
-    assert clipped_t_cap(load_equation("remark3").F, 7, 0) == 7
-    u0 = SeriesTX(1, 10, eq.F.k_x, {(0, (0,)): 1, (1, (0,)): Frac(1, 6)})
-    texts = []
-    for check in (residual, solver._residual_vanishes):
-        with pytest.raises(TruncationExhausted) as exc:
-            check(eq, u0, 10)
-        texts.append(str(exc.value))
-    assert texts == ["dropped jet terms reach t-order 0: substitution values "
-                     "must vanish at t = 0 after z-truncation"] * 2
-    # u's jets start at t^1, so both caps are 3 * 1 - 1 = 2: a residual
-    # from t^3 on is out of sight, one at t^2 is not
-    for k, want in ((3, True), (4, True), (2, False)):
-        u = SeriesTX(1, 10, eq.F.k_x, {(1, (0,)): Frac(1, 6), (k, (0,)): 5})
-        assert residual(eq, u, 10).is_zero() is want
-        assert solver._residual_vanishes(eq, u, 10) is want
 
 
 # -- the integer product kernel ---------------------------------------
@@ -582,7 +510,6 @@ def test_divide_unit_multiplies_back_to_g_below_the_cap(case):
 @given(random_equations())
 @example(jet_product_equations(1)[0])
 @example(jet_product_equations(2)[0])
-@example((_clipped_cubic_equation(), 2))
 def test_every_solver_section_is_degree_sorted(case):
     # _cauchy's early stop is exact only on sections listed by ascending
     # key, so by ascending degree: every section the construction builds is

@@ -1,7 +1,7 @@
-"""Source hygiene: every top-level import of a module under src/fuchsian is
-used in that module, so a deletion leaves no dead import for every fresh
-process to load and compile, and src/ stays within its line budget, whose
-count README states."""
+"""Source hygiene: every top-level import of a module under src/fuchsian or
+tests/ is used in that module, so a deletion leaves no dead import for
+every fresh process to load and compile, and src/ stays within its line
+budget, whose count README states."""
 
 import ast
 import re
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fuchsian"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fuchsian"
 
 
 def unused_imports(source: str) -> list:
@@ -35,8 +36,8 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["os", "C"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_top_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == [], path.name
 
