@@ -118,7 +118,7 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
         if bad:
             raise IndexOutOfLambda(f"jet index {min(bad, key=_zkey_sort)} "
                                    f"not admissible for order 2")
-    F = SeriesTXZ(n, tr["K_t"], tr["K_x"], tr["K_z"], terms)
+    F = SeriesTXZ(n, tr["K_t"], tr["K_x"], terms)
     return FuchsianEquation(F, name=name or doc.get("name", ""))
 
 

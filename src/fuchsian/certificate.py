@@ -30,19 +30,18 @@ from .errors import (
     HypothesisViolated,
     InexactRoots,
     InputError,
-    NonpositiveExponent,
     SearchExhausted,
     UnsplittableTerm,
 )
 from .majorant import norm_x, norm_xz
-from .rational import CRat, Frac
+from .rational import BIAS, CRat, Frac
 from .series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _nu_degree, _zkey_sort,
                      lambda_keys)
 from .solver import derivative_tuple
 
-# rational headroom matching the directed-root bias in rational.py: exact
-# domination can be off by at most one part in 2**48 of enclosure rounding
-_HEADROOM = Frac((1 << 48) + 1, 1 << 48)
+# rational headroom: exact domination can be off by at most one part in
+# 2**48 of enclosure rounding, the directed-root bias
+_HEADROOM = BIAS
 
 # slot indices of the profile family
 _SLOTS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
@@ -76,7 +75,7 @@ def build_shifted_rhs(eq, u0: SeriesTX | None = None) -> SeriesTXZ:
         if u0.t_order() == 0:
             raise HypothesisViolated("base series must vanish at t = 0")
         F = F.shift_z(derivative_tuple(u0))
-    return SeriesTXZ(F.n, F.k_t, F.k_x, F.k_z,
+    return SeriesTXZ(F.n, F.k_t, F.k_x,
                      {key: c for key, c in F.terms.items() if key[2]})
 
 
@@ -116,7 +115,7 @@ def reconstruct(dec: Decomposition) -> SeriesTXZ:
             key = (k + shift, alpha, _norm_nu(nu + hosts))
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-    return SeriesTXZ(G.n, G.k_t, G.k_x, G.k_z, out)
+    return SeriesTXZ(G.n, G.k_t, G.k_x, out)
 
 
 def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
@@ -138,12 +137,12 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
             "cannot be carried out in exact arithmetic")
     lam1, lam2 = cd.roots_exact
     n = H.n
-    kt, kx, kz = H.k_t, H.k_x, H.k_z
+    kt, kx = H.k_t, H.k_x
     zeros = (0,) * n
     keys = lambda_keys(n)
 
     def zvar(zk):
-        return SeriesTXZ.z_var(n, kt, kx, kz, zk)
+        return SeriesTXZ.z_var(n, kt, kx, zk)
 
     mapping = {zk: [(CRat(1), zk), (lam1, ZKey(0, zk.alpha))]
                for zk in keys if zk.i == 1}
@@ -155,7 +154,8 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
     bst0, bst1 = cd.betas[0], cd.betas[1]
     beta1 = bst1 - bst1.coeff(0, zeros)
     beta0 = (bst0 - bst0.coeff(0, zeros)) + beta1.scale(lam1)
-    assert beta0.coeff(0, zeros).is_zero() and beta1.coeff(0, zeros).is_zero()
+    if not all(b.coeff(0, zeros).is_zero() for b in (beta0, beta1)):
+        raise AssertionError("internal error: beta origins are not zero")
 
     # R = G - beta0 z00 - beta1 z10, in G's term order
     R = dict(G.terms)
@@ -173,7 +173,7 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
         acc = bucket.get(key)
         bucket[key] = coeff if acc is None else acc + coeff
 
-    for (k, alpha, nu), coeff in SeriesTXZ(n, kt, kx, kz, R).terms.items():
+    for (k, alpha, nu), coeff in SeriesTXZ(n, kt, kx, R).terms.items():
         if not nu:
             raise UnsplittableTerm(
                 "jet-free term survives the linear extraction; the spectral "
@@ -198,9 +198,9 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
             za, zb = flat[0], flat[1]
             put(c_terms, (za, zb), (0, alpha, _nu_drop(nu, za, zb)), coeff)
 
-    a = {h: SeriesTXZ(n, kt, kx, kz, tt) for h, tt in a_terms.items()}
-    b = {h: SeriesTXZ(n, 0, kx, kz, tt) for h, tt in b_terms.items()}
-    c = {pr: SeriesTXZ(n, 0, kx, kz, tt) for pr, tt in c_terms.items()}
+    a = {h: SeriesTXZ(n, kt, kx, tt) for h, tt in a_terms.items()}
+    b = {h: SeriesTXZ(n, 0, kx, tt) for h, tt in b_terms.items()}
+    c = {pr: SeriesTXZ(n, 0, kx, tt) for pr, tt in c_terms.items()}
     return Decomposition(beta0=beta0, beta1=beta1, a=a, b=b, c=c, theta_rhs=G)
 
 
@@ -224,10 +224,6 @@ def profile_family(w: SeriesTX, cd: CharData) -> ProfileFamily:
     if cd.roots_exact is None:
         raise InexactRoots("profiles need exact exponents")
     a1, a2 = cd.neg_re_lower
-    if a1 <= 0 or a2 <= 0:
-        raise NonpositiveExponent(
-            f"exponent real-part bounds ({a1}, {a2}) must both be positive; "
-            "the decay hypothesis fails for this instance")
     if not w.is_zero() and w.t_order() == 0:
         raise HypothesisViolated("test function must vanish at t = 0")
     lam1, lam2 = cd.roots_exact
@@ -310,7 +306,9 @@ def choose_params(cd: CharData,
 
     kappa = min(Frac(1, 4), h * eps11 / 8)
     eps01 = eps11 * (h / 4 - kappa)
-    assert eps01 > 0 and kappa + eps01 / eps11 <= h / 4
+    if not (eps01 > 0 and kappa + eps01 / eps11 <= h / 4):
+        raise AssertionError("internal error: weights break kappa + "
+                             "eps01/eps11 <= h/4")
 
     params = BarrierParams(eps00=eps00, eps01=eps01, eps11=eps11, kappa=kappa,
                            h=h, sigma0=sig, R0=R)

@@ -27,8 +27,7 @@ _ZERO = Frac(0)
 _set = object.__setattr__
 
 _ENC_SHIFT = 96          # bits of precision for the rounded squarefree root
-_BIAS_NUM = (1 << 48) + 1
-_BIAS_DEN = 1 << 48      # bias factor 1 + 2**-48 applied to inexact roots
+BIAS = Frac((1 << 48) + 1, 1 << 48)  # factor 1 + 2**-48 on inexact roots
 _TRIAL_LIMIT = 1009      # trial-division bound for the square/squarefree split
 
 
@@ -75,7 +74,7 @@ def sqrt_upper(s: Frac) -> Frac:
     if d == 1:
         return Frac(e, q)
     root = isqrt(d << (2 * _ENC_SHIFT)) + 1
-    return Frac(e * root, q << _ENC_SHIFT) * Frac(_BIAS_NUM, _BIAS_DEN)
+    return Frac(e * root, q << _ENC_SHIFT) * BIAS
 
 
 def frac_sqrt_exact(s: Frac) -> Frac | None:

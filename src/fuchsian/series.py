@@ -6,7 +6,8 @@ Two containers:
   x = (x_1, ..., x_n), truncated at t-order k_t and total x-degree k_x.
 * SeriesTXZ -- the same with additional polynomial dependence on the jet
   variables z[i, alpha], i < 2 and i + |alpha| <= 2, of the second-order
-  equation; it holds right-hand sides before a jet is substituted in.
+  equation; it holds right-hand sides before a jet is substituted in.  It
+  is a polynomial in z: the caps are in t and x only.
 
 Truncation caps are part of the value but not of equality: two series are
 equal when they have the same variable count and the same term map.  All
@@ -270,21 +271,19 @@ class SeriesTX:
 
 class SeriesTXZ:
     """Series in t, x and the jet variables z[i, alpha] of the second-order
-    equation, (i, alpha) in lambda_keys(n).  Jet monomials are truncated at
-    total z-degree k_z, as t-powers at k_t and x-degrees at k_x;
-    parse_equation refuses a document term past K_z, so a right-hand side
-    holds its whole jet polynomial."""
+    equation, (i, alpha) in lambda_keys(n).  t-powers are truncated at k_t
+    and x-degrees at k_x; in z it is a polynomial, kept whole, whose degree
+    parse_equation bounds where a document enters."""
 
-    __slots__ = ("n", "k_t", "k_x", "k_z", "terms")
+    __slots__ = ("n", "k_t", "k_x", "terms")
 
-    def __init__(self, n: int, k_t: int, k_x: int, k_z: int, terms=None):
+    def __init__(self, n: int, k_t: int, k_x: int, terms=None):
         self.n = n
         self.k_t = k_t
         self.k_x = k_x
-        self.k_z = k_z
         store: dict[tuple, CRat] = {}
         for (k, alpha, nu), c in (terms or {}).items():
-            if k > k_t or sum(alpha) > k_x or _nu_degree(nu) > k_z:
+            if k > k_t or sum(alpha) > k_x:
                 continue
             c = _coeff(c)
             if not c.is_zero():
@@ -294,20 +293,17 @@ class SeriesTXZ:
     # -- constructors -----------------------------------------------
 
     @classmethod
-    def zero(cls, n, k_t, k_x, k_z) -> "SeriesTXZ":
-        return cls(n, k_t, k_x, k_z, {})
+    def zero(cls, n, k_t, k_x) -> "SeriesTXZ":
+        return cls(n, k_t, k_x, {})
 
     @classmethod
-    def from_tx(cls, f: SeriesTX, k_z: int) -> "SeriesTXZ":
-        return cls(f.n, f.k_t, f.k_x, k_z,
+    def from_tx(cls, f: SeriesTX) -> "SeriesTXZ":
+        return cls(f.n, f.k_t, f.k_x,
                    {(k, a, ()): c for (k, a), c in f.terms.items()})
 
     @classmethod
-    def z_var(cls, n, k_t, k_x, k_z, key) -> "SeriesTXZ":
-        zk = ZKey(*key)
-        if k_z < 1:
-            raise TruncationExhausted("k_z = 0 cannot hold a jet variable")
-        return cls(n, k_t, k_x, k_z, {(0, (0,) * n, ((zk, 1),)): 1})
+    def z_var(cls, n, k_t, k_x, key) -> "SeriesTXZ":
+        return cls(n, k_t, k_x, {(0, (0,) * n, ((ZKey(*key), 1),)): 1})
 
     # -- queries ----------------------------------------------------
 
@@ -321,23 +317,22 @@ class SeriesTXZ:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SeriesTXZ(n={self.n}, k_t={self.k_t}, "
-                f"k_x={self.k_x}, k_z={self.k_z}, {len(self.terms)} terms)")
+                f"k_x={self.k_x}, {len(self.terms)} terms)")
 
     # -- ring operations ---------------------------------------------
 
-    def _join(self, other: "SeriesTXZ") -> tuple[int, int, int]:
-        return (min(self.k_t, other.k_t), min(self.k_x, other.k_x),
-                min(self.k_z, other.k_z))
+    def _join(self, other: "SeriesTXZ") -> tuple[int, int]:
+        return min(self.k_t, other.k_t), min(self.k_x, other.k_x)
 
     def __add__(self, other):
         if not isinstance(other, SeriesTXZ):
             return NotImplemented
-        kt, kx, kz = self._join(other)
+        kt, kx = self._join(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return SeriesTXZ(self.n, kt, kx, kz, out)
+        return SeriesTXZ(self.n, kt, kx, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -349,13 +344,13 @@ class SeriesTXZ:
 
     def scale(self, c) -> "SeriesTXZ":
         c = _coeff(c)
-        return SeriesTXZ(self.n, self.k_t, self.k_x, self.k_z,
+        return SeriesTXZ(self.n, self.k_t, self.k_x,
                          {key: v * c for key, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SeriesTXZ):
             return NotImplemented
-        kt, kx, kz = self._join(other)
+        kt, kx = self._join(other)
         out: dict[tuple, CRat] = {}
         for (k1, a1, n1), c1 in self.terms.items():
             for (k2, a2, n2), c2 in other.terms.items():
@@ -369,7 +364,7 @@ class SeriesTXZ:
                 acc = out.get(key)
                 c = c1 * c2
                 out[key] = c if acc is None else acc + c
-        return SeriesTXZ(self.n, kt, kx, kz, out)
+        return SeriesTXZ(self.n, kt, kx, out)
 
     # -- substitution ---------------------------------------------------
 
@@ -384,7 +379,7 @@ class SeriesTXZ:
 
     def shift_z(self, shifts: dict) -> "SeriesTXZ":
         """Substitute z[zk] -> z[zk] + s_zk(t, x) for the given shifts."""
-        return self._expand({zk: self._var(zk) + SeriesTXZ.from_tx(s, self.k_z)
+        return self._expand({zk: self._var(zk) + SeriesTXZ.from_tx(s)
                              for zk, s in shifts.items() if not s.is_zero()})
 
     def substitute_z_linear(self, mapping: dict) -> "SeriesTXZ":
@@ -393,13 +388,13 @@ class SeriesTXZ:
         mapping: ZKey -> iterable of (coefficient, ZKey).  Keys absent from
         the mapping are left alone.  Degrees in z are preserved.
         """
-        zero = SeriesTXZ.zero(self.n, self.k_t, self.k_x, self.k_z)
+        zero = SeriesTXZ.zero(self.n, self.k_t, self.k_x)
         return self._expand({
             zk: sum((self._var(zk2).scale(c) for c, zk2 in combo), zero)
             for zk, combo in mapping.items()})
 
     def _var(self, zk: ZKey) -> "SeriesTXZ":
-        return SeriesTXZ.z_var(self.n, self.k_t, self.k_x, self.k_z, zk)
+        return SeriesTXZ.z_var(self.n, self.k_t, self.k_x, zk)
 
     def _expand(self, images: dict) -> "SeriesTXZ":
         """Replace z[zk] by images[zk], of z-degree <= 1, where one is given.
@@ -407,10 +402,10 @@ class SeriesTXZ:
         would."""
         used = {zk: images[zk] if zk in images else self._var(zk)
                 for zk in self.jet_keys_used()}
-        kt, kx, kz = map(min, zip(*((f.k_t, f.k_x, f.k_z)
-                                    for f in (self, *used.values()))))
-        one = SeriesTXZ(self.n, kt, kx, kz, {(0, (0,) * self.n, ()): 1})
-        return SeriesTXZ(self.n, kt, kx, kz, self._sum_products(used, one))
+        kt, kx = map(min, zip(*((f.k_t, f.k_x)
+                                for f in (self, *used.values()))))
+        one = SeriesTXZ(self.n, kt, kx, {(0, (0,) * self.n, ()): 1})
+        return SeriesTXZ(self.n, kt, kx, self._sum_products(used, one))
 
     def _sum_products(self, images: dict, one) -> dict:
         """Terms, keyed like those of one (the unit at the output caps), of

@@ -290,8 +290,9 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
     # re-substitution needs m more x-derivatives than construction did, so
     # it only runs when that much budget is left over
     if verify and u.k_x >= eq.m:
-        assert _residual_vanishes(eq, u, order), (
-            "internal error: formal solution leaves a nonzero residual")
+        if not _residual_vanishes(eq, u, order):
+            raise AssertionError(
+                "internal error: formal solution leaves a nonzero residual")
         verified = True
     return FormalSolution(u=u.truncate(k_x=x_order), verified=verified)
 

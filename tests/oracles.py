@@ -32,7 +32,7 @@ def manufactured(eq: FuchsianEquation, u_target: SeriesTX) -> FuchsianEquation:
         raise A2Violation(
             "manufactured forcing has terms at t-order 0; pick a target "
             "that vanishes at t = 0")
-    F = eq.F + SeriesTXZ.from_tx(g, eq.F.k_z)
+    F = eq.F + SeriesTXZ.from_tx(g)
     return FuchsianEquation(
         F, name=(eq.name + "+forcing") if eq.name else "forced")
 
@@ -70,12 +70,12 @@ def expand_by_terms(F: SeriesTXZ, images: dict) -> SeriesTXZ:
     by term: each term's product with the images, one factor at a time,
     added to the running sum with +.  The chain of * and + sets the caps;
     the cost is quadratic in the output."""
-    out = SeriesTXZ.zero(F.n, F.k_t, F.k_x, F.k_z)
+    out = SeriesTXZ.zero(F.n, F.k_t, F.k_x)
     for (k, alpha, nu), c in F.terms.items():
-        piece = SeriesTXZ(F.n, F.k_t, F.k_x, F.k_z, {(k, alpha, ()): c})
+        piece = SeriesTXZ(F.n, F.k_t, F.k_x, {(k, alpha, ()): c})
         for zk, p in nu:
             factor = images[zk] if zk in images else SeriesTXZ.z_var(
-                F.n, F.k_t, F.k_x, F.k_z, zk)
+                F.n, F.k_t, F.k_x, zk)
             for _ in range(p):
                 piece = piece * factor
         out = out + piece
@@ -85,16 +85,16 @@ def expand_by_terms(F: SeriesTXZ, images: dict) -> SeriesTXZ:
 def shift_z_by_terms(F: SeriesTXZ, shifts: dict) -> SeriesTXZ:
     """F.shift_z(shifts) through expand_by_terms."""
     return expand_by_terms(F, {
-        zk: SeriesTXZ.z_var(F.n, F.k_t, F.k_x, F.k_z, zk)
-        + SeriesTXZ.from_tx(s, F.k_z)
+        zk: SeriesTXZ.z_var(F.n, F.k_t, F.k_x, zk)
+        + SeriesTXZ.from_tx(s)
         for zk, s in shifts.items() if not s.is_zero()})
 
 
 def substitute_z_linear_by_terms(F: SeriesTXZ, mapping: dict) -> SeriesTXZ:
     """F.substitute_z_linear(mapping) through expand_by_terms."""
-    zero = SeriesTXZ.zero(F.n, F.k_t, F.k_x, F.k_z)
+    zero = SeriesTXZ.zero(F.n, F.k_t, F.k_x)
     return expand_by_terms(F, {
-        zk: sum((SeriesTXZ.z_var(F.n, F.k_t, F.k_x, F.k_z, zk2).scale(c)
+        zk: sum((SeriesTXZ.z_var(F.n, F.k_t, F.k_x, zk2).scale(c)
                  for c, zk2 in combo), zero)
         for zk, combo in mapping.items()})
 
@@ -105,22 +105,22 @@ def reconstruct_by_products(dec) -> SeriesTXZ:
     a family), added to the running sum with +.  The chain of * and + sets
     the caps; the cost is quadratic in the output."""
     G = dec.theta_rhs
-    n, kt, kx, kz = G.n, G.k_t, G.k_x, G.k_z
+    n, kt, kx = G.n, G.k_t, G.k_x
     zeros = (0,) * n
 
     def at_caps(s):
-        return SeriesTXZ(n, kt, kx, kz, s.terms)
+        return SeriesTXZ(n, kt, kx, s.terms)
 
     def lift(f):
-        return SeriesTXZ(n, kt, kx, kz,
+        return SeriesTXZ(n, kt, kx,
                          {(k, a, ()): c for (k, a), c in f.terms.items()})
 
     def zvar(zk):
-        return SeriesTXZ.z_var(n, kt, kx, kz, zk)
+        return SeriesTXZ.z_var(n, kt, kx, zk)
 
     acc = lift(dec.beta0) * zvar(ZKey(0, zeros))
     acc = acc + lift(dec.beta1) * zvar(ZKey(1, zeros))
-    tvar = SeriesTXZ(n, kt, kx, kz, {(1, zeros, ()): 1})
+    tvar = SeriesTXZ(n, kt, kx, {(1, zeros, ()): 1})
     for host in sorted(dec.a, key=_zkey_sort):
         acc = acc + tvar * at_caps(dec.a[host]) * zvar(host)
     for host in sorted(dec.b, key=_zkey_sort):

@@ -107,17 +107,17 @@ def _random_target(rng, n, k_t, k_x):
         else SeriesTX.monomial(n, k_t, k_x, 1, 1, (0,) * n)
 
 
-def _random_base(rng, n, k_t, k_x, k_z):
+def _random_base(rng, n, k_t, k_x):
     lam1 = Frac(-rng.randint(1, 4), rng.choice([1, 2]))
     lam2 = lam1 - Frac(rng.randint(0, 3), rng.choice([1, 2]))
     b1, b0 = lam1 + lam2, -(lam1 * lam2)
-    F = SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(1, (0,) * n)).scale(b1) \
-        + SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(0, (0,) * n)).scale(b0)
+    F = SeriesTXZ.z_var(n, k_t, k_x, ZKey(1, (0,) * n)).scale(b1) \
+        + SeriesTXZ.z_var(n, k_t, k_x, ZKey(0, (0,) * n)).scale(b0)
     keys = lambda_keys(n)
     for _ in range(rng.randint(1, 3)):
         c = Frac(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
-        term = SeriesTXZ.z_var(n, k_t, k_x, k_z, rng.choice(keys)) \
-            * SeriesTXZ.z_var(n, k_t, k_x, k_z, rng.choice(keys))
+        term = SeriesTXZ.z_var(n, k_t, k_x, rng.choice(keys)) \
+            * SeriesTXZ.z_var(n, k_t, k_x, rng.choice(keys))
         F = F + term.scale(c)
     return FuchsianEquation(F)
 
@@ -130,7 +130,7 @@ def test_criterion_4_manufactured_solver_suite():
     for case in range(22):
         n = 1 + (case % 2)
         k_x = 2 + 2 * order + 2
-        eq = _random_base(rng, n, order + 1, k_x, 3)
+        eq = _random_base(rng, n, order + 1, k_x)
         target = _random_target(rng, n, order + 1, k_x)
         eqf = manufactured(eq, target)
         sol = solve_formal(eqf, order)
@@ -146,7 +146,7 @@ def test_criterion_4_manufactured_solver_suite():
         "remark3_forced", k_t=sol_t.u.k_t, k_x=sol_t.u.k_x).truncate(
             k_t=sol_t.u.k_t, k_x=sol_t.u.k_x)
     forcing = SeriesTXZ.from_tx(
-        SeriesTX.monomial(1, eq3.F.k_t, eq3.F.k_x, 1, 1, (1,)), eq3.F.k_z)
+        SeriesTX.monomial(1, eq3.F.k_t, eq3.F.k_x, 1, 1, (1,)))
     sol_tx = solve_formal(FuchsianEquation(eq3.F + forcing), 4,
                           x_order=2)
     hand_tx = sol_tx.u == SeriesTX.monomial(1, sol_tx.u.k_t, sol_tx.u.k_x,

@@ -159,8 +159,7 @@ def test_parse_equation_admits_documents_at_the_limits():
                      "z_pows": [{"i": 1, "alpha": [0] * MAX_N}]}] * MAX_TERMS
     doc["truncation"] = {"K_t": MAX_K_T, "K_x": MAX_K_X, "K_z": MAX_K_Z}
     eq = parse_equation(doc)
-    assert (eq.n, eq.F.k_t, eq.F.k_x, eq.F.k_z) == (MAX_N, MAX_K_T, MAX_K_X,
-                                                    MAX_K_Z)
+    assert (eq.n, eq.F.k_t, eq.F.k_x) == (MAX_N, MAX_K_T, MAX_K_X)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -227,7 +226,7 @@ def test_closed_form_eval_agrees_with_series():
         xs = [0.25, -0.4]
         for t in (0.5, 1e-3):
             for x, got in zip(xs, ev(xs)(t)):
-                want = SeriesTXZ.from_tx(u, 0).numeric_evaluator()(t, (x,), {})
+                want = SeriesTXZ.from_tx(u).numeric_evaluator()(t, (x,), {})
                 assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuchsian import certificate, cli
-from fuchsian.builtin import load_equation, parse_equation
+from fuchsian.builtin import (load_equation, parse_equation,
+                              read_equation_source)
 from fuchsian.certificate import (BarrierSystem, Decomposition,
                                   ProfileFamily, _undominated_jet,
                                   barrier_grid, build_shifted_rhs,
@@ -31,8 +32,8 @@ from fuchsian.errors import (HypothesisViolated, InexactRoots,
                              NonpositiveExponent, UnsplittableTerm)
 from fuchsian.majorant import RhoPoly, SectorMajorant, norm_xz
 from fuchsian.rational import CRat, Frac
-from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _zkey_sort,
-                             lambda_keys)
+from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _nu_degree,
+                             _zkey_sort, lambda_keys)
 from fuchsian.solver import solve_formal
 from oracles import (_slope, _slope_inner, barrier_point, grid_checks_by_record,
                      manufactured, reconstruct_by_products, weighted)
@@ -111,10 +112,11 @@ def test_reconstruct_is_exact(remark3_setup):
     assert reconstruct(dec) == dec.theta_rhs
 
 
-def _split(eq):
-    # the decomposition certify builds: shifted by the order-4 solution
+def _split(eq, order=4):
+    # the decomposition certify builds: shifted by the solution to order
     cd = eq.char_exponents()
-    return cd, normal_form(build_shifted_rhs(eq, solve_formal(eq, 4).u), cd)
+    u0 = solve_formal(eq, order).u
+    return cd, normal_form(build_shifted_rhs(eq, u0), cd)
 
 
 @pytest.mark.parametrize("source", ["remark2", "remark3", "remark3_forced",
@@ -128,19 +130,17 @@ def test_reconstruct_equals_ring_operator_oracle(source):
     _, dec = _split(eq)
     got = reconstruct(dec)
     assert got == reconstruct_by_products(dec) == dec.theta_rhs
-    assert (got.k_t, got.k_x, got.k_z) == (dec.theta_rhs.k_t,
-                                           dec.theta_rhs.k_x,
-                                           dec.theta_rhs.k_z)
+    assert (got.k_t, got.k_x) == (dec.theta_rhs.k_t, dec.theta_rhs.k_x)
 
 
 @st.composite
 def decompositions(draw):
-    """Decompositions with all five families non-empty.  Their terms, jet
-    hosts included, may pass theta_rhs's caps in t, in x and in z-degree,
-    so that the truncation of each product is exercised."""
+    """Decompositions with all five families non-empty.  Their terms, with
+    up to `jets` jet factors besides their hosts, may pass theta_rhs's caps
+    in t and in x, so that the truncation of each product is exercised."""
     n = draw(st.integers(1, 2))
-    kt, kx, kz = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
-                  draw(st.integers(1, 3)))
+    kt, kx, jets = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                    draw(st.integers(1, 3)))
     keys = lambda_keys(n)
 
     def terms(jets):
@@ -156,7 +156,7 @@ def decompositions(draw):
         return out
 
     def series(jets):
-        return SeriesTXZ(n, kt + 1, kx + 4, kz + 1, terms(jets))
+        return SeriesTXZ(n, kt + 1, kx + 4, terms(jets))
 
     def hosts():
         return draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
@@ -170,9 +170,10 @@ def decompositions(draw):
              for _ in range(draw(st.integers(1, 2)))}
     return Decomposition(
         beta0=betas[0], beta1=betas[1],
-        a={h: series(kz) for h in hosts()}, b={h: series(kz) for h in hosts()},
-        c={pr: series(kz) for pr in pairs},
-        theta_rhs=SeriesTXZ.zero(n, kt, kx, kz))
+        a={h: series(jets) for h in hosts()},
+        b={h: series(jets) for h in hosts()},
+        c={pr: series(jets) for pr in pairs},
+        theta_rhs=SeriesTXZ.zero(n, kt, kx))
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -192,7 +193,7 @@ def _drop_one_term(dec, family):
         return dec._replace(**{family: SeriesTX(s.n, s.k_t, s.k_x, kept)})
     fam = dict(getattr(dec, family))
     host, s = next(iter(fam.items()))
-    fam[host] = SeriesTXZ(s.n, s.k_t, s.k_x, s.k_z,
+    fam[host] = SeriesTXZ(s.n, s.k_t, s.k_x,
                           dict(list(s.terms.items())[1:]))
     return dec._replace(**{family: fam})
 
@@ -322,18 +323,18 @@ def test_normal_form_random_roundtrip():
         if lam2 >= 0:
             lam2 = Frac(-1)
         b1, b0 = lam1 + lam2, -(lam1 * lam2)
-        kt, kx, kz = 7, 14, 3
-        F = SeriesTXZ.z_var(n, kt, kx, kz, ZKey(1, (0,) * n)).scale(b1) \
-            + SeriesTXZ.z_var(n, kt, kx, kz, ZKey(0, (0,) * n)).scale(b0)
+        kt, kx = 7, 14
+        F = SeriesTXZ.z_var(n, kt, kx, ZKey(1, (0,) * n)).scale(b1) \
+            + SeriesTXZ.z_var(n, kt, kx, ZKey(0, (0,) * n)).scale(b0)
         keys = lambda_keys(n)
         for _ in range(rng.randint(1, 4)):
             zk1, zk2 = rng.choice(keys), rng.choice(keys)
             c = Frac(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 4))
             base = SeriesTX.monomial(n, kt, kx, 1, rng.randint(0, 1),
                                      tuple(rng.randint(0, 1) for _ in range(n)))
-            term = SeriesTXZ.from_tx(base, kz) \
-                * SeriesTXZ.z_var(n, kt, kx, kz, zk1) \
-                * SeriesTXZ.z_var(n, kt, kx, kz, zk2)
+            term = SeriesTXZ.from_tx(base) \
+                * SeriesTXZ.z_var(n, kt, kx, zk1) \
+                * SeriesTXZ.z_var(n, kt, kx, zk2)
             F = F + term.scale(c)
         try:
             eq = FuchsianEquation(F)
@@ -360,8 +361,8 @@ def test_normal_form_random_roundtrip():
 
 def test_normal_form_rejects_inexact_roots():
     # golden-ratio exponents: no rational root pair
-    F = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(1, (0,))) \
-        + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,)))
+    F = SeriesTXZ.z_var(1, 6, 8, ZKey(1, (0,))) \
+        + SeriesTXZ.z_var(1, 6, 8, ZKey(0, (0,)))
     eq = FuchsianEquation(F)
     cd = eq.char_exponents()
     with pytest.raises(InexactRoots):
@@ -373,7 +374,7 @@ def test_normal_form_rejects_stranded_derivative_term():
     # three coefficient families
     eq = load_equation("remark3")
     cd = eq.char_exponents()
-    H = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (2,)))
+    H = SeriesTXZ.z_var(1, 6, 8, ZKey(0, (2,)))
     with pytest.raises(UnsplittableTerm):
         normal_form(H, cd)
 
@@ -427,8 +428,8 @@ def test_jet_domination_failure_names_the_jet(remark3_setup, monkeypatch):
 
 
 def test_profile_family_rejects_inexact_roots():
-    F = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(1, (0,))) \
-        + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,)))
+    F = SeriesTXZ.z_var(1, 6, 8, ZKey(1, (0,))) \
+        + SeriesTXZ.z_var(1, 6, 8, ZKey(0, (0,)))
     eq = FuchsianEquation(F)
     with pytest.raises(InexactRoots):
         profile_family(SeriesTX.monomial(1, 6, 8, 1, 1, (0,)),
@@ -437,8 +438,8 @@ def test_profile_family_rejects_inexact_roots():
 
 def test_profile_family_rejects_nonnegative_exponent():
     # roots -1 and +2: the positive root gives a transform weight <= 0
-    F = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(1, (0,))) \
-        + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,))).scale(2)
+    F = SeriesTXZ.z_var(1, 6, 8, ZKey(1, (0,))) \
+        + SeriesTXZ.z_var(1, 6, 8, ZKey(0, (0,))).scale(2)
     eq = FuchsianEquation(F)
     with pytest.raises(NonpositiveExponent):
         profile_family(SeriesTX.monomial(1, 6, 8, 1, 1, (0,)),
@@ -785,12 +786,50 @@ _X_BETAS_EXTRA = [_jet_term(1, 0, [(0, 0, 1)], den=3, x_pow=1),
                   _jet_term(1, 0, [(1, 0, 1)], den=7, x_pow=2)]
 
 
+def _four_families_doc(extra):
+    return {"name": "four-families", "m": 2, "n": 1,
+            "terms": _FOUR_FAMILIES + extra,
+            "truncation": {"K_t": 6, "K_x": 8, "K_z": 4}}
+
+
 def _four_families(extra):
-    eq = parse_equation({"name": "four-families", "m": 2, "n": 1,
-                         "terms": _FOUR_FAMILIES + extra,
-                         "truncation": {"K_t": 6, "K_x": 8, "K_z": 4}})
-    cd = eq.char_exponents()
-    return cd, normal_form(build_shifted_rhs(eq, solve_formal(eq, 3).u), cd)
+    return _split(parse_equation(_four_families_doc(extra)), 3)
+
+
+def _premise_doc(case):
+    # a document and the base order its other tests solve it to
+    if case.startswith("remark3"):
+        return json.loads(read_equation_source(case)[0]), 4
+    if case == "dense_0_0":
+        return json.loads((GOLDEN_INPUTS / "dense_0_0.json").read_text()), 4
+    return _four_families_doc({"four-families": [],
+                               "with-z11-host": _Z11_EXTRA,
+                               "with-x-betas": _X_BETAS_EXTRA}[case]), 3
+
+
+@pytest.mark.parametrize("case", ["remark3", "remark3_forced", "dense_0_0",
+                                  "four-families", "with-z11-host",
+                                  "with-x-betas"])
+def test_no_stage_raises_the_z_degree(case):
+    # SeriesTXZ has no z-degree cap, so a right-hand side is the whole
+    # polynomial in z its document lists (at most K_z), and the shift, the
+    # basis change, the split and the recombination must not raise that
+    # degree: a stage that did would grow an untruncated series, which this
+    # catches.  An a or b term carries one host factor and a c term two.
+    doc, order = _premise_doc(case)
+    eq = parse_equation(doc)
+    H = build_shifted_rhs(eq, solve_formal(eq, order).u)
+    dec = normal_form(H, eq.char_exponents())
+
+    def degrees(s, hosts=0):
+        return {_nu_degree(nu) + hosts for _, _, nu in s.terms}
+
+    top = max(degrees(eq.F))
+    assert top <= doc["truncation"]["K_z"]
+    for s in (H, dec.theta_rhs, reconstruct(dec)):
+        assert max(degrees(s)) <= top
+    for hosts, family in ((1, dec.a), (1, dec.b), (2, dec.c)):
+        assert all(max(degrees(s, hosts)) <= top for s in family.values())
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,10 @@ from fuchsian.solver import solve_formal
 from oracles import indicial_series
 
 
-def linear_equation(beta0, beta1, n=1, k_t=6, k_x=8, k_z=4):
+def linear_equation(beta0, beta1, n=1, k_t=6, k_x=8):
     """t d/dt-squared u = beta1 * (t d/dt u) + beta0 * u  (constant betas)."""
-    F = SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(1, (0,) * n)).scale(beta1) \
-        + SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(0, (0,) * n)).scale(beta0)
+    F = SeriesTXZ.z_var(n, k_t, k_x, ZKey(1, (0,) * n)).scale(beta1) \
+        + SeriesTXZ.z_var(n, k_t, k_x, ZKey(0, (0,) * n)).scale(beta0)
     return FuchsianEquation(F)
 
 
@@ -102,27 +102,27 @@ def test_resonance_flagged_at_positive_integer_root():
 
 
 def test_a2_violation_detected():
-    F = SeriesTXZ.from_tx(SeriesTX.one(1, 4, 4), 4)
+    F = SeriesTXZ.from_tx(SeriesTX.one(1, 4, 4))
     with pytest.raises(A2Violation):
         FuchsianEquation(F)
 
 
 def test_a3_violation_detected():
     # t-free term linear in a spatial-derivative jet slot
-    F = SeriesTXZ.z_var(1, 4, 4, 4, ZKey(0, (1,)))
+    F = SeriesTXZ.z_var(1, 4, 4, ZKey(0, (1,)))
     with pytest.raises(A3Violation):
         FuchsianEquation(F)
 
 
 def test_t_carrying_linear_derivative_term_is_allowed():
-    F = SeriesTXZ.z_var(1, 4, 4, 4, ZKey(0, (1,))) \
-        * SeriesTXZ.from_tx(SeriesTX.monomial(1, 4, 4, 1, 1, (0,)), 4)
+    F = SeriesTXZ.z_var(1, 4, 4, ZKey(0, (1,))) \
+        * SeriesTXZ.from_tx(SeriesTX.monomial(1, 4, 4, 1, 1, (0,)))
     eq = FuchsianEquation(F)     # must not raise
     assert eq.n == 1
 
 
 def test_quadratic_derivative_terms_are_allowed_at_t0():
-    z = SeriesTXZ.z_var(1, 4, 4, 4, ZKey(0, (2,)))
+    z = SeriesTXZ.z_var(1, 4, 4, ZKey(0, (2,)))
     eq = FuchsianEquation(z * z)
     assert eq.char_exponents().roots_exact == (CRat(Frac(0)), CRat(Frac(0)))
 

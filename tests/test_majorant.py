@@ -176,7 +176,7 @@ def test_norm_soundness_complex():
         f = rand_series(rng, 1, 2, 3, complex_coeffs=True)
         t = rng.uniform(0.0, 1.0)
         x = rng.uniform(-0.5, 0.5)
-        val = abs(SeriesTXZ.from_tx(f, 0).numeric_evaluator()(t, (x,), {}))
+        val = abs(SeriesTXZ.from_tx(f).numeric_evaluator()(t, (x,), {}))
         bound = norm_x(f).eval(t, abs(x))
         assert val <= bound * (1 + 1e-12) + 1e-15
 
@@ -186,15 +186,14 @@ def test_norm_soundness_complex():
 
 def build_profile(rng):
     keys = lambda_keys(1)
-    F = SeriesTXZ.zero(1, 3, 3, 3)
+    F = SeriesTXZ.zero(1, 3, 3)
     for _ in range(4):
         zk = rng.choice(keys)
         c = Frac(rng.randint(1, 6), rng.randint(1, 6))
         term = SeriesTXZ.from_tx(
-            SeriesTX.monomial(1, 3, 3, c, rng.randint(0, 1), (rng.randint(0, 1),)),
-            3)
+            SeriesTX.monomial(1, 3, 3, c, rng.randint(0, 1), (rng.randint(0, 1),)))
         for _ in range(rng.randint(0, 2)):
-            term = term * SeriesTXZ.z_var(1, 3, 3, 3, zk)
+            term = term * SeriesTXZ.z_var(1, 3, 3, zk)
         F = F + term
     return F
 
@@ -219,13 +218,13 @@ def test_norm_xz_eval_matches_direct_substitution():
 
 def build_tfree_profile(rng):
     keys = lambda_keys(1)
-    F = SeriesTXZ.zero(1, 3, 3, 3)
+    F = SeriesTXZ.zero(1, 3, 3)
     for _ in range(4):
         c = Frac(rng.randint(1, 6), rng.randint(1, 6))
         term = SeriesTXZ.from_tx(
-            SeriesTX.monomial(1, 3, 3, c, 0, (rng.randint(0, 2),)), 3)
+            SeriesTX.monomial(1, 3, 3, c, 0, (rng.randint(0, 2),)))
         for _ in range(rng.randint(1, 2)):
-            term = term * SeriesTXZ.z_var(1, 3, 3, 3, rng.choice(keys))
+            term = term * SeriesTXZ.z_var(1, 3, 3, rng.choice(keys))
         F = F + term
     return F
 
@@ -247,7 +246,7 @@ def test_z_linear_bound_dominates_on_box():
 
 
 def test_z_linear_bound_rejects_jet_free_terms():
-    F = SeriesTXZ.from_tx(SeriesTX.one(1, 3, 3), 3)
+    F = SeriesTXZ.from_tx(SeriesTX.one(1, 3, 3))
     with pytest.raises(ValueError):
         norm_xz(F).z_linear_bound(Frac(1), Frac(1))
 

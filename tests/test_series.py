@@ -124,7 +124,7 @@ def test_z_var_accepts_exactly_the_lambda_keys(n):
     # test_parse_equation_refuses_exactly_the_inadmissible_keys
     admissible = set(lambda_keys(n))
     for key in admissible:
-        assert SeriesTXZ.z_var(n, 2, 2, 2, key).jet_keys_used() == {key}
+        assert SeriesTXZ.z_var(n, 2, 2, key).jet_keys_used() == {key}
     assert {ZKey(i, alpha) for i in range(3)
             for alpha in itertools.product(range(4), repeat=n)
             if i < 2 and i + sum(alpha) <= 2} == admissible
@@ -170,7 +170,7 @@ def test_eval_numeric_matches_exact_polynomial():
          + SeriesTX.monomial(2, 3, 3, -1, 2, (2, 0)))
     t, x1, x2 = 0.25, 0.5, -2.0
     expected = 0.5 * t + 3 * x1 * x2 - t * t * x1 * x1
-    value = SeriesTXZ.from_tx(f, 0).numeric_evaluator()(t, (x1, x2), {})
+    value = SeriesTXZ.from_tx(f).numeric_evaluator()(t, (x1, x2), {})
     assert abs(value - expected) < 1e-15
 
 
@@ -196,22 +196,21 @@ def test_substitute_z_is_a_homomorphism():
     rng = random.Random(77)
     keys = lambda_keys(1)
     for _ in range(25):
-        F = SeriesTXZ.zero(1, 6, 6, 4)
-        G = SeriesTXZ.zero(1, 6, 6, 4)
+        F = SeriesTXZ.zero(1, 6, 6)
+        G = SeriesTXZ.zero(1, 6, 6)
         for tgt in (F, G):
             pass
         def rand_txz():
-            out = SeriesTXZ.zero(1, 6, 6, 4)
+            out = SeriesTXZ.zero(1, 6, 6)
             for _ in range(3):
                 zk = rng.choice(keys)
                 p = rng.randint(0, 2)
                 c = Frac(rng.randint(-5, 5), rng.randint(1, 5))
                 base = SeriesTXZ.from_tx(
-                    SeriesTX.monomial(1, 6, 6, c, rng.randint(0, 2), (rng.randint(0, 1),)),
-                    4)
+                    SeriesTX.monomial(1, 6, 6, c, rng.randint(0, 2), (rng.randint(0, 1),)))
                 term = base
                 for _ in range(p):
-                    term = term * SeriesTXZ.z_var(1, 6, 6, 4, zk)
+                    term = term * SeriesTXZ.z_var(1, 6, 6, zk)
                 out = out + term
             return out
         F, G = rand_txz(), rand_txz()
@@ -226,11 +225,11 @@ def test_substitute_z_is_a_homomorphism():
 
 def test_from_tx_keeps_terms_jet_free():
     f = SeriesTX.monomial(1, 3, 3, Frac(2, 5), 1, (1,))
-    F = SeriesTXZ.from_tx(f, 3)
+    F = SeriesTXZ.from_tx(f)
     assert F.terms == {(k, a, ()): c for (k, a), c in f.terms.items()}
     assert F.jet_keys_used() == set()
     zk = ZKey(0, (1,))
-    G = F * SeriesTXZ.z_var(1, 3, 3, 3, zk)
+    G = F * SeriesTXZ.z_var(1, 3, 3, zk)
     assert all(nu for _, _, nu in G.terms)
     assert G.jet_keys_used() == {zk}
 
@@ -238,34 +237,34 @@ def test_from_tx_keeps_terms_jet_free():
 def test_shift_z_matches_polynomial_expansion():
     # F = z^2 for z = z_{0,(0,)}; shifting z -> z + s gives z^2 + 2 s z + s^2
     zk = ZKey(0, (0,))
-    z = SeriesTXZ.z_var(1, 4, 4, 4, zk)
+    z = SeriesTXZ.z_var(1, 4, 4, zk)
     F = z * z
     s = SeriesTX.monomial(1, 4, 4, 1, 1, (0,))
     G = F.shift_z({zk: s})
-    expected = F + z.scale(2) * SeriesTXZ.from_tx(s, 4) \
-        + SeriesTXZ.from_tx(s * s, 4)
+    expected = F + z.scale(2) * SeriesTXZ.from_tx(s) \
+        + SeriesTXZ.from_tx(s * s)
     assert G == expected
 
 
 def test_substitute_z_linear_preserves_degree():
     zk1, zk0 = ZKey(1, (1,)), ZKey(0, (1,))
-    z = SeriesTXZ.z_var(1, 3, 3, 3, zk1)
+    z = SeriesTXZ.z_var(1, 3, 3, zk1)
     F = z * z
     lam = CRat(Frac(-2))
     G = F.substitute_z_linear({zk1: [(CRat(Frac(1)), zk1), (lam, zk0)]})
     # (d + lam c)^2 = d^2 + 2 lam c d + lam^2 c^2
-    c = SeriesTXZ.z_var(1, 3, 3, 3, zk0)
+    c = SeriesTXZ.z_var(1, 3, 3, zk0)
     expected = z * z + (z * c).scale(2 * lam) + (c * c).scale(lam * lam)
     assert G == expected
 
 
-def rand_txz(rng, n, k_t, k_x, k_z, n_terms=4, max_deg=2):
+def rand_txz(rng, n, k_t, k_x, n_terms=4, max_deg=2):
     keys = lambda_keys(n)
-    out = SeriesTXZ.zero(n, k_t, k_x, k_z)
+    out = SeriesTXZ.zero(n, k_t, k_x)
     for _ in range(n_terms):
-        term = SeriesTXZ.from_tx(rand_series(rng, n, k_t, k_x, n_terms=1), k_z)
+        term = SeriesTXZ.from_tx(rand_series(rng, n, k_t, k_x, n_terms=1))
         for _ in range(rng.randint(0, max_deg)):
-            term = term * SeriesTXZ.z_var(n, k_t, k_x, k_z, rng.choice(keys))
+            term = term * SeriesTXZ.z_var(n, k_t, k_x, rng.choice(keys))
         out = out + term
     return out
 
@@ -283,7 +282,7 @@ def test_shift_and_linear_maps_agree_with_substitute_z(seed):
     rng = random.Random(4100 + seed)
     n = rng.choice((1, 2))
     keys = lambda_keys(n)
-    F = rand_txz(rng, n, 3, 3, 3)
+    F = rand_txz(rng, n, 3, 3)
     v = {zk: rand_series(rng, n, 3, 3, n_terms=2) for zk in keys}
     s = {zk: rand_series(rng, n, 3, 3, n_terms=2)
          for zk in rng.sample(keys, 3)}
@@ -325,17 +324,17 @@ def _alphas_upto(n, d):
 def jet_series(draw):
     """SeriesTXZ with canonical keys; a term past a cap is dropped."""
     n = draw(st.sampled_from((1, 2)))
-    k_t, k_x, k_z = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+    k_t, k_x, deg = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
                      draw(st.integers(1, 3)))
     keys = lambda_keys(n)
     data = {}
     for _ in range(draw(st.integers(0, 6))):
-        factors = draw(st.lists(st.sampled_from(keys), max_size=k_z + 1))
+        factors = draw(st.lists(st.sampled_from(keys), max_size=deg + 1))
         key = (draw(st.integers(0, k_t + 1)),
                draw(st.sampled_from(_alphas_upto(n, k_x + 1))),
                _norm_nu((zk, 1) for zk in factors))
         data[key] = draw(_crat)
-    return SeriesTXZ(n, k_t, k_x, k_z, data)
+    return SeriesTXZ(n, k_t, k_x, data)
 
 
 @st.composite
@@ -351,7 +350,7 @@ def tight_tx(draw, n, k_t, k_x):
 def _assert_same_expansion(got, want):
     # equality ignores the caps: check them one by one
     assert got == want
-    assert (got.k_t, got.k_x, got.k_z) == (want.k_t, want.k_x, want.k_z)
+    assert (got.k_t, got.k_x) == (want.k_t, want.k_x)
     assert all(nu == _norm_nu(nu) for _, _, nu in got.terms)
 
 

@@ -1,6 +1,9 @@
 """Formal power-series solver: hand oracles and manufactured solutions."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from fuchsian.solver import (FormalSolution, derivative_tuple, residual,
 from oracles import cauchy_by_pairs, indicial_series, manufactured
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_residual_frozen_oracle():
@@ -45,7 +49,7 @@ def test_hand_case_tx_forcing():
     # second builtin plus forcing t*x has the closed solution t*x/6
     eq = load_equation("remark3")
     forcing = SeriesTXZ.from_tx(
-        SeriesTX.monomial(1, eq.F.k_t, eq.F.k_x, 1, 1, (1,)), eq.F.k_z)
+        SeriesTX.monomial(1, eq.F.k_t, eq.F.k_x, 1, 1, (1,)))
     eq2 = FuchsianEquation(eq.F + forcing)
     sol = solve_formal(eq2, 4, x_order=2)
     expected = SeriesTX.monomial(1, sol.u.k_t, sol.u.k_x, Frac(1, 6), 1, (1,))
@@ -69,6 +73,29 @@ def test_verification_skipped_when_x_budget_is_exhausted():
     assert not sol.verified
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_failed_residual_check_raises_under_every_flag(flags):
+    # a residual check that fails must stop the solve, also under python -O,
+    # which strips assert statements; never return verified = True
+    script = ("from fuchsian import solver\n"
+              "from fuchsian.builtin import load_equation\n"
+              "calls = []\n"
+              "solver._residual_vanishes = (\n"
+              "    lambda *a: calls.append(a) or False)\n"
+              "eq = load_equation('remark3_forced')\n"
+              "try:\n"
+              "    sol = solver.solve_formal(eq, 4)\n"
+              "    print('verified', sol.verified, len(calls))\n"
+              "except AssertionError as exc:\n"
+              "    print('raised', exc, len(calls))\n")
+    out = subprocess.run([sys.executable, *flags, "-c", script],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ("raised internal error: formal solution leaves a "
+                          "nonzero residual 1\n")
+
+
 def test_solution_is_deterministic():
     eq = load_equation("remark3_forced")
     a = solve_formal(eq, 4)
@@ -78,9 +105,9 @@ def test_solution_is_deterministic():
 
 def test_resonant_equation_raises():
     # lambda^2 - lambda - 2 has the root +2: step k = 2 divides by zero
-    F = SeriesTXZ.z_var(1, 6, 8, 4, ZKey(1, (0,))) \
-        + SeriesTXZ.z_var(1, 6, 8, 4, ZKey(0, (0,))).scale(2) \
-        + SeriesTXZ.from_tx(SeriesTX.monomial(1, 6, 8, 1, 1, (0,)), 4)
+    F = SeriesTXZ.z_var(1, 6, 8, ZKey(1, (0,))) \
+        + SeriesTXZ.z_var(1, 6, 8, ZKey(0, (0,))).scale(2) \
+        + SeriesTXZ.from_tx(SeriesTX.monomial(1, 6, 8, 1, 1, (0,)))
     eq = FuchsianEquation(F)
     with pytest.raises(IndicialZero):
         solve_formal(eq, 4)
@@ -119,21 +146,21 @@ def random_target(rng, n, k_t, k_x):
     return u
 
 
-def random_base_equation(rng, n, k_t, k_x, k_z):
+def random_base_equation(rng, n, k_t, k_x):
     # exact negative-rational exponent pair guarantees nonzero indicial
     # values at every positive integer step
     lam1 = Frac(-rng.randint(1, 4), rng.choice([1, 2]))
     lam2 = lam1 - Frac(rng.randint(0, 3), rng.choice([1, 2]))
     b1 = lam1 + lam2
     b0 = -(lam1 * lam2)
-    F = SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(1, (0,) * n)).scale(b1) \
-        + SeriesTXZ.z_var(n, k_t, k_x, k_z, ZKey(0, (0,) * n)).scale(b0)
+    F = SeriesTXZ.z_var(n, k_t, k_x, ZKey(1, (0,) * n)).scale(b1) \
+        + SeriesTXZ.z_var(n, k_t, k_x, ZKey(0, (0,) * n)).scale(b0)
     keys = lambda_keys(n)
     for _ in range(rng.randint(1, 3)):
         zk1, zk2 = rng.choice(keys), rng.choice(keys)
         c = Frac(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
-        term = SeriesTXZ.z_var(n, k_t, k_x, k_z, zk1) \
-            * SeriesTXZ.z_var(n, k_t, k_x, k_z, zk2)
+        term = SeriesTXZ.z_var(n, k_t, k_x, zk1) \
+            * SeriesTXZ.z_var(n, k_t, k_x, zk2)
         F = F + term.scale(c)
     return FuchsianEquation(F)
 
@@ -145,7 +172,7 @@ def test_manufactured_random_recovery():
     for case in range(24):
         n = 1 + (case % 2)
         k_x = 2 + 2 * order + 2                # room for solve + verify
-        eq = random_base_equation(rng, n, order + 1, k_x, 3)
+        eq = random_base_equation(rng, n, order + 1, k_x)
         target = random_target(rng, n, order + 1, k_x)
         eqf = manufactured(eq, target)
         sol = solve_formal(eqf, order)
@@ -213,7 +240,6 @@ def random_equations(draw):
     n = draw(st.sampled_from((1, 2)))
     K = draw(st.integers(2, 6) if n == 1 else st.integers(1, 4))
     x_order = draw(st.integers(0, 2))
-    k_z = draw(st.sampled_from((3, 4)))
     keys = lambda_keys(n)
     zero = (0,) * n
     lam1 = -Frac(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
@@ -246,8 +272,7 @@ def random_equations(draw):
     for a, beta, nu, c in terms:
         acc = data.get((a, beta, nu))
         data[(a, beta, nu)] = c if acc is None else acc + c
-    F = SeriesTXZ(n, K + draw(st.integers(0, 1)), x_order + 2 * K, k_z,
-                  data)
+    F = SeriesTXZ(n, K + draw(st.integers(0, 1)), x_order + 2 * K, data)
     return FuchsianEquation(F), K
 
 
@@ -264,7 +289,7 @@ def _outcome(fn, eq, K):
 def jet_product_equations(n):
     """Fixed inputs for the split Z^nu = Z^p z_e of jet monomials.  The
     first equation has a square z10^2, a cubic z01^2 z02 with a repeated
-    factor (K_z = 3), and z02 z11 and t x z01 z02 sharing z02 (the second
+    factor, and z02 z11 and t x z01 z02 sharing z02 (the second
     at a = 1, so it adds nothing to L_p[j] for j <= 1).  The second has
     jet monomials that share no factor."""
     zero, x1 = (0,) * n, (1,) + (0,) * (n - 1)
@@ -280,9 +305,9 @@ def jet_product_equations(n):
               (1, x1, ((z01, 1), (z02, 1))): Frac(-1, 4)}
     apart = {(0, zero, ((z00, 1), (z02, 1))): Frac(1, 2),
              (0, zero, ((z10, 1), (z11, 1))): 3}
-    return [(FuchsianEquation(SeriesTXZ(n, K, 2 + 2 * K, k_z,
+    return [(FuchsianEquation(SeriesTXZ(n, K, 2 + 2 * K,
                                         {**linear, **jet})), K)
-            for k_z, jet in ((3, shared), (2, apart))]
+            for jet in (shared, apart)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -322,7 +347,7 @@ def _verdict(fn, *args):
 
 def _jet_free_equation():
     # no jet variable: P_k = k^2 and every cap is F's and u's own
-    return FuchsianEquation(SeriesTXZ(2, 4, 5, 2, {
+    return FuchsianEquation(SeriesTXZ(2, 4, 5, {
         (1, (0, 0), ()): 1, (2, (1, 0), ()): Frac(1, 2),
         (3, (1, 2), ()): CRat(Frac(1, 3), Frac(-2))})), 4
 
@@ -353,7 +378,7 @@ def test_integer_residual_check_equals_crat_residual(case, where, delta):
 def _forced_to_t5():
     # remark3_forced plus forcing t^5: t/6 solves it through t-order 4
     F = load_equation("remark3_forced").F
-    return FuchsianEquation(F + SeriesTXZ(1, F.k_t, F.k_x, F.k_z,
+    return FuchsianEquation(F + SeriesTXZ(1, F.k_t, F.k_x,
                                           {(5, (0,), ()): 1}))
 
 
@@ -684,7 +709,7 @@ def test_probe_d3_solves_and_verifies_at_order_2():
 def complex_equations(draw):
     """random_equations with complex exponents -a + ib, a, b > 0 (so no
     resonance and Im beta*_0, Im beta*_1 != 0), a complex x-dependent part
-    of each beta*_i, no dropped z-degrees, and the x-budget for verify."""
+    of each beta*_i, and the x-budget for verify."""
     eq, K = draw(random_equations())
     F, zero = eq.F, (0,) * eq.n
     lam1, lam2 = (CRat(-Frac(draw(st.integers(1, 6)), draw(st.integers(1, 3))),
@@ -697,7 +722,7 @@ def complex_equations(draw):
         key = (0, draw(st.sampled_from(_alphas[eq.n][1:])),
                ((ZKey(i, zero), 1),))
         data[key] = data.get(key, CRat()) + CRat(draw(_small), draw(_small))
-    F = SeriesTXZ(eq.n, F.k_t, max(F.k_x, 2 * K + 2), 3, data)
+    F = SeriesTXZ(eq.n, F.k_t, max(F.k_x, 2 * K + 2), data)
     return FuchsianEquation(F), K
 
 
@@ -719,7 +744,7 @@ def test_complex_resonance_raises(n):
     # exponents 2 and -1 + i: beta*_1 = 1 + i, beta*_0 = 2 - 2i, and
     # P_2(0) = 4 - 2 (1 + i) - (2 - 2i) = 0, while P_1(0) = -2 + i
     zero, x1 = (0,) * n, (1,) + (0,) * (n - 1)
-    F = SeriesTXZ(n, 4, 8, 2, {
+    F = SeriesTXZ(n, 4, 8, {
         (0, zero, ((ZKey(1, zero), 1),)): CRat(1, 1),
         (0, zero, ((ZKey(0, zero), 1),)): CRat(2, -2),
         (0, x1, ((ZKey(0, zero), 1),)): CRat(1, 3),
@@ -737,7 +762,7 @@ def test_negative_indicial_value_matches_resubstitution(n):
     # exponents 5/2 and -1: P_1(0) = -3 and P_2(0) = -3/2 divide with a
     # negative denominator, P_3(0) = 2 and P_4(0) = 15/2 with a positive one
     zero, x1 = (0,) * n, (1,) + (0,) * (n - 1)
-    F = SeriesTXZ(n, 4, 10, 3, {
+    F = SeriesTXZ(n, 4, 10, {
         (0, zero, ((ZKey(1, zero), 1),)): Frac(3, 2),
         (0, zero, ((ZKey(0, zero), 1),)): Frac(5, 2),
         (0, x1, ((ZKey(0, zero), 1),)): Frac(1, 3),

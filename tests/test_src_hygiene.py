@@ -1,7 +1,8 @@
 """Source hygiene: every top-level import of a module under src/fuchsian or
 tests/ is used in that module, so a deletion leaves no dead import for
-every fresh process to load and compile, and src/ stays within its line
-budget, whose count README states."""
+every fresh process to load and compile; no module under src/fuchsian has
+an assert statement, which python -O would strip; and src/ stays within
+its line budget, whose count README states."""
 
 import ast
 import re
@@ -40,6 +41,27 @@ def test_checker_finds_an_unused_import():
                          + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_top_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def assert_lines(source: str) -> list:
+    """Line numbers of the assert statements in source."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Assert))
+
+
+def test_checker_finds_an_assert():
+    source = ("def f(x):\n"
+              "    if x:\n"
+              "        assert x > 0, 'positive'\n"
+              "    raise AssertionError('not an assert statement')\n"
+              "assert f\n")
+    assert assert_lines(source) == [3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_src_has_no_assert(path):
+    assert assert_lines(path.read_text()) == [], path.name
 
 
 # this round's cap on src/ ("Line budget" in ROADMAP.md)
