@@ -4,11 +4,12 @@ The JSON schema is flat: {"m" (always 2), "n", "terms": [...], "truncation":
 {"K_t", "K_x", "K_z"}}, each term {"coeff": [num_re, den_re, num_im,
 den_im], "t_pow": int, "x_pows": [n ints], "z_pows": [{"i", "alpha",
 "pow"}, ...]}.  This is where outside input is checked, once: anything
-malformed or past the limits below, or a term whose z-degree (the sum of
-its pows) exceeds K_z, raises InputError with the offending field named,
-before any work, and a jet index outside the second-order set raises
-IndexOutOfLambda.  Jet monomials are put in canonical form here too; the
-layers below trust what they are built from.
+malformed or past the limits below, or a term past the truncation (t_pow
+above K_t, x-degree above K_x, or z-degree, the sum of its pows, above
+K_z), raises InputError with the offending field named, before any work,
+and a jet index outside the second-order set raises IndexOutOfLambda.
+Jet monomials are put in canonical form here too; the layers below trust
+what they are built from.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ def parse_equation(doc: dict, name: str = "") -> FuchsianEquation:
         deg = _nu_degree(nu)
         _require(deg <= tr["K_z"], f"{where}.z_pows must have z-degree at "
                  f"most truncation.K_z = {tr['K_z']}, got {deg}")
+        _require(tp <= tr["K_t"] and sum(xp) <= tr["K_x"],
+                 f"{where} is t^{tp} of x-degree {sum(xp)}, beyond the caps "
+                 f"truncation.K_t = {tr['K_t']}, K_x = {tr['K_x']}")
         key = (tp, tuple(xp), _norm_nu(nu))
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff

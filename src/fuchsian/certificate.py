@@ -31,6 +31,7 @@ from .errors import (
     InexactRoots,
     InputError,
     SearchExhausted,
+    TruncationExhausted,
     UnsplittableTerm,
 )
 from .majorant import norm_x, norm_xz
@@ -68,12 +69,18 @@ def build_shifted_rhs(eq, u0: SeriesTX | None = None) -> SeriesTXZ:
 
     Substitutes z -> z + jet(u0) into F and keeps only the terms with a
     jet factor, at F's caps, so the result vanishes identically at z = 0.
-    u0 = None means no shift.
+    u0 = None means no shift.  The jet of u0 takes m x-derivatives: a u0
+    of t-order K from solve_formal has x-cap >= m when F's k_x >= m (K + 1).
     """
     F = eq.F
     if u0 is not None and not u0.is_zero():
         if u0.t_order() == 0:
             raise HypothesisViolated("base series must vanish at t = 0")
+        if u0.k_x < eq.m:
+            raise TruncationExhausted(
+                f"need k_x >= {eq.m * (u0.k_t + 1)} on the right-hand side "
+                f"to shift by a base solution of t-order {u0.k_t}, whose "
+                f"x-cap {u0.k_x} is below m = {eq.m} (have {F.k_x})")
         F = F.shift_z(derivative_tuple(u0))
     return SeriesTXZ(F.n, F.k_t, F.k_x,
                      {key: c for key, c in F.terms.items() if key[2]})
@@ -151,9 +158,9 @@ def normal_form(H: SeriesTXZ, cd: CharData) -> Decomposition:
     G = G - zvar(ZKey(1, zeros)).scale(lam1 + lam2) \
           - zvar(ZKey(0, zeros)).scale(lam1 * lam1)
 
-    bst0, bst1 = cd.betas[0], cd.betas[1]
-    beta1 = bst1 - bst1.coeff(0, zeros)
-    beta0 = (bst0 - bst0.coeff(0, zeros)) + beta1.scale(lam1)
+    beta0, beta1 = (b - SeriesTX.const(b.n, b.k_t, b.k_x, b.coeff(0, zeros))
+                    for b in cd.betas)
+    beta0 = beta0 + beta1.scale(lam1)
     if not all(b.coeff(0, zeros).is_zero() for b in (beta0, beta1)):
         raise AssertionError("internal error: beta origins are not zero")
 

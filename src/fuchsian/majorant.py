@@ -117,9 +117,6 @@ class SectorMajorant:
                 store[k] = p
         self.coeffs = store
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def slice(self, k: int) -> RhoPoly:
         return self.coeffs.get(k, RhoPoly())
 
@@ -225,11 +222,6 @@ class NormProfileZ:
             return (k + _nu_degree(nu), k,
                     tuple((_zkey_sort(zk), p) for zk, p in nu))
         return sorted(self.profiles.items(), key=key)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormProfileZ):
-            return NotImplemented
-        return self.profiles == other.profiles
 
     def d_rho(self) -> "NormProfileZ":
         return NormProfileZ({key: p.d_rho() for key, p in self.profiles.items()})

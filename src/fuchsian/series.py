@@ -1,6 +1,6 @@
 """Truncated formal power series over exact complex rationals.
 
-Two containers:
+Two containers over one core, _Series:
 
 * SeriesTX  -- series in the time variable t and spatial variables
   x = (x_1, ..., x_n), truncated at t-order k_t and total x-degree k_x.
@@ -10,10 +10,11 @@ Two containers:
   is a polynomial in z: the caps are in t and x only.
 
 Truncation caps are part of the value but not of equality: two series are
-equal when they have the same variable count and the same term map.  All
+equal when they have the same type, variable count and term map.  All
 binary operations join caps with min, which is the largest region on which
-both operands are reliable.  Operations never mutate; every method returns
-a fresh object.
+both operands are reliable; they take two series of one type, never a
+scalar (scale multiplies by one).  Operations never mutate; every method
+returns a fresh object.
 
 t-powers k and multi-indices alpha are ordered graded-lexicographically,
 key (k + |alpha|, k, alpha); jet keys by (i + |alpha|, i, alpha).
@@ -94,8 +95,10 @@ def _nu_degree(nu: tuple) -> int:
     return sum(p for _, p in nu)
 
 
-class SeriesTX:
-    """Series in t and x, truncated at (k_t, k_x)."""
+class _Series:
+    """What the two containers share: the variable count, the caps, a term
+    map whose keys start (t-power, alpha), and the additive group.  An
+    operand of the other container, or a scalar, is refused."""
 
     __slots__ = ("n", "k_t", "k_x", "terms")
 
@@ -105,19 +108,65 @@ class SeriesTX:
         self.k_x = k_x
         store: dict[tuple, CRat] = {}
         for key, c in (terms or {}).items():
-            k, alpha = key
-            if k > k_t or sum(alpha) > k_x:
+            if key[0] > k_t or sum(key[1]) > k_x:
                 continue
             c = _coeff(c)
             if not c.is_zero():
                 store[key] = c
         self.terms = store
 
-    # -- constructors -----------------------------------------------
-
     @classmethod
-    def zero(cls, n: int, k_t: int, k_x: int) -> "SeriesTX":
+    def zero(cls, n: int, k_t: int, k_x: int):
         return cls(n, k_t, k_x, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"{type(self).__name__}(n={self.n}, k_t={self.k_t}, "
+                f"k_x={self.k_x}, {len(self.terms)} terms)")
+
+    def _join(self, other) -> tuple[int, int]:
+        return min(self.k_t, other.k_t), min(self.k_x, other.k_x)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        kt, kx = self._join(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+        return type(self)(self.n, kt, kx, out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        c = _coeff(c)
+        return type(self)(self.n, self.k_t, self.k_x,
+                          {key: v * c for key, v in self.terms.items()})
+
+
+class SeriesTX(_Series):
+    """Series in t and x, truncated at (k_t, k_x)."""
+
+    __slots__ = ()
+    # bound here, not only inherited: perfbench/tracer.py counts SeriesTX
+    # constructions by wrapping SeriesTX.__dict__["__init__"]
+    __init__ = _Series.__init__
+
+    # -- constructors -----------------------------------------------
 
     @classmethod
     def const(cls, n: int, k_t: int, k_x: int, c) -> "SeriesTX":
@@ -136,9 +185,6 @@ class SeriesTX:
     def coeff(self, k: int, alpha) -> CRat:
         return self.terms.get((k, tuple(alpha)), CRat())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def t_order(self) -> int | None:
         """Smallest t-power present, or None for the zero series."""
         if not self.terms:
@@ -148,53 +194,10 @@ class SeriesTX:
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: _tx_key(kv[0]))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesTX):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SeriesTX(n={self.n}, k_t={self.k_t}, k_x={self.k_x}, "
-                f"{len(self.terms)} terms)")
-
     # -- ring operations ---------------------------------------------
 
-    def _join(self, other: "SeriesTX") -> tuple[int, int]:
-        return min(self.k_t, other.k_t), min(self.k_x, other.k_x)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            other = SeriesTX.const(self.n, self.k_t, self.k_x, other)
-        if not isinstance(other, SeriesTX):
-            return NotImplemented
-        kt, kx = self._join(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return SeriesTX(self.n, kt, kx, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            other = SeriesTX.const(self.n, self.k_t, self.k_x, other)
-        if not isinstance(other, SeriesTX):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "SeriesTX":
-        c = _coeff(c)
-        return SeriesTX(self.n, self.k_t, self.k_x,
-                        {key: v * c for key, v in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            return self.scale(other)
-        if not isinstance(other, SeriesTX):
+        if type(other) is not SeriesTX:
             return NotImplemented
         kt, kx = self._join(other)
         out: dict[tuple, CRat] = {}
@@ -269,32 +272,15 @@ class SeriesTX:
         return out.scale(inv0)
 
 
-class SeriesTXZ:
+class SeriesTXZ(_Series):
     """Series in t, x and the jet variables z[i, alpha] of the second-order
     equation, (i, alpha) in lambda_keys(n).  t-powers are truncated at k_t
     and x-degrees at k_x; in z it is a polynomial, kept whole, whose degree
     parse_equation bounds where a document enters."""
 
-    __slots__ = ("n", "k_t", "k_x", "terms")
-
-    def __init__(self, n: int, k_t: int, k_x: int, terms=None):
-        self.n = n
-        self.k_t = k_t
-        self.k_x = k_x
-        store: dict[tuple, CRat] = {}
-        for (k, alpha, nu), c in (terms or {}).items():
-            if k > k_t or sum(alpha) > k_x:
-                continue
-            c = _coeff(c)
-            if not c.is_zero():
-                store[(k, alpha, nu)] = c
-        self.terms = store
+    __slots__ = ()
 
     # -- constructors -----------------------------------------------
-
-    @classmethod
-    def zero(cls, n, k_t, k_x) -> "SeriesTXZ":
-        return cls(n, k_t, k_x, {})
 
     @classmethod
     def from_tx(cls, f: SeriesTX) -> "SeriesTXZ":
@@ -310,45 +296,10 @@ class SeriesTXZ:
     def jet_keys_used(self) -> set[ZKey]:
         return {zk for (_, _, nu) in self.terms for zk, _ in nu}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesTXZ):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SeriesTXZ(n={self.n}, k_t={self.k_t}, "
-                f"k_x={self.k_x}, {len(self.terms)} terms)")
-
     # -- ring operations ---------------------------------------------
 
-    def _join(self, other: "SeriesTXZ") -> tuple[int, int]:
-        return min(self.k_t, other.k_t), min(self.k_x, other.k_x)
-
-    def __add__(self, other):
-        if not isinstance(other, SeriesTXZ):
-            return NotImplemented
-        kt, kx = self._join(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return SeriesTXZ(self.n, kt, kx, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, SeriesTXZ):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "SeriesTXZ":
-        c = _coeff(c)
-        return SeriesTXZ(self.n, self.k_t, self.k_x,
-                         {key: v * c for key, v in self.terms.items()})
-
     def __mul__(self, other):
-        if not isinstance(other, SeriesTXZ):
+        if type(other) is not SeriesTXZ:
             return NotImplemented
         kt, kx = self._join(other)
         out: dict[tuple, CRat] = {}

@@ -115,6 +115,13 @@ def test_load_equation_bad_utf8(tmp_path):
     pytest.param(lambda d: d["terms"][0]["z_pows"].append(
         {"i": 0, "alpha": [0], "pow": 3}), "terms[0].z_pows must have "
         "z-degree at most truncation.K_z = 3, got 4", id="z-degree-sum-limit"),
+    # a term past the t or x truncation, K_t = 6 and K_x = 8, is refused
+    pytest.param(lambda d: d["terms"][0].update(t_pow=7),
+                 "terms[0] is t^7 of x-degree 0, beyond the caps "
+                 "truncation.K_t = 6, K_x = 8", id="t-pow-past-K_t"),
+    pytest.param(lambda d: d["terms"][0].update(x_pows=[9]),
+                 "terms[0] is t^0 of x-degree 9, beyond the caps "
+                 "truncation.K_t = 6, K_x = 8", id="x-degree-past-K_x"),
     pytest.param(lambda d: d.update(terms=d["terms"] * (MAX_TERMS + 1)),
                  f"terms may hold at most {MAX_TERMS} entries", id="terms-limit"),
     pytest.param(lambda d: d["terms"][0].update(coeff=[-10 ** 400, 1, 0, 1]),
@@ -157,9 +164,13 @@ def test_parse_equation_admits_documents_at_the_limits():
     doc["n"] = MAX_N
     doc["terms"] = [{"coeff": [2 ** MAX_COEFF_BITS - 1, 1, 0, 1], "t_pow": 0,
                      "z_pows": [{"i": 1, "alpha": [0] * MAX_N}]}] * MAX_TERMS
+    # a term at both caps is kept
+    doc["terms"][-1] = {"coeff": [1, 1, 0, 1], "t_pow": MAX_K_T,
+                        "x_pows": [MAX_K_X] + [0] * (MAX_N - 1)}
     doc["truncation"] = {"K_t": MAX_K_T, "K_x": MAX_K_X, "K_z": MAX_K_Z}
     eq = parse_equation(doc)
     assert (eq.n, eq.F.k_t, eq.F.k_x) == (MAX_N, MAX_K_T, MAX_K_X)
+    assert (MAX_K_T, (MAX_K_X, 0, 0), ()) in eq.F.terms
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -29,7 +29,8 @@ from fuchsian.certificate import (BarrierSystem, Decomposition,
 from fuchsian.characteristics import _Check, allowed
 from fuchsian.equation import FuchsianEquation
 from fuchsian.errors import (HypothesisViolated, InexactRoots,
-                             NonpositiveExponent, UnsplittableTerm)
+                             NonpositiveExponent, TruncationExhausted,
+                             UnsplittableTerm)
 from fuchsian.majorant import RhoPoly, SectorMajorant, norm_xz
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _nu_degree,
@@ -92,6 +93,19 @@ def test_shifted_rhs_rejects_base_with_constant_term():
     u0 = SeriesTX.one(1, eq.F.k_t, eq.F.k_x)
     with pytest.raises(HypothesisViolated):
         build_shifted_rhs(eq, u0)
+
+
+def test_shifted_rhs_refuses_a_base_too_short_in_x_before_any_shift(
+        monkeypatch):
+    eq = load_equation("remark3_forced")
+    u0 = solve_formal(eq, 6).u
+    assert (u0.k_t, u0.k_x) == (6, 0) and not u0.is_zero()
+    monkeypatch.setattr(certificate, "derivative_tuple", None)
+    with pytest.raises(TruncationExhausted) as exc:
+        build_shifted_rhs(eq, u0)
+    assert str(exc.value) == (
+        "need k_x >= 14 on the right-hand side to shift by a base solution "
+        "of t-order 6, whose x-cap 0 is below m = 2 (have 12)")
 
 
 # -- operator normal form ----------------------------------------------

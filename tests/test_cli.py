@@ -85,6 +85,32 @@ def test_check_non_string_name_is_input_error(tmp_path, capsys):
                             "message": "name must be a string"}
 
 
+@pytest.mark.parametrize("argv,cap,term,message", [
+    # a t-free, jet-free forcing term past K_x = 12 (at x^12 it is kept,
+    # and check refuses it under hypothesis A2)
+    (["check"], None, {"t_pow": 0, "x_pows": [13]},
+     "terms[3] is t^0 of x-degree 13, beyond the caps truncation.K_t = 10, "
+     "K_x = 12"),
+    # 5 t^3 z02^2 past K_t = 2: refused before certify does any work
+    (["certify", "--order", "1", "--grid", "4x4"], 2,
+     {"t_pow": 3, "x_pows": [0], "z_pows": [{"i": 0, "alpha": [2],
+                                              "pow": 2}]},
+     "terms[3] is t^3 of x-degree 0, beyond the caps truncation.K_t = 2, "
+     "K_x = 12"),
+], ids=["x13-check", "t3-certify"])
+def test_term_past_the_t_or_x_truncation_is_input_error(
+        tmp_path, capsys, argv, cap, term, message):
+    doc = json.loads(read_equation_source("remark3")[0])
+    if cap is not None:
+        doc["truncation"]["K_t"] = cap
+    doc["terms"].append({"coeff": [5, 1, 0, 1], **term})
+    p = tmp_path / "remark3_past.json"
+    p.write_text(json.dumps(doc))
+    rc, rep, _ = run_json(capsys, argv[0], str(p), *argv[1:])
+    assert rc == 2
+    assert rep["error"] == {"type": "InputError", "message": message}
+
+
 @pytest.mark.parametrize("command", ["check", "solve", "certify"])
 def test_term_past_K_z_is_input_error(tmp_path, capsys, command):
     # remark3 at K_z = 1 would lose its only nonlinear term, z02^2
@@ -182,6 +208,19 @@ def test_solve_default_x_order_too_small_names_degree_zero(capsys):
         "type": "TruncationExhausted",
         "message": "need k_x >= 14 on the right-hand side for x-degree 0 "
                    "at t-order 7 (have 12)"}
+
+
+def test_certify_names_the_order_and_cap_the_shift_needs(capsys):
+    # the order-6 base solution of remark3_forced keeps x-cap 12 - 2 * 6 =
+    # 0, too few for the shift's second x-derivatives (remark3's is zero:
+    # its order-6 certify needs no shift and runs, tests/golden/corpus.json)
+    rc, rep, _ = run_json(capsys, "certify", "remark3_forced", "--order", "6")
+    assert rc == 2
+    assert rep["error"] == {
+        "type": "TruncationExhausted",
+        "message": "need k_x >= 14 on the right-hand side to shift by a base "
+                   "solution of t-order 6, whose x-cap 0 is below m = 2 "
+                   "(have 12)"}
 
 
 def test_solve_negative_x_order_is_input_error(capsys):

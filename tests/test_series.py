@@ -6,6 +6,7 @@ must satisfy term by term.
 """
 
 import itertools
+import operator
 import random
 from pathlib import Path
 
@@ -118,6 +119,23 @@ def test_constructor_keeps_its_structural_checks():
     assert f.terms == {(1, (2,)): CRat(Frac(1, 2))}
 
 
+def test_the_two_containers_do_not_mix_and_take_no_scalar():
+    # one core serves both types: an operand of the other type, or a
+    # scalar, is a TypeError, and the two types never compare equal
+    f = SeriesTX.monomial(1, 3, 3, 2, 1, (1,))
+    F = SeriesTXZ.from_tx(f)
+    ops = (operator.add, operator.sub, operator.mul)
+    for a, b in ((f, F), (F, f), *((f, c) for c in (1, Frac(1, 2), CRat(3))),
+                 *((c, f) for c in (1, Frac(1, 2), CRat(3)))):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert f != F and F != f and not f == F
+    assert f.scale(3) == f.scale(Frac(3)) and (f + f) - f == f
+    assert SeriesTXZ.zero(1, 3, 3).is_zero() and (F - F).is_zero()
+    assert not F.is_zero() and not (-F).is_zero()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_z_var_accepts_exactly_the_lambda_keys(n):
     # the inadmissible keys are refused where documents are read:
@@ -196,10 +214,6 @@ def test_substitute_z_is_a_homomorphism():
     rng = random.Random(77)
     keys = lambda_keys(1)
     for _ in range(25):
-        F = SeriesTXZ.zero(1, 6, 6)
-        G = SeriesTXZ.zero(1, 6, 6)
-        for tgt in (F, G):
-            pass
         def rand_txz():
             out = SeriesTXZ.zero(1, 6, 6)
             for _ in range(3):
