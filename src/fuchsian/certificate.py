@@ -9,9 +9,9 @@ Everything up to grid evaluation is exact rational arithmetic.  A certify
 builds one BarrierSystem; the weights and the box (BarrierParams) are an
 argument of each method that reads them.  The grid runs in floats on a
 tensor product, in one kernel, BarrierSystem.grid: a rho column evaluates
-every rho-polynomial it reads in one Horner pass, a t row takes the powers
-of t, and a point costs the outer Horner passes in t and straight-line
-float expressions, bit for bit Horner on each majorant.
+every rho-polynomial it reads in one Horner pass, and a t row does each
+float operation of its points as one comprehension over the row's rhos,
+the operations a point would see alone: bit for bit Horner on each majorant.
 Each pointwise check, like the path checks in characteristics.py, is a
 float comparison against characteristics.allowed(rhs), the one tolerance
 rule; violations are reported, never absorbed, and a pass is not a proof.
@@ -356,8 +356,9 @@ class BarrierSystem:
     B of the differential inequality: the majorants, packs, beta norms and
     plan of one decomposition and profile family, with the weights and box
     an argument.  grid is their one kernel: it takes them at every point
-    of a tensor grid, and barrier, growth_bound and transport_rate read
-    one point of it, on a 1 x 1 grid."""
+    of a tensor grid, one t row at a time as columns over the rhos, and
+    barrier, growth_bound and transport_rate read one point of it, on a
+    1 x 1 grid."""
 
     def __init__(self, dec: Decomposition, profiles: ProfileFamily):
         self.dec, self.profiles = dec, profiles
@@ -405,21 +406,23 @@ class BarrierSystem:
         # grid reads in one Horner pass in rho: the sectors' t-slices level
         # by level, highest power first and () above a sector's top; the
         # four betas; the terms of each pack, of its rho-derivative and of
-        # its nonzero jet derivatives.  Per pack, in sum order: where its
-        # profiles' values lie in the pass (the pack's again last, for B),
-        # the terms a point sums (those profiles with A's phi, the pack with
-        # B's) and the sector of dphi for each jet derivative.  A term is
-        # (t-power, ((index, power), ...)), indexing a point's values: the
-        # twelve sectors, phi for A, phi for B
+        # its nonzero jet derivatives.  A level reads 22 columns of the
+        # pass: the twelve sectors, phi for A, phi for B.  Per pack, in sum
+        # order: the terms a row sums for its profiles (with A's phi) and
+        # for the pack again (with B's), and the sector of dphi for each jet
+        # derivative.  A term is (t-power, ((column, power), ...), index of
+        # its rho-polynomial in the pass)
         levels = [m.horner() for m in self.sectors]
         top = max(1, *map(len, levels))
+        cols = list(range(12)) + 2 * [s for _, s in self._phi]
         polys, self._levels = [], []
         for j in range(top):
             level = [lv[j - top + len(lv)] if j >= top - len(lv) else ()
                      for lv in levels]
             # a level below the top where every slice is empty is zero
             keep = not j or any(level)
-            self._levels.append(len(polys) if keep else None)
+            self._levels.append([len(polys) + i for i in cols] if keep
+                                else None)
             polys += level if keep else []
         self._nb = len(polys)
         polys += [b.horner() for b in self.betas]
@@ -427,23 +430,22 @@ class BarrierSystem:
         at = {zk: 12 + j for j, zk in enumerate(self.keys)}
         self._plan = []
         for prof, dr, dz in self.packs:
-            spans, segs = [], []
+            segs = []
             for f in (prof, dr, *(g for _, g in dz)):
                 terms = f.horner_terms()
-                spans.append((len(polys), len(polys) + len(terms)))
+                segs.append(tuple((k, tuple((at[zk], p) for zk, p in nu),
+                                   len(polys) + j)
+                                  for j, (k, _, nu) in enumerate(terms)))
                 polys += [cs for _, cs, _ in terms]
-                segs.append(tuple((k, tuple((at[zk], p) for zk, p in nu))
-                                  for k, _, nu in terms))
-            spans.append(spans[0])
-            segs.append(tuple((k, tuple((i + nk, p) for i, p in nu))
-                              for k, nu in segs[0]))
-            self._plan.append((spans, segs, tuple(dphi[zk] for zk, _ in dz)))
+            segs.append(tuple((k, tuple((i + nk, p) for i, p in nu), j)
+                              for k, nu, j in segs[0]))
+            self._plan.append((segs, tuple(dphi[zk] for zk, _ in dz)))
         # coefficient rows of the pass, zero-padded on top
         deg = max(1, *map(len, polys))
         self._row0, *self._rows = zip(*((0.0,) * (deg - len(cs)) + cs
                                         for cs in polys))
-        self._kmax = max((k for _, segs, _ in self._plan for seg in segs
-                          for k, _ in seg), default=0)
+        self._kmax = max((k for segs, _ in self._plan for seg in segs
+                          for k, _, _ in seg), default=0)
 
     def phi_values(self, t: float, rho: float) -> dict:
         return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
@@ -462,15 +464,17 @@ class BarrierSystem:
         return next(self.grid(P, [t], [rho]))[8]
 
     def grid(self, P: BarrierParams, ts: list, rhos: list):
-        """Yield (t, rho, tk, q, dq, tdq, v, A, B) row by row (tk =
+        """Yield (t, rho, tk, q, dq, tdq, v, A, B) in t-major order (tk =
         t**kappa, v the sector values), bit for bit Horner on each majorant
-        alone.  A rho column runs the one Horner pass in rho of the plan
-        and takes A's terms in rho alone; a t row takes the powers of t.  A
-        point runs the outer Horner passes in t of the sectors and of phi
-        for A and for B, one loop over the packs for A's values and slopes
-        and B's values, and straight-line float expressions, with no call.
-        A and B each evaluate phi and the packs; work counts that.  A call
-        converts the weights of P to floats once, and never reads its box."""
+        alone.  A rho column runs the one Horner pass in rho of the plan,
+        and a call turns its values into rows over rhos, one per
+        polynomial.  A t row then does each float operation of a point as
+        one comprehension over its rhos: the outer Horner passes in t of
+        the sectors and of phi for A and for B, q, dq and t dq/dt, and per
+        pack A's value and slope and B's value, in the order a point sums
+        them, with no call.  A and B each evaluate phi and the packs; work
+        counts that.  A call converts the weights of P to floats once, and
+        never reads its box."""
         e00, e01, e11, kf = map(float, (P.eps00, P.eps01, P.eps11, P.kappa))
         wc, sq_b, plan = 4.0 * e11 / 3.0, 1.5 / e11, []
         # per pack in sum order: kind, the eps of its host for a1 and b and
@@ -479,79 +483,101 @@ class BarrierSystem:
             wt = float(P.eps_slot(host.i, sum(host.alpha))) \
                 if kind in ("a1", "b") else None
             plan.append((kind, wt, None if wt is None else e11 / wt, *part))
-        cols = list(range(12)) + 2 * [s for _, s in self._phi]
-        nb, columns = self._nb, []
+        nr, columns = len(rhos), []
+        if not nr:
+            return
         for rho in rhos:
             # 0.0 * rho + c is c, and a zero on top changes no value (finite
             # rho): bit for bit Horner on each polynomial alone
             vals = self._row0
             for row in self._rows:
                 vals = [a * rho + c for a, c in zip(vals, row)]
-            # Horner levels in t, highest first: starting at the leading
-            # level changes no value (finite t, c >= 0), and a * t + 0.0 is
-            # a * t, so a level of zeros only multiplies
-            lead, *rest = ([vals[o + i] for i in cols] if o is not None
-                           else None for o in self._levels)
-            nb0, nb1, db0, db1 = vals[nb:nb + 4]
-            # A starts from the first term in rho alone and adds the other
-            # three after the packs' values
-            columns.append((rho, lead, [lv if lv and any(lv) else None
-                                        for lv in rest],
-                            (e00 + (nb0 / e00 + nb1), kf + e01 / e11,
-                             e11 * (db0 / e00 + db1),
-                             e11 * (nb0 / e01 + nb1 / e11)),
-                            [[vals[a:b] for a, b in spans]
-                             for *_, spans, _, _ in plan]))
+            columns.append(vals)
+        # T[i]: polynomial i of the pass at each rho
+        T = list(zip(*columns))
+        # Horner levels in t, highest first, each flat over the 22 columns
+        # with rho fastest: starting at the leading level changes no value
+        # (finite t, c >= 0), and a * t + 0.0 is a * t, so at a rho where
+        # a level's 22 values are zero it only multiplies.  A level below
+        # the lead is (values, mask): values None where it is zero at every
+        # rho, mask None where it is zero at none
+        lead, *rest = [None if idx is None else [x for i in idx for x in T[i]]
+                       for idx in self._levels]
+        levels = []
+        for lv in rest:
+            nz = [any(lv[r::nr]) for r in range(nr)] if lv else [False]
+            levels.append((lv if any(nz) else None,
+                           None if all(nz) else nz * 22))
+        nb0, nb1, db0, db1 = T[self._nb:self._nb + 4]
+        # A starts from the first term in rho alone and adds the other
+        # three after the packs' values
+        r0 = [e00 + (a / e00 + b) for a, b in zip(nb0, nb1)]
+        r1 = kf + e01 / e11
+        r2 = [e11 * (a / e00 + b) for a, b in zip(db0, db1)]
+        r3 = [e11 * (a / e01 + b / e11) for a, b in zip(nb0, nb1)]
+        zero = [0.0] * nr
         for t in ts:
             tk, t1k = t ** kf, t ** (1.0 - kf)
-            b0, tp = tk / e11, [t ** k for k in range(self._kmax + 1)]
-            # per pack the factor of its value in A (a divisor for b) and
-            # of its slope in A and its value in B; c's are per point
-            row = [(kind, *((t / eps, we * t) if kind == "a1" else
-                            (t1k, e11 * t1k) if kind == "a2" else (eps, we)),
-                    segs, dphi)
-                   for kind, eps, we, _, segs, dphi in plan]
-            for rho, vals, rest, (r0, r1, r2, r3), inner in columns:
-                for lv in rest:
-                    vals = ([a * t + c for a, c in zip(vals, lv)] if lv
-                            else [a * t for a in vals])
-                v = vals[:12]
-                v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, \
-                    e02v = v
-                sq02 = math.sqrt(v02)
-                q = (e00 * v00 + v10 + tk * v02 + e01 * v01 + e11 * v11
-                     + v02 ** 1.5)
-                dq = (e00 * v01 + v11 + tk * dv02 + e01 * v02 + e11 * dv11
-                      + 1.5 * sq02 * dv02)
-                tdq = (e00 * e00v + e10v + tk * (kf * v02 + e02v)
-                       + e01 * e01v + e11 * e11v + 1.5 * sq02 * e02v)
-                A, B, slopes = r0, b0, []
-                for (kind, m1, m2, segs, dphi), pins in zip(row, inner):
-                    # A's value, its slope's parts, B's value
-                    outs = []
-                    for seg, pin in zip(segs, pins):
-                        acc = 0.0
-                        for (k, nu), u in zip(seg, pin):
-                            u *= tp[k]
-                            for i, p in nu:
-                                u *= vals[i] ** p
-                            acc += u
-                        outs.append(acc)
-                    x, s, *chain, xb = outs
-                    for g, d in zip(chain, dphi):
-                        s += g * vals[d]
-                    if kind == "c":
-                        A += x * sq02
-                        slopes.append(e11 * s * sq02)
-                        B += wc * xb * sq02
-                    else:
-                        A += x / m1 if kind == "b" else m1 * x
-                        slopes.append(m2 * s)
-                        B += m2 * xb
-                A = A + r1 + r2 + r3
-                for y in slopes:
-                    A += y
-                yield t, rho, tk, q, dq, tdq, v, A, B + sq_b * sq02
+            tp = [t ** k for k in range(self._kmax + 1)]
+            vals = lead
+            for lv, mask in levels:
+                vals = ([a * t for a in vals] if lv is None
+                        else [a * t + c for a, c in zip(vals, lv)]
+                        if mask is None else
+                        [a * t + c if m else a * t
+                         for a, c, m in zip(vals, lv, mask)])
+            v = list(zip(*[iter(vals)] * nr))
+            v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, \
+                e02v = v[:12]
+            sq02 = list(map(math.sqrt, v02))
+            q = [e00 * a + b + tk * c + e01 * d + e11 * e + c ** 1.5
+                 for a, b, c, d, e in zip(v00, v10, v02, v01, v11)]
+            dq = [e00 * a + b + tk * c + e01 * d + e11 * e + 1.5 * s * c
+                  for a, b, c, d, e, s in zip(v01, v11, dv02, v02, dv11,
+                                               sq02)]
+            tdq = [e00 * a + b + tk * (kf * c + d) + e01 * e + e11 * f
+                   + 1.5 * s * d for a, b, c, d, e, f, s
+                   in zip(e00v, e10v, v02, e02v, e01v, e11v, sq02)]
+            A, B, slopes = r0, [tk / e11] * nr, []
+            for kind, eps, we, segs, dphi in plan:
+                # per pack the factor of its value in A (a divisor for b)
+                # and of its slope in A and its value in B; c's are per point
+                m1, m2 = ((t / eps, we * t) if kind == "a1" else
+                          (t1k, e11 * t1k) if kind == "a2" else (eps, we))
+                # A's value, its slope's parts, B's value
+                outs = []
+                for seg in segs:
+                    acc = zero
+                    for k, nu, j in seg:
+                        us, tpk = T[j], tp[k]
+                        if nu:
+                            # u * t**k, times each factor in turn, then added
+                            (i, p), *more = nu
+                            us = [u * tpk * x ** p for u, x in zip(us, v[i])]
+                            for i, p in more:
+                                us = [u * x ** p for u, x in zip(us, v[i])]
+                            acc = [a + u for a, u in zip(acc, us)]
+                        else:
+                            acc = [a + u * tpk for a, u in zip(acc, us)]
+                    outs.append(acc)
+                x, s, *chain, xb = outs
+                for g, d in zip(chain, dphi):
+                    s = [a + b * c for a, b, c in zip(s, g, v[d])]
+                if kind == "c":
+                    A = [a + b * c for a, b, c in zip(A, x, sq02)]
+                    slopes.append([e11 * a * b for a, b in zip(s, sq02)])
+                    B = [a + wc * b * c for a, b, c in zip(B, xb, sq02)]
+                else:
+                    A = ([a + b / m1 for a, b in zip(A, x)] if kind == "b"
+                         else [a + m1 * b for a, b in zip(A, x)])
+                    slopes.append([m2 * a for a in s])
+                    B = [a + m2 * b for a, b in zip(B, xb)]
+            A = [a + r1 + b + c for a, b, c in zip(A, r2, r3)]
+            for y in slopes:
+                A = [a + b for a, b in zip(A, y)]
+            B = [a + sq_b * b for a, b in zip(B, sq02)]
+            yield from zip([t] * nr, rhos, [tk] * nr, q, dq, tdq,
+                           zip(*v[:12]), A, B)
 
     def work(self, nt: int, nrho: int) -> dict:
         """What grid on nt * nrho points and one constants() call evaluate:

@@ -1035,6 +1035,62 @@ def test_grid_matches_per_point_oracle_bitwise(source, seed, seed2, tf, rf):
                     for t in ts for rho in rhos)
 
 
+def _by_repr(points):
+    return repr([(*p[:6], list(p[6]), *p[7:]) for p in points])
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+def test_a_point_has_the_same_bits_in_every_row(source):
+    # the grid works a t row at a time, over its rhos; a point's q, A and B
+    # must not depend on the row around it, so a one-point call gives, by
+    # repr, what the 7 x 5 grid yields there, at the chosen and at drawn
+    # weights and box
+    system, chosen = _kernel_system(source)
+    for params in (chosen, _drawn_params(chosen, 4242)):
+        ts, rhos = barrier_grid(float(params.sigma0), float(params.R0), 7, 5)
+        for t, rho, _, q, _, _, _, A, B in system.grid(params, ts, rhos):
+            assert repr((system.barrier(params, t, rho),
+                         system.growth_bound(params, t, rho),
+                         system.transport_rate(params, t, rho))) \
+                == repr((q, A, B))
+
+
+def test_grid_mixed_level_and_thin_grids_match_the_oracle_bitwise():
+    # a w whose sectors have four levels in t: the t^2 terms have x-degree
+    # 4 or more, so every sector's t^2 slice, and the phi copies, are zero
+    # at rho = 0 and not at rho > 0; below the lead, t^2 is such a mixed
+    # level, t^1 is nonzero at every rho and t^0 is empty.  The grid, on
+    # rows of several rhos and on 1 x N and N x 1 grids, must give every
+    # point the oracle's bits
+    cd, dec = _four_families(_X_BETAS_EXTRA)
+    rng = random.Random(4711)
+    w = SeriesTX.zero(1, 6, 8)
+    for t_pow, x_pow in ((1, 2), (2, 4), (2, 5), (3, 1)):
+        w = w + SeriesTX.monomial(1, 6, 8, Frac(rng.randint(1, 9),
+                                                rng.randint(1, 9)),
+                                  t_pow, (x_pow,))
+    system = BarrierSystem(dec, profile_family(w, cd))
+    top = max(len(m.horner()) for m in system.sectors)
+    assert top >= 3
+    _, chosen = _kernel_system("with-x-betas")
+    sig, R = float(chosen.sigma0), float(chosen.R0)
+    ts, rhos = barrier_grid(sig, R, 7, 5)
+    assert rhos[0] == 0.0
+
+    def zero_at(k, rho):
+        return all(m.slice(k).eval(rho) == 0.0 for m in system.sectors)
+
+    assert any(len({zero_at(k, rho) for rho in rhos}) == 2
+               for k in range(top - 1))
+    for params in (chosen, _drawn_params(chosen, 99)):
+        for grid_ts, grid_rhos in ((ts, rhos), (ts[:1], rhos),
+                                   (ts, rhos[:1]), (ts, rhos[-1:]),
+                                   (ts[3:4], rhos[2:3])):
+            assert _by_repr(system.grid(params, grid_ts, grid_rhos)) \
+                == _by_repr(barrier_point(system, params, t, rho)
+                            for t in grid_ts for rho in grid_rhos)
+
+
 @pytest.mark.parametrize("source", ["remark3", "with-x-betas"])
 def test_grid_python_calls_do_not_grow_with_points(source):
     # a grid point runs inline: the package functions the grid calls (its
