@@ -497,17 +497,11 @@ class BarrierSystem:
         T = list(zip(*columns))
         # Horner levels in t, highest first, each flat over the 22 columns
         # with rho fastest: starting at the leading level changes no value
-        # (finite t, c >= 0), and a * t + 0.0 is a * t, so at a rho where
-        # a level's 22 values are zero it only multiplies.  A level below
-        # the lead is (values, mask): values None where it is zero at every
-        # rho, mask None where it is zero at none
+        # (finite t, c >= 0), and a * t + 0.0 is a * t (a * t >= +0.0), so
+        # a level below the lead is None where it is zero at every rho
         lead, *rest = [None if idx is None else [x for i in idx for x in T[i]]
                        for idx in self._levels]
-        levels = []
-        for lv in rest:
-            nz = [any(lv[r::nr]) for r in range(nr)] if lv else [False]
-            levels.append((lv if any(nz) else None,
-                           None if all(nz) else nz * 22))
+        levels = [lv if lv and any(lv) else None for lv in rest]
         nb0, nb1, db0, db1 = T[self._nb:self._nb + 4]
         # A starts from the first term in rho alone and adds the other
         # three after the packs' values
@@ -520,12 +514,9 @@ class BarrierSystem:
             tk, t1k = t ** kf, t ** (1.0 - kf)
             tp = [t ** k for k in range(self._kmax + 1)]
             vals = lead
-            for lv, mask in levels:
+            for lv in levels:
                 vals = ([a * t for a in vals] if lv is None
-                        else [a * t + c for a, c in zip(vals, lv)]
-                        if mask is None else
-                        [a * t + c if m else a * t
-                         for a, c, m in zip(vals, lv, mask)])
+                        else [a * t + c for a, c in zip(vals, lv)])
             v = list(zip(*[iter(vals)] * nr))
             v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, \
                 e02v = v[:12]

@@ -30,8 +30,9 @@ ints with no carry, and one compare tests the x-cap.  A produced
 coefficient, a [t^k] entry, L_p[j] or G_k, is one sum of products: an lcm
 of the pair denominators, integer multiply-adds, then a single gcd over
 the result.  P_k is one such sum, and u_k a triangular division by the
-unit P_k (van der Hoeven, section 4): no step multiplies CRat values, and
-u is converted to CRat once, at the end.
+unit P_k (van der Hoeven, section 4): no step multiplies CRat values.
+The check reads these integer sections as they are, and u is converted
+to CRat once, at the caps it is returned with.
 
 Truncation budget: each step's jet evaluation costs up to 2 orders of
 x-cap, so x-degree x_order at t-order K needs k_x >= x_order + 2K and
@@ -41,13 +42,14 @@ order among the jet keys F uses, as full re-substitution would.
 Verification re-substitutes the finished u into F and insists the residual
 (t d/dt)^2 u - F(jet of u) vanishes, one t-order at a time, at the caps
 residual() below has.  It shares the construction's two kernels and
-nothing else: u is split into its t^k sections, _jet_coeffs takes their
-jets, each prefix of a jet monomial is one _cauchy product per t-order,
-and the t^k coefficient of the residual is one _cauchy sum over F's terms
-and -k^2 u_k, with no Z^p L_p split and no division.  It covers x-degrees
-up to u.k_x - a, the final cap minus one more jet evaluation: x-degree
-x_order - 2 for the default x_order, a = 2.  residual() is the CRat form of
-the same check, kept as the tests' oracle.
+nothing else: _sections_vanish takes u's t^k sections u_k, cut at the
+final x-cap k_x - K a, recomputes their jets with _jet_coeffs, builds each
+prefix of a jet monomial as one _cauchy product per t-order, and sums the
+t^k coefficient of the residual as one _cauchy sum over F's terms and
+-k^2 u_k, with no Z^p L_p split and no division.  It covers x-degrees up
+to that cap minus one more jet evaluation: x-degree x_order - 2 for the
+default x_order, a = 2.  _residual_vanishes is its front for a SeriesTX u;
+residual() is the CRat form of the same check, kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -82,10 +84,11 @@ class FormalSolution(NamedTuple):
     """Result of the order-by-order construction.
 
     u carries the requested orders as its caps: u.k_t is the t-order and
-    u.k_x the x-degree.  verified means the residual of the re-substituted
-    u vanished on x-degrees up to the construction's final x-cap minus one
-    jet evaluation (see the module docstring), not on every x-degree up to
-    u.k_x."""
+    u.k_x the x-degree, and it holds the constructed u_k's terms up to
+    x-degree u.k_x alone.  verified means the residual of the
+    re-substituted u vanished on x-degrees up to the construction's final
+    x-cap minus one jet evaluation (see the module docstring), not on every
+    x-degree up to u.k_x."""
 
     u: SeriesTX
     verified: bool
@@ -120,7 +123,8 @@ def _from_crat(c: dict, B: int) -> tuple:
 def _cauchy(pairs: list, lim: int) -> tuple:
     """sum of f * g over the (f, g) pairs on the keys below lim (x-cap c:
     lim = (c + 1) B^n), reduced by one gcd over the denominator and every
-    numerator; an empty side adds nothing, and g's scan stops at lim."""
+    numerator; an empty side adds nothing, and the scans of f and of g stop
+    at lim (keys ascend)."""
     pairs = [(f, g) for f, g in pairs if f[1] and g[1]]
     den = lcm(*(f[0] * g[0] for f, g in pairs))
     re: dict = {}
@@ -129,6 +133,8 @@ def _cauchy(pairs: list, lim: int) -> tuple:
         s = den // (df * dg)
         for k1, (r1, i1) in f.items():
             room = lim - k1
+            if room <= 0:
+                break
             r1, i1 = r1 * s, i1 * s
             for k2, (r2, i2) in g.items():
                 if k2 >= room:
@@ -282,19 +288,25 @@ def solve_formal(eq: FuchsianEquation, order: int, x_order: int | None = None,
         for zk, z in _jet_coeffs(uk, used, k, n, B).items():
             jets[zk].append(z)
 
-    u = SeriesTX(n, order, F.k_x - order * a_used,
-                 {(k, _unpack(a, n, B)): CRat(Frac(re, den), Frac(im, den))
-                  for k, (den, uk) in enumerate(u_coeffs)
-                  for a, (re, im) in uk.items()})
     verified = False
     # re-substitution needs m more x-derivatives than construction did, so
-    # it only runs when that much budget is left over
-    if verify and u.k_x >= eq.m:
-        if not _residual_vanishes(eq, u, order):
+    # it only runs when that much budget is left over; it reads u_k below
+    # the final x-cap, as a u built at that cap would hold
+    kx = F.k_x - order * a_used
+    if verify and kx >= eq.m:
+        lim = (kx + 1) * B ** n
+        if not _sections_vanish(eq, [(den, {a: c for a, c in uk.items()
+                                            if a < lim})
+                                     for den, uk in u_coeffs], kx, B):
             raise AssertionError(
                 "internal error: formal solution leaves a nonzero residual")
         verified = True
-    return FormalSolution(u=u.truncate(k_x=x_order), verified=verified)
+    lim = (x_order + 1) * B ** n
+    u = SeriesTX(n, order, x_order,
+                 {(k, _unpack(a, n, B)): CRat(Frac(re, den), Frac(im, den))
+                  for k, (den, uk) in enumerate(u_coeffs)
+                  for a, (re, im) in uk.items() if a < lim})
+    return FormalSolution(u=u, verified=verified)
 
 
 def _valuation(z: list) -> int:
@@ -303,23 +315,31 @@ def _valuation(z: list) -> int:
 
 
 def _residual_vanishes(eq: FuchsianEquation, u: SeriesTX, K: int) -> bool:
-    """residual(eq, u, K).is_zero(), one t-order at a time on u's t^k
-    sections u_k: the t^k coefficient of F(jet of u) - (t d/dt)^2 u is one
-    _cauchy sum of c x^beta [t^(k-a)] Z^nu over F's terms and of -k^2 u_k.
-    The caps are residual's: t-order min(F.k_t, u.k_t, K); x-degree
-    min(F.k_x, u.k_x, u.k_x - |alpha|) over the jet keys F uses.  Products
-    and sums start at the first t-order where both sides can be nonzero."""
-    F, n = eq.F, u.n
-    used = F.jet_keys_used()
-    kt = min(F.k_t, u.k_t, K)
-    kx = min([F.k_x, u.k_x] + [u.k_x - sum(zk.alpha) for zk in used])
-    B = max(F.k_x, u.k_x) + 1
-    lim = (kx + 1) * B ** n
+    """residual(eq, u, K).is_zero(): u's t^k sections u_k, up to t-order
+    min(F.k_t, u.k_t, K), packed for _sections_vanish."""
+    kt = min(eq.F.k_t, u.k_t, K)
+    B = max(eq.F.k_x, u.k_x) + 1
     split: list[dict] = [{} for _ in range(kt + 1)]
     for (j, a), c in u.terms.items():
         if j <= kt:
             split[j][a] = c
-    sections = [_from_crat(s, B) for s in split]
+    return _sections_vanish(eq, [_from_crat(s, B) for s in split], u.k_x, B)
+
+
+def _sections_vanish(eq: FuchsianEquation, sections: list, k_x: int,
+                     B: int) -> bool:
+    """Whether the residual of u vanishes, one t-order at a time on u's t^k
+    sections u_k (packed in base B > max(F.k_x, k_x), k up to the t-cap
+    len(sections) - 1 <= F.k_t; k_x is u's x-cap): the t^k coefficient of
+    F(jet of u) - (t d/dt)^2 u is one _cauchy sum of c x^beta [t^(k-a)]
+    Z^nu over F's terms and of -k^2 u_k.  The x-cap is residual's,
+    min(F.k_x, k_x, k_x - |alpha|) over the jet keys F uses.  Products and
+    sums start at the first t-order where both sides can be nonzero."""
+    F, n = eq.F, eq.n
+    used = F.jet_keys_used()
+    kt = len(sections) - 1
+    kx = min([F.k_x, k_x] + [k_x - sum(zk.alpha) for zk in used])
+    lim = (kx + 1) * B ** n
     jets: dict[ZKey, list] = {zk: [] for zk in used}
     for k, uk in enumerate(sections):
         for zk, z in _jet_coeffs(uk, used, k, n, B).items():

@@ -80,7 +80,7 @@ def test_failed_residual_check_raises_under_every_flag(flags):
     script = ("from fuchsian import solver\n"
               "from fuchsian.builtin import load_equation\n"
               "calls = []\n"
-              "solver._residual_vanishes = (\n"
+              "solver._sections_vanish = (\n"
               "    lambda *a: calls.append(a) or False)\n"
               "eq = load_equation('remark3_forced')\n"
               "try:\n"
@@ -324,18 +324,25 @@ def test_relaxed_solver_equals_resubstitution(case):
 
 
 def _checked_u(eq, K):
-    """The u that solve_formal(eq, K) hands its residual check, or None
-    when it raises or skips the check."""
+    """The u whose t-sections solve_formal(eq, K) hands its residual check,
+    rebuilt as a SeriesTX at the caps the check reads, or None when the
+    solve raises or skips the check."""
     seen = []
-    check = solver._residual_vanishes
-    solver._residual_vanishes = lambda *args: seen.append(args) or check(*args)
+    check = solver._sections_vanish
+    solver._sections_vanish = lambda *args: seen.append(args) or check(*args)
     try:
         solve_formal(eq, K)
     except ToolkitError:
         pass
     finally:
-        solver._residual_vanishes = check
-    return seen[0][1] if seen else None
+        solver._sections_vanish = check
+    if not seen:
+        return None
+    _, sections, k_x, B = seen[0]
+    return SeriesTX(eq.n, len(sections) - 1, k_x, {
+        (k, solver._unpack(a, eq.n, B)): CRat(Frac(re, den), Frac(im, den))
+        for k, (den, num) in enumerate(sections)
+        for a, (re, im) in num.items()})
 
 
 def _verdict(fn, *args):
@@ -563,6 +570,24 @@ def test_every_solver_section_is_degree_sorted(case):
     assert all(_ascending(section) for section in built)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(random_equations())
+@example(jet_product_equations(1)[0])
+@example(jet_product_equations(2)[1])
+def test_each_x_order_is_the_largest_solution_truncated(case):
+    # the construction does not depend on x_order: a solve at x_order j
+    # returns the largest x_order's u cut at x-degree j, caps and verdict
+    # included
+    eq, K = case
+    top = solve_formal(eq, K)
+    assert top.u.k_x == eq.F.k_x - eq.m * K
+    for j in range(top.u.k_x + 1):
+        sol = solve_formal(eq, K, x_order=j)
+        want = top.u.truncate(k_x=j)
+        assert (sol.u, sol.u.k_t, sol.u.k_x, sol.verified) == (
+            want, want.k_t, j, top.verified)
+
+
 # -- guard counts on one fixed equation --------------------------------
 
 
@@ -645,6 +670,47 @@ def test_verified_solve_multiplies_no_crat(crat_muls, monkeypatch):
     sol = solve_formal(eq, eq.F.k_t, verify=True)
     assert sol.verified and not sol.u.is_zero()
     assert (crat_muls[0], tx_muls[0]) == (0, 0)
+
+
+def test_fault_in_one_numerator_of_u2_fails_the_check(guard_equation,
+                                                     monkeypatch):
+    # the check reads the integer sections the construction built: u_2 with
+    # its x^0 numerator off by one leaves P_2(0) at t^2 x^0, inside every
+    # cap the check has, and the solve must stop
+    divide, steps = solver._divide_unit, []
+
+    def faulty(*args):
+        den, num = divide(*args)
+        steps.append(num)
+        if len(steps) == 2:
+            re, im = num[0]
+            num = {**num, 0: (re + 1, im)}
+        return den, num
+
+    monkeypatch.setattr(solver, "_divide_unit", faulty)
+    with pytest.raises(AssertionError, match="internal error: formal "
+                       "solution leaves a nonzero residual"):
+        solve_formal(guard_equation, 12)
+    assert len(steps) == 12
+
+
+def test_verified_solve_builds_one_fraction_per_returned_part(
+        guard_equation, monkeypatch):
+    # u is converted once, at its caps: two Fraction constructions per
+    # returned term, 72 here (336 when every u_k was converted at its own
+    # x-cap and the check converted u back to integers)
+    calls = [0]
+    new = Frac.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Frac, "__new__", counting)
+    sol = solve_formal(guard_equation, 12)
+    monkeypatch.undo()
+    assert sol.verified and len(sol.u.terms) == 36
+    assert calls[0] <= 2 * len(sol.u.terms), calls[0]
 
 
 def test_shared_factor_shares_one_cauchy_product(guard_equation,
