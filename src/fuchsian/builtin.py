@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from importlib import resources
-from pathlib import Path
+import os
 
 from .equation import FuchsianEquation
 from .errors import IndexOutOfLambda, InputError
@@ -130,14 +129,18 @@ def read_equation_source(source) -> tuple[bytes, str]:
     """Raw bytes of a builtin name or a JSON file path, and the name the
     equation parsed from them gets."""
     if isinstance(source, str) and source in BUILTIN_NAMES:
-        return (resources.files("fuchsian.data")
-                / f"{source}.json").read_bytes(), source
-    path = Path(source)
-    if not path.exists():
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            f"{source}.json")
+        label = source
+    elif os.path.exists(source):
+        path = source
+        label = os.path.splitext(os.path.basename(source))[0]
+    else:
         raise InputError(f"no such equation file or builtin: {source!r} "
                          f"(builtins: {', '.join(BUILTIN_NAMES)})")
     try:
-        return path.read_bytes(), path.stem
+        with open(path, "rb") as fh:
+            return fh.read(), label
     except OSError as exc:
         raise InputError(f"cannot read {source!r}: {exc.strerror}") from None
 

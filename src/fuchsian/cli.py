@@ -15,14 +15,11 @@ and found violations, 2 input, hypothesis or write error, 3 internal error
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from pathlib import Path
 
 from . import __version__
 from .builtin import (
@@ -38,6 +35,16 @@ from .equation import CharData, FuchsianEquation, applicability, decay_margin
 from .errors import HypothesisViolated, InputError, ToolkitError
 from .series import SeriesTX, alphas_of_degree
 
+# The interpreter's built-in SHA-256 (_sha2 from 3.12, _sha256 before), which
+# hashlib falls back to; hashlib itself would load OpenSSL for one digest.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
@@ -47,7 +54,8 @@ def canonical_json(obj) -> str:
 def _emit(report: dict, out: str | None):
     text = canonical_json(report) + "\n"
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -108,6 +116,7 @@ def _parse_w(spec: str, n: int, k_t: int, k_x: int) -> SeriesTX:
 def random_test_function(seed: int, n: int, k_t: int, k_x: int) -> SeriesTX:
     """Deterministic random polynomial test function with positive
     t-order: three monomials, t powers 1..2, x degree at most 2."""
+    import random
     rng = random.Random(seed)
     alphas = [a for d in range(3) for a in alphas_of_degree(n, d)]
     w = SeriesTX.zero(n, k_t, k_x)
@@ -302,7 +311,8 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
         for t, rho, q in zip(path.ts, path.rhos, path.qs):
             lines.append(f"{t:.17g},{rho:.17g},{q:.17g},{t ** hf * q:.17g}")
         try:
-            Path(args.csv).write_text("\n".join(lines) + "\n")
+            with open(args.csv, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
         except OSError as exc:
             raise InputError(
                 f"cannot write --csv {args.csv!r}: {exc.strerror}") from None
@@ -445,7 +455,7 @@ def main(argv=None) -> int:
     path = f"builtin:{source}" if source in BUILTIN_NAMES else str(source)
     report = {"command": args.command, "version": __version__,
               "input": {"path": path,
-                        "sha256": hashlib.sha256(data).hexdigest()}}
+                        "sha256": sha256(data).hexdigest()}}
     try:
         code = run(args, data, label, report)
     except ToolkitError as exc:

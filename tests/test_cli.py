@@ -1,8 +1,15 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuchsian import cli
 from fuchsian.builtin import read_equation_source
@@ -162,8 +169,20 @@ def test_check_directory_input_fails_cleanly(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_check_empty_path_names_a_missing_file(tmp_path, capsys):
+    # an empty path is no file; it is not the current directory.  Nor is a
+    # file's path with a trailing slash, which names a directory
+    doc = tmp_path / "remark3.json"
+    doc.write_bytes(read_equation_source("remark3")[0])
+    for source in ("", f"{doc}/"):
+        rc, out, err = run(capsys, "check", source)
+        assert rc == 2
+        assert out == ""
+        assert err == (f"error: no such equation file or builtin: {source!r} "
+                       "(builtins: remark2, remark3, remark3_forced)\n")
+
+
 def test_input_digest_is_of_the_parsed_bytes(tmp_path, capsys):
-    import hashlib
     p = tmp_path / "toy.json"
     data = json.dumps({"m": 2, "n": 1, "terms": [],
                        "truncation": {"K_t": 4, "K_x": 4, "K_z": 2}}).encode()
@@ -172,6 +191,50 @@ def test_input_digest_is_of_the_parsed_bytes(tmp_path, capsys):
     assert rc == 0
     assert rep["input"] == {"path": str(p),
                             "sha256": hashlib.sha256(data).hexdigest()}
+
+
+# SHA-256 pads to 64-byte blocks: 55 and 56 bytes straddle the one-block
+# limit of the length field, 119 and 120 the two-block one
+PADDING_EDGES = (55, 56, 64, 119, 120, 128)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.sampled_from(PADDING_EDGES).flatmap(
+        lambda size: st.binary(min_size=size, max_size=size)),
+    st.binary(max_size=64),
+    st.binary(min_size=129, max_size=2000)))
+@example(b"")
+@example(bytes(range(55)))
+@example(bytes(range(56)))
+@example(bytes(range(64)))
+@example(bytes(range(119)))
+@example(bytes(range(120)))
+@example(bytes(range(128)))
+@example(bytes(range(256)) * 5)
+def test_input_digest_binding_is_sha256(data):
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_input_digest_falls_back_to_hashlib():
+    # without the interpreter's built-in SHA-256 module the binding is
+    # hashlib's, and the report's digest does not change
+    script = ("import sys\n"
+              "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+              "import contextlib, hashlib, io, json\n"
+              "from fuchsian import cli\n"
+              "buf = io.StringIO()\n"
+              "with contextlib.redirect_stdout(buf):\n"
+              "    cli.main(['check', 'remark3'])\n"
+              "print(cli.sha256 is hashlib.sha256)\n"
+              "print(json.loads(buf.getvalue())['input']['sha256'])")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    digest = hashlib.sha256(read_equation_source("remark3")[0]).hexdigest()
+    assert out.stdout.splitlines() == ["True", digest]
 
 
 # -- solve ---------------------------------------------------------------
@@ -570,8 +633,6 @@ def test_version_field_present(capsys):
 
 
 def test_console_script_entry_point():
-    import os, subprocess, sys
-    from pathlib import Path
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-m", "fuchsian.cli", "check",
                           "remark3"], capture_output=True, text=True,
@@ -585,8 +646,6 @@ def test_cli_import_leaves_numpy_out():
     # certificate layers only inside certify and verify-example and the
     # solver only inside the commands that solve; no layer
     # loads dataclasses, which would pull inspect into every process
-    import os, subprocess, sys
-    from pathlib import Path
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c",
