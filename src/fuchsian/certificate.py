@@ -339,7 +339,8 @@ def choose_params(cd: CharData,
 
     params = params._replace(sigma0=sig, R0=R)
     ts, rhos = barrier_grid(float(sig), float(R), *_PARAMS_GRID)
-    mx = max([0.0, *(a for *_, a, _ in system.grid(params, ts, rhos))])
+    mx = max([0.0, *(a for *_, A, _ in system.grid(params, ts, rhos)
+                     for a in A)])
     cert = {
         "h": hf,
         "max_growth_bound": mx,
@@ -357,8 +358,8 @@ class BarrierSystem:
     plan of one decomposition and profile family, with the weights and box
     an argument.  grid is their one kernel: it takes them at every point
     of a tensor grid, one t row at a time as columns over the rhos, and
-    barrier, growth_bound and transport_rate read one point of it, on a
-    1 x 1 grid."""
+    barrier, growth_bound, transport_rate and flow_point read one point of
+    it, on a 1 x 1 grid."""
 
     def __init__(self, dec: Decomposition, profiles: ProfileFamily):
         self.dec, self.profiles = dec, profiles
@@ -451,30 +452,39 @@ class BarrierSystem:
         return {zk: self.sectors[s].eval(t, rho) for zk, s in self._phi}
 
     def barrier(self, P: BarrierParams, t: float, rho: float) -> float:
-        return next(self.grid(P, [t], [rho]))[3]
+        return next(self.grid(P, [t], [rho]))[2][0]
 
     def growth_bound(self, P: BarrierParams, t: float, rho: float) -> float:
         """Multiplier of q in the differential inequality.  Reads the
         weights of P only; the box enters through where it gets evaluated."""
-        return next(self.grid(P, [t], [rho]))[7]
+        return next(self.grid(P, [t], [rho]))[6][0]
 
     def transport_rate(self, P: BarrierParams, t: float, rho: float) -> float:
         """Multiplier of the rho-derivative of q under the weights of P;
         also the speed of the domain-shrinking flow."""
-        return next(self.grid(P, [t], [rho]))[8]
+        return next(self.grid(P, [t], [rho]))[7][0]
+
+    def flow_point(self, P: BarrierParams, t: float,
+                   rho: float) -> tuple[float, float]:
+        """(B, q) at one point under P: the speed of the domain-shrinking
+        flow and the barrier it samples, from one 1 x 1 grid."""
+        _, _, q, _, _, _, _, B = next(self.grid(P, [t], [rho]))
+        return B[0], q[0]
 
     def grid(self, P: BarrierParams, ts: list, rhos: list):
-        """Yield (t, rho, tk, q, dq, tdq, v, A, B) in t-major order (tk =
-        t**kappa, v the sector values), bit for bit Horner on each majorant
-        alone.  A rho column runs the one Horner pass in rho of the plan,
-        and a call turns its values into rows over rhos, one per
-        polynomial.  A t row then does each float operation of a point as
-        one comprehension over its rhos: the outer Horner passes in t of
-        the sectors and of phi for A and for B, q, dq and t dq/dt, and per
-        pack A's value and slope and B's value, in the order a point sums
-        them, with no call.  A and B each evaluate phi and the packs; work
-        counts that.  A call converts the weights of P to floats once, and
-        never reads its box."""
+        """Yield one row (t, tk, q, dq, tdq, v, A, B) per t, in the order
+        of ts (tk = t**kappa): q, dq, tdq, A and B are lists over rhos, and
+        v is the twelve sector values, one tuple over rhos per sector.
+        Each value is bit for bit Horner on each majorant alone.  A rho
+        column runs the one Horner pass in rho of the plan, and a call
+        turns its values into rows over rhos, one per polynomial.  A t row
+        then does each float operation of a point as one comprehension over
+        its rhos: the outer Horner passes in t of the sectors and of phi
+        for A and for B, q, dq and t dq/dt, and per pack A's value and
+        slope and B's value, in the order a point sums them, with no call.
+        A and B each evaluate phi and the packs; work counts that.  A call
+        converts the weights of P to floats once, and never reads its
+        box."""
         e00, e01, e11, kf = map(float, (P.eps00, P.eps01, P.eps11, P.kappa))
         wc, sq_b, plan = 4.0 * e11 / 3.0, 1.5 / e11, []
         # per pack in sum order: kind, the eps of its host for a1 and b and
@@ -567,8 +577,7 @@ class BarrierSystem:
             for y in slopes:
                 A = [a + b for a, b in zip(A, y)]
             B = [a + sq_b * b for a, b in zip(B, sq02)]
-            yield from zip([t] * nr, rhos, [tk] * nr, q, dq, tdq,
-                           zip(*v[:12]), A, B)
+            yield t, tk, q, dq, tdq, v[:12], A, B
 
     def work(self, nt: int, nrho: int) -> dict:
         """What grid on nt * nrho points and one constants() call evaluate:
@@ -630,10 +639,12 @@ def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
       envelope            B under the four-constant envelope
     plus three exact structural checks, decided here and nowhere else:
     reconstruction, jet domination, profile step.  Violations never raise.
-    The grid is a tensor product, evaluated by system.grid.  Each of the 15
-    checks per point tests lhs > rhs inline and calls its family's _Check
-    only then, which applies the rule lhs > allowed(rhs); checked is nt*nrho
-    times 1, 1, 6, 6 and 1.  A nan compares false and passes, as in record.
+    The grid is a tensor product, evaluated by system.grid one t row at a
+    time; the checks read a row's lists point by point, through one zip.
+    Each of the 15 checks per point tests lhs > rhs inline and calls its
+    family's _Check only then, which applies the rule lhs > allowed(rhs);
+    checked is nt*nrho times 1, 1, 6, 6 and 1.  A nan compares false and
+    passes, as in record.
     """
     P, dec, profiles = params, system.dec, system.profiles
     hf, e00, e01, e11 = map(float, (P.h, P.eps00, P.eps01, P.eps11))
@@ -645,46 +656,47 @@ def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
                                           "phi_vs_q", "dphi_vs_dq", "envelope")}
     dineq, gb, pv, dpv, env = (chk.record for chk in checks.values())
     qmax = 0.0
-    for t, rho, tk, q, dq, tdq, v, A, B in system.grid(P, ts, rhos):
-        if q > qmax:
-            qmax = q
-        lhs, rhs = tdq + 2.0 * hf * q, A * q + B * dq
-        if lhs > rhs:
-            dineq(lhs, rhs, t, rho)
-        if A > hf:
-            gb(A, hf, t, rho)
-        # each slot under its share of q (eps10 = 1), then likewise the
-        # rho-derivatives: slot (i, j + 1) is two places after (i, j) in v
-        v0, v1, v2, v3, v4, v5, v6 = v[:7]
-        q23 = q ** (2.0 / 3.0)
-        if v0 > q / e00:
-            pv(v0, q / e00, t, rho)
-        if v1 > q:
-            pv(v1, q, t, rho)
-        if v2 > q / e01:
-            pv(v2, q / e01, t, rho)
-        if v3 > q / e11:
-            pv(v3, q / e11, t, rho)
-        if v4 > q23:
-            pv(v4, q23, t, rho)
-        if tk * v4 > q:
-            pv(tk * v4, q, t, rho)
-        if v2 > dq / e00:
-            dpv(v2, dq / e00, t, rho)
-        if v3 > dq:
-            dpv(v3, dq, t, rho)
-        if v4 > dq / e01:
-            dpv(v4, dq / e01, t, rho)
-        if v5 > dq / e11:
-            dpv(v5, dq / e11, t, rho)
-        lhs = math.sqrt(v4) * v6
-        if lhs > (2.0 / 3.0) * dq:
-            dpv(lhs, (2.0 / 3.0) * dq, t, rho)
-        if tk * v6 > dq:
-            dpv(tk * v6, dq, t, rho)
-        rhs = C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0)
-        if B > rhs:
-            env(B, rhs, t, rho)
+    for t, tk, qs, dqs, tdqs, v, As, Bs in system.grid(P, ts, rhos):
+        for rho, q, dq, tdq, A, B, v0, v1, v2, v3, v4, v5, v6 in zip(
+                rhos, qs, dqs, tdqs, As, Bs, *v[:7]):
+            if q > qmax:
+                qmax = q
+            lhs, rhs = tdq + 2.0 * hf * q, A * q + B * dq
+            if lhs > rhs:
+                dineq(lhs, rhs, t, rho)
+            if A > hf:
+                gb(A, hf, t, rho)
+            # each slot under its share of q (eps10 = 1), then likewise the
+            # rho-derivatives: slot (i, j + 1) is two places after (i, j)
+            q23 = q ** (2.0 / 3.0)
+            if v0 > q / e00:
+                pv(v0, q / e00, t, rho)
+            if v1 > q:
+                pv(v1, q, t, rho)
+            if v2 > q / e01:
+                pv(v2, q / e01, t, rho)
+            if v3 > q / e11:
+                pv(v3, q / e11, t, rho)
+            if v4 > q23:
+                pv(v4, q23, t, rho)
+            if tk * v4 > q:
+                pv(tk * v4, q, t, rho)
+            if v2 > dq / e00:
+                dpv(v2, dq / e00, t, rho)
+            if v3 > dq:
+                dpv(v3, dq, t, rho)
+            if v4 > dq / e01:
+                dpv(v4, dq / e01, t, rho)
+            if v5 > dq / e11:
+                dpv(v5, dq / e11, t, rho)
+            lhs = math.sqrt(v4) * v6
+            if lhs > (2.0 / 3.0) * dq:
+                dpv(lhs, (2.0 / 3.0) * dq, t, rho)
+            if tk * v6 > dq:
+                dpv(tk * v6, dq, t, rho)
+            rhs = C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0)
+            if B > rhs:
+                env(B, rhs, t, rho)
     for chk, per_point in zip(checks.values(), (1, 1, 6, 6, 1)):
         chk.checked = per_point * nt * nrho
 

@@ -88,14 +88,18 @@ class CharacteristicPath(NamedTuple):
     steps_rejected: int
 
 
-def integrate(b_fun, q_fun, t0: float, xi: float, r_max: float,
-              t_floor: float, tol: float = 1e-10) -> CharacteristicPath:
+def integrate(flow, t0: float, xi: float, r_max: float, t_floor: float,
+              tol: float = 1e-10) -> CharacteristicPath:
     """Integrate the flow from (t0, xi) down to t_floor.
 
-    b_fun(t, rho) is the transport rate, q_fun(t, rho) the quantity
-    sampled along the path.  Stops at the floor, on leaving rho >= r_max,
-    or on step failure; the stop reason lands in the status field rather
-    than an exception.
+    flow(t, rho) returns (rate, q): the transport rate and the quantity
+    sampled along the path.  Each distinct point is evaluated once: an
+    accepted step's end point gives its sample q and the next step's first
+    stage, and a rejected step keeps its first stage, so a run makes
+    2 + 5 (accepted + rejected) + accepted calls, the first two at t0 and
+    at exp(log t0).  Stops at the floor, on leaving rho >= r_max, or on
+    step failure; the stop reason lands in the status field rather than an
+    exception.
     """
     if not (0.0 < t_floor < t0):
         raise InputError("need 0 < t_floor < t0")
@@ -107,18 +111,18 @@ def integrate(b_fun, q_fun, t0: float, xi: float, r_max: float,
     rho = float(xi)
     ts = [float(t0)]
     rhos = [rho]
-    qs = [float(q_fun(t0, rho))]
+    qs = [float(flow(t0, rho)[1])]
 
     def f(s_, r_):
-        return -b_fun(math.exp(s_), r_)
+        return -flow(math.exp(s_), r_)[0]
 
+    k1 = f(s, rho)
     h = (s_end - s) / 64.0  # negative
     accepted = rejected = 0
     status = None
     while s > s_end + 1e-13 * max(1.0, abs(s_end)):
         if s + h < s_end:
             h = s_end - s
-        k1 = f(s, rho)
         k2 = f(s + h / 5, rho + h * (_A2[0] * k1))
         k3 = f(s + 3 * h / 10, rho + h * (_A3[0] * k1 + _A3[1] * k2))
         k4 = f(s + 3 * h / 5,
@@ -139,9 +143,11 @@ def integrate(b_fun, q_fun, t0: float, xi: float, r_max: float,
             rho = y5
             accepted += 1
             t_here = math.exp(s)
+            rate, q = flow(t_here, rho)
+            k1 = -rate
             ts.append(t_here)
             rhos.append(rho)
-            qs.append(float(q_fun(t_here, rho)))
+            qs.append(float(q))
             if rho >= r_max:
                 status = "left-domain"
                 break

@@ -280,7 +280,7 @@ def cmd_certify(args, data: bytes, label: str, report: dict) -> int:
         raise InputError(f"--tfloor {args.tfloor!r} times the anchor time "
                          f"{sigma_c!r} underflows to 0")
     xi = R / 4.0
-    path = integrate(partial(system.transport_rate, params), q,
+    path = integrate(partial(system.flow_point, params),
                      t0=sigma_c, xi=xi, r_max=R,
                      t_floor=t_floor, tol=args.tol)
     decay = check_weighted_decay(path, params.h)

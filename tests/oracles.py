@@ -3,8 +3,10 @@ indicial x-series of the order-by-order recursion, the solver's Cauchy
 sum over every term pair, the term-by-term jet expansion behind shift_z
 and substitute_z_linear, the recombination of a split right-hand side
 with the ring operators, the products of majorants behind the
-submultiplicativity property, and the grid checks of verify_barrier with
-every check counted through _Check.record."""
+submultiplicativity property, the grid checks of verify_barrier with
+every check counted through _Check.record, and the Cash-Karp loop of
+characteristics.integrate with one callback for the rate and one for the
+sample."""
 
 import math
 from math import gcd, lcm
@@ -12,9 +14,10 @@ from operator import add
 from types import SimpleNamespace
 
 from fuchsian.certificate import barrier_grid
-from fuchsian.characteristics import _Check
+from fuchsian import characteristics
+from fuchsian.characteristics import CharacteristicPath, _Check
 from fuchsian.equation import FuchsianEquation
-from fuchsian.errors import A2Violation
+from fuchsian.errors import A2Violation, InputError
 from fuchsian.majorant import RhoPoly, SectorMajorant, horner_eval
 from fuchsian.rational import CRat, Frac
 from fuchsian.series import SeriesTX, SeriesTXZ, ZKey, _zkey_sort
@@ -151,6 +154,15 @@ def sector_product(m: SectorMajorant, n: SectorMajorant) -> SectorMajorant:
     return SectorMajorant(out)
 
 
+def grid_points(rows, rhos: list):
+    """The per-point view of BarrierSystem.grid's rows over rhos: (t, rho,
+    tk, q, dq, tdq, v, A, B) in t-major order, v a tuple of the twelve
+    sector values at the point."""
+    for t, tk, q, dq, tdq, v, A, B in rows:
+        yield from zip([t] * len(rhos), rhos, [tk] * len(rhos), q, dq, tdq,
+                       zip(*v), A, B)
+
+
 def grid_checks_by_record(system, P, nt: int, nrho: int) -> dict:
     """The five grid families of verify_barrier under params P, r_sup and
     the work counters, with each of the 15 checks per point passed to
@@ -164,7 +176,8 @@ def grid_checks_by_record(system, P, nt: int, nrho: int) -> dict:
                                           "phi_vs_q", "dphi_vs_dq", "envelope")}
     dineq, gb, pv, dpv, env = (chk.record for chk in checks.values())
     qmax = 0.0
-    for t, rho, tk, q, dq, tdq, v, A, B in system.grid(P, ts, rhos):
+    for t, rho, tk, q, dq, tdq, v, A, B in grid_points(
+            system.grid(P, ts, rhos), rhos):
         qmax = max(qmax, q)
         q23 = q ** (2.0 / 3.0)
         dineq(tdq + 2.0 * hf * q, A * q + B * dq, t, rho)
@@ -299,8 +312,9 @@ def _e11_terms(self, acc, t, t1k, sq02, xs, wc) -> float:
 
 def barrier_point(system, P, t: float, rho: float) -> tuple:
     """(t, rho, tk, q, dq, tdq, v, A, B) at one point under params P, as
-    BarrierSystem.grid yields it, from per-point evaluators and the
-    formulas above: A and B as growth_bound and transport_rate took them."""
+    grid_points views BarrierSystem.grid's rows, from per-point evaluators
+    and the formulas above: A and B as growth_bound and transport_rate
+    took them."""
     s, w = system, weighted(system, P)
     tk, t1k = t ** w.kf, t ** (1.0 - w.kf)
     v = [m.eval(t, rho) for m in s.sectors]
@@ -313,3 +327,75 @@ def barrier_point(system, P, t: float, rho: float) -> tuple:
     A = _growth(w, t, t1k, sq02, _rho_terms(w, rho), comp, drho)
     B = _transport(w, t, tk, t1k, sq02, comp)
     return (t, rho, tk, *_jet(w, tk, v), v, A, B)
+
+
+def integrate_two_callbacks(b_fun, q_fun, t0: float, xi: float, r_max: float,
+                            t_floor: float,
+                            tol: float = 1e-10) -> CharacteristicPath:
+    """characteristics.integrate as it was with b_fun(t, rho) for the rate
+    and q_fun(t, rho) for the sample, kept verbatim: every step evaluates
+    all six stages, and an accepted step samples q at its end point."""
+    c = characteristics
+    _A2, _A3, _A4, _A5, _A6, _B5, _B4 = (c._A2, c._A3, c._A4, c._A5, c._A6,
+                                          c._B5, c._B4)
+    if not (0.0 < t_floor < t0):
+        raise InputError("need 0 < t_floor < t0")
+    if not (0.0 < xi < r_max):
+        raise InputError("need 0 < xi < r_max")
+
+    s = math.log(t0)
+    s_end = math.log(t_floor)
+    rho = float(xi)
+    ts = [float(t0)]
+    rhos = [rho]
+    qs = [float(q_fun(t0, rho))]
+
+    def f(s_, r_):
+        return -b_fun(math.exp(s_), r_)
+
+    h = (s_end - s) / 64.0  # negative
+    accepted = rejected = 0
+    status = None
+    while s > s_end + 1e-13 * max(1.0, abs(s_end)):
+        if s + h < s_end:
+            h = s_end - s
+        k1 = f(s, rho)
+        k2 = f(s + h / 5, rho + h * (_A2[0] * k1))
+        k3 = f(s + 3 * h / 10, rho + h * (_A3[0] * k1 + _A3[1] * k2))
+        k4 = f(s + 3 * h / 5,
+               rho + h * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3))
+        k5 = f(s + h, rho + h * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
+                                 + _A5[3] * k4))
+        k6 = f(s + 7 * h / 8,
+               rho + h * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3
+                          + _A6[3] * k4 + _A6[4] * k5))
+        y5 = rho + h * (_B5[0] * k1 + _B5[2] * k3 + _B5[3] * k4
+                        + _B5[5] * k6)
+        y4 = rho + h * (_B4[0] * k1 + _B4[2] * k3 + _B4[3] * k4
+                        + _B4[4] * k5 + _B4[5] * k6)
+        err = abs(y5 - y4)
+        scale = tol * (1.0 + abs(rho))
+        if err <= scale:
+            s += h
+            rho = y5
+            accepted += 1
+            t_here = math.exp(s)
+            ts.append(t_here)
+            rhos.append(rho)
+            qs.append(float(q_fun(t_here, rho)))
+            if rho >= r_max:
+                status = "left-domain"
+                break
+        else:
+            rejected += 1
+        fac = 5.0 if err == 0.0 else 0.9 * (scale / err) ** 0.2
+        h *= min(5.0, max(0.2, fac))
+        if (abs(h) < 1e-14 * max(1.0, abs(s))
+                or accepted + rejected > c._MAX_STEPS):
+            status = "step-failure"
+            break
+    if status is None:
+        status = "extended-to-floor"
+    return CharacteristicPath(ts=ts, rhos=rhos, qs=qs, status=status,
+                              steps_accepted=accepted,
+                              steps_rejected=rejected)

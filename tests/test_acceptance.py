@@ -253,7 +253,7 @@ def test_criterion_7_characteristics():
 
     # synthetic closed form
     C1s, kappas, t0s, xis = 2.0, 0.3, 0.5, 0.1
-    path = integrate(lambda t, rho: C1s * t ** kappas, lambda t, rho: 0.0,
+    path = integrate(lambda t, rho: (C1s * t ** kappas, 0.0),
                      t0=t0s, xi=xis, r_max=10.0, t_floor=t0s * 1e-6)
     exact = lambda t: xis + (C1s / kappas) * (t0s ** kappas - t ** kappas)
     synth_err = max(abs(r - exact(t)) for t, r in zip(path.ts, path.rhos))
@@ -275,8 +275,7 @@ def test_criterion_7_characteristics():
         consts, h, kappa, R,
         q_corner=lambda s: system.barrier(params, s, R),
         sigma_max=float(params.sigma0))
-    mpath = integrate(functools.partial(system.transport_rate, params),
-                      functools.partial(system.barrier, params),
+    mpath = integrate(functools.partial(system.flow_point, params),
                       t0=sigma, xi=R / 4, r_max=R, t_floor=sigma * 1e-6)
     decay = check_weighted_decay(mpath, h)
     radius = check_radius_bounds(mpath, consts, kappa, h, r_small)

@@ -37,7 +37,8 @@ from fuchsian.series import (SeriesTX, SeriesTXZ, ZKey, _norm_nu, _nu_degree,
                              _zkey_sort, lambda_keys)
 from fuchsian.solver import solve_formal
 from oracles import (_slope, _slope_inner, barrier_point, grid_checks_by_record,
-                     manufactured, reconstruct_by_products, weighted)
+                     grid_points, manufactured, reconstruct_by_products,
+                     weighted)
 from test_bench_reference import WORKLOADS
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -536,7 +537,7 @@ def test_barrier_drho_teuler_hand_formulas(remark3_setup):
 def _grid_point(system, params, t, rho):
     # (t, rho, tk, q, dq, tdq, v, A, B) from a 1 x 1 grid, which the grid
     # test below ties bit for bit to the per-point evaluators
-    (point,) = system.grid(params, [t], [rho])
+    (point,) = grid_points(system.grid(params, [t], [rho]), [rho])
     return point
 
 
@@ -611,8 +612,9 @@ def _values(system, params):
     # everything a system yields under params, by repr so that -0.0 shows
     sig, R = float(params.sigma0), float(params.R0)
     points = [(sig, R), (1e-5, 0.0), (0.0, 0.5), (sig / 3, R * 0.6)]
+    ts, rhos = barrier_grid(sig, R, 3, 4)
     grid = [(*p[:6], list(p[6]), *p[7:])
-            for p in system.grid(params, *barrier_grid(sig, R, 3, 4))]
+            for p in grid_points(system.grid(params, ts, rhos), rhos)]
     return repr((grid, system.constants(params),
                  [(system.barrier(params, t, rho),
                    system.growth_bound(params, t, rho),
@@ -917,7 +919,8 @@ def test_grid_matches_per_point_evaluators_bitwise(extra):
         ts, rhos = barrier_grid(float(params.sigma0), float(params.R0), 6, 5)
         assert rhos[0] == 0.0 and ts[0] == float(params.sigma0)
         seen = []
-        for t, rho, tk, q, dq, tdq, v, A, B in grid_sys.grid(params, ts, rhos):
+        for t, rho, tk, q, dq, tdq, v, A, B in grid_points(
+                grid_sys.grid(params, ts, rhos), rhos):
             seen.append((t, rho))
             jet = _old_barrier_parts(point_sys, params, t, rho)
             assert (q, dq, tdq) == jet[:3]
@@ -1030,7 +1033,7 @@ def test_grid_matches_per_point_oracle_bitwise(source, seed, seed2, tf, rf):
         sig, R = float(params.sigma0), float(params.R0)
         ts = [sig * 10.0 ** (-4.0 * f) for f in tf]
         rhos = [R * f for f in rf]
-        assert rows(system.grid(params, ts, rhos)) \
+        assert rows(grid_points(system.grid(params, ts, rhos), rhos)) \
             == rows(barrier_point(system, params, t, rho)
                     for t in ts for rho in rhos)
 
@@ -1048,7 +1051,8 @@ def test_a_point_has_the_same_bits_in_every_row(source):
     system, chosen = _kernel_system(source)
     for params in (chosen, _drawn_params(chosen, 4242)):
         ts, rhos = barrier_grid(float(params.sigma0), float(params.R0), 7, 5)
-        for t, rho, _, q, _, _, _, A, B in system.grid(params, ts, rhos):
+        for t, rho, _, q, _, _, _, A, B in grid_points(
+                system.grid(params, ts, rhos), rhos):
             assert repr((system.barrier(params, t, rho),
                          system.growth_bound(params, t, rho),
                          system.transport_rate(params, t, rho))) \
@@ -1086,7 +1090,8 @@ def test_grid_mixed_level_and_thin_grids_match_the_oracle_bitwise():
         for grid_ts, grid_rhos in ((ts, rhos), (ts[:1], rhos),
                                    (ts, rhos[:1]), (ts, rhos[-1:]),
                                    (ts[3:4], rhos[2:3])):
-            assert _by_repr(system.grid(params, grid_ts, grid_rhos)) \
+            assert _by_repr(grid_points(
+                system.grid(params, grid_ts, grid_rhos), grid_rhos)) \
                 == _by_repr(barrier_point(system, params, t, rho)
                             for t in grid_ts for rho in grid_rhos)
 
@@ -1112,10 +1117,10 @@ def test_grid_python_calls_do_not_grow_with_points(source):
                     and not code.co_name.startswith("<")):
                 seen[f"{code.co_filename}:{code.co_name}"] += 1
 
-        points = system.grid(params, *barrier_grid(sig, R, nt, nrho))
+        rows = system.grid(params, *barrier_grid(sig, R, nt, nrho))
         sys.setprofile(profile)
         try:
-            n = sum(1 for _ in points)
+            n = sum(len(q) for _, _, q, *_ in rows)
         finally:
             sys.setprofile(None)
         assert n == nt * nrho
@@ -1160,7 +1165,9 @@ def test_record_early_return_keeps_every_verdict():
 def _faulty(system, seed):
     # system.grid with one seeded fault per point: one of the 15 checks has
     # its lhs moved onto rhs * (1 +- f), f log-uniform from well inside the
-    # slack of allowed(rhs) to far past it, or q is scaled up
+    # slack of allowed(rhs) to far past it, or q is scaled up.  The faults
+    # are drawn point by point in t-major order, and each row is yielded
+    # as grid yields it, lists over rhos and the sector rows in v
     grid = system.grid
 
     def run(P, ts, rhos):
@@ -1169,39 +1176,47 @@ def _faulty(system, seed):
         C1, C2, C3, C4 = (BarrierSystem(system.dec, system.profiles)
                           .constants(P)[c] for c in ("C1", "C2", "C3", "C4"))
         rng = random.Random(seed)
-        for t, rho, tk, q, dq, tdq, v, A, B in grid(P, ts, rhos):
-            v = list(v)
-            pick = rng.randrange(16)
-            up = 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-12, 0.5)
-            if pick == 0:
-                tdq = (A * q + B * dq) * up - 2.0 * hf * q
-            elif pick == 1:
-                A = hf * up
-            elif pick < 8:
-                i, share = [(0, q / e00), (1, q), (2, q / e01), (3, q / e11),
-                            (4, q ** (2.0 / 3.0)), (4, q / tk)][pick - 2]
-                v[i] = share * up
-            elif pick < 14:
-                i, share = [(2, dq / e00), (3, dq), (4, dq / e01),
-                            (5, dq / e11),
-                            (6, (2.0 / 3.0) * dq / math.sqrt(v[4]) if v[4]
-                             else 0.0), (6, dq / tk)][pick - 8]
-                v[i] = share * up
-            elif pick == 14:
-                B = (C1 * tk + C2 * q + C3 * q ** (2.0 / 3.0)
-                     + C4 * q ** (1.0 / 3.0)) * up
-            else:
-                q *= abs(up) + 1.0
-            yield t, rho, tk, q, dq, tdq, v, A, B
+        for row in grid(P, ts, rhos):
+            t, tk, *_ = row
+            points = []
+            for _, _, _, q, dq, tdq, v, A, B in grid_points([row], rhos):
+                v = list(v)
+                pick = rng.randrange(16)
+                up = 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-12, 0.5)
+                if pick == 0:
+                    tdq = (A * q + B * dq) * up - 2.0 * hf * q
+                elif pick == 1:
+                    A = hf * up
+                elif pick < 8:
+                    i, share = [(0, q / e00), (1, q), (2, q / e01),
+                                (3, q / e11), (4, q ** (2.0 / 3.0)),
+                                (4, q / tk)][pick - 2]
+                    v[i] = share * up
+                elif pick < 14:
+                    i, share = [(2, dq / e00), (3, dq), (4, dq / e01),
+                                (5, dq / e11),
+                                (6, (2.0 / 3.0) * dq / math.sqrt(v[4])
+                                 if v[4] else 0.0), (6, dq / tk)][pick - 8]
+                    v[i] = share * up
+                elif pick == 14:
+                    B = (C1 * tk + C2 * q + C3 * q ** (2.0 / 3.0)
+                         + C4 * q ** (1.0 / 3.0)) * up
+                else:
+                    q *= abs(up) + 1.0
+                points.append((q, dq, tdq, v, A, B))
+            q, dq, tdq, vs, A, B = map(list, zip(*points))
+            yield t, tk, q, dq, tdq, list(zip(*vs)), A, B
     return run
 
 
 def _nan_a_and_v0(system):
+    # system.grid with A and the first sector row nan at every point
     grid = system.grid
 
     def run(P, ts, rhos):
-        for t, rho, tk, q, dq, tdq, v, A, B in grid(P, ts, rhos):
-            yield t, rho, tk, q, dq, tdq, [math.nan, *v[1:]], math.nan, B
+        for t, tk, q, dq, tdq, v, A, B in grid(P, ts, rhos):
+            nans = [math.nan] * len(rhos)
+            yield t, tk, q, dq, tdq, [nans, *v[1:]], nans, B
     return run
 
 
@@ -1277,6 +1292,43 @@ def test_inline_grid_checks_pass_nan_as_record_does(remark3_setup):
                             ("phi_vs_q", 6)):
         assert checks[name]["checked"] == per_point * 35
         assert checks[name]["violations"] == 0
+
+
+def _slots_over_shares(system):
+    # system.grid with three of the seven slot values v[0..6] raised far
+    # over every share of q and dq at each point, the three turning with
+    # the point's t and rho index, so that the points of a row fail
+    # different phi_vs_q and dphi_vs_dq checks
+    grid = system.grid
+
+    def run(P, ts, rhos):
+        for j, (t, tk, q, dq, tdq, v, A, B) in enumerate(grid(P, ts, rhos)):
+            v = [list(col) for col in v]
+            for i, (a, b) in enumerate(zip(q, dq)):
+                for m in (0, 2, 3):
+                    v[(i + j + m) % 7][i] = 1e3 * (1.0 + a + b / tk)
+            yield t, tk, q, dq, tdq, v, A, B
+    return run
+
+
+@pytest.mark.parametrize("nt,nrho", [(1, 9), (9, 1), (7, 5)])
+def test_row_checks_keep_the_oracles_examples(remark3_setup, nt, nrho):
+    # the row checks pass record their candidates point by point and, at a
+    # point, in check order: with more than five violations in each family
+    # the five examples are the oracle's first five, whose points and
+    # checks are interleaved
+    _, cd, dec, w, prof, params, _ = remark3_setup
+    got, want = _inline_and_oracle(dec, prof, params, nt, nrho,
+                                   _slots_over_shares)
+    assert repr(got) == repr(want)
+    for name in ("phi_vs_q", "dphi_vs_dq"):
+        chk = got["checks"][name]
+        assert chk["violations"] > 5, (name, chk)
+        rhos = [e["rho"] for e in chk["examples"]]
+        ts = [e["t"] for e in chk["examples"]]
+        # the first five are not one point's, nor one check's at each point
+        assert len(set(zip(ts, rhos))) > 1
+        assert len(set(zip(ts, rhos))) < 5
 
 
 # -- the grid report -----------------------------------------------------

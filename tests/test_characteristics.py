@@ -17,14 +17,15 @@ from fuchsian.characteristics import (CharacteristicPath, allowed,
                                       check_reaches_origin,
                                       check_weighted_decay, decay_profile,
                                       integrate, smallness_box)
+from fuchsian.cli import main
 from fuchsian.errors import InputError, SearchExhausted
 from fuchsian.rational import Frac
+from oracles import integrate_two_callbacks
 
 
 def closed_form_path(C=2.0, kappa=0.3, t0=0.5, xi=0.1, floor_ratio=1e-6,
                      tol=1e-10):
-    path = integrate(lambda t, rho: C * t ** kappa,
-                     lambda t, rho: 0.0,
+    path = integrate(lambda t, rho: (C * t ** kappa, 0.0),
                      t0=t0, xi=xi, r_max=10.0, t_floor=t0 * floor_ratio,
                      tol=tol)
     return path, lambda t: xi + (C / kappa) * (t0 ** kappa - t ** kappa)
@@ -57,14 +58,14 @@ def test_path_is_exactly_monotone():
 
 
 def test_zero_rate_keeps_path_constant():
-    path = integrate(lambda t, rho: 0.0, lambda t, rho: 0.0,
+    path = integrate(lambda t, rho: (0.0, 0.0),
                      t0=0.25, xi=0.3, r_max=1.0, t_floor=1e-9)
     assert path.status == "extended-to-floor"
     assert all(rho == 0.3 for rho in path.rhos)
 
 
 def test_left_domain_status():
-    path = integrate(lambda t, rho: 50.0, lambda t, rho: 0.0,
+    path = integrate(lambda t, rho: (50.0, 0.0),
                      t0=0.5, xi=0.05, r_max=0.4, t_floor=1e-12)
     assert path.status == "left-domain"
     assert path.rhos[-1] >= 0.4
@@ -73,7 +74,7 @@ def test_left_domain_status():
 
 def test_step_budget_exhaustion_reports_step_failure(monkeypatch):
     monkeypatch.setattr(characteristics, "_MAX_STEPS", 5)
-    path = integrate(lambda t, rho: 1.0 + rho, lambda t, rho: 0.0,
+    path = integrate(lambda t, rho: (1.0 + rho, 0.0),
                      t0=0.5, xi=0.05, r_max=1e9, t_floor=1e-300, tol=1e-10)
     assert path.status == "step-failure"
     assert path.steps_accepted + path.steps_rejected == 6
@@ -82,7 +83,7 @@ def test_step_budget_exhaustion_reports_step_failure(monkeypatch):
 def test_step_size_underflow_reports_step_failure():
     # a nan rate rejects every step and shrinks h fivefold each time, so h
     # falls below the relative floor long before the step budget
-    path = integrate(lambda t, rho: math.nan, lambda t, rho: 0.0,
+    path = integrate(lambda t, rho: (math.nan, 0.0),
                      t0=0.5, xi=0.05, r_max=1.0, t_floor=1e-9)
     assert path.status == "step-failure"
     assert (path.steps_accepted, path.steps_rejected) == (0, 20)
@@ -91,14 +92,118 @@ def test_step_size_underflow_reports_step_failure():
 
 def test_integrate_validates_inputs():
     with pytest.raises(InputError):
-        integrate(lambda t, r: 0.0, lambda t, r: 0.0,
+        integrate(lambda t, r: (0.0, 0.0),
                   t0=0.0, xi=0.1, r_max=1.0, t_floor=1e-9)
     with pytest.raises(InputError):
-        integrate(lambda t, r: 0.0, lambda t, r: 0.0,
+        integrate(lambda t, r: (0.0, 0.0),
                   t0=0.5, xi=0.1, r_max=1.0, t_floor=0.7)
     with pytest.raises(InputError):
-        integrate(lambda t, r: 0.0, lambda t, r: 0.0,
+        integrate(lambda t, r: (0.0, 0.0),
                   t0=0.5, xi=-0.1, r_max=1.0, t_floor=1e-9)
+
+
+# -- one flow callback ---------------------------------------------------
+
+
+def _by_repr(path):
+    return repr((path.ts, path.rhos, path.qs, path.status,
+                 path.steps_accepted, path.steps_rejected))
+
+
+def _by_two_callbacks(flow, **kw):
+    return integrate_two_callbacks(lambda t, rho: flow(t, rho)[0],
+                                   lambda t, rho: flow(t, rho)[1], **kw)
+
+
+def _certify_flow(argv, tmp_path, monkeypatch):
+    # the flow certify integrates on argv, and the keywords of that run
+    runs = []
+
+    def spy(flow, **kw):
+        runs.append((flow, kw))
+        return integrate(flow, **kw)
+
+    monkeypatch.setattr(characteristics, "integrate", spy)
+    main(["certify", *argv, "--grid", "2x2", "--out",
+          str(tmp_path / "report.json")])
+    (run,) = runs
+    return run
+
+
+# a rate with a jump at t = 1e-3: the steps across it are rejected
+def _kink(t, rho):
+    return (50.0 if t > 1e-3 else 0.5), t * rho
+
+
+_KINK = dict(t0=0.5, xi=0.05, r_max=1e9, t_floor=1e-9)
+_CERTIFY_ARGVS = [["remark3"], ["remark3_forced"],
+                  ["remark3", "--kappa", "2/5", "--eps00", "1/7"],
+                  ["remark3", "--seed", "7"], ["remark3", "--seed", "23"]]
+
+
+@pytest.mark.parametrize("argv", _CERTIFY_ARGVS,
+                         ids=["remark3", "remark3_forced", "remark3-kappa",
+                              "remark3-seed7", "remark3-seed23"])
+def test_certify_flow_matches_two_callback_oracle(argv, tmp_path,
+                                                  monkeypatch):
+    # by repr: the path certify integrates on the built-ins that reach the
+    # flow, under overridden weights and with seeded w, equals the path of
+    # the loop that asked a rate callback and a sample callback for every
+    # point
+    flow, kw = _certify_flow(argv, tmp_path, monkeypatch)
+    path = integrate(flow, **kw)
+    assert path.status == "extended-to-floor"
+    assert _by_repr(path) == _by_repr(_by_two_callbacks(flow, **kw))
+
+
+@pytest.mark.parametrize("flow,kw", [
+    (_kink, _KINK),
+    (lambda t, rho: (3.0 * t ** 0.3 * (1.0 + rho), rho),
+     dict(t0=0.5, xi=0.1, r_max=1e9, t_floor=1e-8, tol=1e-12)),
+    (lambda t, rho: (50.0, rho), dict(t0=0.5, xi=0.05, r_max=0.4,
+                                      t_floor=1e-12)),
+    (lambda t, rho: (math.nan, 0.0), dict(t0=0.5, xi=0.05, r_max=1.0,
+                                          t_floor=1e-9))],
+    ids=["kink", "power", "left-domain", "nan"])
+def test_flow_with_rejected_steps_matches_two_callback_oracle(flow, kw):
+    path = integrate(flow, **kw)
+    assert _by_repr(path) == _by_repr(_by_two_callbacks(flow, **kw))
+
+
+def _counted(flow):
+    calls = []
+
+    def counting(t, rho):
+        calls.append((t, rho))
+        return flow(t, rho)
+    return counting, calls
+
+
+@pytest.mark.parametrize("argv", [None, *_CERTIFY_ARGVS[:2]],
+                         ids=["kink", "remark3", "remark3_forced"])
+def test_flow_evaluates_each_point_once(argv, tmp_path, monkeypatch):
+    # 2 + 5 (a + r) + a calls: the sample at t0, the first stage at
+    # exp(log t0), five stages per step, and per accepted step its end
+    # point, which is the next step's first stage.  A rejected step keeps
+    # its first stage: asking for it again would add r calls, and the kink
+    # rejects more than five steps
+    if argv is None:
+        flow, kw = _kink, _KINK
+    else:
+        flow, kw = _certify_flow(argv, tmp_path, monkeypatch)
+    counting, calls = _counted(flow)
+    path = integrate(counting, **kw)
+    a, r = path.steps_accepted, path.steps_rejected
+    assert len(calls) == 2 + 5 * (a + r) + a
+    if argv is None:
+        assert path.status == "extended-to-floor" and a > 5 and r > 5
+    else:
+        # certify's runs on the built-ins: 56 calls, 64 with two callbacks
+        assert (a, r, len(calls)) == (9, 0, 56)
+        b_fun, b_calls = _counted(lambda t, rho: flow(t, rho)[0])
+        q_fun, q_calls = _counted(lambda t, rho: flow(t, rho)[1])
+        integrate_two_callbacks(b_fun, q_fun, **kw)
+        assert len(b_calls) + len(q_calls) == 64
 
 
 # -- weighted decay ------------------------------------------------------
@@ -229,8 +334,7 @@ def test_reaches_origin_closed_form():
     consts = frozen_consts(C1=1.0)
     sigma, r, info = smallness_box(consts, h, kappa, R,
                                    q_corner=lambda s: 0.0, sigma_max=1.0)
-    path = integrate(lambda t, rho: 1.0 * t ** float(kappa),
-                     lambda t, rho: 0.0,
+    path = integrate(lambda t, rho: (1.0 * t ** float(kappa), 0.0),
                      t0=sigma, xi=R / 4, r_max=R, t_floor=sigma * 1e-6)
     rep = check_reaches_origin(path, R, consts, kappa, h, r)
     assert rep["ok"]
@@ -240,7 +344,7 @@ def test_reaches_origin_closed_form():
 
 
 def test_reaches_origin_rejects_wide_start():
-    path = integrate(lambda t, rho: 0.0, lambda t, rho: 0.0,
+    path = integrate(lambda t, rho: (0.0, 0.0),
                      t0=0.1, xi=0.4, r_max=0.5, t_floor=1e-7)
     rep = check_reaches_origin(path, 0.5, frozen_consts(C1=1.0),
                                Frac(1, 4), Frac(9, 20), r=0.0)
