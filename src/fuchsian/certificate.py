@@ -12,11 +12,13 @@ tensor product, in one kernel, BarrierSystem.grid: a rho column evaluates
 every rho-polynomial it reads in one Horner pass, and a t row does each
 float operation of its points as one comprehension over the row's rhos,
 the operations a point would see alone: bit for bit Horner on each majorant.
+A point computes each value once; A and B share phi and the packs' values.
 Each pointwise check, like the path checks in characteristics.py, is a
 float comparison against characteristics.allowed(rhs), the one tolerance
 rule; violations are reported, never absorbed, and a pass is not a proof.
-The grid tests lhs > rhs inline and calls its _Check counter only on such
-a candidate violation; each family's checked count comes from the grid size.
+The grid tests not lhs <= rhs inline, so a nan fails, and calls its _Check
+counter only on such a candidate violation; each family's checked count
+comes from the grid size.
 """
 
 from __future__ import annotations
@@ -407,28 +409,27 @@ class BarrierSystem:
         # grid reads in one Horner pass in rho: the sectors' t-slices level
         # by level, highest power first and () above a sector's top; the
         # four betas; the terms of each pack, of its rho-derivative and of
-        # its nonzero jet derivatives.  A level reads 22 columns of the
-        # pass: the twelve sectors, phi for A, phi for B.  Per pack, in sum
-        # order: the terms a row sums for its profiles (with A's phi) and
-        # for the pack again (with B's), and the sector of dphi for each jet
-        # derivative.  A term is (t-power, ((column, power), ...), index of
-        # its rho-polynomial in the pass)
+        # its nonzero jet derivatives.  A level reads the twelve sector
+        # columns of the pass; phi of a key is its sector's value.  Per
+        # pack, in sum order: the terms a row sums for its value, which A
+        # and B both read, for its rho-derivative and for each nonzero jet
+        # derivative, and the sector of dphi for each jet derivative.  A
+        # term is (t-power, ((sector, power), ...), index of its
+        # rho-polynomial in the pass)
         levels = [m.horner() for m in self.sectors]
         top = max(1, *map(len, levels))
-        cols = list(range(12)) + 2 * [s for _, s in self._phi]
         polys, self._levels = [], []
         for j in range(top):
             level = [lv[j - top + len(lv)] if j >= top - len(lv) else ()
                      for lv in levels]
             # a level below the top where every slice is empty is zero
             keep = not j or any(level)
-            self._levels.append([len(polys) + i for i in cols] if keep
+            self._levels.append([len(polys) + i for i in range(12)] if keep
                                 else None)
             polys += level if keep else []
         self._nb = len(polys)
         polys += [b.horner() for b in self.betas]
-        nk, dphi = len(self.keys), dict(self._dphi)
-        at = {zk: 12 + j for j, zk in enumerate(self.keys)}
+        at, dphi = dict(self._phi), dict(self._dphi)
         self._plan = []
         for prof, dr, dz in self.packs:
             segs = []
@@ -438,8 +439,6 @@ class BarrierSystem:
                                    len(polys) + j)
                                   for j, (k, _, nu) in enumerate(terms)))
                 polys += [cs for _, cs, _ in terms]
-            segs.append(tuple((k, tuple((i + nk, p) for i, p in nu), j)
-                              for k, nu, j in segs[0]))
             self._plan.append((segs, tuple(dphi[zk] for zk, _ in dz)))
         # coefficient rows of the pass, zero-padded on top
         deg = max(1, *map(len, polys))
@@ -479,12 +478,11 @@ class BarrierSystem:
         column runs the one Horner pass in rho of the plan, and a call
         turns its values into rows over rhos, one per polynomial.  A t row
         then does each float operation of a point as one comprehension over
-        its rhos: the outer Horner passes in t of the sectors and of phi
-        for A and for B, q, dq and t dq/dt, and per pack A's value and
-        slope and B's value, in the order a point sums them, with no call.
-        A and B each evaluate phi and the packs; work counts that.  A call
-        converts the weights of P to floats once, and never reads its
-        box."""
+        its rhos: the outer Horner passes in t of the twelve sectors, q, dq
+        and t dq/dt, and per pack its value and its slope, in the order a
+        point sums them, with no call.  Phi of a key is its sector's value,
+        and A and B read each pack's one value.  A call converts the
+        weights of P to floats once, and never reads its box."""
         e00, e01, e11, kf = map(float, (P.eps00, P.eps01, P.eps11, P.kappa))
         wc, sq_b, plan = 4.0 * e11 / 3.0, 1.5 / e11, []
         # per pack in sum order: kind, the eps of its host for a1 and b and
@@ -505,7 +503,7 @@ class BarrierSystem:
             columns.append(vals)
         # T[i]: polynomial i of the pass at each rho
         T = list(zip(*columns))
-        # Horner levels in t, highest first, each flat over the 22 columns
+        # Horner levels in t, highest first, each flat over the 12 columns
         # with rho fastest: starting at the leading level changes no value
         # (finite t, c >= 0), and a * t + 0.0 is a * t (a * t >= +0.0), so
         # a level below the lead is None where it is zero at every rho
@@ -529,7 +527,7 @@ class BarrierSystem:
                         else [a * t + c for a, c in zip(vals, lv)])
             v = list(zip(*[iter(vals)] * nr))
             v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, \
-                e02v = v[:12]
+                e02v = v
             sq02 = list(map(math.sqrt, v02))
             q = [e00 * a + b + tk * c + e01 * d + e11 * e + c ** 1.5
                  for a, b, c, d, e in zip(v00, v10, v02, v01, v11)]
@@ -545,7 +543,7 @@ class BarrierSystem:
                 # and of its slope in A and its value in B; c's are per point
                 m1, m2 = ((t / eps, we * t) if kind == "a1" else
                           (t1k, e11 * t1k) if kind == "a2" else (eps, we))
-                # A's value, its slope's parts, B's value
+                # the value A and B read, its slope's parts
                 outs = []
                 for seg in segs:
                     acc = zero
@@ -561,28 +559,29 @@ class BarrierSystem:
                         else:
                             acc = [a + u * tpk for a, u in zip(acc, us)]
                     outs.append(acc)
-                x, s, *chain, xb = outs
+                x, s, *chain = outs
                 for g, d in zip(chain, dphi):
                     s = [a + b * c for a, b, c in zip(s, g, v[d])]
                 if kind == "c":
                     A = [a + b * c for a, b, c in zip(A, x, sq02)]
                     slopes.append([e11 * a * b for a, b in zip(s, sq02)])
-                    B = [a + wc * b * c for a, b, c in zip(B, xb, sq02)]
+                    B = [a + wc * b * c for a, b, c in zip(B, x, sq02)]
                 else:
                     A = ([a + b / m1 for a, b in zip(A, x)] if kind == "b"
                          else [a + m1 * b for a, b in zip(A, x)])
                     slopes.append([m2 * a for a in s])
-                    B = [a + m2 * b for a, b in zip(B, xb)]
+                    B = [a + m2 * b for a, b in zip(B, x)]
             A = [a + r1 + b + c for a, b, c in zip(A, r2, r3)]
             for y in slopes:
                 A = [a + b for a, b in zip(A, y)]
             B = [a + sq_b * b for a, b in zip(B, sq02)]
-            yield t, tk, q, dq, tdq, v[:12], A, B
+            yield t, tk, q, dq, tdq, v, A, B
 
     def work(self, nt: int, nrho: int) -> dict:
-        """What grid on nt * nrho points and one constants() call evaluate:
-        at each point A and B evaluate phi and the packs, and A the packs'
-        slopes; constants() evaluates phi once and every pack but b's."""
+        """The phi and pack values the inequality reads on nt * nrho points
+        and in one constants() call, not the kernel's float operations: at
+        each point A and B read phi and the packs, and A the packs' slopes;
+        constants() reads phi once and every pack but b's."""
         return {"phi_evals": 2 * nt * nrho + 1,
                 "coefficient_evals": 3 * len(self.packs) * nt * nrho
                 + sum(kind != "b" for kind, _ in self.kinds)}
@@ -641,10 +640,10 @@ def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
     reconstruction, jet domination, profile step.  Violations never raise.
     The grid is a tensor product, evaluated by system.grid one t row at a
     time; the checks read a row's lists point by point, through one zip.
-    Each of the 15 checks per point tests lhs > rhs inline and calls its
-    family's _Check only then, which applies the rule lhs > allowed(rhs);
-    checked is nt*nrho times 1, 1, 6, 6 and 1.  A nan compares false and
-    passes, as in record.
+    Each of the 15 checks per point tests not lhs <= rhs inline and calls
+    its family's _Check only then, which applies the rule
+    not lhs <= allowed(rhs); checked is nt*nrho times 1, 1, 6, 6 and 1.
+    A nan on either side fails, as in record.
     """
     P, dec, profiles = params, system.dec, system.profiles
     hf, e00, e01, e11 = map(float, (P.h, P.eps00, P.eps01, P.eps11))
@@ -662,40 +661,40 @@ def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
             if q > qmax:
                 qmax = q
             lhs, rhs = tdq + 2.0 * hf * q, A * q + B * dq
-            if lhs > rhs:
+            if not lhs <= rhs:
                 dineq(lhs, rhs, t, rho)
-            if A > hf:
+            if not A <= hf:
                 gb(A, hf, t, rho)
             # each slot under its share of q (eps10 = 1), then likewise the
             # rho-derivatives: slot (i, j + 1) is two places after (i, j)
             q23 = q ** (2.0 / 3.0)
-            if v0 > q / e00:
+            if not v0 <= q / e00:
                 pv(v0, q / e00, t, rho)
-            if v1 > q:
+            if not v1 <= q:
                 pv(v1, q, t, rho)
-            if v2 > q / e01:
+            if not v2 <= q / e01:
                 pv(v2, q / e01, t, rho)
-            if v3 > q / e11:
+            if not v3 <= q / e11:
                 pv(v3, q / e11, t, rho)
-            if v4 > q23:
+            if not v4 <= q23:
                 pv(v4, q23, t, rho)
-            if tk * v4 > q:
+            if not tk * v4 <= q:
                 pv(tk * v4, q, t, rho)
-            if v2 > dq / e00:
+            if not v2 <= dq / e00:
                 dpv(v2, dq / e00, t, rho)
-            if v3 > dq:
+            if not v3 <= dq:
                 dpv(v3, dq, t, rho)
-            if v4 > dq / e01:
+            if not v4 <= dq / e01:
                 dpv(v4, dq / e01, t, rho)
-            if v5 > dq / e11:
+            if not v5 <= dq / e11:
                 dpv(v5, dq / e11, t, rho)
             lhs = math.sqrt(v4) * v6
-            if lhs > (2.0 / 3.0) * dq:
+            if not lhs <= (2.0 / 3.0) * dq:
                 dpv(lhs, (2.0 / 3.0) * dq, t, rho)
-            if tk * v6 > dq:
+            if not tk * v6 <= dq:
                 dpv(tk * v6, dq, t, rho)
             rhs = C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0)
-            if B > rhs:
+            if not B <= rhs:
                 env(B, rhs, t, rho)
     for chk, per_point in zip(checks.values(), (1, 1, 6, 6, 1)):
         chk.checked = per_point * nt * nrho

@@ -41,11 +41,18 @@ def allowed(rhs: float) -> float:
     return rhs + SLACK * (1.0 + abs(rhs))
 
 
+def _json(x: float):
+    """x, or its repr ("nan", "inf", "-inf") where JSON has no number."""
+    return x if math.isfinite(x) else repr(x)
+
+
 class _Check:
     """Counter for one inequality lhs <= allowed(rhs) over the grid or a
-    path: checks, violations, the largest excess over allowed(rhs) and the
-    first five failing points.  record counts each check it is given; the
-    grid calls it only when lhs > rhs and sets checked from its size."""
+    path: checks, violations, the largest finite excess over allowed(rhs)
+    and the first five failing points.  A nan on either side fails, and a
+    non-finite lhs or rhs is written in an example as its repr, which JSON
+    can hold.  record counts each check it is given; the grid calls it only
+    when not lhs <= rhs and sets checked from its size."""
 
     __slots__ = ("checked", "violations", "worst", "examples")
 
@@ -57,17 +64,17 @@ class _Check:
 
     def record(self, lhs: float, rhs: float, t: float, rho: float):
         self.checked += 1
-        if lhs <= rhs:      # allowed(rhs) >= rhs; nan and inf go on
+        if lhs <= rhs:      # allowed(rhs) >= rhs; a nan goes on
             return
         lim = allowed(rhs)
-        if lhs > lim:
+        if not lhs <= lim:
             self.violations += 1
             excess = lhs - lim
-            if excess > self.worst:
+            if self.worst < excess < math.inf:
                 self.worst = excess
             if len(self.examples) < 5:
-                self.examples.append({"t": t, "rho": rho,
-                                      "lhs": lhs, "rhs": rhs})
+                self.examples.append({"t": t, "rho": rho, "lhs": _json(lhs),
+                                      "rhs": _json(rhs)})
 
     def report(self) -> dict:
         return {"ok": self.violations == 0, "checked": self.checked,

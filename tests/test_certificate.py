@@ -931,7 +931,8 @@ def test_grid_matches_per_point_evaluators_bitwise(extra):
             assert A == point_sys.growth_bound(params, t, rho)
             assert B == point_sys.transport_rate(params, t, rho)
         assert seen == [(t, rho) for t in ts for rho in rhos]
-        # two phi evaluations per point the grid yields, one in constants()
+        # work counts phi twice per point the grid yields, as A and B read
+        # it, and once in constants(); the grid computes it once per point
         assert grid_sys.work(len(ts), len(rhos))["phi_evals"] \
             == 2 * len(seen) + 1
 
@@ -989,6 +990,29 @@ def test_kernel_property_systems_cover_every_pack_kind():
 
 # the z11 host adds c and b packs that depend on rho
 _SOURCES = ("remark3", "remark3_forced", "with-x-betas", "with-z11-host")
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+def test_kernel_plan_computes_each_value_once(source):
+    # every kept t level of the plan indexes exactly the twelve sector
+    # columns of its level, phi of a key reads its sector there, and a
+    # pack's plan is one segment for its value, which A and B both read,
+    # one for its rho-derivative and one per nonzero jet derivative
+    system, _ = _kernel_system(source)
+    kept = [idx for idx in system._levels if idx is not None]
+    assert kept == [list(range(12 * j, 12 * j + 12))
+                    for j in range(len(kept))]
+    assert system._nb == 12 * len(kept)
+    at = dict(system._phi)
+    assert set(at.values()) <= set(range(12))
+    for (prof, _, dz), (segs, dphi) in zip(system.packs, system._plan,
+                                           strict=True):
+        assert len(segs) == 2 + len(dz) == 2 + len(dphi)
+        assert [nu for _, nu, _ in segs[0]] \
+            == [tuple((at[zk], p) for zk, p in nu)
+                for _, _, nu in prof.horner_terms()]
+
+
 # an axis as fractions of the box: t = sigma0 * 10^(-4 f), rho = R0 * f,
 # so f = 0 is the row t = sigma0 and the column rho = 0
 _AXIS = st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
@@ -1148,18 +1172,29 @@ def _record_edge_pairs():
 
 def test_record_early_return_keeps_every_verdict():
     # record returns early on lhs <= rhs; the verdict must equal the full
-    # rule lhs > allowed(rhs) for signed zeros, subnormals, infinities, nan
-    # on either side and seeded random pairs near the slack
+    # rule not lhs <= allowed(rhs) for signed zeros, subnormals, infinities,
+    # nan on either side and seeded random pairs near the slack.  A nan on
+    # either side fails; an example writes a non-finite side as its repr and
+    # worst keeps only finite excesses
     for lhs, rhs in _record_edge_pairs():
         chk = _Check()
         chk.record(lhs, rhs, 0.5, 0.25)
-        bad = lhs > allowed(rhs)
+        bad = not lhs <= allowed(rhs)
+        if lhs == rhs == -math.inf:
+            # allowed(-inf) is nan, but lhs <= rhs passes before the rule,
+            # in record as in the inline grid checks
+            bad = False
         assert chk.checked == 1
         assert chk.violations == int(bad), (lhs, rhs)
-        assert chk.examples == ([{"t": 0.5, "rho": 0.25, "lhs": lhs,
-                                  "rhs": rhs}] if bad else [])
+        if math.isnan(lhs) or math.isnan(rhs):
+            assert bad
+        shown = [x if math.isfinite(x) else repr(x) for x in (lhs, rhs)]
+        assert chk.examples == ([{"t": 0.5, "rho": 0.25, "lhs": shown[0],
+                                  "rhs": shown[1]}] if bad else [])
         if bad:
-            assert chk.worst == max(0.0, lhs - allowed(rhs))
+            excess = lhs - allowed(rhs)
+            assert chk.worst == (max(0.0, excess) if math.isfinite(excess)
+                                 else 0.0)
 
 
 def _faulty(system, seed):
@@ -1277,10 +1312,10 @@ def test_inline_grid_checks_equal_record_oracle(source):
     assert max(c["violations"] for c in got["checks"].values()) > 5
 
 
-def test_inline_grid_checks_pass_nan_as_record_does(remark3_setup):
-    # a nan compares false, so A = nan passes growth_bound_le_h and makes
-    # the barrier_dineq rhs nan, and v[0] = nan passes phi_vs_q: with eps00
-    # too large every point fails growth_bound_le_h, and with nan none does
+def test_inline_grid_checks_fail_nan_as_record_does(remark3_setup):
+    # not lhs <= rhs holds for a nan, so A = nan fails growth_bound_le_h and
+    # barrier_dineq (its rhs is nan) at every point, and v[0] = nan fails
+    # phi_vs_q at every point besides the clean grid's violations
     _, cd, dec, w, prof, params, _ = remark3_setup
     bad = params._replace(eps00=10 * params.h)
     clean = verify_barrier(BarrierSystem(dec, prof), bad, 7, 5)["checks"]
@@ -1291,7 +1326,43 @@ def test_inline_grid_checks_pass_nan_as_record_does(remark3_setup):
     for name, per_point in (("growth_bound_le_h", 1), ("barrier_dineq", 1),
                             ("phi_vs_q", 6)):
         assert checks[name]["checked"] == per_point * 35
-        assert checks[name]["violations"] == 0
+        assert not checks[name]["ok"]
+    assert checks["growth_bound_le_h"]["violations"] == 35
+    assert checks["barrier_dineq"]["violations"] == 35
+    assert checks["phi_vs_q"]["violations"] >= 35
+    assert all(e["lhs"] == "nan" for e in checks["growth_bound_le_h"]
+               ["examples"])
+    assert all(e["rhs"] == "nan" for e in checks["barrier_dineq"]["examples"])
+
+
+def _inf_a(system):
+    # system.grid with A = inf at every point
+    grid = system.grid
+
+    def run(P, ts, rhos):
+        for t, tk, q, dq, tdq, v, A, B in grid(P, ts, rhos):
+            yield t, tk, q, dq, tdq, v, [math.inf] * len(rhos), B
+    return run
+
+
+@pytest.mark.parametrize("fault", [_nan_a_and_v0, _inf_a])
+def test_nonfinite_grid_report_is_canonical_json(remark3_setup, fault):
+    # a grid that yields nan or inf still gives a report that canonical
+    # JSON writes: the failing sides are strings in examples and every
+    # worst_excess is a finite number
+    _, cd, dec, w, prof, params, _ = remark3_setup
+    system = BarrierSystem(dec, prof)
+    system.grid = fault(system)
+    rep = verify_barrier(system, params, 7, 5)
+    back = json.loads(cli.canonical_json(rep))
+    assert back == rep and not rep["ok"]
+    gb = back["checks"]["growth_bound_le_h"]
+    assert gb["violations"] == 35
+    assert [e["lhs"] for e in gb["examples"]] \
+        == 5 * [repr(math.nan if fault is _nan_a_and_v0 else math.inf)]
+    for name, c in back["checks"].items():
+        if "worst_excess" in c:
+            assert math.isfinite(c["worst_excess"]), name
 
 
 def _slots_over_shares(system):

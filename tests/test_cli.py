@@ -459,6 +459,23 @@ def test_certify_explicit_w(capsys):
         {"coeff": [1, 2, 0, 1], "t_pow": 1, "x_pows": [2]}]
 
 
+def test_certify_w_starting_with_a_minus_needs_the_equals_form(tmp_path,
+                                                              capsys):
+    # argparse reads "-1/3,1,2" after a space as an option, not a value:
+    # a usage error, exit 2, with no report; --w=-1/3,1,2 is the value
+    out = tmp_path / "rep.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "remark3", "--w", "-1/3,1,2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --w: expected one argument" in capsys.readouterr().err
+    assert not out.exists()
+    rc, rep, _ = run_json(capsys, "certify", "remark3", "--grid", "4x4",
+                          "--w=-1/3,1,2")
+    assert rc in (0, 1)
+    assert rep["results"]["w_terms"] == [
+        {"coeff": [-1, 3, 0, 1], "t_pow": 1, "x_pows": [2]}]
+
+
 def test_certify_w_at_the_coefficient_bit_limit_runs(capsys):
     # the profiles of a 256-bit coefficient stay finite floats: the box
     # search gives up on the huge one, and the tiny one runs the grid
