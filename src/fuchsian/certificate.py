@@ -8,25 +8,22 @@ and verify the resulting differential inequality pointwise on a grid.
 Everything up to grid evaluation is exact rational arithmetic.  A certify
 builds one BarrierSystem; the weights and the box (BarrierParams) are an
 argument of each method that reads them.  The grid runs in floats on a
-tensor product, in one kernel, BarrierSystem.grid: a rho column evaluates
-every rho-polynomial it reads in one Horner pass, and a t row does each
-float operation of its points as one comprehension over the row's rhos,
-the operations a point would see alone: bit for bit Horner on each majorant.
-A point computes each value once; A and B share phi and the packs' values.
-Each pointwise check, like the path checks in characteristics.py, is a
-float comparison against characteristics.allowed(rhs), the one tolerance
-rule; violations are reported, never absorbed, and a pass is not a proof.
-The grid tests not lhs <= rhs inline, so a nan fails, and calls its _Check
-counter only on such a candidate violation; each family's checked count
-comes from the grid size.
+tensor product, in one kernel, BarrierSystem.grid: each value of a point
+once, with the operations the point alone would do, bit for bit Horner on
+each majorant.  Each pointwise check, like the path checks in
+characteristics.py, compares floats against characteristics.allowed(rhs),
+the one tolerance rule; violations are reported, never absorbed, and a pass
+is not a proof.  The grid tests not lhs <= rhs inline, so a nan fails, and
+hands only a failed check to its _Check; checked counts come from its size.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
-from .characteristics import _Check
+from .characteristics import _Check, _json
 from .equation import CharData, decay_margin
 from .errors import (
     HypothesisViolated,
@@ -295,9 +292,9 @@ def choose_params(cd: CharData,
     and eps01 fixed by kappa = min(1/4, h*eps11/8), eps01 = eps11*(h/4 -
     kappa); finally the unit box is halved (the side whose halving lowers
     the corner value more) until the growth bound is at most h at the
-    corner, which by monotonicity covers the whole box.  Reads system's beta
-    norms and growth bound.  Returns the params and a small grid
-    certificate of that last fact.
+    corner, which by monotonicity covers the whole box; a halving reads
+    both candidates from one 2 x 2 grid, where a point has the bits it has
+    alone.  Returns the params and a small grid certificate of that fact.
     """
     h = decay_margin(cd)
     eps00 = h / 4
@@ -321,8 +318,7 @@ def choose_params(cd: CharData,
 
     params = BarrierParams(eps00=eps00, eps01=eps01, eps11=eps11, kappa=kappa,
                            h=h, sigma0=sig, R0=R)
-    hf = float(h)
-    n_box = 0
+    hf, n_box = float(h), 0
     # sig and R stay powers of two, so float(sig / 2) == float(sig) / 2 and
     # the chosen half's value is the next corner value
     a = system.growth_bound(params, float(sig), float(R))
@@ -331,8 +327,8 @@ def choose_params(cd: CharData,
             raise SearchExhausted(
                 f"growth bound {a!r} > h = {hf!r} persists after "
                 f"{_MAX_HALVINGS} box halvings")
-        a_s = system.growth_bound(params, float(sig) / 2, float(R))
-        a_r = system.growth_bound(params, float(sig), float(R) / 2)
+        (a_r, _), (_, a_s) = (A for *_, A, _ in system.grid(
+            params, [float(sig), float(sig) / 2], [float(R) / 2, float(R)]))
         if a_s <= a_r:
             sig, a = sig / 2, a_s
         else:
@@ -355,13 +351,11 @@ def choose_params(cd: CharData,
 
 
 class BarrierSystem:
-    """The barrier q, its derivatives, and the majorant coefficients A and
-    B of the differential inequality: the majorants, packs, beta norms and
-    plan of one decomposition and profile family, with the weights and box
-    an argument.  grid is their one kernel: it takes them at every point
-    of a tensor grid, one t row at a time as columns over the rhos, and
-    barrier, growth_bound, transport_rate and flow_point read one point of
-    it, on a 1 x 1 grid."""
+    """The barrier q, its derivatives, and the coefficients A and B of the
+    differential inequality, from the majorants, packs, beta norms and plan
+    of one decomposition and profile family; weights and box are an
+    argument.  grid is the one kernel, over a tensor grid a t row at a time;
+    barrier, growth_bound, transport_rate and flow_point read a 1 x 1 grid."""
 
     def __init__(self, dec: Decomposition, profiles: ProfileFamily):
         self.dec, self.profiles = dec, profiles
@@ -405,17 +399,14 @@ class BarrierSystem:
         self.dbeta1 = self.nbeta1.d_rho()
         self.betas = (self.nbeta0, self.nbeta1, self.dbeta0, self.dbeta1)
 
-        # the kernel's plan.  A column evaluates every rho-polynomial the
-        # grid reads in one Horner pass in rho: the sectors' t-slices level
-        # by level, highest power first and () above a sector's top; the
-        # four betas; the terms of each pack, of its rho-derivative and of
-        # its nonzero jet derivatives.  A level reads the twelve sector
-        # columns of the pass; phi of a key is its sector's value.  Per
-        # pack, in sum order: the terms a row sums for its value, which A
-        # and B both read, for its rho-derivative and for each nonzero jet
-        # derivative, and the sector of dphi for each jet derivative.  A
-        # term is (t-power, ((sector, power), ...), index of its
-        # rho-polynomial in the pass)
+        # the kernel's plan.  One Horner pass in rho evaluates every
+        # rho-polynomial the grid reads: the sectors' t-slices level by
+        # level, highest power first and () above a sector's top, a level
+        # being twelve sector columns; the four betas; the terms of each
+        # pack's value, rho-derivative and nonzero jet derivatives.  Per
+        # pack, in sum order: those segments, and the sector of dphi per jet
+        # derivative.  A term is (t-power, ((sector, power), ...), index of
+        # its rho-polynomial in the pass): phi of a key is its sector
         levels = [m.horner() for m in self.sectors]
         top = max(1, *map(len, levels))
         polys, self._levels = [], []
@@ -474,23 +465,20 @@ class BarrierSystem:
         """Yield one row (t, tk, q, dq, tdq, v, A, B) per t, in the order
         of ts (tk = t**kappa): q, dq, tdq, A and B are lists over rhos, and
         v is the twelve sector values, one tuple over rhos per sector.
-        Each value is bit for bit Horner on each majorant alone.  A rho
-        column runs the one Horner pass in rho of the plan, and a call
-        turns its values into rows over rhos, one per polynomial.  A t row
-        then does each float operation of a point as one comprehension over
-        its rhos: the outer Horner passes in t of the twelve sectors, q, dq
-        and t dq/dt, and per pack its value and its slope, in the order a
-        point sums them, with no call.  Phi of a key is its sector's value,
-        and A and B read each pack's one value.  A call converts the
-        weights of P to floats once, and never reads its box."""
+        Each value is bit for bit Horner on each majorant alone, whatever
+        the grid around it.  A rho column runs the plan's Horner pass in
+        rho; a t row makes list passes over its rhos, with no call: one per
+        nonzero level in t (with the zero level after it), q, dq, t dq/dt,
+        per pack its value and slope, then A and B, which the last pack's
+        passes close but for the slopes after the first.  A call converts
+        the weights of P to floats once, and never reads its box."""
         e00, e01, e11, kf = map(float, (P.eps00, P.eps01, P.eps11, P.kappa))
         wc, sq_b, plan = 4.0 * e11 / 3.0, 1.5 / e11, []
-        # per pack in sum order: kind, the eps of its host for a1 and b and
-        # e11 over it, and the pack's part of the plan
+        # per pack, in sum order: kind, eps of a1 and b hosts, e11 / eps, plan
         for (kind, host), part in zip(self.kinds, self._plan):
             wt = float(P.eps_slot(host.i, sum(host.alpha))) \
-                if kind in ("a1", "b") else None
-            plan.append((kind, wt, None if wt is None else e11 / wt, *part))
+                if kind in ("a1", "b") else 1.0
+            plan.append((kind, wt, e11 / wt, *part))
         nr, columns = len(rhos), []
         if not nr:
             return
@@ -506,25 +494,32 @@ class BarrierSystem:
         # Horner levels in t, highest first, each flat over the 12 columns
         # with rho fastest: starting at the leading level changes no value
         # (finite t, c >= 0), and a * t + 0.0 is a * t (a * t >= +0.0), so
-        # a level below the lead is None where it is zero at every rho
+        # a level below the lead is None where it is zero at every rho.  A
+        # step [level, z] is one pass: a nonzero level takes the zero level
+        # after it, (a * t + c) * t, and other zero levels go two at a time
         lead, *rest = [None if idx is None else [x for i in idx for x in T[i]]
                        for idx in self._levels]
-        levels = [lv if lv and any(lv) else None for lv in rest]
+        steps, zero, one = [], [0.0] * nr, repeat(1.0)
+        for lv in (lv if lv and any(lv) else None for lv in rest):
+            if lv is None and steps and steps[-1][1] < 1 + (not steps[-1][0]):
+                steps[-1][1] += 1
+            else:
+                steps.append([lv, int(lv is None)])
         nb0, nb1, db0, db1 = T[self._nb:self._nb + 4]
-        # A starts from the first term in rho alone and adds the other
-        # three after the packs' values
+        # A starts at the first term in rho alone, the others follow packs
         r0 = [e00 + (a / e00 + b) for a, b in zip(nb0, nb1)]
         r1 = kf + e01 / e11
         r2 = [e11 * (a / e00 + b) for a, b in zip(db0, db1)]
         r3 = [e11 * (a / e01 + b / e11) for a, b in zip(nb0, nb1)]
-        zero = [0.0] * nr
         for t in ts:
             tk, t1k = t ** kf, t ** (1.0 - kf)
             tp = [t ** k for k in range(self._kmax + 1)]
             vals = lead
-            for lv in levels:
-                vals = ([a * t for a in vals] if lv is None
-                        else [a * t + c for a, c in zip(vals, lv)])
+            for lv, z in steps:
+                vals = ([a * t + c for a, c in zip(vals, lv)] if not z else
+                        [(a * t + c) * t for a, c in zip(vals, lv)] if lv else
+                        [a * t * t for a in vals] if z > 1 else
+                        [a * t for a in vals])
             v = list(zip(*[iter(vals)] * nr))
             v00, v10, v01, v11, v02, dv11, dv02, e00v, e10v, e01v, e11v, \
                 e02v = v
@@ -538,50 +533,55 @@ class BarrierSystem:
                    + 1.5 * s * d for a, b, c, d, e, f, s
                    in zip(e00v, e10v, v02, e02v, e01v, e11v, sq02)]
             A, B, slopes = r0, [tk / e11] * nr, []
-            for kind, eps, we, segs, dphi in plan:
-                # per pack the factor of its value in A (a divisor for b)
-                # and of its slope in A and its value in B; c's are per point
-                m1, m2 = ((t / eps, we * t) if kind == "a1" else
-                          (t1k, e11 * t1k) if kind == "a2" else (eps, we))
+            if not plan:
+                A = [a + r1 + b + c for a, b, c in zip(A, r2, r3)]
+                B = [a + sq_b * b for a, b in zip(B, sq02)]
+            for n, (kind, eps, we, segs, dphi) in enumerate(plan, -len(plan)):
                 # the value A and B read, its slope's parts
                 outs = []
                 for seg in segs:
                     acc = zero
                     for k, nu, j in seg:
                         us, tpk = T[j], tp[k]
-                        if nu:
-                            # u * t**k, times each factor in turn, then added
-                            (i, p), *more = nu
-                            us = [u * tpk * x ** p for u, x in zip(us, v[i])]
-                            for i, p in more:
-                                us = [u * x ** p for u, x in zip(us, v[i])]
-                            acc = [a + u for a, u in zip(acc, us)]
-                        else:
+                        if not nu:
                             acc = [a + u * tpk for a, u in zip(acc, us)]
+                            continue
+                        # u * t**k times each factor, the last in the add
+                        *inner, (i, p) = nu
+                        for m, r in inner:
+                            us = [u * tpk * x ** r for u, x in zip(us, v[m])]
+                            tpk = 1.0
+                        acc = [a + u * tpk * x ** p
+                               for a, u, x in zip(acc, us, v[i])]
                     outs.append(acc)
                 x, s, *chain = outs
                 for g, d in zip(chain, dphi):
                     s = [a + b * c for a, b, c in zip(s, g, v[d])]
-                if kind == "c":
-                    A = [a + b * c for a, b, c in zip(A, x, sq02)]
-                    slopes.append([e11 * a * b for a, b in zip(s, sq02)])
-                    B = [a + wc * b * c for a, b, c in zip(B, x, sq02)]
-                else:
-                    A = ([a + b / m1 for a, b in zip(A, x)] if kind == "b"
-                         else [a + m1 * b for a, b in zip(A, x)])
-                    slopes.append([m2 * a for a in s])
-                    B = [a + m2 * b for a, b in zip(B, x)]
-            A = [a + r1 + b + c for a, b, c in zip(A, r2, r3)]
-            for y in slopes:
-                A = [a + b for a, b in zip(A, y)]
-            B = [a + sq_b * b for a, b in zip(B, sq02)]
+                # A gets x * f / dv, then g * s * fs; B gets h * x * fs: f
+                # and fs are sq02 for c, else per row (* 1.0, / 1.0 are exact)
+                ta = t if kind == "a1" else t1k
+                f, dv, fs, g, h = ((sq02, 1.0, sq02, e11, wc) if kind == "c"
+                                   else (one, eps, one, we, we) if kind == "b"
+                                   else (repeat(ta / eps), 1.0, one, we * ta,
+                                         we * ta))
+                slopes.append((g, s, fs))
+                if n < -1:
+                    A = [a + b * c / dv for a, b, c in zip(A, x, f)]
+                    B = [a + h * b * c for a, b, c in zip(B, x, fs)]
+                else:   # the last pack closes B, and A up to the first slope
+                    B = [a + h * b * c + sq_b * d
+                         for a, b, c, d in zip(B, x, fs, sq02)]
+                    (g, s, fs), *slopes = slopes
+                    A = [a + b * c / dv + r1 + d + e + g * y * z
+                         for a, b, c, d, e, y, z in zip(A, x, f, r2, r3, s, fs)]
+            for g, s, fs in slopes:
+                A = [a + g * b * c for a, b, c in zip(A, s, fs)]
             yield t, tk, q, dq, tdq, v, A, B
 
     def work(self, nt: int, nrho: int) -> dict:
-        """The phi and pack values the inequality reads on nt * nrho points
-        and in one constants() call, not the kernel's float operations: at
-        each point A and B read phi and the packs, and A the packs' slopes;
-        constants() reads phi once and every pack but b's."""
+        """Phi and pack values read, not float operations: at each of
+        nt * nrho points, phi and the packs by A and by B and the slopes by
+        A; in one constants() call, phi once and every pack but b's."""
         return {"phi_evals": 2 * nt * nrho + 1,
                 "coefficient_evals": 3 * len(self.packs) * nt * nrho
                 + sum(kind != "b" for kind, _ in self.kinds)}
@@ -640,10 +640,9 @@ def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
     reconstruction, jet domination, profile step.  Violations never raise.
     The grid is a tensor product, evaluated by system.grid one t row at a
     time; the checks read a row's lists point by point, through one zip.
-    Each of the 15 checks per point tests not lhs <= rhs inline and calls
-    its family's _Check only then, which applies the rule
+    Each of the 15 checks per point tests not lhs <= rhs inline, so a nan
+    fails, and only then calls its family's _Check.miss, the rule
     not lhs <= allowed(rhs); checked is nt*nrho times 1, 1, 6, 6 and 1.
-    A nan on either side fails, as in record.
     """
     P, dec, profiles = params, system.dec, system.profiles
     hf, e00, e01, e11 = map(float, (P.h, P.eps00, P.eps01, P.eps11))
@@ -653,14 +652,15 @@ def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
 
     checks = {name: _Check() for name in ("barrier_dineq", "growth_bound_le_h",
                                           "phi_vs_q", "dphi_vs_dq", "envelope")}
-    dineq, gb, pv, dpv, env = (chk.record for chk in checks.values())
-    qmax = 0.0
+    dineq, gb, pv, dpv, env = (chk.miss for chk in checks.values())
+    qmax, h2 = 0.0, 2.0 * hf
     for t, tk, qs, dqs, tdqs, v, As, Bs in system.grid(P, ts, rhos):
+        c1tk = C1 * tk
         for rho, q, dq, tdq, A, B, v0, v1, v2, v3, v4, v5, v6 in zip(
                 rhos, qs, dqs, tdqs, As, Bs, *v[:7]):
             if q > qmax:
                 qmax = q
-            lhs, rhs = tdq + 2.0 * hf * q, A * q + B * dq
+            lhs, rhs = tdq + h2 * q, A * q + B * dq
             if not lhs <= rhs:
                 dineq(lhs, rhs, t, rho)
             if not A <= hf:
@@ -693,7 +693,7 @@ def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
                 dpv(lhs, (2.0 / 3.0) * dq, t, rho)
             if not tk * v6 <= dq:
                 dpv(tk * v6, dq, t, rho)
-            rhs = C1 * tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0)
+            rhs = c1tk + C2 * q + C3 * q23 + C4 * q ** (1.0 / 3.0)
             if not B <= rhs:
                 env(B, rhs, t, rho)
     for chk, per_point in zip(checks.values(), (1, 1, 6, 6, 1)):
@@ -716,7 +716,7 @@ def verify_barrier(system: BarrierSystem, params: BarrierParams, nt: int,
             "sigma0": str(P.sigma0), "R0": str(P.R0),
         },
         "constants": consts,
-        "r_sup": 1.05 * qmax,
+        "r_sup": _json(1.05 * qmax),
         "checks": {
             "reconstruction": {"ok": recon_ok},
             "profile_domination": {"ok": dom_ok},

@@ -51,8 +51,9 @@ class _Check:
     path: checks, violations, the largest finite excess over allowed(rhs)
     and the first five failing points.  A nan on either side fails, and a
     non-finite lhs or rhs is written in an example as its repr, which JSON
-    can hold.  record counts each check it is given; the grid calls it only
-    when not lhs <= rhs and sets checked from its size."""
+    can hold.  record counts each check it is given; the grid calls miss,
+    the rule past record's lhs <= rhs, only where that fails, and sets
+    checked from its size."""
 
     __slots__ = ("checked", "violations", "worst", "examples")
 
@@ -64,8 +65,11 @@ class _Check:
 
     def record(self, lhs: float, rhs: float, t: float, rho: float):
         self.checked += 1
-        if lhs <= rhs:      # allowed(rhs) >= rhs; a nan goes on
-            return
+        if not lhs <= rhs:      # lhs <= rhs <= allowed(rhs); a nan goes on
+            self.miss(lhs, rhs, t, rho)
+
+    def miss(self, lhs: float, rhs: float, t: float, rho: float):
+        """record's rule on a check that has failed lhs <= rhs, uncounted."""
         lim = allowed(rhs)
         if not lhs <= lim:
             self.violations += 1
@@ -202,8 +206,8 @@ def check_weighted_decay(path: CharacteristicPath, h) -> dict:
         "checked": step.checked,
         "violations": step.violations,
         "worst_excess": step.worst,
-        "weighted_first": vs[0] if vs else 0.0,
-        "weighted_last": vs[-1] if vs else 0.0,
+        "weighted_first": _json(vs[0]) if vs else 0.0,
+        "weighted_last": _json(vs[-1]) if vs else 0.0,
         "pair_bound": {"checked": pair.checked, "violations": pair.violations},
     }
 
@@ -306,8 +310,8 @@ def check_reaches_origin(path: CharacteristicPath, R: float, consts: dict,
         "rho_max": rho_max,
         "reached_floor": reached,
         "inside_R1": inside,
-        "terminal_bound": terminal_bound,
-        "q_at_anchor": path.qs[0],
+        "terminal_bound": _json(terminal_bound),
+        "q_at_anchor": _json(path.qs[0]),
         "terminal_ok": path.qs[0] <= allowed(terminal_bound),
         "ok": ok_small and reached and inside and R1 < R,
     })

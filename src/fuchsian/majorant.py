@@ -77,12 +77,20 @@ class RhoPoly:
         return RhoPoly(tuple(c + (b[i] if i < len(b) else 0)
                              for i, c in enumerate(a)))
 
+    @classmethod
+    def _of(cls, coeffs: tuple) -> "RhoPoly":
+        """RhoPoly(coeffs) unchecked: nonnegative Fractions, no trailing 0."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     def scale(self, c) -> "RhoPoly":
         c = Frac(c)
-        return RhoPoly(tuple(v * c for v in self.coeffs))
+        cs = tuple(v * c for v in self.coeffs)
+        return RhoPoly._of(cs) if c > 0 else RhoPoly(cs)
 
     def d_rho(self) -> "RhoPoly":
-        return RhoPoly(tuple(c * d for d, c in enumerate(self.coeffs))[1:])
+        return RhoPoly._of(tuple(c * d for d, c in enumerate(self.coeffs))[1:])
 
     def horner(self) -> tuple:
         """Float coefficients, highest degree first."""

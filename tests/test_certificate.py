@@ -478,6 +478,48 @@ def test_choose_params_frozen_recipe(remark3_setup):
     assert cert["max_growth_bound"] == pytest.approx(0.4017766952966369, rel=1e-12)
 
 
+def _box_by_corners(system, params):
+    # choose_params's box search as one-point growth_bound calls at the two
+    # candidate corners of each halving, under the weights of params
+    hf, sig, R = float(params.h), Frac(1), Frac(1)
+    a, n_box = system.growth_bound(params, 1.0, 1.0), 0
+    while a > hf:
+        a_s = system.growth_bound(params, float(sig) / 2, float(R))
+        a_r = system.growth_bound(params, float(sig), float(R) / 2)
+        sig, R, a = (sig / 2, R, a_s) if a_s <= a_r else (sig, R / 2, a_r)
+        n_box += 1
+    return sig, R, n_box
+
+
+def test_box_search_makes_one_kernel_call_per_halving(monkeypatch):
+    # choose_params reads both candidates of a halving from one 2 x 2 grid:
+    # the box, max_growth_bound and halvings of per-corner growth_bound
+    # calls, from 1 + halvings kernel calls before its 12 x 12 grid
+    grid, shapes = BarrierSystem.grid, []
+
+    def counting(self, P, ts, rhos):
+        shapes.append((len(ts), len(rhos)))
+        return grid(self, P, ts, rhos)
+
+    halved = 0
+    for source in _SOURCES:
+        cd, system, chosen = _kernel_case(source)
+        sig, R, n_box = _box_by_corners(system, chosen)
+        box = chosen._replace(sigma0=sig, R0=R)
+        mx = max([0.0, *(a for *_, A, _ in system.grid(
+            box, *barrier_grid(float(sig), float(R), 12, 12)) for a in A)])
+        monkeypatch.setattr(BarrierSystem, "grid", counting)
+        shapes.clear()
+        params, cert = choose_params(cd, system)
+        monkeypatch.setattr(BarrierSystem, "grid", grid)
+        assert params == box, source
+        assert cert["halvings"]["box"] == n_box
+        assert repr(cert["max_growth_bound"]) == repr(mx)
+        assert shapes == [(1, 1)] + n_box * [(2, 2)] + [(12, 12)]
+        halved += n_box > 0
+    assert halved == len(_SOURCES)
+
+
 def test_choose_params_needs_decay_rate():
     eq = load_equation("remark2")
     with pytest.raises(HypothesisViolated):
@@ -960,14 +1002,21 @@ def test_grid_sector_evals_do_not_grow_with_nt(remark3_setup, monkeypatch):
 
 
 @functools.cache
-def _kernel_system(source):
-    # the system certify builds on source, with a seeded w of three terms,
-    # and the params it chooses
-    if source.startswith("remark3"):
-        (cd, dec), (k_t, k_x) = _split(load_equation(source)), (10, 12)
+def _kernel_case(source):
+    # the equation's exponent data, the system certify builds on source,
+    # with a seeded w of three terms, and the params it chooses.  A flag
+    # after remark3 takes certify's w instead: of a seed, or of a --w spec
+    name, *flag = source.split()
+    if name.startswith("remark3"):
+        (cd, dec), (k_t, k_x) = _split(load_equation(name)), (10, 12)
+    elif name == "no-packs":
+        # the linear terms of four-families with x-dependent betas only
+        doc = {**_four_families_doc(_X_BETAS_EXTRA),
+               "terms": _FOUR_FAMILIES[:2] + _X_BETAS_EXTRA}
+        (cd, dec), (k_t, k_x) = _split(parse_equation(doc), 3), (6, 8)
     else:
         extra = {"with-x-betas": _X_BETAS_EXTRA,
-                 "with-z11-host": _Z11_EXTRA}[source]
+                 "with-z11-host": _Z11_EXTRA}[name]
         (cd, dec), (k_t, k_x) = _four_families(extra), (6, 8)
     rng = random.Random(577)
     w = SeriesTX.monomial(1, k_t, k_x, 1, 1, (2,))
@@ -975,21 +1024,48 @@ def _kernel_system(source):
         w = w + SeriesTX.monomial(
             1, k_t, k_x, Frac(rng.randint(1, 9), rng.randint(1, 9)),
             rng.randint(1, 2), (rng.randint(0, 4),))
+    if flag:
+        w = (cli.random_test_function(int(flag[1]), 1, k_t, k_x)
+             if flag[0] == "--seed" else cli._parse_w(flag[1], 1, k_t, k_x))
     system = BarrierSystem(dec, profile_family(w, cd))
-    return system, choose_params(cd, system)[0]
+    return cd, system, choose_params(cd, system)[0]
+
+
+def _kernel_system(source):
+    return _kernel_case(source)[1:]
 
 
 def test_kernel_property_systems_cover_every_pack_kind():
     # the x-betas decomposition has every kind of pack, packs that read
-    # phi, and terms of A in rho alone that are not 0
+    # phi, and terms of A in rho alone that are not 0; its linear part
+    # alone has no pack, so A and B close without one
     system, _ = _kernel_system("with-x-betas")
     assert {kind for kind, _ in system.kinds} == {"a1", "a2", "b", "c"}
     assert any(nu for pk in system.packs for _, nu in pk[0].profiles)
     assert not system.nbeta0.is_zero() and not system.nbeta1.is_zero()
+    system, _ = _kernel_system("no-packs")
+    assert not system.packs and not system.nbeta0.is_zero()
 
 
-# the z11 host adds c and b packs that depend on rho
-_SOURCES = ("remark3", "remark3_forced", "with-x-betas", "with-z11-host")
+# the z11 host adds c and b packs that depend on rho, and no-packs has
+# none.  These five have sectors with levels in t (12, None); the last four
+# are remark3 with (12, 12, None) and (12, None, None), the w of certify's
+# seeds 0 and 3, and with a zero level between nonzero ones and a run of
+# three zero levels, from t x^2 + t^3 x and t x^2 + t^5 x
+_SOURCES = ("remark3", "remark3_forced", "with-x-betas", "with-z11-host",
+            "no-packs", "remark3 --seed 0", "remark3 --seed 3",
+            "remark3 --w 1,1,2;1,3,1", "remark3 --w 1,1,2;1,5,1")
+
+
+def test_kernel_property_systems_cover_the_level_patterns():
+    # which t levels of the plan are kept: the grid folds a zero level
+    # into the pass of the nonzero level before it, and two zero levels
+    # into one pass
+    kept = {tuple(idx is not None for idx in _kernel_system(s)[0]._levels)
+            for s in _SOURCES}
+    assert kept == {(True, False), (True, True, False), (True, False, False),
+                    (True, False, True, False),
+                    (True, False, False, False, True, False)}
 
 
 @pytest.mark.parametrize("source", _SOURCES)
@@ -1042,6 +1118,15 @@ _SEED = st.none() | st.integers(0, 2 ** 32 - 1)
 @example(source="remark3_forced", seed=None, seed2=None, tf=[0.0], rf=[0.0])
 @example(source="with-x-betas", seed=None, seed2=None, tf=[0.0], rf=[0.0])
 @example(source="with-z11-host", seed=None, seed2=None, tf=[0.0], rf=[0.0])
+@example(source="no-packs", seed=None, seed2=None, tf=[0.0], rf=[0.0])
+@example(source="remark3 --seed 0", seed=None, seed2=None, tf=[0.0, 1.0],
+         rf=[0.0, 1.0])
+@example(source="remark3 --seed 3", seed=None, seed2=None, tf=[0.0, 1.0],
+         rf=[0.0, 1.0])
+@example(source="remark3 --w 1,1,2;1,3,1", seed=None, seed2=None,
+         tf=[0.0, 1.0], rf=[0.0, 1.0])
+@example(source="remark3 --w 1,1,2;1,5,1", seed=None, seed2=None,
+         tf=[0.0, 1.0], rf=[0.0, 1.0])
 def test_grid_matches_per_point_oracle_bitwise(source, seed, seed2, tf, rf):
     # bit-identical, compared by repr so that -0.0 would show: every value
     # the grid yields against the per-point formulas it replaced, on grids
@@ -1175,7 +1260,8 @@ def test_record_early_return_keeps_every_verdict():
     # rule not lhs <= allowed(rhs) for signed zeros, subnormals, infinities,
     # nan on either side and seeded random pairs near the slack.  A nan on
     # either side fails; an example writes a non-finite side as its repr and
-    # worst keeps only finite excesses
+    # worst keeps only finite excesses.  Where lhs <= rhs fails, miss gives
+    # record's violations, worst and examples without counting the check
     for lhs, rhs in _record_edge_pairs():
         chk = _Check()
         chk.record(lhs, rhs, 0.5, 0.25)
@@ -1195,6 +1281,13 @@ def test_record_early_return_keeps_every_verdict():
             excess = lhs - allowed(rhs)
             assert chk.worst == (max(0.0, excess) if math.isfinite(excess)
                                  else 0.0)
+        if not lhs <= rhs:
+            # the grid's fail path: past record's own test, and uncounted
+            missed = _Check()
+            missed.miss(lhs, rhs, 0.5, 0.25)
+            assert missed.checked == 0
+            assert repr((missed.violations, missed.worst, missed.examples)) \
+                == repr((chk.violations, chk.worst, chk.examples))
 
 
 def _faulty(system, seed):
@@ -1363,6 +1456,29 @@ def test_nonfinite_grid_report_is_canonical_json(remark3_setup, fault):
     for name, c in back["checks"].items():
         if "worst_excess" in c:
             assert math.isfinite(c["worst_excess"]), name
+
+
+def test_certify_with_an_infinite_barrier_writes_a_canonical_report(
+        monkeypatch, tmp_path):
+    # q = inf at verify_barrier's 50 x 50 points only: r_sup is written as
+    # "inf", and certify writes a canonical report with exit 1 (remark3's
+    # envelope has C2 = 0, and 0 * inf is nan) instead of a traceback
+    grid = BarrierSystem.grid
+
+    def inf_q(self, P, ts, rhos):
+        for t, tk, q, *rest in grid(self, P, ts, rhos):
+            yield t, tk, [math.inf] * len(q) if len(ts) == 50 else q, *rest
+
+    monkeypatch.setattr(BarrierSystem, "grid", inf_q)
+    out = tmp_path / "report.json"
+    assert cli.main(["certify", "remark3", "--out", str(out)]) == 1
+    text = out.read_text()
+    report = json.loads(text)
+    assert text == cli.canonical_json(report) + "\n"
+    assert "error" not in report
+    barrier = report["results"]["barrier"]
+    assert barrier["r_sup"] == "inf"
+    assert not barrier["checks"]["envelope"]["ok"]
 
 
 def _slots_over_shares(system):

@@ -6,6 +6,7 @@ integrates in closed form to rho(t) = xi + (C/kappa) (t0^kappa - t^kappa).
 Every accuracy claim below is measured against that formula.
 """
 
+import json
 import math
 
 import pytest
@@ -412,3 +413,19 @@ def test_allowed_is_the_last_passing_float(rhs):
     low = -allowed(-rhs)
     assert radius(low) == (0, 0)
     assert radius(math.nextafter(low, -math.inf)) == (1, 0)
+
+
+def test_nonfinite_path_values_are_written_as_strings():
+    # a sample of inf reaches weighted_first, weighted_last and q_at_anchor
+    # as the string "inf", as in a failing example (terminal_bound likewise),
+    # so the report stays canonical JSON
+    path = hand_path([0.5, 0.25, 0.125], [0.1, 0.1, 0.1],
+                     [math.inf, 1.0, math.inf])
+    decay = check_weighted_decay(path, Frac(9, 20))
+    assert (decay["weighted_first"], decay["weighted_last"]) == ("inf", "inf")
+    origin = check_reaches_origin(path, 0.5, frozen_consts(C1=0.0),
+                                  Frac(1, 4), Frac(9, 20), r=1.0)
+    assert origin["q_at_anchor"] == "inf" and not origin["terminal_ok"]
+    assert math.isfinite(origin["terminal_bound"])
+    for rep in (decay, origin):
+        json.dumps(rep, allow_nan=False)
